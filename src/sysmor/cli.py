@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys as _sys
@@ -115,19 +116,14 @@ def compare_methods(
                     }
                 )
             continue
-        run_opts = StoppingOptions(
+        run_opts = dataclasses.replace(
+            opts,
             max_iterations=max(opts.max_iterations, max_order),
             target_order=max_order,
             keep_best=False,
-            bisect_rel_tol=opts.bisect_rel_tol,
-            minreal_tol=opts.minreal_tol,
-            w0_condition_cap=opts.w0_condition_cap,
-            min_dist=opts.min_dist,
+            target_linf=None,
         )
-        if method == "sys-aaa":
-            _, report = reduce_sysaaa(model, run_opts)
-        else:
-            _, report = reduce_lowrank(model, run_opts)
+        _, report = run_method(model, method, run_opts)
         for rec, iterate in zip(report.records, report.iterates):
             if rec.order < 1 or rec.order > max_order:
                 continue
@@ -198,20 +194,30 @@ def _write_sigma_csv(path, model, reduced, points=2000):
             writer.writerow([f"{v:.10e}" for v in row])
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _add_common_flags(sp):
     sp.add_argument("model", help="input model file (ss format)")
     sp.add_argument("--iters", type=int, default=20,
                     help="iteration cap for adaptive methods (default 20)")
     sp.add_argument("--target-linf", type=float, default=None,
                     help="stop when the certified error reaches this")
-    sp.add_argument("--min-dist", type=float, default=0.02,
+    sp.add_argument("--min-dist", type=_positive_float, default=0.02,
                     help="relative rank-growth radius for lowrank-aaa")
     sp.add_argument("--keep-best", action=argparse.BooleanOptionalAction,
                     default=True,
                     help="return the lowest-error iterate (default on)")
-    sp.add_argument("--tol-bisect", type=float, default=1e-6,
+    sp.add_argument("--tol-bisect", type=_positive_float, default=1e-6,
                     help="relative tolerance of the norm bisection")
-    sp.add_argument("--tol-minreal", type=float, default=1e-9,
+    sp.add_argument("--tol-minreal", type=_positive_float, default=1e-9,
                     help="rank tolerance of minimal realization")
     sp.add_argument("--report-json", metavar="PATH",
                     help="write the machine-readable report here")

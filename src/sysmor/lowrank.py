@@ -14,39 +14,27 @@ the per-state cost tracks min(p, q).
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateFactors,
-    ImaginaryAxisPoles,
-    InsufficientSpectrum,
-    NonRealSampleAtZero,
-    Saturated,
-    SingularW0,
-    UnstableInput,
-)
-from .norms import linf_norm
+from .exceptions import DegenerateFactors, NonRealSampleAtZero, Saturated
 from .numkernels import svd_truncate
-from .report import IterationRecord, ReductionReport
-from .statespace import StateSpace, dual, is_stable, static_gain, subtract
+from .report import ReductionReport
+from .statespace import StateSpace, dual
 from .sysaaa import (
-    DUPLICATE_ATOL,
-    DUPLICATE_RTOL,
     BlockRealization,
     Interpolant,
     StoppingOptions,
-    WeightMatrix,
-    _h2_of,
-    _identity_weight,
-    assemble_error_system,
-    compute_X,
-    realize_interpolant,
+    _SupportPolicy,
+    _adaptive_loop,
+    _check_duplicate,
     sample_support_point,
-    solve_weights,
 )
+
+# Unused here, but bound so perfbench/tracer.py EXPECTED_BINDINGS finds them.
+from .norms import linf_norm  # noqa: F401
+from .sysaaa import assemble_error_system, compute_X  # noqa: F401
 
 __all__ = [
     "LowRankPoint",
@@ -181,170 +169,45 @@ def select_or_grow(
     return NewPoint(candidate)
 
 
+def _plan_lowrank(work: StateSpace, points: list, omega: float, opts):
+    """Grow the nearest point's rank, or add a rank-1 point at ``omega``."""
+    action = select_or_grow(omega, points, opts.min_dist)
+    if isinstance(action, GrowRank):
+        i = action.index
+        pt = points[i]
+
+        def grow():
+            points[i] = truncate_sample(pt.omega, pt.sample, pt.rank + 1)
+
+        return "grow", pt.omega, 1 if pt.is_zero else 2, grow
+    # a fresh point nearly on top of an old one cannot happen with a sane
+    # min_dist, but tiny values would stall the loop
+    _check_duplicate(omega, points)
+
+    def add():
+        sp = sample_support_point(work, omega)
+        points.append(truncate_sample(sp.omega, sp.sample, 1))
+
+    return "add", omega, 1 if omega == 0.0 else 2, add
+
+
 def reduce_lowrank(
     sys: StateSpace, options: StoppingOptions | None = None
 ) -> tuple[Interpolant, ReductionReport]:
     """Adaptive interpolation with rank-1 entry and local rank growth.
 
-    Same skeleton and termination rules as the full driver; each record
-    additionally lists the per-point ranks.  When the model has more
-    outputs than inputs it is reduced through its dual and the result
-    transposed back (flagged in the report).
+    Runs the driver loop of ``reduce`` with the low-rank support policy;
+    each record additionally lists the per-point ranks.  When the model
+    has more outputs than inputs it is reduced through its dual and the
+    result transposed back (flagged in the report).
     """
-    opts = options or StoppingOptions()
-    if not is_stable(sys):
-        raise UnstableInput("adaptive interpolation needs a stable model")
-    report = ReductionReport(method="lowrank-aaa", options=asdict(opts))
     dualized = sys.p > sys.q
     work = dual(sys) if dualized else sys
-    report.dualized = dualized
-
-    points: list[LowRankPoint] = []
-    current = Interpolant(static_gain(work.D), (), _identity_weight(work.p), 0)
-    err = subtract(work, current.sys)
-    lres = linf_norm(err, opts.bisect_rel_tol)
-    report.records.append(
-        IterationRecord(
-            iteration=0,
-            action="init",
-            omega=None,
-            order=0,
-            linf_error=lres.gamma,
-            h2_metric=_h2_of(err),
-            h2_is_norm=True,
-            stable=True,
-            ranks=(),
-        )
+    policy = _SupportPolicy(_plan_lowrank, build_lowrank_block, ranks=True)
+    chosen, report = _adaptive_loop(
+        work, options or StoppingOptions(), policy, "lowrank-aaa"
     )
-    report.iterates.append(current)
-    floor = 1e-13 * (1.0 + lres.gamma)
-    best_gamma, best_iter = lres.gamma, 0
-
-    iteration = 0
-    termination = None
-    while termination is None:
-        if opts.target_linf is not None and lres.gamma <= opts.target_linf:
-            termination = "target_linf reached"
-            break
-        if lres.gamma <= floor:
-            termination = "error at numerical floor"
-            break
-        if iteration >= opts.max_iterations:
-            termination = "max_iterations reached"
-            break
-        if math.isinf(lres.omega_peak):
-            report.warn(
-                "error peak lies at omega -> inf; feedthrough is already "
-                "matched, nothing to refresh"
-            )
-            termination = "no finite peak frequency"
-            break
-
-        omega = lres.omega_peak
-        if omega < DUPLICATE_ATOL:
-            omega = 0.0
-        try:
-            action = select_or_grow(omega, points, opts.min_dist)
-        except Saturated as exc:
-            report.warn(f"Saturated: {exc}")
-            termination = "saturated support point"
-            break
-
-        if isinstance(action, NewPoint):
-            # a fresh point nearly on top of an old one cannot happen with a
-            # sane min_dist, but tiny values would stall the loop
-            dup = any(
-                abs(omega - pt.omega)
-                <= max(DUPLICATE_ATOL, DUPLICATE_RTOL * max(omega, pt.omega))
-                for pt in points
-            )
-            if dup:
-                report.warn(
-                    f"DuplicateSupportPoint: peak frequency {omega:.6g} rad/s "
-                    "coincides with an existing support point; terminating"
-                )
-                termination = "duplicate support point"
-                break
-            increment = 1 if omega == 0.0 else 2
-            if (
-                opts.target_order is not None
-                and current.order + increment > opts.target_order
-            ):
-                termination = "target_order would be exceeded"
-                break
-            sp = sample_support_point(work, omega)
-            points.append(truncate_sample(sp.omega, sp.sample, 1))
-            action_label, acted_omega = "add", omega
-        else:
-            pt = points[action.index]
-            increment = 1 if pt.is_zero else 2
-            if (
-                opts.target_order is not None
-                and current.order + increment > opts.target_order
-            ):
-                termination = "target_order would be exceeded"
-                break
-            points[action.index] = truncate_sample(
-                pt.omega, pt.sample, pt.rank + 1
-            )
-            action_label, acted_omega = "grow", pt.omega
-
-        iteration += 1
-        blocks = [build_lowrank_block(pt) for pt in points]
-        X = compute_X(assemble_error_system(blocks, work, opts.minreal_tol))
-        try:
-            weight = solve_weights(X, work.p)
-            reduced = realize_interpolant(
-                blocks, weight, work.D, opts.w0_condition_cap
-            )
-        except (SingularW0, InsufficientSpectrum) as exc:
-            report.warn(f"{type(exc).__name__}: {exc}")
-            termination = "weight computation failed"
-            break
-        current = Interpolant(reduced, tuple(points), weight, reduced.n)
-        if weight.degenerate:
-            report.warn(
-                f"iteration {iteration}: repeated Gramian eigenvalues, "
-                "distinctness relaxed"
-            )
-
-        err = subtract(work, reduced)
-        stable = is_stable(reduced)
-        try:
-            lres = linf_norm(err, opts.bisect_rel_tol)
-            gamma = lres.gamma
-            axis_ok = True
-        except ImaginaryAxisPoles:
-            report.warn(f"iteration {iteration}: interpolant poles on the axis")
-            gamma = math.inf
-            axis_ok = False
-        report.records.append(
-            IterationRecord(
-                iteration=iteration,
-                action=action_label,
-                omega=acted_omega,
-                order=reduced.n,
-                linf_error=gamma,
-                h2_metric=_h2_of(err),
-                h2_is_norm=stable,
-                stable=stable,
-                w0_condition=weight.w0_condition,
-                ranks=tuple(pt.rank for pt in points),
-            )
-        )
-        report.iterates.append(current)
-        if gamma < best_gamma:
-            best_gamma, best_iter = gamma, iteration
-        if not axis_ok:
-            termination = "interpolant has imaginary-axis poles"
-            break
-
-    report.termination = termination
-    if opts.keep_best:
-        report.best_iteration = best_iter
-    else:
-        report.best_iteration = report.records[-1].iteration
-    chosen = report.iterates[report.best_iteration]
+    report.dualized = dualized
     if dualized:
         chosen = Interpolant(
             dual(chosen.sys), chosen.support, chosen.weights, chosen.order

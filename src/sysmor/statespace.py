@@ -8,7 +8,7 @@ matrices, and return a fresh ``StateSpace``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -17,13 +17,9 @@ from .exceptions import DimensionMismatch, SingularAtFrequency
 
 __all__ = [
     "StateSpace",
-    "FrequencySample",
     "static_gain",
     "eval_freq",
-    "freq_sample",
     "subtract",
-    "series",
-    "vertcat",
     "dual",
     "minreal",
     "poles",
@@ -103,21 +99,6 @@ class StateSpace:
         return f"StateSpace(n={self.n}, q={self.q}, p={self.p})"
 
 
-@dataclass(frozen=True)
-class FrequencySample:
-    """A frequency omega >= 0 (rad/s) paired with the value G(j*omega)."""
-
-    omega: float
-    value: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("omega must be nonnegative")
-        value = np.atleast_2d(np.asarray(self.value, dtype=complex)).copy()
-        value.setflags(write=False)
-        object.__setattr__(self, "value", value)
-
-
 def static_gain(D) -> StateSpace:
     """Zero-state system realizing the constant gain ``D``."""
     D = np.atleast_2d(np.asarray(D, dtype=float))
@@ -147,11 +128,6 @@ def eval_freq(sys: StateSpace, omega: float) -> np.ndarray:
     return value
 
 
-def freq_sample(sys: StateSpace, omega: float) -> FrequencySample:
-    """Sample the frequency response at ``omega`` into a ``FrequencySample``."""
-    return FrequencySample(float(omega), eval_freq(sys, omega))
-
-
 def subtract(g: StateSpace, r: StateSpace) -> StateSpace:
     """Realize the error system G(s) - R(s) (block-diagonal states)."""
     if (g.p, g.q) != (r.p, r.q):
@@ -162,41 +138,6 @@ def subtract(g: StateSpace, r: StateSpace) -> StateSpace:
     B = np.vstack([g.B, r.B])
     C = np.hstack([g.C, -r.C])
     D = g.D - r.D
-    return StateSpace(A, B, C, D)
-
-
-def series(left: StateSpace, right: StateSpace) -> StateSpace:
-    """Cascade realization of left(s) @ right(s); signals enter ``right`` first."""
-    if left.q != right.p:
-        raise DimensionMismatch(
-            f"left system has {left.q} inputs but right system has {right.p} outputs"
-        )
-    A = np.block(
-        [
-            [left.A, left.B @ right.C],
-            [np.zeros((right.n, left.n)), right.A],
-        ]
-    )
-    B = np.vstack([left.B @ right.D, right.B])
-    C = np.hstack([left.C, left.D @ right.C])
-    D = left.D @ right.D
-    return StateSpace(A, B, C, D)
-
-
-def vertcat(blocks: list[StateSpace]) -> StateSpace:
-    """Stack outputs of systems sharing the same input: [G1; G2; ...]."""
-    if not blocks:
-        raise DimensionMismatch("vertcat needs at least one block")
-    q = blocks[0].q
-    for k, blk in enumerate(blocks):
-        if blk.q != q:
-            raise DimensionMismatch(
-                f"block {k} has {blk.q} inputs, expected {q}"
-            )
-    A = sla.block_diag(*[blk.A for blk in blocks])
-    B = np.vstack([blk.B for blk in blocks])
-    C = sla.block_diag(*[blk.C for blk in blocks])
-    D = np.vstack([blk.D for blk in blocks])
     return StateSpace(A, B, C, D)
 
 

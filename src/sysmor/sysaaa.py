@@ -12,17 +12,20 @@ and each nonzero point adds 2p.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from .exceptions import (
+    DuplicateSupportPoint,
     IllPosedLyapunov,
     ImaginaryAxisPoles,
     InsufficientSpectrum,
     NonRealSampleAtZero,
     ResidualImaginaryPoles,
+    Saturated,
     SingularW0,
     UnstableInput,
 )
@@ -76,12 +79,17 @@ class SupportPoint:
     omega: float
     sample: np.ndarray
 
+    def __post_init__(self):
+        if self.omega < 0:
+            raise ValueError("support frequencies are nonnegative")
+
     @property
     def is_zero(self) -> bool:
         return self.omega == 0.0
 
 
 def sample_support_point(sys: StateSpace, omega: float) -> SupportPoint:
+    """Sample G(j*omega) into a ``SupportPoint``."""
     value = np.atleast_2d(eval_freq(sys, omega))
     return SupportPoint(float(omega), value)
 
@@ -186,8 +194,6 @@ def build_block(point: SupportPoint) -> BlockRealization:
     value = np.atleast_2d(np.asarray(point.sample))
     p = value.shape[0]
     omega = float(point.omega)
-    if omega < 0:
-        raise ValueError("support frequencies are nonnegative")
     if omega == 0.0:
         imag_tol = 1e-9 * max(1.0, float(np.abs(value).max()))
         if value.imag.size and float(np.abs(value.imag).max()) > imag_tol:
@@ -344,27 +350,67 @@ def _h2_of(err: StateSpace) -> float | None:
         return None
 
 
-def reduce(
-    sys: StateSpace, options: StoppingOptions | None = None
-) -> tuple[Interpolant, ReductionReport]:
-    """Run the adaptive interpolation loop on a stable model.
+def _check_duplicate(omega: float, points) -> None:
+    """Raise DuplicateSupportPoint when ``omega`` coincides with a point."""
+    for pt in points:
+        if abs(omega - pt.omega) <= max(
+            DUPLICATE_ATOL, DUPLICATE_RTOL * max(omega, pt.omega)
+        ):
+            raise DuplicateSupportPoint(
+                f"peak frequency {omega:.6g} rad/s coincides with an existing "
+                "support point"
+            )
 
-    Returns the chosen interpolant and a report with one record per
-    iteration (iteration 0 is the feedthrough-only initial guess).
-    Raises UnstableInput for unstable models; support-point duplication,
-    singular weight normalization and imaginary-axis interpolant poles
-    terminate the loop with a report warning instead of raising, so the
-    best iterate so far is still returned.
+
+@dataclass(frozen=True)
+class _SupportPolicy:
+    """How the driver loop spends one iteration on the support set.
+
+    ``plan(work, points, omega, opts)`` returns ``(action, acted_omega,
+    order_increment, commit)`` or raises DuplicateSupportPoint/Saturated;
+    ``commit()`` applies the step to ``points`` once the order check has
+    passed.  ``build`` turns one point into its interpolation block, and
+    ``ranks`` makes each record list the per-point ranks.
     """
-    opts = options or StoppingOptions()
-    if not is_stable(sys):
-        raise UnstableInput("adaptive interpolation needs a stable model")
-    report = ReductionReport(method="sys-aaa", options=asdict(opts))
 
-    points: list[SupportPoint] = []
-    blocks: list[BlockRealization] = []
-    current = Interpolant(static_gain(sys.D), (), _identity_weight(sys.p), 0)
-    err = subtract(sys, current.sys)
+    plan: Callable
+    build: Callable
+    ranks: bool = False
+
+
+def _plan_full(work: StateSpace, points: list, omega: float, opts):
+    """Add one point carrying the full sample at ``omega``."""
+    _check_duplicate(omega, points)
+
+    def commit():
+        points.append(sample_support_point(work, omega))
+
+    return "add", omega, work.p if omega == 0.0 else 2 * work.p, commit
+
+
+_STOP_REASONS = {
+    DuplicateSupportPoint: "duplicate support point",
+    Saturated: "saturated support point",
+}
+
+
+def _adaptive_loop(
+    work: StateSpace, opts: StoppingOptions, policy: _SupportPolicy, method: str
+) -> tuple[Interpolant, ReductionReport]:
+    """The adaptive interpolation loop shared by both drivers.
+
+    Each iteration checks the stopping rules, snaps near-DC peaks to
+    omega = 0, lets ``policy`` plan a step at the certified error peak,
+    stops before the step would exceed ``target_order``, then commits it,
+    re-solves the weights, certifies the new error and records it.
+    """
+    if not is_stable(work):
+        raise UnstableInput("adaptive interpolation needs a stable model")
+    report = ReductionReport(method=method, options=asdict(opts))
+
+    points: list = []
+    current = Interpolant(static_gain(work.D), (), _identity_weight(work.p), 0)
+    err = subtract(work, current.sys)
     lres = linf_norm(err, opts.bisect_rel_tol)
     report.records.append(
         IterationRecord(
@@ -376,6 +422,7 @@ def reduce(
             h2_metric=_h2_of(err),
             h2_is_norm=True,
             stable=True,
+            ranks=() if policy.ranks else None,
         )
     )
     report.iterates.append(current)
@@ -405,20 +452,14 @@ def reduce(
         omega = lres.omega_peak
         if omega < DUPLICATE_ATOL:
             omega = 0.0
-        dup = any(
-            abs(omega - pt.omega)
-            <= max(DUPLICATE_ATOL, DUPLICATE_RTOL * max(omega, pt.omega))
-            for pt in points
-        )
-        if dup:
-            report.warn(
-                f"DuplicateSupportPoint: peak frequency {omega:.6g} rad/s "
-                "coincides with an existing support point (already "
-                "interpolated exactly); terminating"
+        try:
+            action, acted_omega, increment, commit = policy.plan(
+                work, points, omega, opts
             )
-            termination = "duplicate support point"
+        except (DuplicateSupportPoint, Saturated) as exc:
+            report.warn(f"{type(exc).__name__}: {exc}")
+            termination = _STOP_REASONS[type(exc)]
             break
-        increment = sys.p if omega == 0.0 else 2 * sys.p
         if (
             opts.target_order is not None
             and current.order + increment > opts.target_order
@@ -426,15 +467,14 @@ def reduce(
             termination = "target_order would be exceeded"
             break
 
-        point = sample_support_point(sys, omega)
-        points.append(point)
-        blocks.append(build_block(point))
+        commit()
         iteration += 1
-        X = compute_X(assemble_error_system(blocks, sys, opts.minreal_tol))
+        blocks = [policy.build(pt) for pt in points]
+        X = compute_X(assemble_error_system(blocks, work, opts.minreal_tol))
         try:
-            weight = solve_weights(X, sys.p)
+            weight = solve_weights(X, work.p)
             reduced = realize_interpolant(
-                blocks, weight, sys.D, opts.w0_condition_cap
+                blocks, weight, work.D, opts.w0_condition_cap
             )
         except (SingularW0, InsufficientSpectrum) as exc:
             report.warn(f"{type(exc).__name__}: {exc}")
@@ -447,7 +487,7 @@ def reduce(
                 "distinctness relaxed"
             )
 
-        err = subtract(sys, reduced)
+        err = subtract(work, reduced)
         stable = is_stable(reduced)
         try:
             lres = linf_norm(err, opts.bisect_rel_tol)
@@ -460,14 +500,15 @@ def reduce(
         report.records.append(
             IterationRecord(
                 iteration=iteration,
-                action="add",
-                omega=omega,
+                action=action,
+                omega=acted_omega,
                 order=reduced.n,
                 linf_error=gamma,
                 h2_metric=_h2_of(err),
                 h2_is_norm=stable,
                 stable=stable,
                 w0_condition=weight.w0_condition,
+                ranks=tuple(pt.rank for pt in points) if policy.ranks else None,
             )
         )
         report.iterates.append(current)
@@ -482,5 +523,20 @@ def reduce(
         report.best_iteration = best_iter
     else:
         report.best_iteration = report.records[-1].iteration
-    chosen = report.iterates[report.best_iteration]
-    return chosen, report
+    return report.iterates[report.best_iteration], report
+
+
+def reduce(
+    sys: StateSpace, options: StoppingOptions | None = None
+) -> tuple[Interpolant, ReductionReport]:
+    """Run the adaptive interpolation loop on a stable model.
+
+    Returns the chosen interpolant and a report with one record per
+    iteration (iteration 0 is the feedthrough-only initial guess).
+    Raises UnstableInput for unstable models; support-point duplication,
+    singular weight normalization and imaginary-axis interpolant poles
+    terminate the loop with a report warning instead of raising, so the
+    best iterate so far is still returned.
+    """
+    policy = _SupportPolicy(_plan_full, build_block)
+    return _adaptive_loop(sys, options or StoppingOptions(), policy, "sys-aaa")

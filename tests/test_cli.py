@@ -239,6 +239,23 @@ class TestConvertCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("flag", ["--min-dist", "--tol-bisect", "--tol-minreal"])
+    @pytest.mark.parametrize("value", ["0", "-0.5"])
+    def test_nonpositive_tolerance_is_malformed_input(
+        self, model_path, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "reduce", str(model_path), "--method", "lowrank-aaa",
+                    "--iters", "2", flag, value,
+                ]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be positive" in err
+        assert "Traceback" not in err
+
     def test_missing_model_file(self, tmp_path, capsys):
         code = main(["reduce", str(tmp_path / "nope.ss")])
         assert code == 2

@@ -11,14 +11,12 @@ from sysmor import (
     StateSpace,
     dual,
     eval_freq,
-    freq_sample,
     is_stable,
     minreal,
     poles,
-    series,
+    sample_support_point,
     static_gain,
     subtract,
-    vertcat,
 )
 from conftest import random_stable, tf_eval
 
@@ -92,14 +90,14 @@ class TestEvalFreq:
 
     def test_freq_sample_wraps_value(self):
         sys = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
-        sample = freq_sample(sys, 2.0)
-        assert sample.omega == 2.0
-        np.testing.assert_allclose(sample.value, eval_freq(sys, 2.0))
+        point = sample_support_point(sys, 2.0)
+        assert point.omega == 2.0
+        np.testing.assert_allclose(point.sample, eval_freq(sys, 2.0))
 
     def test_negative_omega_sample_rejected(self):
         sys = static_gain([[1.0]])
         with pytest.raises(ValueError):
-            freq_sample(sys, -1.0)
+            sample_support_point(sys, -1.0)
 
 
 class TestInterconnections:
@@ -119,51 +117,6 @@ class TestInterconnections:
     def test_subtract_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             subtract(static_gain(np.zeros((2, 2))), static_gain(np.zeros((1, 2))))
-
-    def test_series_transfer(self):
-        rng = np.random.default_rng(12)
-        left = random_stable(rng, n=4, q=3, p=2, feedthrough=True)
-        right = random_stable(rng, n=5, q=2, p=3, feedthrough=True)
-        combo = series(left, right)
-        assert (combo.p, combo.q, combo.n) == (2, 2, 9)
-        for omega in (0.0, 0.7, 5.0):
-            np.testing.assert_allclose(
-                eval_freq(combo, omega),
-                eval_freq(left, omega) @ eval_freq(right, omega),
-                atol=1e-12,
-            )
-
-    def test_series_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
-            series(static_gain(np.zeros((2, 3))), static_gain(np.zeros((2, 3))))
-
-    def test_series_with_static_factor(self):
-        rng = np.random.default_rng(13)
-        right = random_stable(rng, n=4, q=2, p=3)
-        left = static_gain(rng.standard_normal((2, 3)))
-        combo = series(left, right)
-        assert combo.n == 4
-        np.testing.assert_allclose(
-            eval_freq(combo, 1.5), left.D @ eval_freq(right, 1.5), atol=1e-12
-        )
-
-    def test_vertcat_transfer(self):
-        rng = np.random.default_rng(14)
-        top = random_stable(rng, n=3, q=2, p=1, feedthrough=True)
-        bottom = random_stable(rng, n=4, q=2, p=2)
-        stacked = vertcat([top, bottom])
-        assert (stacked.p, stacked.q, stacked.n) == (3, 2, 7)
-        got = eval_freq(stacked, 0.9)
-        np.testing.assert_allclose(got[:1], eval_freq(top, 0.9), atol=1e-12)
-        np.testing.assert_allclose(got[1:], eval_freq(bottom, 0.9), atol=1e-12)
-
-    def test_vertcat_input_count_check(self):
-        with pytest.raises(DimensionMismatch):
-            vertcat([static_gain(np.zeros((1, 2))), static_gain(np.zeros((1, 3)))])
-
-    def test_vertcat_empty_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            vertcat([])
 
     def test_dual_transposes_transfer(self):
         rng = np.random.default_rng(15)

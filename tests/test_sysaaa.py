@@ -1,5 +1,6 @@
 """Adaptive rational interpolation: blocks, weights, realization, driver."""
 
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from sysmor import (
     linf_norm,
     realize_interpolant,
     reduce,
+    reduce_lowrank,
     sample_support_point,
     sigma_max,
     solve_weights,
@@ -36,6 +38,10 @@ from sysmor import (
 from conftest import random_orthogonal, random_stable, tf_eval
 
 FIRST_ORDER = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+
+BOTH_DRIVERS = pytest.mark.parametrize(
+    "driver", [reduce, reduce_lowrank], ids=["sys-aaa", "lowrank-aaa"]
+)
 
 
 def nm_eval(blocks, D, s):
@@ -395,20 +401,30 @@ class TestReduceDriver:
                 eval_freq(a.sys, omega), eval_freq(b.sys, omega), atol=1e-9
             )
 
-    def test_duplicate_peak_terminates_with_warning(self, monkeypatch):
+    @BOTH_DRIVERS
+    def test_duplicate_peak_terminates_with_warning(self, monkeypatch, driver):
+        # The pinned peak drifts by 1e-7 relative per call: inside the
+        # duplicate band, but outside a min_dist radius below it, so the
+        # low-rank driver proposes a new point instead of growing one.
         import sysmor.sysaaa as mod
 
+        calls = itertools.count(1)
+
         def pinned(err, rel_tol=1e-6):
-            return LinfResult(gamma=1.0, omega_peak=1.3, iterations=1)
+            omega = 1.3 * (1.0 + 1e-7 * next(calls))
+            return LinfResult(gamma=1.0, omega_peak=omega, iterations=1)
 
         monkeypatch.setattr(mod, "linf_norm", pinned)
         rng = np.random.default_rng(68)
         sys = random_stable(rng, n=6, q=1, p=1)
-        _, report = reduce(sys, StoppingOptions(max_iterations=10))
+        opts = StoppingOptions(max_iterations=10, min_dist=1e-8)
+        _, report = driver(sys, opts)
         assert report.termination == "duplicate support point"
+        assert len(report.records) == 2
         assert any(w.startswith("DuplicateSupportPoint") for w in report.warnings)
 
-    def test_peak_at_infinity_terminates(self, monkeypatch):
+    @BOTH_DRIVERS
+    def test_peak_at_infinity_terminates(self, monkeypatch, driver):
         # A supremum approached only as omega -> inf leaves nothing to
         # sample; the driver must stop instead of chasing it.
         import sysmor.sysaaa as mod
@@ -418,7 +434,7 @@ class TestReduceDriver:
         )
         rng = np.random.default_rng(70)
         sys = random_stable(rng, n=6, q=1, p=1)
-        chosen, report = reduce(sys)
+        chosen, report = driver(sys)
         assert report.termination == "no finite peak frequency"
         assert chosen.order == 0
         assert report.warnings
