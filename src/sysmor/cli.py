@@ -30,7 +30,7 @@ from .lowrank import reduce_lowrank
 from .modelio import parse_raw_matrices, read_model, write_model
 from .norms import h2_error_metric, linf_norm
 from .report import IterationRecord, ReductionReport
-from .statespace import StateSpace, dual, eval_freq, is_stable, subtract
+from .statespace import StateSpace, dual, eval_freq, is_stable, poles, subtract
 from .sysaaa import StoppingOptions, reduce as reduce_sysaaa
 
 __all__ = ["main", "compare_methods", "run_method"]
@@ -47,7 +47,6 @@ def _options_from_args(args) -> StoppingOptions:
         target_order=getattr(args, "order", None),
         keep_best=args.keep_best,
         bisect_rel_tol=args.tol_bisect,
-        minreal_tol=args.tol_minreal,
         min_dist=args.min_dist,
     )
 
@@ -142,32 +141,9 @@ def compare_methods(
     return entries
 
 
-def _fast_gains(sys: StateSpace, omegas: np.ndarray) -> np.ndarray:
-    """sigma_max(G(j w)) over a grid, via one eigendecomposition of A.
-
-    Falls back to per-frequency solves when A is too non-normal for its
-    eigenvector basis to be trusted.
-    """
-    if sys.n == 0:
-        return np.full(omegas.shape, np.linalg.norm(sys.D, 2))
-    lam, T = np.linalg.eig(sys.A)
-    if np.linalg.cond(T) < 1e8:
-        CT = sys.C @ T
-        TB = np.linalg.solve(T, sys.B.astype(complex))
-        resp = np.empty((omegas.size, sys.p, sys.q), dtype=complex)
-        for i, w in enumerate(omegas):
-            resp[i] = CT @ (TB / (1j * w - lam)[:, None]) + sys.D
-        return np.linalg.norm(resp, 2, axis=(1, 2))
-    return np.array(
-        [np.linalg.norm(eval_freq(sys, w), 2) for w in omegas]
-    )
-
-
 def _sigma_grid(sys: StateSpace, points: int = 2000) -> np.ndarray:
     """Log-spaced grid spanning at least 4 decades around the dynamics."""
-    mags = []
-    if sys.n:
-        mags = [abs(v) for v in np.linalg.eigvals(sys.A) if abs(v) > 0]
+    mags = [abs(v) for v in poles(sys) if abs(v) > 0]
     if mags:
         lo, hi = min(mags) / 10.0, max(mags) * 10.0
     else:
@@ -182,9 +158,10 @@ def _sigma_grid(sys: StateSpace, points: int = 2000) -> np.ndarray:
 
 def _write_sigma_csv(path, model, reduced, points=2000):
     omegas = _sigma_grid(model, points)
-    g_full = _fast_gains(model, omegas)
-    g_red = _fast_gains(reduced, omegas)
-    g_err = _fast_gains(subtract(model, reduced), omegas)
+    g_full, g_red, g_err = (
+        np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
+        for sys in (model, reduced, subtract(model, reduced))
+    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -199,8 +176,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -217,8 +194,6 @@ def _add_common_flags(sp):
                     help="return the lowest-error iterate (default on)")
     sp.add_argument("--tol-bisect", type=_positive_float, default=1e-6,
                     help="relative tolerance of the norm bisection")
-    sp.add_argument("--tol-minreal", type=_positive_float, default=1e-9,
-                    help="rank tolerance of minimal realization")
     sp.add_argument("--report-json", metavar="PATH",
                     help="write the machine-readable report here")
     sp.add_argument("--hz", action="store_true",
@@ -302,9 +277,9 @@ def _cmd_compare(args) -> int:
     max_order = args.max_order
     if max_order is None:
         max_order = min(model.n, 10)
-    if max_order > model.n:
+    elif not 1 <= max_order <= model.n:
         raise DimensionMismatch(
-            f"--max-order {max_order} exceeds model order {model.n}"
+            f"--max-order {max_order} outside 1..{model.n} (model order)"
         )
     opts = _options_from_args(args)
     entries = compare_methods(model, args.methods, max_order, opts)

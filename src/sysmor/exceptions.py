@@ -34,7 +34,7 @@ class NonRealSampleAtZero(SysmorError):
 
 
 class ResidualImaginaryPoles(SysmorError):
-    """Minimal realization failed to cancel the +/- j*omega_k block poles."""
+    """The +/- j*omega_k block poles fail to cancel in the error system."""
 
 
 class InsufficientSpectrum(SysmorError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import ImaginaryAxisPoles, NonzeroFeedthrough
 from .numkernels import solve_lyapunov
-from .statespace import StateSpace, eval_freq
+from .statespace import StateSpace, eval_freq, poles
 
 __all__ = ["LinfResult", "linf_norm", "sigma_max", "h2_error_metric"]
 
@@ -81,13 +81,13 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     frequency actually evaluated (omega = 0 and the omega -> inf
     feedthrough limit are always candidates).
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError("rel_tol must be positive and finite")
     d_gain = float(np.linalg.norm(sys.D, 2)) if sys.D.size else 0.0
     if sys.n == 0:
         return LinfResult(d_gain, 0.0, 0)
 
-    lam_A = np.linalg.eigvals(sys.A)
+    lam_A = poles(sys)
     norm_A = float(np.linalg.norm(sys.A, 2))
     if np.min(np.abs(lam_A.real)) <= AXIS_GUARD_RTOL * max(1.0, norm_A):
         raise ImaginaryAxisPoles(
@@ -99,13 +99,11 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
 
     def probe(omegas) -> float:
         nonlocal best_omega, best_gain
-        top = 0.0
-        for w in omegas:
-            g = sigma_max(sys, float(w))
+        gains = np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
+        for w, g in zip(omegas, gains):
             if g > best_gain:
-                best_gain, best_omega = g, float(w)
-            top = max(top, g)
-        return top
+                best_gain, best_omega = float(g), float(w)
+        return float(gains.max(initial=0.0))
 
     # Seed candidates: DC, resonant frequencies, pole magnitudes.
     seeds = {0.0}

@@ -50,7 +50,7 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> GramianResult:
 
     Raises ``IllPosedLyapunov`` when some eigenvalue pair of A satisfies
     lambda_i + lambda_j ~ 0 (the operator is then singular; upstream this
-    signals an imaginary-axis mode that minreal failed to cancel).
+    signals an error system with poles mirrored across the imaginary axis).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))

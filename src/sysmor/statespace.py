@@ -4,14 +4,20 @@ A continuous-time LTI system is carried as a real quadruple (A, B, C, D)
 with transfer function G(s) = C (sI - A)^-1 B + D.  Static gains (n = 0)
 are first-class.  All operations are pure: they validate, build new
 matrices, and return a fresh ``StateSpace``.
+
+Each instance factors A once, into its real Schur form A = Z T Z^T, and
+every pole and frequency-response computation reads that factorization:
+a response costs one quasi-triangular O(n^2) solve per frequency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgees, dtrsyl
 
 from .exceptions import DimensionMismatch, SingularAtFrequency
 
@@ -21,12 +27,9 @@ __all__ = [
     "eval_freq",
     "subtract",
     "dual",
-    "minreal",
     "poles",
     "is_stable",
 ]
-
-DEFAULT_MINREAL_TOL = 1e-9
 
 
 def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
@@ -98,6 +101,23 @@ class StateSpace:
     def __repr__(self):
         return f"StateSpace(n={self.n}, q={self.q}, p={self.p})"
 
+    @cached_property
+    def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(T, Z, poles) with A = Z T Z^T, T real quasi-triangular."""
+        if self.n == 0:
+            return _frozen(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, complex))
+        # sort_t=0: no eigenvalue reordering, so the select callback is unused
+        T, _, wr, wi, Z, _, info = dgees(lambda re, im: 0, self.A)
+        if info:
+            raise np.linalg.LinAlgError("Schur factorization did not converge")
+        return _frozen(T, Z, wr + 1j * wi)
+
+
+def _frozen(*arrays):
+    for M in arrays:
+        M.setflags(write=False)
+    return arrays
+
 
 def static_gain(D) -> StateSpace:
     """Zero-state system realizing the constant gain ``D``."""
@@ -106,30 +126,72 @@ def static_gain(D) -> StateSpace:
     return StateSpace(np.zeros((0, 0)), np.zeros((0, q)), np.zeros((p, 0)), D)
 
 
-def eval_freq(sys: StateSpace, omega: float) -> np.ndarray:
-    """Evaluate G(j*omega) = C (j*omega I - A)^-1 B + D.
+def _shifted_solve(
+    T: np.ndarray, omega: float, rhs: np.ndarray, trans: bool = False
+) -> np.ndarray:
+    """Solve (j*omega I - T) X = rhs, or (j*omega I - T^T) X = rhs with
+    ``trans``, for quasi-triangular T and real rhs, in real arithmetic.
 
-    Uses one complex LU solve per call; never forms the inverse.
-    Raises ``SingularAtFrequency`` when j*omega is (numerically) an
-    eigenvalue of A.
+    Splitting X = Xr + j Xi turns the shifted solve into the Sylvester
+    equation T [Xr Xi] + [Xr Xi] [[0, -omega], [omega, 0]] = [-rhs 0],
+    one rotation block per column, which LAPACK ``dtrsyl`` solves by
+    back-substitution on T without copying it.
     """
-    if sys.n == 0:
-        return sys.D.astype(complex)
-    shifted = 1j * omega * np.eye(sys.n) - sys.A
-    try:
-        sol = np.linalg.solve(shifted, sys.B)
-    except np.linalg.LinAlgError as exc:
+    n, k = rhs.shape
+    c = np.zeros((n, 2 * k), order="F")
+    c[:, ::2] = -rhs
+    rotation = np.zeros((2 * k, 2 * k))
+    even = np.arange(0, 2 * k, 2)
+    rotation[even, even + 1] = -omega
+    rotation[even + 1, even] = omega
+    x, scale, info = dtrsyl(T, rotation, c, trana="T" if trans else "N")
+    if info:
         raise SingularAtFrequency(
             f"j*{omega:g} is an eigenvalue of A within solver precision"
-        ) from exc
-    value = sys.C @ sol + sys.D
+        )
+    return (x[:, ::2] + 1j * x[:, 1::2]) / scale
+
+
+def _output_resolvent(sys: StateSpace, omega: float) -> np.ndarray:
+    """The p x n rows C (j*omega I - A)^-1."""
+    if sys.n == 0:
+        return np.zeros((sys.p, 0), dtype=complex)
+    T, Z, _ = sys._schur
+    return (Z @ _shifted_solve(T, omega, (sys.C @ Z).T, trans=True)).T
+
+
+def eval_freq(sys: StateSpace, omega) -> np.ndarray:
+    """Evaluate G(j*omega) = C (j*omega I - A)^-1 B + D.
+
+    A scalar ``omega`` gives the p x q response; a 1-D array of k
+    frequencies gives a k x p x q stack.  Each frequency costs one
+    shifted solve against the cached Schur form of A, on the side with
+    fewer columns.  Raises ``SingularAtFrequency`` when j*omega is
+    (numerically) an eigenvalue of A.
+    """
+    omegas = np.asarray(omega, dtype=float)
+    value = np.empty(omegas.shape + sys.D.shape, dtype=complex)
+    value[...] = sys.D
+    if sys.n:
+        T, Z, _ = sys._schur
+        CZ, ZB = sys.C @ Z, Z.T @ sys.B
+        left = sys.p < sys.q
+        for k in np.ndindex(omegas.shape):
+            if left:
+                value[k] += _shifted_solve(T, omegas[k], CZ.T, trans=True).T @ ZB
+            else:
+                value[k] += CZ @ _shifted_solve(T, omegas[k], ZB)
     if not np.all(np.isfinite(value)):
-        raise SingularAtFrequency(f"response overflow at omega={omega:g}")
+        raise SingularAtFrequency(f"response overflow at omega={omega}")
     return value
 
 
 def subtract(g: StateSpace, r: StateSpace) -> StateSpace:
-    """Realize the error system G(s) - R(s) (block-diagonal states)."""
+    """Realize the error system G(s) - R(s) (block-diagonal states).
+
+    The Schur factors of the result are assembled block-diagonally from
+    those of ``g`` and ``r``, so a fixed ``g`` is factored only once.
+    """
     if (g.p, g.q) != (r.p, r.q):
         raise DimensionMismatch(
             f"cannot subtract {r.p}x{r.q} system from {g.p}x{g.q} system"
@@ -138,7 +200,15 @@ def subtract(g: StateSpace, r: StateSpace) -> StateSpace:
     B = np.vstack([g.B, r.B])
     C = np.hstack([g.C, -r.C])
     D = g.D - r.D
-    return StateSpace(A, B, C, D)
+    err = StateSpace(A, B, C, D)
+    (Tg, Zg, pg), (Tr, Zr, pr) = g._schur, r._schur
+    factors = (
+        np.asfortranarray(sla.block_diag(Tg, Tr)),
+        sla.block_diag(Zg, Zr),
+        np.concatenate([pg, pr]),
+    )
+    object.__setattr__(err, "_schur", _frozen(*factors))
+    return err
 
 
 def dual(sys: StateSpace) -> StateSpace:
@@ -146,74 +216,11 @@ def dual(sys: StateSpace) -> StateSpace:
     return StateSpace(sys.A.T, sys.C.T, sys.B.T, sys.D.T)
 
 
-def _reachable_basis(A: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the smallest A-invariant subspace containing range(B).
-
-    Staircase-style construction: starting from an orthonormal basis of
-    range(B), repeatedly map the newest directions through A, deflate
-    against the accumulated basis, and keep singular directions above
-    ``tol`` relative to the data scale max(||A||, ||B||) (so a B that is
-    zero up to roundoff contributes no states).
-    """
-    n = A.shape[0]
-    V = np.zeros((n, 0))
-    W = B.copy()
-    scale = max(float(np.linalg.norm(A)), float(np.linalg.norm(B)))
-    while V.shape[1] < n:
-        if W.shape[1] == 0:
-            break
-        # two-pass deflation against the current basis for orthogonality
-        if V.shape[1]:
-            W = W - V @ (V.T @ W)
-            W = W - V @ (V.T @ W)
-        U, s, _ = np.linalg.svd(W, full_matrices=False)
-        if s.size == 0:
-            break
-        scale = max(scale, s[0])
-        if scale == 0.0:
-            break
-        r = int(np.count_nonzero(s > tol * scale))
-        if r == 0:
-            break
-        fresh = U[:, :r]
-        V = np.hstack([V, fresh])
-        W = A @ fresh
-    return V
-
-
-def minreal(sys: StateSpace, tol: float = DEFAULT_MINREAL_TOL) -> StateSpace:
-    """Remove uncontrollable and unobservable modes.
-
-    Restricts to the reachable subspace of (A, B), then to the observable
-    subspace of the result (reachable subspace of (A^T, C^T)).  Both
-    subspaces are invariant, so the transfer function is preserved up to
-    the rank-decision tolerance.  Idempotent at fixed ``tol``.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if sys.n == 0:
-        return sys
-    Vc = _reachable_basis(sys.A, sys.B, tol)
-    A = Vc.T @ sys.A @ Vc
-    B = Vc.T @ sys.B
-    C = sys.C @ Vc
-    if A.shape[0]:
-        Vo = _reachable_basis(A.T, C.T, tol)
-        A = Vo.T @ A @ Vo
-        B = Vo.T @ B
-        C = C @ Vo
-    return StateSpace(A, B, C, sys.D)
-
-
 def poles(sys: StateSpace) -> np.ndarray:
-    """Eigenvalues of A (empty for static gains)."""
-    if sys.n == 0:
-        return np.zeros(0, dtype=complex)
-    return np.linalg.eigvals(sys.A)
+    """Eigenvalues of A (empty for static gains), read-only."""
+    return sys._schur[2]
 
 
 def is_stable(sys: StateSpace) -> bool:
     """True when every pole has strictly negative real part."""
-    if sys.n == 0:
-        return True
     return bool(np.all(poles(sys).real < 0))

@@ -38,11 +38,10 @@ from .numkernels import (
 )
 from .report import IterationRecord, ReductionReport
 from .statespace import (
-    DEFAULT_MINREAL_TOL,
     StateSpace,
+    _output_resolvent,
     eval_freq,
     is_stable,
-    minreal,
     static_gain,
     subtract,
 )
@@ -180,7 +179,6 @@ class StoppingOptions:
     target_order: int | None = None
     keep_best: bool = True
     bisect_rel_tol: float = 1e-6
-    minreal_tol: float = DEFAULT_MINREAL_TOL
     w0_condition_cap: float = 1e12
     min_dist: float = 0.02
 
@@ -223,30 +221,33 @@ def _stack_blocks(blocks, p: int, q: int):
     return A, B1, B2
 
 
-def assemble_error_system(
-    blocks, sys: StateSpace, tol: float = DEFAULT_MINREAL_TOL
-) -> StateSpace:
-    """Minimal realization of H(s) = N(s) - M(s) G(s).
+def assemble_error_system(blocks, sys: StateSpace) -> StateSpace:
+    """Cancelled realization of H(s) = N(s) - M(s) G(s).
 
     The first p rows carry D - G(s); block k contributes the rows
     (sI - A_k)^{-1} (B1_k - B2_k G(s)).  Splitting the cross term through
-    the Sylvester solution A_k Y_k - Y_k A = B2_k C turns each block row
-    into Y_k (sI - A)^{-1} B plus a resolvent of A_k weighted by
+    the solution of A_k Y_k - Y_k A = B2_k C turns each block row into
+    Y_k (sI - A)^{-1} B plus a resolvent of A_k weighted by
     B1_k - Y_k B - B2_k D, and that weight is zero exactly when the block
-    interpolates G at its frequency.  The cancelled system therefore
-    lives on the state space of G alone, with output map
-    [-C; Y_1; ...; Y_K] and no feedthrough, so its poles stay off the
-    imaginary axis whenever G is stable.  A weight above 1e-8 of its
-    natural scale means the sample does not match G there and raises
-    ResidualImaginaryPoles.
+    interpolates G at its frequency.  Y_k has a closed form in the rows
+    Zc = C (j omega_k I - A)^{-1}: Y_k = B2_k Re Zc at omega_k = 0, and
+    otherwise [Re W; Im W] with W = (B2_k[:r] + j B2_k[r:]) conj(Zc) for
+    a block of 2r states.  The cancelled system therefore lives on the
+    state space of G alone, with output map [-C; Y_1; ...; Y_K] and no
+    feedthrough, so its poles stay off the imaginary axis whenever G is
+    stable.  A weight above 1e-8 of its natural scale means the sample
+    does not match G there and raises ResidualImaginaryPoles.
     """
     p, q = sys.p, sys.q
     rows = [-sys.C]
     for blk in blocks:
-        if sys.n:
-            Y = scipy.linalg.solve_sylvester(blk.A, -sys.A, blk.B2 @ sys.C)
+        Zc = _output_resolvent(sys, blk.omega)
+        if blk.omega == 0.0:
+            Y = blk.B2 @ Zc.real
         else:
-            Y = np.zeros((blk.order, 0))
+            r = blk.order // 2
+            W = (blk.B2[:r] + 1j * blk.B2[r:]) @ Zc.conj()
+            Y = np.vstack([W.real, W.imag])
         coupled = Y @ sys.B
         weight = blk.B1 - coupled - blk.B2 @ sys.D
         scale = 1.0 + max(
@@ -260,8 +261,7 @@ def assemble_error_system(
             )
         rows.append(Y)
     n_out = p + sum(blk.order for blk in blocks)
-    h = StateSpace(sys.A, sys.B, np.vstack(rows), np.zeros((n_out, q)))
-    return minreal(h, tol)
+    return StateSpace(sys.A, sys.B, np.vstack(rows), np.zeros((n_out, q)))
 
 
 def compute_X(err_sys: StateSpace) -> np.ndarray:
@@ -470,7 +470,7 @@ def _adaptive_loop(
         commit()
         iteration += 1
         blocks = [policy.build(pt) for pt in points]
-        X = compute_X(assemble_error_system(blocks, work, opts.minreal_tol))
+        X = compute_X(assemble_error_system(blocks, work))
         try:
             weight = solve_weights(X, work.p)
             reduced = realize_interpolant(

@@ -7,7 +7,7 @@ import pytest
 
 from sysmor import StateSpace, eval_freq, read_model, write_model
 from sysmor.cli import main
-from conftest import random_stable
+from conftest import random_stable, tf_eval
 
 
 @pytest.fixture
@@ -64,6 +64,13 @@ class TestReduceCommand:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "omega_rad_s,sigma_max_G,sigma_max_R,sigma_max_error"
         assert len(lines) == 2001
+        model = read_model(model_path)
+        for line in lines[1::250]:
+            omega, *gains = (float(v) for v in line.split(","))
+            G = tf_eval(model.A, model.B, model.C, model.D, 1j * omega)
+            R = tf_eval(reduced.A, reduced.B, reduced.C, reduced.D, 1j * omega)
+            expected = [np.linalg.norm(M, 2) for M in (G, R, G - R)]
+            np.testing.assert_allclose(gains, expected, rtol=1e-8)
         # reported orders match the written model
         best = doc["best_iteration"]
         rec = next(r for r in doc["records"] if r["iteration"] == best)
@@ -195,9 +202,10 @@ class TestCompareCommand:
         assert "(x marks an unstable reduced model)" in out
 
     def test_max_order_validated(self, model_path, capsys):
-        code = main(["compare", str(model_path), "--max-order", "9"])
-        assert code == 3
-        assert "error[DimensionMismatch]" in capsys.readouterr().err
+        for value in ("9", "0", "-2"):
+            code = main(["compare", str(model_path), "--max-order", value])
+            assert code == 3
+            assert "error[DimensionMismatch]" in capsys.readouterr().err
 
 
 class TestConvertCommand:
@@ -239,8 +247,8 @@ class TestConvertCommand:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("flag", ["--min-dist", "--tol-bisect", "--tol-minreal"])
-    @pytest.mark.parametrize("value", ["0", "-0.5"])
+    @pytest.mark.parametrize("flag", ["--min-dist", "--tol-bisect"])
+    @pytest.mark.parametrize("value", ["0", "-0.5", "inf"])
     def test_nonpositive_tolerance_is_malformed_input(
         self, model_path, capsys, flag, value
     ):

@@ -101,8 +101,9 @@ class TestLinfNorm:
         assert res.gamma == pytest.approx(1.0, rel=1e-5)
 
     def test_bad_rel_tol(self):
-        with pytest.raises(ValueError):
-            linf_norm(FIRST_ORDER, rel_tol=0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                linf_norm(FIRST_ORDER, rel_tol=bad)
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(45)

@@ -8,7 +8,7 @@ import sysmor
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-REMOVED = ("series", "vertcat", "FrequencySample", "freq_sample")
+REMOVED = ("series", "vertcat", "FrequencySample", "freq_sample", "minreal")
 
 
 def _expected_bindings():

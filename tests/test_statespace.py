@@ -1,4 +1,4 @@
-"""State-space container, frequency evaluation, interconnections, minreal."""
+"""State-space container, frequency evaluation, interconnections, poles."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from sysmor import (
     dual,
     eval_freq,
     is_stable,
-    minreal,
     poles,
     sample_support_point,
     static_gain,
@@ -67,10 +66,36 @@ class TestConstruction:
 class TestEvalFreq:
     def test_matches_direct_solve(self):
         rng = np.random.default_rng(7)
-        sys = random_stable(rng, n=6, q=2, p=3, feedthrough=True)
-        for omega in (0.0, 0.3, 2.0, 50.0):
-            expected = tf_eval(sys.A, sys.B, sys.C, sys.D, 1j * omega)
-            np.testing.assert_allclose(eval_freq(sys, omega), expected, rtol=1e-12)
+        normal = random_stable(rng, n=6, q=2, p=3, feedthrough=True)
+        # Near-Jordan A: its eigenvector basis has condition above 1e8, so
+        # a modal (eigendecomposition) evaluator could not be trusted here.
+        A = -np.diag(1.0 + 0.1 * np.arange(6)) + 10.0 * np.eye(6, k=1)
+        assert np.linalg.cond(np.linalg.eig(A)[1]) > 1e8
+        nonnormal = StateSpace(
+            A,
+            rng.standard_normal((6, 2)),
+            rng.standard_normal((3, 6)),
+            rng.standard_normal((3, 2)),
+        )
+        for sys in (normal, nonnormal):
+            for omega in (0.0, 0.3, 2.0, 50.0):
+                expected = tf_eval(sys.A, sys.B, sys.C, sys.D, 1j * omega)
+                np.testing.assert_allclose(
+                    eval_freq(sys, omega), expected, rtol=1e-12
+                )
+
+    @pytest.mark.parametrize("p,q", [(3, 2), (2, 3)])
+    def test_array_input_stacks_scalar_calls(self, p, q):
+        rng = np.random.default_rng(8)
+        sys = random_stable(rng, n=5, q=q, p=p, feedthrough=True)
+        omegas = np.array([0.0, 0.4, 3.0, 80.0])
+        stacked = eval_freq(sys, omegas)
+        assert stacked.shape == (4, p, q)
+        assert eval_freq(sys, 0.4).shape == (p, q)
+        np.testing.assert_array_equal(
+            stacked, np.stack([eval_freq(sys, w) for w in omegas])
+        )
+        assert eval_freq(static_gain(sys.D), omegas).shape == (4, p, q)
 
     def test_first_order_closed_form(self):
         # G(s) = 1/(s+1): |G(j)| = 1/sqrt(2), phase -45 degrees.
@@ -138,62 +163,6 @@ class TestInterconnections:
         np.testing.assert_array_equal(back.B, sys.B)
         np.testing.assert_array_equal(back.C, sys.C)
         np.testing.assert_array_equal(back.D, sys.D)
-
-
-class TestMinreal:
-    def test_self_difference_collapses_to_static(self):
-        rng = np.random.default_rng(21)
-        g = random_stable(rng, n=6, q=2, p=2)
-        err = minreal(subtract(g, g))
-        assert err.n == 0
-        np.testing.assert_array_equal(err.D, np.zeros((2, 2)))
-
-    def test_unreachable_modes_removed(self):
-        # Second state is driven by nothing and observed by nothing.
-        sys = StateSpace(
-            np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]]
-        )
-        red = minreal(sys)
-        assert red.n == 1
-        assert red.A[0, 0] == pytest.approx(-1.0)
-
-    def test_zero_b_collapses(self):
-        sys = StateSpace(np.diag([-1.0, -2.0]), np.zeros((2, 1)), np.ones((1, 2)), [[3.0]])
-        red = minreal(sys)
-        assert red.n == 0
-        assert red.D[0, 0] == 3.0
-
-    def test_transfer_preserved(self):
-        rng = np.random.default_rng(22)
-        g = random_stable(rng, n=5, q=2, p=2, feedthrough=True)
-        # Pad with disconnected states, then reduce back down.
-        padded = StateSpace(
-            np.block([[g.A, np.zeros((5, 3))], [np.zeros((3, 5)), -np.eye(3)]]),
-            np.vstack([g.B, np.zeros((3, 2))]),
-            np.hstack([g.C, np.zeros((2, 3))]),
-            g.D,
-        )
-        red = minreal(padded)
-        assert red.n == 5
-        for omega in (0.0, 1.0, 4.0):
-            np.testing.assert_allclose(
-                eval_freq(red, omega), eval_freq(g, omega), atol=1e-10
-            )
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(23)
-        g = random_stable(rng, n=6, q=2, p=1)
-        once = minreal(g)
-        twice = minreal(once)
-        assert twice.n == once.n
-
-    def test_static_passthrough(self):
-        sys = static_gain([[1.0, 0.0]])
-        assert minreal(sys) is sys
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            minreal(static_gain([[1.0]]), tol=0.0)
 
 
 class TestPolesStability:

@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
+from scipy.linalg import solve_sylvester
+
+import sysmor.statespace
 
 from sysmor import (
     BlockRealization,
@@ -23,6 +26,7 @@ from sysmor import (
     WeightMatrix,
     assemble_error_system,
     build_block,
+    build_lowrank_block,
     compute_X,
     eval_freq,
     linf_norm,
@@ -34,6 +38,7 @@ from sysmor import (
     solve_weights,
     static_gain,
     subtract,
+    truncate_sample,
 )
 from conftest import random_orthogonal, random_stable, tf_eval
 
@@ -152,7 +157,7 @@ class TestAssembleErrorSystem:
     def test_interpolation_encoded_in_residues(self):
         # N_k - M_k G has a removable singularity at j*omega exactly when
         # (A_k + j*omega I)(B1_k - B2_k G(j*omega)) = 0; that identity is
-        # what lets minreal cancel the block modes.
+        # what lets assemble_error_system cancel the block modes.
         rng = np.random.default_rng(54)
         sys = random_stable(rng, n=6, q=2, p=2)
         for omega in (0.0, 1.7):
@@ -160,6 +165,27 @@ class TestAssembleErrorSystem:
             G = eval_freq(sys, omega)
             res = (blk.A + 1j * omega * np.eye(blk.order)) @ (blk.B1 - blk.B2 @ G)
             assert np.abs(res).max() <= 1e-12 * (1.0 + np.abs(G).max())
+
+    @pytest.mark.parametrize("omega", [0.0, 1.7])
+    def test_cross_terms_solve_the_sylvester_equation(self, omega):
+        # Block k's output rows Y_k solve A_k Y_k - Y_k A = B2_k C; the
+        # library forms them in closed form, the reference solves directly.
+        rng = np.random.default_rng(71)
+        sys = random_stable(rng, n=9, q=3, p=3, feedthrough=True)
+        sample = eval_freq(sys, omega)
+        blocks = [
+            build_block(SupportPoint(omega, sample)),
+            build_lowrank_block(truncate_sample(omega, sample, 2)),
+        ]
+        h = assemble_error_system(blocks, sys)
+        row = sys.p
+        for blk in blocks:
+            ref = solve_sylvester(blk.A, -sys.A, blk.B2 @ sys.C)
+            np.testing.assert_allclose(
+                h.C[row:row + blk.order], ref, rtol=1e-10, atol=1e-12
+            )
+            row += blk.order
+        assert row == h.p
 
     def test_no_blocks_gives_feedthrough_error(self):
         rng = np.random.default_rng(55)
@@ -449,6 +475,26 @@ class TestReduceDriver:
         finite = [r.linf_error for r in report.records if math.isfinite(r.linf_error)]
         best = linf_norm(subtract(highpass, chosen.sys)).gamma
         assert best <= min(finite) * (1.0 + 1e-4)
+
+    def test_model_is_factored_once(self, monkeypatch):
+        # Every pole and response computation reads one cached Schur form
+        # per StateSpace: the model's A is factored once per run, and each
+        # iterate only factors its own r x r state matrix.
+        shapes = []
+        dgees = sysmor.statespace.dgees
+
+        def counted(select, a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return dgees(select, a, *args, **kwargs)
+
+        monkeypatch.setattr(sysmor.statespace, "dgees", counted)
+        rng = np.random.default_rng(72)
+        sys = random_stable(rng, n=40, q=2, p=2)
+        _, report = reduce(sys, StoppingOptions(max_iterations=5))
+        assert shapes.count((40, 40)) == 1
+        iterates = [(r.order, r.order) for r in report.records[1:] if r.order]
+        assert sorted(s for s in shapes if s != (40, 40)) == sorted(iterates)
+        assert len(iterates) == 5
 
     def test_report_metadata(self):
         rng = np.random.default_rng(69)
