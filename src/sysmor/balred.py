@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import RankOutOfRange, UnstableInput
-from .numkernels import solve_lyapunov
 from .statespace import StateSpace, is_stable, static_gain
 
 __all__ = ["balanced_truncate"]
@@ -41,7 +40,8 @@ def balanced_truncate(
     states (unit decay, no input or output coupling), so any order up to
     n is accepted even for models that are not minimal.  Raises
     UnstableInput for unstable models and RankOutOfRange unless
-    0 <= order <= n.
+    0 <= order <= n.  Both Gramians are cached on ``sys``, so truncating
+    one model at several orders solves them once.
     """
     order = int(order)
     if order < 0 or order > sys.n:
@@ -51,10 +51,8 @@ def balanced_truncate(
     if sys.n == 0:
         return static_gain(sys.D), np.zeros(0)
 
-    P = solve_lyapunov(sys.A, sys.B @ sys.B.T).P
-    Q = solve_lyapunov(sys.A.T, sys.C.T @ sys.C).P
-    Lc = _psd_factor(P)
-    Lo = _psd_factor(Q)
+    Lc = _psd_factor(sys._reachability.P)
+    Lo = _psd_factor(sys._observability.P)
     U, hsv, Vt = np.linalg.svd(Lo.T @ Lc)
 
     if order == 0:

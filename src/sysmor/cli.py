@@ -37,14 +37,15 @@ __all__ = ["main", "compare_methods", "run_method"]
 
 METHODS = ("sys-aaa", "lowrank-aaa", "balanced")
 
-_TWO_PI = 2.0 * math.pi
-
 
 def _options_from_args(args) -> StoppingOptions:
+    order = getattr(args, "order", None)
+    if order is not None and order < 0:
+        raise DimensionMismatch(f"--order {order} is negative")
     return StoppingOptions(
         max_iterations=args.iters,
         target_linf=args.target_linf,
-        target_order=getattr(args, "order", None),
+        target_order=order,
         keep_best=args.keep_best,
         bisect_rel_tol=args.tol_bisect,
         min_dist=args.min_dist,
@@ -66,25 +67,23 @@ def run_method(
             raise RankOutOfRange("balanced truncation needs an explicit order")
         reduced, hsv = balanced_truncate(model, opts.target_order)
         err = subtract(model, reduced)
+        record = IterationRecord(
+            iteration=0,
+            action="trunc",
+            omega=None,
+            order=reduced.n,
+            linf_error=linf_norm(err, opts.bisect_rel_tol).gamma,
+            h2_metric=h2_error_metric(err),
+            h2_is_norm=True,
+            stable=True,
+        )
         report = ReductionReport(
             method="balanced",
-            options={"order": opts.target_order},
+            options={"order": opts.target_order, "hsv": [float(v) for v in hsv]},
+            records=[record],
+            termination="requested order reached",
+            best_iteration=0,
         )
-        report.records.append(
-            IterationRecord(
-                iteration=0,
-                action="trunc",
-                omega=None,
-                order=reduced.n,
-                linf_error=linf_norm(err, opts.bisect_rel_tol).gamma,
-                h2_metric=h2_error_metric(err),
-                h2_is_norm=True,
-                stable=True,
-            )
-        )
-        report.options["hsv"] = [float(v) for v in hsv]
-        report.termination = "requested order reached"
-        report.best_iteration = 0
         return reduced, report
     raise ValueError(f"unknown method {method!r}")
 
@@ -102,18 +101,10 @@ def compare_methods(
     for method in methods:
         if method == "balanced":
             for order in range(1, max_order + 1):
-                reduced, _ = balanced_truncate(model, order)
-                err = subtract(model, reduced)
-                entries.append(
-                    {
-                        "method": method,
-                        "order": order,
-                        "linf_error": linf_norm(err, opts.bisect_rel_tol).gamma,
-                        "h2_metric": h2_error_metric(err),
-                        "stable": True,
-                        "system": reduced,
-                    }
+                reduced, report = run_method(
+                    model, method, dataclasses.replace(opts, target_order=order)
                 )
+                entries.append(_entry(method, report.records[0], reduced))
             continue
         run_opts = dataclasses.replace(
             opts,
@@ -124,21 +115,17 @@ def compare_methods(
         )
         _, report = run_method(model, method, run_opts)
         for rec, iterate in zip(report.records, report.iterates):
-            if rec.order < 1 or rec.order > max_order:
-                continue
-            entries.append(
-                {
-                    "method": method,
-                    "order": rec.order,
-                    "linf_error": rec.linf_error,
-                    "h2_metric": rec.h2_metric,
-                    "stable": rec.stable,
-                    # iterates of a dualized run live in the transposed domain
-                    "system": dual(iterate.sys) if report.dualized else iterate.sys,
-                }
-            )
+            if 1 <= rec.order <= max_order:
+                # iterates of a dualized run live in the transposed domain
+                system = dual(iterate.sys) if report.dualized else iterate.sys
+                entries.append(_entry(method, rec, system))
     entries.sort(key=lambda e: (e["method"], e["order"]))
     return entries
+
+
+def _entry(method: str, rec: IterationRecord, system: StateSpace) -> dict:
+    return {"method": method, "order": rec.order, "linf_error": rec.linf_error,
+            "h2_metric": rec.h2_metric, "stable": rec.stable, "system": system}
 
 
 def _sigma_grid(sys: StateSpace, points: int = 2000) -> np.ndarray:
@@ -171,21 +158,31 @@ def _write_sigma_csv(path, model, reduced, points=2000):
             writer.writerow([f"{v:.10e}" for v in row])
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+def _checked(kind, valid, requirement: str):
+    """argparse type: parse with ``kind`` and exit 2 unless ``valid``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    return parse
+
+
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "nonnegative")
 
 
 def _add_common_flags(sp):
     sp.add_argument("model", help="input model file (ss format)")
-    sp.add_argument("--iters", type=int, default=20,
+    sp.add_argument("--iters", type=_nonnegative_int, default=20,
                     help="iteration cap for adaptive methods (default 20)")
-    sp.add_argument("--target-linf", type=float, default=None,
+    sp.add_argument("--target-linf", type=_positive_float, default=None,
                     help="stop when the certified error reaches this")
     sp.add_argument("--min-dist", type=_positive_float, default=0.02,
                     help="relative rank-growth radius for lowrank-aaa")
@@ -234,12 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--output", "-o", required=True,
                       help="model file to write")
     return parser
-
-
-def _disp_freq(omega: float | None, hz: bool) -> str:
-    if omega is None:
-        return "-"
-    return f"{omega / _TWO_PI:.6g}" if hz else f"{omega:.6g}"
 
 
 def _cmd_reduce(args) -> int:

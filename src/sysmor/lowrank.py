@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateFactors, NonRealSampleAtZero, Saturated
+from .exceptions import DegenerateFactors, Saturated
 from .numkernels import svd_truncate
 from .report import ReductionReport
 from .statespace import StateSpace, dual
@@ -29,6 +29,7 @@ from .sysaaa import (
     _SupportPolicy,
     _adaptive_loop,
     _check_duplicate,
+    _real_at_zero,
     sample_support_point,
 )
 
@@ -98,13 +99,7 @@ def truncate_sample(omega: float, sample: np.ndarray, rank: int) -> LowRankPoint
     if omega < 0:
         raise ValueError("support frequencies are nonnegative")
     if omega == 0.0:
-        imag_tol = 1e-9 * max(1.0, float(np.abs(value).max()))
-        if np.iscomplexobj(value) and float(np.abs(value.imag).max()) > imag_tol:
-            raise NonRealSampleAtZero(
-                "sample at omega = 0 has imaginary part "
-                f"{float(np.abs(value.imag).max()):.3e}"
-            )
-        value = value.real.astype(float)
+        value = _real_at_zero(value)
     U, s, V = svd_truncate(value, rank)
     return LowRankPoint(omega, rank, U, np.diag(s), V, value)
 

@@ -25,6 +25,16 @@ __all__ = ["parse_model", "format_model", "read_model", "write_model",
            "parse_raw_matrices"]
 
 
+def _parse_value(tok: str, where: str) -> float:
+    try:
+        val = float(tok)
+    except ValueError:
+        raise ParseError(f"bad number {tok!r} in {where}") from None
+    if not np.isfinite(val):
+        raise ParseError(f"non-finite value {tok!r} in {where}")
+    return val
+
+
 def _parse_row(line: str, width: int, label: str, row: int) -> list[float]:
     tokens = line.split()
     if len(tokens) != width:
@@ -32,16 +42,7 @@ def _parse_row(line: str, width: int, label: str, row: int) -> list[float]:
             f"row {row + 1} of {label} has {len(tokens)} entries, "
             f"expected {width}"
         )
-    values = []
-    for tok in tokens:
-        try:
-            val = float(tok)
-        except ValueError:
-            raise ParseError(f"bad number {tok!r} in {label}") from None
-        if not np.isfinite(val):
-            raise ParseError(f"non-finite value {tok!r} in {label}")
-        values.append(val)
-    return values
+    return [_parse_value(tok, label) for tok in tokens]
 
 
 def parse_model(text: str) -> StateSpace:
@@ -110,15 +111,7 @@ def parse_raw_matrices(text: str, n: int, q: int, p: int) -> StateSpace:
     concatenated in that order) into a model, given its dimensions."""
     if min(n, q, p) < 0 or q == 0 or p == 0:
         raise ParseError(f"invalid dimensions n={n} q={q} p={p}")
-    values = []
-    for tok in text.split():
-        try:
-            val = float(tok)
-        except ValueError:
-            raise ParseError(f"bad number {tok!r} in raw matrix dump") from None
-        if not np.isfinite(val):
-            raise ParseError(f"non-finite value {tok!r} in raw matrix dump")
-        values.append(val)
+    values = [_parse_value(tok, "raw matrix dump") for tok in text.split()]
     expected = n * n + n * q + p * n + p * q
     if len(values) != expected:
         raise ParseError(

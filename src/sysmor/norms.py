@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ImaginaryAxisPoles, NonzeroFeedthrough
-from .numkernels import solve_lyapunov
 from .statespace import StateSpace, eval_freq, poles
 
 __all__ = ["LinfResult", "linf_norm", "sigma_max", "h2_error_metric"]
@@ -145,7 +144,8 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
 
 
 def h2_error_metric(err_sys: StateSpace) -> float:
-    """sqrt(|trace(C P C^T)|) with A P + P A^T = -B B^T.
+    """sqrt(|trace(C P C^T)|) with A P + P A^T = -B B^T (the cached
+    reachability Gramian of ``err_sys``).
 
     Equals the H2 norm when ``err_sys`` is stable; for unstable systems it
     is the same trace formula evaluated with this solver's sign
@@ -158,8 +158,5 @@ def h2_error_metric(err_sys: StateSpace) -> float:
     )
     if D.size and float(np.abs(D).max()) > 1e-14 * scale:
         raise NonzeroFeedthrough("H2 metric requires D = 0")
-    if err_sys.n == 0:
-        return 0.0
-    gram = solve_lyapunov(err_sys.A, err_sys.B @ err_sys.B.T)
-    value = np.trace(err_sys.C @ gram.P @ err_sys.C.T)
+    value = np.trace(err_sys.C @ err_sys._reachability.P @ err_sys.C.T)
     return float(np.sqrt(abs(value)))

@@ -2,19 +2,23 @@
 
 Keeps the Lyapunov solve, symmetric eigendecomposition, and SVD
 truncation in one place so the algorithm code stays backend-agnostic.
-The Lyapunov solve is Bartels-Stewart (real Schur form plus
-quasi-triangular back-substitution) via SciPy; every solve reports its
-relative residual instead of assuming success.
+The Lyapunov solve is Bartels-Stewart back-substitution on the real Schur
+form each ``StateSpace`` caches, so it factors nothing itself; every
+solve reports its relative residual instead of assuming success.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dtrsyl
 
 from .exceptions import IllPosedLyapunov, RankOutOfRange
+
+if TYPE_CHECKING:
+    from .statespace import StateSpace
 
 __all__ = [
     "GramianResult",
@@ -39,42 +43,45 @@ _SPECTRUM_PAIR_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class GramianResult:
-    """Symmetric solution P of a Lyapunov equation plus its relative residual."""
+    """Read-only symmetric Lyapunov solution P plus its relative residual."""
 
     P: np.ndarray
     residual: float
 
 
-def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> GramianResult:
-    """Solve A P + P A^T = -Q for symmetric PSD Q.
+def solve_lyapunov(sys: StateSpace, trans: bool = False) -> GramianResult:
+    """Reachability Gramian of ``sys``: A P + P A^T = -B B^T, or with
+    ``trans`` its observability Gramian: A^T P + P A = -C^T C.
 
-    Raises ``IllPosedLyapunov`` when some eigenvalue pair of A satisfies
-    lambda_i + lambda_j ~ 0 (the operator is then singular; upstream this
-    signals an error system with poles mirrored across the imaginary axis).
+    One LAPACK ``dtrsyl`` back-substitution on the cached real Schur form
+    A = Z T Z^T solves for Z^T P Z.  Raises ``IllPosedLyapunov`` when some
+    eigenvalue pair of A satisfies lambda_i + lambda_j ~ 0 (the operator
+    is then singular; upstream this signals an error system with poles
+    mirrored across the imaginary axis).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    n = A.shape[0]
-    if A.shape != (n, n) or Q.shape != (n, n):
-        raise ValueError("A and Q must be square with matching shapes")
-    if n == 0:
+    if sys.n == 0:
         return GramianResult(np.zeros((0, 0)), 0.0)
-
-    lam = np.linalg.eigvals(A)
+    T, Z, lam = sys._schur
     pair_sums = np.abs(lam[:, None] + lam[None, :])
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if np.min(pair_sums) <= _SPECTRUM_PAIR_RTOL * scale:
+    radius = max(1.0, float(np.max(np.abs(lam))))
+    if np.min(pair_sums) <= _SPECTRUM_PAIR_RTOL * radius:
         raise IllPosedLyapunov(
             "eigenvalue pair of A sums to ~0; Lyapunov equation has no unique solution"
         )
 
-    Qs = 0.5 * (Q + Q.T)
-    P = sla.solve_continuous_lyapunov(A, -Qs)
+    A, F, ops = (sys.A.T, sys.C.T, "TN") if trans else (sys.A, sys.B, "NT")
+    ZF = Z.T @ F
+    X, scale, info = dtrsyl(T, T, -ZF @ ZF.T, trana=ops[0], tranb=ops[1])
+    if info:
+        raise IllPosedLyapunov("Lyapunov solve met (nearly) mirrored eigenvalues")
+    P = Z @ (X / scale) @ Z.T
     P = 0.5 * (P + P.T)
+    P.setflags(write=False)  # cached and shared by the model's instances
     if not np.all(np.isfinite(P)):
         raise IllPosedLyapunov("Lyapunov solve produced non-finite entries")
-    res = np.linalg.norm(A @ P + P @ A.T + Qs, "fro")
-    denom = max(np.linalg.norm(Qs, "fro"), np.finfo(float).eps)
+    Q = F @ F.T
+    res = np.linalg.norm(A @ P + P @ A.T + Q, "fro")
+    denom = max(np.linalg.norm(Q, "fro"), np.finfo(float).eps)
     return GramianResult(P, float(res / denom))
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = ["IterationRecord", "ReductionReport"]
 
@@ -32,18 +32,8 @@ class IterationRecord:
     ranks: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "action": self.action,
-            "omega": self.omega,
-            "order": self.order,
-            "linf_error": self.linf_error,
-            "h2_metric": self.h2_metric,
-            "h2_is_norm": self.h2_is_norm,
-            "stable": self.stable,
-            "w0_condition": self.w0_condition,
-            "ranks": list(self.ranks) if self.ranks is not None else None,
-        }
+        ranks = list(self.ranks) if self.ranks is not None else None
+        return {**asdict(self), "ranks": ranks}
 
 
 @dataclass

@@ -6,8 +6,9 @@ are first-class.  All operations are pure: they validate, build new
 matrices, and return a fresh ``StateSpace``.
 
 Each instance factors A once, into its real Schur form A = Z T Z^T, and
-every pole and frequency-response computation reads that factorization:
-a response costs one quasi-triangular O(n^2) solve per frequency.
+every pole, frequency-response and Gramian computation reads that
+factorization: a response costs one quasi-triangular O(n^2) solve per
+frequency, and each Gramian one Lyapunov back-substitution, cached with it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dgees, dtrsyl
 
+from . import numkernels
 from .exceptions import DimensionMismatch, SingularAtFrequency
 
 __all__ = [
@@ -112,6 +114,27 @@ class StateSpace:
             raise np.linalg.LinAlgError("Schur factorization did not converge")
         return _frozen(T, Z, wr + 1j * wi)
 
+    @cached_property
+    def _reachability(self) -> numkernels.GramianResult:
+        """P with A P + P A^T = -B B^T, shared with ``_same_dynamics`` copies."""
+        if "_dynamics_of" in self.__dict__:
+            return self._dynamics_of._reachability
+        return numkernels.solve_lyapunov(self)
+
+    @cached_property
+    def _observability(self) -> numkernels.GramianResult:
+        """Q with A^T Q + Q A = -C^T C."""
+        return numkernels.solve_lyapunov(self, trans=True)
+
+
+def _same_dynamics(sys: StateSpace, C, D) -> StateSpace:
+    """(A, B, C, D) on the states of ``sys``, sharing its Schur form and,
+    once either asks for it, its reachability Gramian."""
+    out = StateSpace(sys.A, sys.B, C, D)
+    object.__setattr__(out, "_schur", sys._schur)
+    object.__setattr__(out, "_dynamics_of", sys)
+    return out
+
 
 def _frozen(*arrays):
     for M in arrays:
@@ -190,12 +213,15 @@ def subtract(g: StateSpace, r: StateSpace) -> StateSpace:
     """Realize the error system G(s) - R(s) (block-diagonal states).
 
     The Schur factors of the result are assembled block-diagonally from
-    those of ``g`` and ``r``, so a fixed ``g`` is factored only once.
+    those of ``g`` and ``r``, so a fixed ``g`` is factored only once; a
+    static ``r`` leaves the states of ``g``, whose Gramian is then shared.
     """
     if (g.p, g.q) != (r.p, r.q):
         raise DimensionMismatch(
             f"cannot subtract {r.p}x{r.q} system from {g.p}x{g.q} system"
         )
+    if r.n == 0:
+        return _same_dynamics(g, g.C, g.D - r.D)
     A = sla.block_diag(g.A, r.A)
     B = np.vstack([g.B, r.B])
     C = np.hstack([g.C, -r.C])

@@ -33,13 +33,13 @@ from .norms import linf_norm, h2_error_metric
 from .numkernels import (
     DISTINCT_EIGENVALUE_RTOL,
     ZERO_EIGENVALUE_RTOL,
-    solve_lyapunov,
     sym_eig_ascending,
 )
 from .report import IterationRecord, ReductionReport
 from .statespace import (
     StateSpace,
     _output_resolvent,
+    _same_dynamics,
     eval_freq,
     is_stable,
     static_gain,
@@ -183,6 +183,17 @@ class StoppingOptions:
     min_dist: float = 0.02
 
 
+def _real_at_zero(value: np.ndarray) -> np.ndarray:
+    """Real copy of an omega = 0 sample; NonRealSampleAtZero if its
+    imaginary part is not negligible (a real system cannot have one)."""
+    imag = float(np.abs(np.imag(value)).max(initial=0.0))
+    if imag > 1e-9 * max(1.0, float(np.abs(value).max())):
+        raise NonRealSampleAtZero(
+            f"sample at omega = 0 has imaginary part {imag:.3e}"
+        )
+    return np.real(value).astype(float)
+
+
 def build_block(point: SupportPoint) -> BlockRealization:
     """Interpolation block for one support point.
 
@@ -193,14 +204,8 @@ def build_block(point: SupportPoint) -> BlockRealization:
     p = value.shape[0]
     omega = float(point.omega)
     if omega == 0.0:
-        imag_tol = 1e-9 * max(1.0, float(np.abs(value).max()))
-        if value.imag.size and float(np.abs(value.imag).max()) > imag_tol:
-            raise NonRealSampleAtZero(
-                "sample at omega = 0 has imaginary part "
-                f"{float(np.abs(value.imag).max()):.3e}"
-            )
         A = np.zeros((p, p))
-        B1 = value.real.copy()
+        B1 = _real_at_zero(value)
         B2 = np.eye(p)
     else:
         eye = np.eye(p)
@@ -235,8 +240,9 @@ def assemble_error_system(blocks, sys: StateSpace) -> StateSpace:
     a block of 2r states.  The cancelled system therefore lives on the
     state space of G alone, with output map [-C; Y_1; ...; Y_K] and no
     feedthrough, so its poles stay off the imaginary axis whenever G is
-    stable.  A weight above 1e-8 of its natural scale means the sample
-    does not match G there and raises ResidualImaginaryPoles.
+    stable, and it shares G's Schur form and reachability Gramian.  A
+    weight above 1e-8 of its natural scale means the sample does not
+    match G there and raises ResidualImaginaryPoles.
     """
     p, q = sys.p, sys.q
     rows = [-sys.C]
@@ -261,15 +267,13 @@ def assemble_error_system(blocks, sys: StateSpace) -> StateSpace:
             )
         rows.append(Y)
     n_out = p + sum(blk.order for blk in blocks)
-    return StateSpace(sys.A, sys.B, np.vstack(rows), np.zeros((n_out, q)))
+    return _same_dynamics(sys, np.vstack(rows), np.zeros((n_out, q)))
 
 
 def compute_X(err_sys: StateSpace) -> np.ndarray:
-    """Output-side Gramian X = C P C^T of the cancelled error system."""
-    if err_sys.n == 0:
-        return np.zeros((err_sys.p, err_sys.p))
-    gram = solve_lyapunov(err_sys.A, err_sys.B @ err_sys.B.T)
-    X = err_sys.C @ gram.P @ err_sys.C.T
+    """Output-side Gramian X = C P C^T of the cancelled error system, with
+    P the reachability Gramian it shares with G (solved once per model)."""
+    X = err_sys.C @ err_sys._reachability.P @ err_sys.C.T
     return 0.5 * (X + X.T)
 
 
@@ -339,10 +343,6 @@ def realize_interpolant(
     return StateSpace(A - B2 @ what, B2 @ D - B1, -what, D)
 
 
-def _identity_weight(p: int) -> WeightMatrix:
-    return WeightMatrix(np.eye(p), (), False)
-
-
 def _h2_of(err: StateSpace) -> float | None:
     try:
         return h2_error_metric(err)
@@ -409,7 +409,9 @@ def _adaptive_loop(
     report = ReductionReport(method=method, options=asdict(opts))
 
     points: list = []
-    current = Interpolant(static_gain(work.D), (), _identity_weight(work.p), 0)
+    current = Interpolant(
+        static_gain(work.D), (), WeightMatrix(np.eye(work.p), ()), 0
+    )
     err = subtract(work, current.sys)
     lres = linf_norm(err, opts.bisect_rel_tol)
     report.records.append(

@@ -151,7 +151,7 @@ def test_criterion_4_gramian_accuracy():
     rng = np.random.default_rng(1004)
     for n in (20, 80, 200):
         sys = random_stable(rng, n, 3, 3)
-        result = solve_lyapunov(sys.A, sys.B @ sys.B.T)
+        result = solve_lyapunov(sys)
         assert result.residual <= 1e-10, f"n={n}: residual {result.residual:.3e}"
 
     sys = random_stable(rng, 8, 2, 3)

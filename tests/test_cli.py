@@ -247,7 +247,9 @@ class TestConvertCommand:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("flag", ["--min-dist", "--tol-bisect"])
+    @pytest.mark.parametrize(
+        "flag", ["--min-dist", "--tol-bisect", "--target-linf"]
+    )
     @pytest.mark.parametrize("value", ["0", "-0.5", "inf"])
     def test_nonpositive_tolerance_is_malformed_input(
         self, model_path, capsys, flag, value
@@ -263,6 +265,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "must be positive" in err
         assert "Traceback" not in err
+
+    def test_negative_iters_is_malformed_input(self, model_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", str(model_path), "--iters", "-3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be nonnegative" in err
+        assert "Traceback" not in err
+
+    def test_negative_order_rejected(self, model_path, capsys):
+        for method in ("sys-aaa", "lowrank-aaa", "balanced"):
+            code = main(
+                ["reduce", str(model_path), "--method", method, "--order", "-2"]
+            )
+            assert code == 3, method
+            assert "error[DimensionMismatch]" in capsys.readouterr().err
 
     def test_missing_model_file(self, tmp_path, capsys):
         code = main(["reduce", str(tmp_path / "nope.ss")])

@@ -2,68 +2,93 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
 from sysmor import (
     GramianResult,
     IllPosedLyapunov,
     RankOutOfRange,
+    StateSpace,
     solve_lyapunov,
+    static_gain,
     svd_truncate,
     sym_eig_ascending,
 )
 from conftest import random_stable
 
 
+def _with_input(A, B):
+    """A model whose reachability equation is A P + P A^T = -B B^T."""
+    A, B = np.atleast_2d(A), np.atleast_2d(B)
+    return StateSpace(A, B, np.ones((1, A.shape[0])), np.zeros((1, B.shape[1])))
+
+
+def _unstable_well_posed(rng, n):
+    """A dense model with poles on both sides of the axis, no pair summing
+    to ~0: the case the H2 metric meets for unstable iterates."""
+    lam = np.diag([-1.0, -2.5, 0.7, 1.9])
+    rot = np.array([[-0.4, 3.0], [-3.0, -0.4]])
+    core = np.block([[lam, np.zeros((4, 2))], [np.zeros((2, 4)), rot]])
+    V = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    A = V @ np.kron(np.eye(n // 6), core) @ np.linalg.inv(V)
+    return StateSpace(A, rng.standard_normal((n, 2)),
+                      rng.standard_normal((3, n)), np.zeros((3, 2)))
+
+
 class TestSolveLyapunov:
     def test_scalar_closed_form(self):
-        # a p + p a = -q with a = -1, q = 1 gives p = 1/2.
-        result = solve_lyapunov(np.array([[-1.0]]), np.array([[1.0]]))
+        # a p + p a = -b^2 with a = -1, b = 1 gives p = 1/2.
+        result = solve_lyapunov(_with_input([[-1.0]], [[1.0]]))
         assert isinstance(result, GramianResult)
         assert result.P[0, 0] == pytest.approx(0.5, rel=1e-14)
         assert result.residual <= 1e-14
 
     def test_diagonal_closed_form(self):
-        # For A = diag(a_i), Q = I the solution is P_ij = -delta_ij / (2 a_i).
+        # For A = diag(a_i), B = I the solution is P_ij = -delta_ij / (2 a_i).
         A = np.diag([-1.0, -2.0, -5.0])
-        result = solve_lyapunov(A, np.eye(3))
+        result = solve_lyapunov(_with_input(A, np.eye(3)))
         np.testing.assert_allclose(result.P, np.diag([0.5, 0.25, 0.1]), rtol=1e-13)
 
     def test_residual_small_for_dense_random(self):
         rng = np.random.default_rng(31)
         sys = random_stable(rng, n=50, q=3, p=3)
-        result = solve_lyapunov(sys.A, sys.B @ sys.B.T)
-        assert result.residual <= 1e-10
-        # Controllability Gramian of a reachable stable system is PSD.
-        np.testing.assert_allclose(result.P, result.P.T, atol=1e-14)
-        assert np.min(np.linalg.eigvalsh(result.P)) >= -1e-12 * np.trace(result.P)
+        for trans in (False, True):
+            result = solve_lyapunov(sys, trans)
+            assert result.residual <= 1e-10
+            # Gramians of a reachable, observable stable system are PSD.
+            np.testing.assert_allclose(result.P, result.P.T, atol=1e-14)
+            assert np.min(np.linalg.eigvalsh(result.P)) >= -1e-12 * np.trace(result.P)
 
     def test_mirrored_spectrum_rejected(self):
         # lambda = +1 and lambda = -1 sum to zero: operator is singular.
-        A = np.diag([1.0, -1.0])
         with pytest.raises(IllPosedLyapunov):
-            solve_lyapunov(A, np.eye(2))
+            solve_lyapunov(_with_input(np.diag([1.0, -1.0]), np.eye(2)))
 
     def test_imaginary_axis_pole_rejected(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(IllPosedLyapunov):
-            solve_lyapunov(A, np.eye(2))
+            solve_lyapunov(_with_input(A, np.eye(2)))
 
     def test_empty_problem(self):
-        result = solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0)))
+        result = solve_lyapunov(static_gain(np.ones((2, 1))))
         assert result.P.shape == (0, 0)
         assert result.residual == 0.0
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_lyapunov(np.eye(2) * -1.0, np.eye(3))
-
-    def test_unsymmetric_q_is_symmetrized(self):
-        rng = np.random.default_rng(32)
-        A = -np.eye(2) + 0.1 * rng.standard_normal((2, 2))
-        Q = np.array([[2.0, 0.5], [0.3, 1.0]])
-        got = solve_lyapunov(A, Q).P
-        ref = solve_lyapunov(A, 0.5 * (Q + Q.T)).P
-        np.testing.assert_allclose(got, ref, rtol=1e-13)
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("kind", ["stable", "unstable"])
+    def test_matches_scipy_reference(self, kind, trans):
+        rng = np.random.default_rng(37)
+        if kind == "stable":
+            sys = random_stable(rng, n=30, q=2, p=3)
+        else:
+            sys = _unstable_well_posed(rng, n=30)
+        A, F = (sys.A.T, sys.C.T) if trans else (sys.A, sys.B)
+        ref = solve_continuous_lyapunov(A, -F @ F.T)
+        result = solve_lyapunov(sys, trans)
+        assert result.residual <= 1e-10
+        np.testing.assert_allclose(
+            result.P, ref, rtol=0, atol=1e-10 * np.abs(ref).max()
+        )
 
 
 class TestSymEig:

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad_vec
 from scipy.linalg import solve_sylvester
 
+import sysmor.numkernels
 import sysmor.statespace
+from sysmor.cli import compare_methods
 
 from sysmor import (
     BlockRealization,
@@ -477,24 +480,53 @@ class TestReduceDriver:
         assert best <= min(finite) * (1.0 + 1e-4)
 
     def test_model_is_factored_once(self, monkeypatch):
-        # Every pole and response computation reads one cached Schur form
-        # per StateSpace: the model's A is factored once per run, and each
-        # iterate only factors its own r x r state matrix.
-        shapes = []
+        # Every pole, response and Gramian computation reads one cached
+        # Schur form per StateSpace: the model's A is factored once per run,
+        # each iterate only factors its own r x r state matrix, and G's
+        # Gramians are solved once however many iterations or orders read
+        # them.
+        rng = np.random.default_rng(72)
+        sys = random_stable(rng, n=40, q=2, p=2)
+        fresh = StateSpace(sys.A, sys.B, sys.C, sys.D)
+        shapes, eig_shapes, solves = [], [], []
         dgees = sysmor.statespace.dgees
+        eigvals = np.linalg.eigvals
+        solve = sysmor.numkernels.solve_lyapunov
 
         def counted(select, a, *args, **kwargs):
             shapes.append(np.shape(a))
             return dgees(select, a, *args, **kwargs)
 
+        def recorded_eigvals(a):
+            eig_shapes.append(np.shape(a))
+            return eigvals(a)
+
+        def counted_solve(model, trans=False):
+            solves.append((model.n, trans))
+            return solve(model, trans)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_continuous_lyapunov called")
+
         monkeypatch.setattr(sysmor.statespace, "dgees", counted)
-        rng = np.random.default_rng(72)
-        sys = random_stable(rng, n=40, q=2, p=2)
+        monkeypatch.setattr(np.linalg, "eigvals", recorded_eigvals)
+        monkeypatch.setattr(sysmor.numkernels, "solve_lyapunov", counted_solve)
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", forbidden)
         _, report = reduce(sys, StoppingOptions(max_iterations=5))
         assert shapes.count((40, 40)) == 1
         iterates = [(r.order, r.order) for r in report.records[1:] if r.order]
         assert sorted(s for s in shapes if s != (40, 40)) == sorted(iterates)
         assert len(iterates) == 5
+        # the only eigensolves left are the 2(n + r) Hamiltonians
+        assert eig_shapes and (40, 40) not in eig_shapes
+        assert solves.count((40, False)) == 1
+        assert (40, True) not in solves
+
+        solves.clear()
+        entries = compare_methods(fresh, ["balanced"], 5, StoppingOptions())
+        assert [e["order"] for e in entries] == [1, 2, 3, 4, 5]
+        assert solves.count((40, False)) == 1
+        assert solves.count((40, True)) == 1
 
     def test_report_metadata(self):
         rng = np.random.default_rng(69)
