@@ -53,15 +53,7 @@ from .sysaaa import (
     sample_support_point,
     solve_weights,
 )
-from .lowrank import (
-    GrowRank,
-    LowRankPoint,
-    NewPoint,
-    build_lowrank_block,
-    reduce_lowrank,
-    select_or_grow,
-    truncate_sample,
-)
+from .lowrank import reduce_lowrank, select_or_grow
 from .balred import balanced_truncate
 from .modelio import (
     format_model,
@@ -103,11 +95,6 @@ __all__ = [
     "solve_weights",
     "realize_interpolant",
     "reduce",
-    "LowRankPoint",
-    "NewPoint",
-    "GrowRank",
-    "truncate_sample",
-    "build_lowrank_block",
     "select_or_grow",
     "reduce_lowrank",
     "balanced_truncate",

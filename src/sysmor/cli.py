@@ -27,10 +27,10 @@ from .exceptions import (
     UnstableInput,
 )
 from .lowrank import reduce_lowrank
-from .modelio import parse_raw_matrices, read_model, write_model
+from .modelio import _read_text, parse_raw_matrices, read_model, write_model
 from .norms import h2_error_metric, linf_norm
 from .report import IterationRecord, ReductionReport
-from .statespace import StateSpace, dual, eval_freq, is_stable, poles, subtract
+from .statespace import StateSpace, eval_freq, is_stable, poles, subtract
 from .sysaaa import StoppingOptions, reduce as reduce_sysaaa
 
 __all__ = ["main", "compare_methods", "run_method"]
@@ -116,9 +116,7 @@ def compare_methods(
         _, report = run_method(model, method, run_opts)
         for rec, iterate in zip(report.records, report.iterates):
             if 1 <= rec.order <= max_order:
-                # iterates of a dualized run live in the transposed domain
-                system = dual(iterate.sys) if report.dualized else iterate.sys
-                entries.append(_entry(method, rec, system))
+                entries.append(_entry(method, rec, iterate.sys))
     entries.sort(key=lambda e: (e["method"], e["order"]))
     return entries
 
@@ -305,12 +303,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    try:
-        with open(args.raw, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.raw}: {exc}") from None
-    model = parse_raw_matrices(text, args.n, args.q, args.p)
+    model = parse_raw_matrices(_read_text(args.raw), args.n, args.q, args.p)
     write_model(model, args.output)
     print(
         f"wrote {args.output} (n={model.n}, q={model.q}, p={model.p}, "
@@ -319,8 +312,11 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+# Reading maps its OSErrors to ParseError, so an OSError left over comes
+# from writing an output file.
 _ERROR_CODES = (
     (ParseError, "ParseError", 2),
+    (OSError, "WriteError", 2),
     ((DimensionMismatch, RankOutOfRange), "DimensionMismatch", 3),
     (UnstableInput, "UnstableInput", 5),
     ((SysmorError, np.linalg.LinAlgError), "SolverFailure", 4),

@@ -92,13 +92,18 @@ def format_model(sys: StateSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_model(path) -> StateSpace:
+def _read_text(path) -> str:
+    """The ASCII text of a file; ParseError if it cannot be read or holds
+    a non-ASCII byte."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_model(text)
+
+
+def read_model(path) -> StateSpace:
+    return parse_model(_read_text(path))
 
 
 def write_model(sys: StateSpace, path) -> None:

@@ -41,7 +41,8 @@ class ReductionReport:
     """Full run record: per-iteration history plus termination summary.
 
     ``iterates`` keeps the interpolant of each iteration (index-aligned
-    with ``records``); it is excluded from ``to_dict`` so reports stay
+    with ``records``), in the model's input/output domain even when the
+    run was ``dualized``; it is excluded from ``to_dict`` so reports stay
     JSON-friendly.
     """
 

@@ -116,14 +116,20 @@ class StateSpace:
 
     @cached_property
     def _reachability(self) -> numkernels.GramianResult:
-        """P with A P + P A^T = -B B^T, shared with ``_same_dynamics`` copies."""
+        """P with A P + P A^T = -B B^T, shared with ``_same_dynamics``
+        copies; a ``dual`` reads the observability Gramian of its operand."""
         if "_dynamics_of" in self.__dict__:
             return self._dynamics_of._reachability
+        if "_dual_of" in self.__dict__:
+            return self._dual_of._observability
         return numkernels.solve_lyapunov(self)
 
     @cached_property
     def _observability(self) -> numkernels.GramianResult:
-        """Q with A^T Q + Q A = -C^T C."""
+        """Q with A^T Q + Q A = -C^T C; a ``dual`` reads the reachability
+        Gramian of its operand."""
+        if "_dual_of" in self.__dict__:
+            return self._dual_of._reachability
         return numkernels.solve_lyapunov(self, trans=True)
 
 
@@ -238,8 +244,22 @@ def subtract(g: StateSpace, r: StateSpace) -> StateSpace:
 
 
 def dual(sys: StateSpace) -> StateSpace:
-    """Transpose the transfer matrix: (A, B, C, D) -> (A^T, C^T, B^T, D^T)."""
-    return StateSpace(sys.A.T, sys.C.T, sys.B.T, sys.D.T)
+    """Transpose the transfer matrix: (A, B, C, D) -> (A^T, C^T, B^T, D^T).
+
+    The result reuses the factors of ``sys``: with E the reversal
+    permutation, A^T = (Z E) (E T^T E) (Z E)^T and E T^T E is again real
+    quasi-triangular, and the two Gramians of ``sys`` trade places.
+    """
+    out = StateSpace(sys.A.T, sys.C.T, sys.B.T, sys.D.T)
+    T, Z, lam = sys._schur
+    factors = (
+        np.asfortranarray(T.T[::-1, ::-1]),
+        Z[:, ::-1].copy(),
+        lam[::-1].copy(),
+    )
+    object.__setattr__(out, "_schur", _frozen(*factors))
+    object.__setattr__(out, "_dual_of", sys)
+    return out
 
 
 def poles(sys: StateSpace) -> np.ndarray:

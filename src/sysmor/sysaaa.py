@@ -6,19 +6,22 @@ block, assemble the cancelled error system H, and re-solve a small
 symmetric eigenvalue problem for the weights that minimise the resulting
 H2 objective.  The interpolant is then read off as a closed-form
 state-space realization; each support point at omega = 0 adds p states
-and each nonzero point adds 2p.
+and each nonzero point adds 2p.  A support point may instead interpolate
+only the r leading left singular directions of its sample, which costs r
+or 2r states; the low-rank driver is built on those.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from .exceptions import (
+    DegenerateFactors,
     DuplicateSupportPoint,
     IllPosedLyapunov,
     ImaginaryAxisPoles,
@@ -33,6 +36,7 @@ from .norms import linf_norm, h2_error_metric
 from .numkernels import (
     DISTINCT_EIGENVALUE_RTOL,
     ZERO_EIGENVALUE_RTOL,
+    svd_truncate,
     sym_eig_ascending,
 )
 from .report import IterationRecord, ReductionReport
@@ -69,38 +73,76 @@ DUPLICATE_ATOL = 1e-9
 # Residual |Re(pole)| / spectral radius allowed after cancellation.
 _AXIS_RESIDUAL_RTOL = 1e-8
 
+# Singular values below this fraction of the largest make a block factor
+# numerically rank-deficient.
+_FACTOR_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SupportPoint:
-    """A frequency on the imaginary axis together with the exact sample
-    G(j*omega) taken there."""
+    """A frequency on the imaginary axis, the exact sample G(j*omega)
+    taken there, and how much of the sample is interpolated.
+
+    ``rank`` None interpolates the whole sample.  A rank r interpolates
+    its r leading left singular directions: ``U`` (p x r) and ``V``
+    (q x r) have orthonormal columns and ``S`` is the r x r diagonal of
+    leading singular values.  At omega = 0 the sample and its factors are
+    real; a sample there with a non-negligible imaginary part raises
+    NonRealSampleAtZero (a real system cannot have one).
+    """
 
     omega: float
     sample: np.ndarray
+    rank: int | None = None
+    U: np.ndarray | None = field(default=None, init=False, repr=False)
+    S: np.ndarray | None = field(default=None, init=False, repr=False)
+    V: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.omega < 0:
             raise ValueError("support frequencies are nonnegative")
+        value = np.atleast_2d(np.asarray(self.sample))
+        if self.omega == 0.0:
+            imag = float(np.abs(np.imag(value)).max(initial=0.0))
+            if imag > 1e-9 * max(1.0, float(np.abs(value).max())):
+                raise NonRealSampleAtZero(
+                    f"sample at omega = 0 has imaginary part {imag:.3e}"
+                )
+            value = np.real(value).astype(float)
+        object.__setattr__(self, "sample", value)
+        if self.rank is not None:
+            U, s, V = svd_truncate(value, self.rank)
+            for name, M in (("U", U), ("S", np.diag(s)), ("V", V)):
+                object.__setattr__(self, name, M)
 
     @property
     def is_zero(self) -> bool:
         return self.omega == 0.0
 
+    @property
+    def order(self) -> int:
+        """States of the point's interpolation block."""
+        width = self.sample.shape[0] if self.rank is None else self.rank
+        return width if self.is_zero else 2 * width
 
-def sample_support_point(sys: StateSpace, omega: float) -> SupportPoint:
-    """Sample G(j*omega) into a ``SupportPoint``."""
+
+def sample_support_point(
+    sys: StateSpace, omega: float, rank: int | None = None
+) -> SupportPoint:
+    """Sample G(j*omega) into a ``SupportPoint`` of the given ``rank``."""
     value = np.atleast_2d(eval_freq(sys, omega))
-    return SupportPoint(float(omega), value)
+    return SupportPoint(float(omega), value, rank)
 
 
 @dataclass(frozen=True)
 class BlockRealization:
     """Real state-space block encoding interpolation at one frequency.
 
-    For omega = 0 the block is (0_p, [Re G(0), I_p]) with p states; for
+    For omega = 0 the block is (0_r, [L G(0), L]) with r states; for
     omega > 0 it pairs +/- j*omega through the skew rotation
-    A = [[0, omega I], [-omega I, 0]] with 2p states.  ``B1`` carries the
-    sample, ``B2`` the identity channel used later for reweighting.
+    A = [[0, omega I], [-omega I, 0]] with 2r states.  The r rows of L are
+    the interpolated directions (I_p for a full sample); ``B1`` carries
+    the sample along them, ``B2`` the channel L used later for reweighting.
     """
 
     omega: float
@@ -183,38 +225,36 @@ class StoppingOptions:
     min_dist: float = 0.02
 
 
-def _real_at_zero(value: np.ndarray) -> np.ndarray:
-    """Real copy of an omega = 0 sample; NonRealSampleAtZero if its
-    imaginary part is not negligible (a real system cannot have one)."""
-    imag = float(np.abs(np.imag(value)).max(initial=0.0))
-    if imag > 1e-9 * max(1.0, float(np.abs(value).max())):
-        raise NonRealSampleAtZero(
-            f"sample at omega = 0 has imaginary part {imag:.3e}"
-        )
-    return np.real(value).astype(float)
+def _re_im(M: np.ndarray) -> np.ndarray:
+    """[Re M; -Im M], with +0 rather than -0 below a real M."""
+    return np.vstack([M.real, M.conj().imag])
 
 
 def build_block(point: SupportPoint) -> BlockRealization:
     """Interpolation block for one support point.
 
-    Raises NonRealSampleAtZero if an omega = 0 sample carries a
-    non-negligible imaginary part (a real system cannot).
+    The block interpolates the data L G(j*omega) along the directions L:
+    L = I_p for a full point and L = U^H for a rank-r point, whose data is
+    then S V^H.  At omega = 0 the block is (0, [L G, L]); otherwise
+    B1 = [Re L G; -Im L G] and B2 = [Re L; -Im L].  Raises
+    DegenerateFactors when a rank-r point retains a numerically zero
+    singular value (that direction carries nothing to interpolate).
     """
-    value = np.atleast_2d(np.asarray(point.sample))
-    p = value.shape[0]
-    omega = float(point.omega)
-    if omega == 0.0:
-        A = np.zeros((p, p))
-        B1 = _real_at_zero(value)
-        B2 = np.eye(p)
+    if point.rank is None:
+        L, LG = np.eye(point.sample.shape[0]), point.sample
     else:
-        eye = np.eye(p)
-        A = np.block(
-            [[np.zeros((p, p)), omega * eye], [-omega * eye, np.zeros((p, p))]]
-        )
-        B1 = np.vstack([value.real, -value.imag])
-        B2 = np.vstack([eye, np.zeros((p, p))])
-    return BlockRealization(omega, A, B1, B2)
+        s = np.diag(point.S)
+        if s.min() <= _FACTOR_RTOL * max(1.0, s.max()):
+            raise DegenerateFactors(
+                "retained singular values include a numerically zero entry"
+            )
+        L, LG = point.U.conj().T, point.S @ point.V.conj().T
+    r, omega = L.shape[0], float(point.omega)
+    if omega == 0.0:
+        return BlockRealization(omega, np.zeros((r, r)), LG.real, L.real)
+    eye, zero = np.eye(r), np.zeros((r, r))
+    A = np.block([[zero, omega * eye], [-omega * eye, zero]])
+    return BlockRealization(omega, A, _re_im(LG), _re_im(L))
 
 
 def _stack_blocks(blocks, p: int, q: int):
@@ -362,32 +402,6 @@ def _check_duplicate(omega: float, points) -> None:
             )
 
 
-@dataclass(frozen=True)
-class _SupportPolicy:
-    """How the driver loop spends one iteration on the support set.
-
-    ``plan(work, points, omega, opts)`` returns ``(action, acted_omega,
-    order_increment, commit)`` or raises DuplicateSupportPoint/Saturated;
-    ``commit()`` applies the step to ``points`` once the order check has
-    passed.  ``build`` turns one point into its interpolation block, and
-    ``ranks`` makes each record list the per-point ranks.
-    """
-
-    plan: Callable
-    build: Callable
-    ranks: bool = False
-
-
-def _plan_full(work: StateSpace, points: list, omega: float, opts):
-    """Add one point carrying the full sample at ``omega``."""
-    _check_duplicate(omega, points)
-
-    def commit():
-        points.append(sample_support_point(work, omega))
-
-    return "add", omega, work.p if omega == 0.0 else 2 * work.p, commit
-
-
 _STOP_REASONS = {
     DuplicateSupportPoint: "duplicate support point",
     Saturated: "saturated support point",
@@ -395,15 +409,22 @@ _STOP_REASONS = {
 
 
 def _adaptive_loop(
-    work: StateSpace, opts: StoppingOptions, policy: _SupportPolicy, method: str
+    work: StateSpace,
+    opts: StoppingOptions,
+    method: str,
+    grow: Callable | None = None,
 ) -> tuple[Interpolant, ReductionReport]:
     """The adaptive interpolation loop shared by both drivers.
 
     Each iteration checks the stopping rules, snaps near-DC peaks to
-    omega = 0, lets ``policy`` plan a step at the certified error peak,
-    stops before the step would exceed ``target_order``, then commits it,
+    omega = 0 and plans a step at the certified error peak: a new point
+    there, or, when the low-rank rule ``grow(omega, points, min_dist)``
+    returns an index, one more rank for that point.  New points carry
+    the full sample without ``grow`` and rank 1 with it.  The loop stops
+    before the step would exceed ``target_order``, then takes it,
     re-solves the weights, certifies the new error and records it.
     """
+    new_rank = None if grow is None else 1
     if not is_stable(work):
         raise UnstableInput("adaptive interpolation needs a stable model")
     report = ReductionReport(method=method, options=asdict(opts))
@@ -424,7 +445,7 @@ def _adaptive_loop(
             h2_metric=_h2_of(err),
             h2_is_norm=True,
             stable=True,
-            ranks=() if policy.ranks else None,
+            ranks=None if grow is None else (),
         )
     )
     report.iterates.append(current)
@@ -455,13 +476,19 @@ def _adaptive_loop(
         if omega < DUPLICATE_ATOL:
             omega = 0.0
         try:
-            action, acted_omega, increment, commit = policy.plan(
-                work, points, omega, opts
-            )
+            index = None if grow is None else grow(omega, points, opts.min_dist)
+            if index is None:
+                _check_duplicate(omega, points)
         except (DuplicateSupportPoint, Saturated) as exc:
             report.warn(f"{type(exc).__name__}: {exc}")
             termination = _STOP_REASONS[type(exc)]
             break
+        if index is None:
+            action, acted_omega = "add", omega
+            width = work.p if new_rank is None else new_rank
+        else:
+            action, acted_omega, width = "grow", points[index].omega, 1
+        increment = width if acted_omega == 0.0 else 2 * width
         if (
             opts.target_order is not None
             and current.order + increment > opts.target_order
@@ -469,9 +496,12 @@ def _adaptive_loop(
             termination = "target_order would be exceeded"
             break
 
-        commit()
+        if index is None:
+            points.append(sample_support_point(work, omega, new_rank))
+        else:
+            points[index] = replace(points[index], rank=points[index].rank + 1)
         iteration += 1
-        blocks = [policy.build(pt) for pt in points]
+        blocks = [build_block(pt) for pt in points]
         X = compute_X(assemble_error_system(blocks, work))
         try:
             weight = solve_weights(X, work.p)
@@ -510,7 +540,7 @@ def _adaptive_loop(
                 h2_is_norm=stable,
                 stable=stable,
                 w0_condition=weight.w0_condition,
-                ranks=tuple(pt.rank for pt in points) if policy.ranks else None,
+                ranks=None if grow is None else tuple(pt.rank for pt in points),
             )
         )
         report.iterates.append(current)
@@ -540,5 +570,4 @@ def reduce(
     terminate the loop with a report warning instead of raising, so the
     best iterate so far is still returned.
     """
-    policy = _SupportPolicy(_plan_full, build_block)
-    return _adaptive_loop(sys, options or StoppingOptions(), policy, "sys-aaa")
+    return _adaptive_loop(sys, options or StoppingOptions(), "sys-aaa")

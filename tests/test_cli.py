@@ -245,6 +245,18 @@ class TestConvertCommand:
         assert code == 2
         assert "error[ParseError]" in capsys.readouterr().err
 
+    def test_non_ascii_dump_exit_code(self, tmp_path, capsys):
+        raw = tmp_path / "dump.txt"
+        raw.write_bytes(b"-1 1 1 \xe9\n")
+        code = main(
+            ["convert", str(raw), "-n", "1", "-q", "1", "-p", "1",
+             "--output", str(tmp_path / "model.ss")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[ParseError]" in err
+        assert "Traceback" not in err
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -293,6 +305,20 @@ class TestExitCodes:
         code = main(["reduce", str(path)])
         assert code == 2
         _ = capsys.readouterr()
+        # a non-ASCII byte is malformed input too, not a decode traceback
+        path.write_bytes(b"ss 1 1 1\n-1\n1\n1\n0 \xe9\n")
+        code = main(["reduce", str(path)])
+        assert code == 2
+        assert "error[ParseError]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--output", "--report-json", "--sigma-csv"])
+    def test_unwritable_output_path(self, model_path, tmp_path, capsys, flag):
+        target = str(tmp_path / "no" / "such" / "dir" / "out")
+        code = main(["reduce", str(model_path), "--iters", "1", flag, target])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[WriteError]" in err
+        assert "Traceback" not in err
 
     def test_unstable_model(self, tmp_path, capsys):
         path = tmp_path / "unstable.ss"

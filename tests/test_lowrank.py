@@ -1,36 +1,37 @@
-"""Low-rank interpolation: truncated samples, rank growth, dualization."""
+"""Low-rank interpolation: rank-limited support points, rank growth,
+dualization."""
 
 import numpy as np
 import pytest
 
 from sysmor import (
     DegenerateFactors,
-    GrowRank,
-    NewPoint,
     NonRealSampleAtZero,
     Saturated,
     StateSpace,
     StoppingOptions,
+    SupportPoint,
     UnstableInput,
-    build_lowrank_block,
+    build_block,
     dual,
     eval_freq,
     reduce,
     reduce_lowrank,
     select_or_grow,
     sigma_max,
-    truncate_sample,
 )
 from conftest import random_stable
 
 
 def make_point(omega, sample, rank):
-    return truncate_sample(omega, np.asarray(sample, dtype=complex), rank)
+    return SupportPoint(omega, np.asarray(sample, dtype=complex), rank)
 
 
 class TestTruncateSample:
+    """A rank-r ``SupportPoint`` keeps the truncated SVD of its sample."""
+
     def test_rank_one_of_diagonal(self):
-        pt = truncate_sample(1.0, np.diag([2.0, 1.0]).astype(complex), 1)
+        pt = SupportPoint(1.0, np.diag([2.0, 1.0]).astype(complex), 1)
         assert pt.rank == 1
         recon = pt.U @ pt.S @ pt.V.conj().T
         np.testing.assert_allclose(recon, [[2.0, 0.0], [0.0, 0.0]], atol=1e-12)
@@ -38,83 +39,65 @@ class TestTruncateSample:
 
     def test_zero_frequency_requires_real(self):
         with pytest.raises(NonRealSampleAtZero):
-            truncate_sample(0.0, np.array([[1.0 + 1.0j]]), 1)
+            SupportPoint(0.0, np.array([[1.0 + 1.0j]]), 1)
 
     def test_zero_frequency_factors_are_real(self):
-        pt = truncate_sample(0.0, np.array([[3.0, 0.0], [0.0, 1.0]]), 2)
+        pt = SupportPoint(0.0, np.array([[3.0, 0.0], [0.0, 1.0]]), 2)
         assert not np.iscomplexobj(pt.U)
         assert pt.is_zero
         assert pt.order == 2
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
-            truncate_sample(-2.0, np.eye(2), 1)
+            SupportPoint(-2.0, np.eye(2), 1)
 
     def test_order_counts_states(self):
         sample = (np.eye(2) + 1j * np.eye(2)).astype(complex)
-        assert truncate_sample(1.0, sample, 1).order == 2
-        assert truncate_sample(1.0, sample, 2).order == 4
+        assert SupportPoint(1.0, sample, 1).order == 2
+        assert SupportPoint(1.0, sample, 2).order == 4
 
 
 class TestBuildLowRankBlock:
+    """``build_block`` on rank-r points: directions U^H, data S V^H."""
+
     def test_state_counts(self):
         rng = np.random.default_rng(71)
         sample = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert build_lowrank_block(make_point(1.0, sample, 1)).order == 2
-        assert build_lowrank_block(make_point(1.0, sample, 2)).order == 4
-        assert build_lowrank_block(make_point(0.0, sample.real, 1)).order == 1
+        assert build_block(make_point(1.0, sample, 1)).order == 2
+        assert build_block(make_point(1.0, sample, 2)).order == 4
+        assert build_block(make_point(0.0, sample.real, 1)).order == 1
 
     def test_full_rank_zero_frequency_matches_sample(self):
         rng = np.random.default_rng(72)
         sample = rng.standard_normal((2, 2))
-        blk = build_lowrank_block(truncate_sample(0.0, sample, 2))
+        blk = build_block(SupportPoint(0.0, sample, 2))
         # U B1 = U S V^T recovers the sample; U B2 = U U^T = I at full rank.
-        pt = truncate_sample(0.0, sample, 2)
+        pt = SupportPoint(0.0, sample, 2)
         np.testing.assert_allclose(pt.U @ blk.B1, sample, atol=1e-12)
         np.testing.assert_allclose(pt.U @ blk.B2, np.eye(2), atol=1e-12)
-
-    def test_interpolation_in_retained_directions(self):
-        # The low-rank residue identity: (A + j*w I)(B1 - B2 G) = 0 holds
-        # once G is replaced by the truncated sample U S V*.
-        rng = np.random.default_rng(73)
-        sample = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        omega = 1.4
-        pt = make_point(omega, sample, 1)
-        blk = build_lowrank_block(pt)
-        truncated = pt.U @ pt.S @ pt.V.conj().T
-        res = (blk.A + 1j * omega * np.eye(blk.order)) @ (
-            blk.B1 - blk.B2 @ truncated
-        )
-        assert np.abs(res).max() <= 1e-12 * (1.0 + np.abs(sample).max())
 
     def test_degenerate_rank_rejected(self):
         rank_one = np.outer([1.0, 2.0], [3.0, 4.0]).astype(complex)
         pt = make_point(1.0, rank_one, 2)
         with pytest.raises(DegenerateFactors):
-            build_lowrank_block(pt)
+            build_block(pt)
 
 
 class TestSelectOrGrow:
     def test_empty_support_adds(self):
-        action = select_or_grow(1.3, [], min_dist=0.02)
-        assert isinstance(action, NewPoint)
-        assert action.omega == 1.3
+        assert select_or_grow(1.3, [], min_dist=0.02) is None
 
     def test_nearby_candidate_grows_nearest(self):
         pts = [make_point(1.0, np.eye(2), 1), make_point(5.0, np.eye(2), 1)]
-        action = select_or_grow(1.005, pts, min_dist=0.01)
-        assert isinstance(action, GrowRank)
-        assert action.index == 0
+        assert select_or_grow(1.005, pts, min_dist=0.01) == 0
 
     def test_distant_candidate_adds(self):
         pts = [make_point(1.0, np.eye(2), 1)]
-        action = select_or_grow(1.02, pts, min_dist=0.01)
-        assert isinstance(action, NewPoint)
+        assert select_or_grow(1.02, pts, min_dist=0.01) is None
 
     def test_radius_scales_with_frequency(self):
         pts = [make_point(100.0, np.eye(2), 1)]
-        action = select_or_grow(100.5, pts, min_dist=0.02)
-        assert isinstance(action, GrowRank)
+        assert select_or_grow(100.5, pts, min_dist=0.02) == 0
 
     def test_full_rank_point_saturates(self):
         pts = [make_point(1.0, np.eye(2), 2)]
@@ -180,7 +163,10 @@ class TestReduceLowRank:
         opts = StoppingOptions(max_iterations=3, keep_best=False)
         chosen, report = reduce_lowrank(sys, opts)
         assert report.dualized
-        assert (chosen.sys.p, chosen.sys.q) == (3, 2)
+        assert chosen is report.iterates[report.best_iteration]
+        # every iterate is stored in the model's input/output domain
+        assert len(report.iterates) == len(report.records)
+        assert all((it.sys.p, it.sys.q) == (3, 2) for it in report.iterates)
         # Identical to reducing the transposed model directly.
         mirror, _ = reduce_lowrank(dual(sys), opts)
         for omega in (0.0, 1.1):

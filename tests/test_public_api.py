@@ -8,7 +8,11 @@ import sysmor
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-REMOVED = ("series", "vertcat", "FrequencySample", "freq_sample", "minreal")
+REMOVED = (
+    "series", "vertcat", "FrequencySample", "freq_sample", "minreal",
+    "LowRankPoint", "NewPoint", "GrowRank", "truncate_sample",
+    "build_lowrank_block",
+)
 
 
 def _expected_bindings():
@@ -28,6 +32,7 @@ def test_removed_names_are_gone():
         assert name not in sysmor.__all__
         assert not hasattr(sysmor, name)
         assert not hasattr(sysmor.statespace, name)
+        assert not hasattr(sysmor.lowrank, name)
 
 
 def test_benchmark_tracer_bindings_exist():

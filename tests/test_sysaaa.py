@@ -29,7 +29,6 @@ from sysmor import (
     WeightMatrix,
     assemble_error_system,
     build_block,
-    build_lowrank_block,
     compute_X,
     eval_freq,
     linf_norm,
@@ -41,7 +40,6 @@ from sysmor import (
     solve_weights,
     static_gain,
     subtract,
-    truncate_sample,
 )
 from conftest import random_orthogonal, random_stable, tf_eval
 
@@ -157,16 +155,23 @@ class TestAssembleErrorSystem:
         lam = np.linalg.eigvals(h.A)
         assert np.max(lam.real) < 0
 
-    def test_interpolation_encoded_in_residues(self):
+    @pytest.mark.parametrize("rank", [None, 1, 2])
+    def test_interpolation_encoded_in_residues(self, rank):
         # N_k - M_k G has a removable singularity at j*omega exactly when
         # (A_k + j*omega I)(B1_k - B2_k G(j*omega)) = 0; that identity is
-        # what lets assemble_error_system cancel the block modes.
+        # what lets assemble_error_system cancel the block modes.  A rank-r
+        # point satisfies it once G is replaced by its truncation U S V*.
         rng = np.random.default_rng(54)
-        sys = random_stable(rng, n=6, q=2, p=2)
+        sys = random_stable(rng, n=6, q=3, p=3)
         for omega in (0.0, 1.7):
-            blk = build_block(sample_support_point(sys, omega))
+            pt = sample_support_point(sys, omega, rank)
+            blk = build_block(pt)
             G = eval_freq(sys, omega)
-            res = (blk.A + 1j * omega * np.eye(blk.order)) @ (blk.B1 - blk.B2 @ G)
+            target = G if rank is None else pt.U @ pt.S @ pt.V.conj().T
+            assert blk.order == pt.order
+            res = (blk.A + 1j * omega * np.eye(blk.order)) @ (
+                blk.B1 - blk.B2 @ target
+            )
             assert np.abs(res).max() <= 1e-12 * (1.0 + np.abs(G).max())
 
     @pytest.mark.parametrize("omega", [0.0, 1.7])
@@ -178,7 +183,7 @@ class TestAssembleErrorSystem:
         sample = eval_freq(sys, omega)
         blocks = [
             build_block(SupportPoint(omega, sample)),
-            build_lowrank_block(truncate_sample(omega, sample, 2)),
+            build_block(SupportPoint(omega, sample, 2)),
         ]
         h = assemble_error_system(blocks, sys)
         row = sys.p
@@ -525,6 +530,20 @@ class TestReduceDriver:
         solves.clear()
         entries = compare_methods(fresh, ["balanced"], 5, StoppingOptions())
         assert [e["order"] for e in entries] == [1, 2, 3, 4, 5]
+        assert solves.count((40, False)) == 1
+        assert solves.count((40, True)) == 1
+
+        # A model with p > q is reduced through its dual, which reuses the
+        # model's Schur form and reads its Gramians with roles swapped.
+        wide = random_stable(rng, n=40, q=2, p=3)
+        shapes.clear()
+        solves.clear()
+        entries = compare_methods(
+            wide, ["balanced", "lowrank-aaa"], 5, StoppingOptions()
+        )
+        assert {e["method"] for e in entries} == {"balanced", "lowrank-aaa"}
+        assert all((e["system"].p, e["system"].q) == (3, 2) for e in entries)
+        assert shapes.count((40, 40)) == 1
         assert solves.count((40, False)) == 1
         assert solves.count((40, True)) == 1
 
