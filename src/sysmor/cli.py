@@ -28,10 +28,9 @@ from .exceptions import (
 )
 from .lowrank import reduce_lowrank
 from .modelio import _read_text, parse_raw_matrices, read_model, write_model
-from .norms import h2_error_metric, linf_norm
 from .report import IterationRecord, ReductionReport
 from .statespace import StateSpace, eval_freq, is_stable, poles, subtract
-from .sysaaa import StoppingOptions, reduce as reduce_sysaaa
+from .sysaaa import StoppingOptions, _certify, reduce as reduce_sysaaa
 
 __all__ = ["main", "compare_methods", "run_method"]
 
@@ -66,16 +65,9 @@ def run_method(
         if opts.target_order is None:
             raise RankOutOfRange("balanced truncation needs an explicit order")
         reduced, hsv = balanced_truncate(model, opts.target_order)
-        err = subtract(model, reduced)
-        record = IterationRecord(
-            iteration=0,
-            action="trunc",
-            omega=None,
-            order=reduced.n,
-            linf_error=linf_norm(err, opts.bisect_rel_tol).gamma,
-            h2_metric=h2_error_metric(err),
-            h2_is_norm=True,
-            stable=True,
+        record, _ = _certify(
+            model, reduced, opts.bisect_rel_tol,
+            iteration=0, action="trunc", omega=None,
         )
         report = ReductionReport(
             method="balanced",

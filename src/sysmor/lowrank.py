@@ -21,7 +21,7 @@ import numpy as np
 from .exceptions import Saturated
 from .report import ReductionReport
 from .statespace import StateSpace, dual
-from .sysaaa import Interpolant, StoppingOptions, _adaptive_loop
+from .sysaaa import _FACTOR_RTOL, Interpolant, StoppingOptions, _adaptive_loop
 
 # Unused here, but bound so perfbench/tracer.py EXPECTED_BINDINGS finds them.
 from .norms import linf_norm  # noqa: F401
@@ -35,8 +35,10 @@ def select_or_grow(candidate_omega: float, points, min_dist: float) -> int | Non
     None when the peak funds a new point.
 
     The candidate grows the nearest existing point when it lands within
-    ``min_dist * max(1, omega_i)`` of it and that point is not yet full
-    rank; Saturated is raised when it is (nothing left to refine there).
+    ``min_dist * max(1, omega_i)`` of it and that point's rank is below
+    the numerical rank of its sample (the singular values above 1e-12 of
+    the largest, as ``build_block`` counts them); Saturated is raised
+    when it is not (nothing left to refine there).
     """
     if min_dist <= 0:
         raise ValueError("min_dist must be positive")
@@ -48,7 +50,8 @@ def select_or_grow(candidate_omega: float, points, min_dist: float) -> int | Non
     pt = points[i]
     if dists[i] >= min_dist * max(1.0, pt.omega):
         return None
-    if pt.rank < min(pt.sample.shape):
+    s = np.linalg.svd(pt.sample, compute_uv=False)
+    if pt.rank < np.count_nonzero(s > _FACTOR_RTOL * max(1.0, s[0])):
         return i
     raise Saturated(
         f"support point at {pt.omega:.6g} rad/s already has full rank {pt.rank}"

@@ -17,14 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ImaginaryAxisPoles, NonzeroFeedthrough
-from .statespace import StateSpace, eval_freq, poles
+from .statespace import StateSpace, _axis_margin, eval_freq, poles
 
 __all__ = ["LinfResult", "linf_norm", "sigma_max", "h2_error_metric"]
 
 DEFAULT_BISECT_RTOL = 1e-6
-
-# |Re(lambda)| below this times ||A|| disqualifies the Hamiltonian test.
-AXIS_GUARD_RTOL = 1e-8
 
 # Classification margin for "purely imaginary" Hamiltonian eigenvalues.
 # Loose on purpose: a false positive only costs extra gain evaluations.
@@ -50,10 +47,10 @@ def sigma_max(sys: StateSpace, omega: float) -> float:
     return float(np.linalg.norm(eval_freq(sys, omega), 2))
 
 
-def _hamiltonian_crossings(sys: StateSpace, gamma: float) -> np.ndarray:
-    """Frequencies omega >= 0 where some singular value of G(j omega) equals
-    ``gamma``, read off the imaginary eigenvalues of the gamma-level
-    Hamiltonian.  Empty array means gamma is a strict upper bound."""
+def _hamiltonian_spectrum(sys: StateSpace, gamma: float) -> np.ndarray:
+    """Eigenvalues of the gamma-level Hamiltonian.  Its imaginary ones
+    j omega mark the frequencies where some singular value of G(j omega)
+    equals ``gamma``; with none, gamma is a strict upper bound."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     q = sys.q
     R = gamma**2 * np.eye(q) - D.T @ D
@@ -66,10 +63,24 @@ def _hamiltonian_crossings(sys: StateSpace, gamma: float) -> np.ndarray:
             [-C.T @ (np.eye(sys.p) + D @ RinvDt) @ C, -Acl.T],
         ]
     )
-    lam = np.linalg.eigvals(H)
+    return np.linalg.eigvals(H)
+
+
+def _axis_frequencies(lam: np.ndarray):
+    """Frequencies omega >= 0 of the Hamiltonian eigenvalues classed as
+    imaginary, and of those plus the eigenvalues whose mirror image
+    -conj(lam) is missing from the spectrum: off the axis, Hamiltonian
+    eigenvalues come in mirror pairs, so an unpaired one is an imaginary
+    eigenvalue that roundoff moved further than the class margin."""
     on_axis = np.abs(lam.real) <= _IMAG_CLASS_RTOL * np.maximum(1.0, np.abs(lam))
-    omegas = np.unique(np.abs(lam[on_axis].imag))
-    return omegas
+    dist = np.abs(lam.conj()[:, None] + lam[None, :])
+    np.fill_diagonal(dist, np.inf)
+    lone = dist.min(axis=1, initial=np.inf) > np.abs(lam.real)
+    return [np.unique(np.abs(lam[m].imag)) for m in (on_axis, on_axis | lone)]
+
+
+def _with_midpoints(omegas: np.ndarray) -> list:
+    return list(omegas) + list(0.5 * (omegas[:-1] + omegas[1:]))
 
 
 def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResult:
@@ -87,8 +98,7 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
         return LinfResult(d_gain, 0.0, 0)
 
     lam_A = poles(sys)
-    norm_A = float(np.linalg.norm(sys.A, 2))
-    if np.min(np.abs(lam_A.real)) <= AXIS_GUARD_RTOL * max(1.0, norm_A):
+    if np.min(np.abs(lam_A.real)) <= _axis_margin(sys):
         raise ImaginaryAxisPoles(
             "A has eigenvalues within guard distance of the imaginary axis"
         )
@@ -96,9 +106,12 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     best_omega = 0.0
     best_gain = -1.0
 
+    def gains_at(omegas) -> np.ndarray:
+        return np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
+
     def probe(omegas) -> float:
         nonlocal best_omega, best_gain
-        gains = np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
+        gains = gains_at(omegas)
         for w, g in zip(omegas, gains):
             if g > best_gain:
                 best_gain, best_omega = float(g), float(w)
@@ -123,19 +136,17 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     while iterations < _MAX_LEVEL_ITERATIONS:
         iterations += 1
         level = max(gamma_lb * (1.0 + rel_tol), floor)
-        crossings = _hamiltonian_crossings(sys, level)
-        if crossings.size == 0:
-            # level certified as an upper bound
-            gamma = level if gamma_lb > floor else max(gamma_lb, 0.0)
-            break
-        tests = list(crossings)
-        tests.extend(0.5 * (crossings[:-1] + crossings[1:]))
-        new_lb = max(probe(tests), gamma_lb)
+        crossings, suspects = _axis_frequencies(_hamiltonian_spectrum(sys, level))
+        new_lb = probe(_with_midpoints(crossings)) if crossings.size else 0.0
         if new_lb <= level:
-            # tangency or classification noise: bracket is already tight
-            gamma = level
-            break
-        gamma_lb = new_lb
+            # No probe lifted the bound.  Before accepting level, probe the
+            # unpaired eigenvalues too: a gain above level there refutes it.
+            if not suspects.size or gains_at(_with_midpoints(suspects)).max() <= level:
+                below_floor = not crossings.size and gamma_lb <= floor
+                gamma = max(gamma_lb, 0.0) if below_floor else level
+                break
+            new_lb = probe(_with_midpoints(suspects))
+        gamma_lb = max(new_lb, gamma_lb)
     else:
         gamma = gamma_lb * (1.0 + rel_tol)
 

@@ -267,6 +267,13 @@ def poles(sys: StateSpace) -> np.ndarray:
     return sys._schur[2]
 
 
+def _axis_margin(sys: StateSpace) -> float:
+    """|Re(pole)| at or below this counts as on the imaginary axis: 1e-8
+    times the spectral radius, and at least 1e-8."""
+    return 1e-8 * max(1.0, float(np.abs(poles(sys)).max(initial=0.0)))
+
+
 def is_stable(sys: StateSpace) -> bool:
-    """True when every pole has strictly negative real part."""
-    return bool(np.all(poles(sys).real < 0))
+    """True when every pole lies left of the imaginary axis by more than
+    the axis margin."""
+    return bool(np.all(poles(sys).real < -_axis_margin(sys)))

@@ -32,7 +32,7 @@ from .exceptions import (
     SingularW0,
     UnstableInput,
 )
-from .norms import linf_norm, h2_error_metric
+from .norms import LinfResult, linf_norm, h2_error_metric
 from .numkernels import (
     DISTINCT_EIGENVALUE_RTOL,
     ZERO_EIGENVALUE_RTOL,
@@ -76,6 +76,10 @@ _AXIS_RESIDUAL_RTOL = 1e-8
 # Singular values below this fraction of the largest make a block factor
 # numerically rank-deficient.
 _FACTOR_RTOL = 1e-12
+
+# A leading weight block W0 conditioned worse than this makes the
+# normalization meaningless (SingularW0).
+_W0_CONDITION_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,6 @@ class StoppingOptions:
     target_order: int | None = None
     keep_best: bool = True
     bisect_rel_tol: float = 1e-6
-    w0_condition_cap: float = 1e12
     min_dist: float = 0.02
 
 
@@ -357,19 +360,14 @@ def solve_weights(X: np.ndarray, p: int) -> WeightMatrix:
     )
 
 
-def realize_interpolant(
-    blocks,
-    weight: WeightMatrix,
-    D: np.ndarray,
-    w0_condition_cap: float = 1e12,
-) -> StateSpace:
+def realize_interpolant(blocks, weight: WeightMatrix, D: np.ndarray) -> StateSpace:
     """Closed-form interpolant from weights and blocks.
 
     With the stacked block data (A, B1, B2) and W = [W0 W1], the reduced
     model is (A - B2 W0^{-1} W1, B2 D - B1, -W0^{-1} W1, D); with no
     blocks this degenerates to the static feedthrough.  A leading block
-    W0 with condition number beyond ``w0_condition_cap`` would make the
-    normalization meaningless and raises SingularW0.
+    W0 with condition number beyond 1e12 would make the normalization
+    meaningless and raises SingularW0.
     """
     D = np.atleast_2d(np.asarray(D, dtype=float))
     p, q = D.shape
@@ -377,17 +375,39 @@ def realize_interpolant(
     if weight.W.shape[1] != p + A.shape[0]:
         raise ValueError("weight width does not match block states")
     cond = weight.w0_condition
-    if not np.isfinite(cond) or cond > w0_condition_cap:
+    if not np.isfinite(cond) or cond > _W0_CONDITION_CAP:
         raise SingularW0(f"leading weight block condition {cond:.3e}")
     what = np.linalg.solve(weight.w0, weight.W[:, p:])
     return StateSpace(A - B2 @ what, B2 @ D - B1, -what, D)
 
 
-def _h2_of(err: StateSpace) -> float | None:
+def _certify(
+    model: StateSpace, reduced: StateSpace, rel_tol: float, **fields
+) -> tuple[IterationRecord, LinfResult | None]:
+    """Record of one reduced model: the certified L-infinity error of
+    G - R (inf, with no result, when that error system has poles on the
+    imaginary axis), its H2 metric (None when the Lyapunov equation is
+    ill-posed), the order and the measured stability.  ``fields`` carry
+    the rest of the record (iteration, action, omega, ...)."""
+    err = subtract(model, reduced)
     try:
-        return h2_error_metric(err)
+        lres = linf_norm(err, rel_tol)
+    except ImaginaryAxisPoles:
+        lres = None
+    try:
+        h2 = h2_error_metric(err)
     except IllPosedLyapunov:
-        return None
+        h2 = None
+    stable = is_stable(reduced)
+    record = IterationRecord(
+        order=reduced.n,
+        linf_error=math.inf if lres is None else lres.gamma,
+        h2_metric=h2,
+        h2_is_norm=stable,
+        stable=stable,
+        **fields,
+    )
+    return record, lres
 
 
 def _check_duplicate(omega: float, points) -> None:
@@ -416,13 +436,14 @@ def _adaptive_loop(
 ) -> tuple[Interpolant, ReductionReport]:
     """The adaptive interpolation loop shared by both drivers.
 
-    Each iteration checks the stopping rules, snaps near-DC peaks to
-    omega = 0 and plans a step at the certified error peak: a new point
-    there, or, when the low-rank rule ``grow(omega, points, min_dist)``
-    returns an index, one more rank for that point.  New points carry
-    the full sample without ``grow`` and rank 1 with it.  The loop stops
-    before the step would exceed ``target_order``, then takes it,
-    re-solves the weights, certifies the new error and records it.
+    Each iteration certifies and records the current iterate (first the
+    feedthrough-only one), checks the stopping rules, snaps near-DC peaks
+    to omega = 0 and plans a step at the certified error peak: a new
+    point there, or, when the low-rank rule ``grow(omega, points,
+    min_dist)`` returns an index, one more rank for that point.  New
+    points carry the full sample without ``grow`` and rank 1 with it.
+    The loop stops before the step would exceed ``target_order``, then
+    takes it and re-solves the weights for the next iterate.
     """
     new_rank = None if grow is None else 1
     if not is_stable(work):
@@ -433,32 +454,24 @@ def _adaptive_loop(
     current = Interpolant(
         static_gain(work.D), (), WeightMatrix(np.eye(work.p), ()), 0
     )
-    err = subtract(work, current.sys)
-    lres = linf_norm(err, opts.bisect_rel_tol)
-    report.records.append(
-        IterationRecord(
-            iteration=0,
-            action="init",
-            omega=None,
-            order=0,
-            linf_error=lres.gamma,
-            h2_metric=_h2_of(err),
-            h2_is_norm=True,
-            stable=True,
-            ranks=None if grow is None else (),
+    iteration, action, acted_omega = 0, "init", None
+    while True:
+        record, lres = _certify(
+            work, current.sys, opts.bisect_rel_tol,
+            iteration=iteration, action=action, omega=acted_omega,
+            w0_condition=current.weights.w0_condition if points else None,
+            ranks=None if grow is None else tuple(pt.rank for pt in points),
         )
-    )
-    report.iterates.append(current)
-    floor = 1e-13 * (1.0 + lres.gamma)
-    best_gamma, best_iter = lres.gamma, 0
-
-    iteration = 0
-    termination = None
-    while termination is None:
+        report.records.append(record)
+        report.iterates.append(current)
+        if lres is None:
+            report.warn(f"iteration {iteration}: interpolant poles on the axis")
+            termination = "interpolant has imaginary-axis poles"
+            break
         if opts.target_linf is not None and lres.gamma <= opts.target_linf:
             termination = "target_linf reached"
             break
-        if lres.gamma <= floor:
+        if lres.gamma <= 1e-13 * (1.0 + report.records[0].linf_error):
             termination = "error at numerical floor"
             break
         if iteration >= opts.max_iterations:
@@ -505,9 +518,7 @@ def _adaptive_loop(
         X = compute_X(assemble_error_system(blocks, work))
         try:
             weight = solve_weights(X, work.p)
-            reduced = realize_interpolant(
-                blocks, weight, work.D, opts.w0_condition_cap
-            )
+            reduced = realize_interpolant(blocks, weight, work.D)
         except (SingularW0, InsufficientSpectrum) as exc:
             report.warn(f"{type(exc).__name__}: {exc}")
             termination = "weight computation failed"
@@ -519,42 +530,11 @@ def _adaptive_loop(
                 "distinctness relaxed"
             )
 
-        err = subtract(work, reduced)
-        stable = is_stable(reduced)
-        try:
-            lres = linf_norm(err, opts.bisect_rel_tol)
-            gamma = lres.gamma
-            axis_ok = True
-        except ImaginaryAxisPoles:
-            report.warn(f"iteration {iteration}: interpolant poles on the axis")
-            gamma = math.inf
-            axis_ok = False
-        report.records.append(
-            IterationRecord(
-                iteration=iteration,
-                action=action,
-                omega=acted_omega,
-                order=reduced.n,
-                linf_error=gamma,
-                h2_metric=_h2_of(err),
-                h2_is_norm=stable,
-                stable=stable,
-                w0_condition=weight.w0_condition,
-                ranks=None if grow is None else tuple(pt.rank for pt in points),
-            )
-        )
-        report.iterates.append(current)
-        if gamma < best_gamma:
-            best_gamma, best_iter = gamma, iteration
-        if not axis_ok:
-            termination = "interpolant has imaginary-axis poles"
-            break
-
     report.termination = termination
-    if opts.keep_best:
-        report.best_iteration = best_iter
-    else:
-        report.best_iteration = report.records[-1].iteration
+    errors = [rec.linf_error for rec in report.records]
+    report.best_iteration = (
+        errors.index(min(errors)) if opts.keep_best else len(errors) - 1
+    )
     return report.iterates[report.best_iteration], report
 
 

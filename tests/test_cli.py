@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from sysmor import StateSpace, eval_freq, read_model, write_model
+from sysmor import (
+    StateSpace,
+    StoppingOptions,
+    eval_freq,
+    read_model,
+    reduce_lowrank,
+    write_model,
+)
 from sysmor.cli import main
 from conftest import random_stable, tf_eval
 
@@ -122,6 +129,34 @@ class TestReduceCommand:
         assert "transposed internally" in out
         assert read_model(str(path) + ".reduced").p == 3
 
+    def test_lowrank_saturates_at_numerical_rank(self, tmp_path, capsys):
+        # Parallel input columns make every sample G(jw) rank 1, so a peak
+        # back at a rank-1 point has nothing left to grow: the run ends as
+        # saturated and keeps its best iterate instead of failing.
+        rng = np.random.default_rng(5)
+        base = random_stable(rng, n=8, q=1, p=2)
+        b = base.B
+        path = tmp_path / "parallel.ss"
+        write_model(
+            StateSpace(base.A, np.hstack([b, 2.0 * b]), base.C, np.zeros((2, 2))),
+            path,
+        )
+        out_json = tmp_path / "report.json"
+        code = main(
+            [
+                "reduce", str(path), "--method", "lowrank-aaa",
+                "--min-dist", "1e6", "--iters", "6",
+                "--report-json", str(out_json),
+            ]
+        )
+        assert code == 0
+        _ = capsys.readouterr()
+        doc = json.loads(out_json.read_text())
+        assert doc["termination"] == "saturated support point"
+        errors = [rec["linf_error"] for rec in doc["records"]]
+        assert doc["best_iteration"] == int(np.argmin(errors))
+        assert all(max(rec["ranks"], default=1) == 1 for rec in doc["records"])
+
     def test_hz_display(self, model_path, capsys):
         code = main(["reduce", str(model_path), "--iters", "2", "--hz"])
         assert code == 0
@@ -206,6 +241,42 @@ class TestCompareCommand:
             code = main(["compare", str(model_path), "--max-order", value])
             assert code == 3
             assert "error[DimensionMismatch]" in capsys.readouterr().err
+
+    def test_dispatch_reads_module_global_reduce_lowrank(
+        self, model_path, monkeypatch
+    ):
+        # compare_methods and run_method look reduce_lowrank up on the cli
+        # module at call time, so a patched binding sees every call.
+        import sysmor.cli as cli
+
+        reports = []
+
+        def recorder(model, opts):
+            result = reduce_lowrank(model, opts)
+            reports.append(result[1])
+            return result
+
+        monkeypatch.setattr(cli, "reduce_lowrank", recorder)
+        model = read_model(model_path)
+        entries = cli.compare_methods(
+            model, ["lowrank-aaa"], 4, StoppingOptions(max_iterations=6)
+        )
+        (report,) = reports
+        expected = [
+            (rec.order, rec.linf_error, it.sys)
+            for rec, it in zip(report.records, report.iterates)
+            if 1 <= rec.order <= 4
+        ]
+        assert expected
+        assert [(e["order"], e["linf_error"], e["system"]) for e in entries] == (
+            sorted(expected, key=lambda row: row[0])
+        )
+
+        reduced, run_report = cli.run_method(
+            model, "lowrank-aaa", StoppingOptions(max_iterations=2)
+        )
+        assert len(reports) == 2 and run_report is reports[1]
+        assert reduced is run_report.iterates[run_report.best_iteration].sys
 
 
 class TestConvertCommand:
@@ -334,21 +405,32 @@ class TestExitCodes:
         assert code == 3
         _ = capsys.readouterr()
 
-    def test_solver_failure_category(self, tmp_path, capsys):
-        # Poles hugging the imaginary axis defeat the Lyapunov solver even
-        # though the model counts as (barely) stable.
+    @pytest.mark.parametrize("method", ["sys-aaa", "lowrank-aaa", "balanced"])
+    def test_near_axis_pole_is_unstable_input(self, tmp_path, capsys, method):
+        # Poles within the stability margin of the imaginary axis make the
+        # model unstable input for every method, before any solver sees it.
         path = tmp_path / "nearaxis.ss"
         write_model(
             StateSpace(
-                [[-1e-13, 1.0], [-1.0, -1e-13]],
+                [[-1e-12, 1.0], [-1.0, -1e-12]],
                 [[1.0], [0.0]],
                 [[1.0, 0.0]],
                 [[0.0]],
             ),
             path,
         )
-        code = main(
-            ["reduce", str(path), "--method", "balanced", "--order", "1"]
-        )
+        code = main(["reduce", str(path), "--method", method, "--order", "1"])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "error[UnstableInput]" in err
+        assert "Traceback" not in err
+
+    def test_solver_failure_category(self, tmp_path, capsys):
+        # 1/(s+1) - 1 vanishes at omega = 0, where the first error peak
+        # lies: a rank-1 point there retains a numerically zero singular
+        # value, which the block builder rejects.
+        path = tmp_path / "zero_dc.ss"
+        write_model(StateSpace([[-1.0]], [[1.0]], [[1.0]], [[-1.0]]), path)
+        code = main(["reduce", str(path), "--method", "lowrank-aaa"])
         assert code == 4
         assert "error[SolverFailure]" in capsys.readouterr().err

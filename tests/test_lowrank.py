@@ -104,6 +104,14 @@ class TestSelectOrGrow:
         with pytest.raises(Saturated):
             select_or_grow(1.001, pts, min_dist=0.01)
 
+    def test_rank_deficient_sample_saturates_at_numerical_rank(self):
+        # A rank-1 sample has nothing to grow past rank 1, although
+        # min(p, q) = 2.
+        rank_one = np.outer([1.0, 2.0], [3.0, 4.0]).astype(complex)
+        pts = [make_point(1.0, rank_one, 1)]
+        with pytest.raises(Saturated):
+            select_or_grow(1.001, pts, min_dist=0.01)
+
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             select_or_grow(1.0, [], min_dist=0.0)
