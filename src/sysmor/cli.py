@@ -29,7 +29,7 @@ from .exceptions import (
 from .lowrank import reduce_lowrank
 from .modelio import _read_text, parse_raw_matrices, read_model, write_model
 from .report import IterationRecord, ReductionReport
-from .statespace import StateSpace, eval_freq, is_stable, poles, subtract
+from .statespace import StateSpace, eval_freq, is_stable, poles
 from .sysaaa import StoppingOptions, _certify, reduce as reduce_sysaaa
 
 __all__ = ["main", "compare_methods", "run_method"]
@@ -115,7 +115,8 @@ def compare_methods(
 
 def _entry(method: str, rec: IterationRecord, system: StateSpace) -> dict:
     return {"method": method, "order": rec.order, "linf_error": rec.linf_error,
-            "h2_metric": rec.h2_metric, "stable": rec.stable, "system": system}
+            "certified": rec.certified, "h2_metric": rec.h2_metric,
+            "stable": rec.stable, "system": system}
 
 
 def _sigma_grid(sys: StateSpace, points: int = 2000) -> np.ndarray:
@@ -135,9 +136,9 @@ def _sigma_grid(sys: StateSpace, points: int = 2000) -> np.ndarray:
 
 def _write_sigma_csv(path, model, reduced, points=2000):
     omegas = _sigma_grid(model, points)
+    full, red = eval_freq(model, omegas), eval_freq(reduced, omegas)
     g_full, g_red, g_err = (
-        np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
-        for sys in (model, reduced, subtract(model, reduced))
+        np.linalg.norm(value, 2, axis=(1, 2)) for value in (full, red, full - red)
     )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -270,14 +271,14 @@ def _cmd_compare(args) -> int:
     print(f"frequencies in {unit}")
     print(f"{'method':<12} {'order':>5} {'linf_error':>13} {'h2':>13}  flag")
     for e in entries:
+        linf = f"{e['linf_error']:.6g}" + ("" if e["certified"] else "~")
         h2 = "-" if e["h2_metric"] is None else f"{e['h2_metric']:.6g}"
         flag = "" if e["stable"] else "x"
-        print(
-            f"{e['method']:<12} {e['order']:>5} {e['linf_error']:>13.6g} "
-            f"{h2:>13}  {flag}"
-        )
+        print(f"{e['method']:<12} {e['order']:>5} {linf:>13} {h2:>13}  {flag}")
     if any(not e["stable"] for e in entries):
         print("(x marks an unstable reduced model)")
+    if not all(e["certified"] for e in entries):
+        print("(~ marks a linf_error not certified as an upper bound)")
 
     if args.report_json:
         doc = {

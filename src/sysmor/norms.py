@@ -7,6 +7,15 @@ it does, the imaginary parts bracket frequency intervals where some
 singular value exceeds gamma, and evaluating the response there lifts
 the lower bound.  Stability is not required, only the absence of
 imaginary-axis poles, so the same routine serves unstable interpolants.
+
+The seeds of the search, omega = 0 and the |Im| and modulus of every
+pole, are the model's cached ``_seeds``; on the error system G - R of a
+reduction run, G's response there comes from G's seed cache, so each
+call solves only R and the frequencies that are not seeds of G.  A
+result is ``certified`` when its ``gamma`` is a level that a Hamiltonian
+test proved an upper bound.  The H2 metric reads the error system's
+reachability Gramian, which ``subtract`` assembles from G's cached one,
+R's and one Sylvester solve for the block between them.
 """
 
 from __future__ import annotations
@@ -35,11 +44,20 @@ class LinfResult:
     """Peak gain ``gamma``, a frequency attaining it within tolerance, and
     the number of Hamiltonian level tests performed.  ``omega_peak`` is
     ``math.inf`` when the supremum is approached only as omega -> inf
-    (feedthrough-dominated error)."""
+    (feedthrough-dominated error).
+
+    ``certified`` is True when ``gamma`` is proven an upper bound: it is
+    the level of a Hamiltonian test that found no crossings, or the exact
+    gain of a static system.  It is False when the level cap was hit, when
+    the last test found crossings whose probes stayed below its level
+    (a tangency), or when the probed maximum fell below the numerical
+    floor and is returned as is.
+    """
 
     gamma: float
     omega_peak: float
     iterations: int
+    certified: bool = True
 
 
 def sigma_max(sys: StateSpace, omega: float) -> float:
@@ -109,19 +127,18 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     def gains_at(omegas) -> np.ndarray:
         return np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
 
-    def probe(omegas) -> float:
+    def record(omegas, gains) -> float:
         nonlocal best_omega, best_gain
-        gains = gains_at(omegas)
         for w, g in zip(omegas, gains):
             if g > best_gain:
                 best_gain, best_omega = float(g), float(w)
         return float(gains.max(initial=0.0))
 
+    def probe(omegas) -> float:
+        return record(omegas, gains_at(omegas))
+
     # Seed candidates: DC, resonant frequencies, pole magnitudes.
-    seeds = {0.0}
-    seeds.update(float(v) for v in np.abs(lam_A.imag) if v > 0)
-    seeds.update(float(v) for v in np.abs(lam_A))
-    probe(sorted(seeds))
+    probe(sys._seeds)
     gamma_lb = max(best_gain, d_gain)
 
     # Scale floor so exactly-cancelling systems terminate immediately.
@@ -132,7 +149,7 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     floor = 1e-13 * max(1.0, rough)
 
     iterations = 0
-    gamma = gamma_lb
+    gamma, certified = gamma_lb, False
     while iterations < _MAX_LEVEL_ITERATIONS:
         iterations += 1
         level = max(gamma_lb * (1.0 + rel_tol), floor)
@@ -141,22 +158,27 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
         if new_lb <= level:
             # No probe lifted the bound.  Before accepting level, probe the
             # unpaired eigenvalues too: a gain above level there refutes it.
-            if not suspects.size or gains_at(_with_midpoints(suspects)).max() <= level:
+            omegas = _with_midpoints(suspects)
+            gains = gains_at(omegas) if omegas else np.zeros(0)
+            if gains.max(initial=0.0) <= level:
                 below_floor = not crossings.size and gamma_lb <= floor
                 gamma = max(gamma_lb, 0.0) if below_floor else level
+                certified = not crossings.size and not below_floor
                 break
-            new_lb = probe(_with_midpoints(suspects))
+            new_lb = record(omegas, gains)
         gamma_lb = max(new_lb, gamma_lb)
     else:
         gamma = gamma_lb * (1.0 + rel_tol)
 
     omega_peak = best_omega if best_gain >= d_gain else math.inf
-    return LinfResult(float(gamma), omega_peak, iterations)
+    return LinfResult(float(gamma), omega_peak, iterations, certified)
 
 
 def h2_error_metric(err_sys: StateSpace) -> float:
     """sqrt(|trace(C P C^T)|) with A P + P A^T = -B B^T (the cached
-    reachability Gramian of ``err_sys``).
+    reachability Gramian of ``err_sys``; for G - R from ``subtract`` it is
+    assembled from G's Gramian, R's and their cross block, so no solve
+    runs on the stacked states).
 
     Equals the H2 norm when ``err_sys`` is stable; for unstable systems it
     is the same trace formula evaluated with this solver's sign

@@ -4,7 +4,11 @@ Keeps the Lyapunov solve, symmetric eigendecomposition, and SVD
 truncation in one place so the algorithm code stays backend-agnostic.
 The Lyapunov solve is Bartels-Stewart back-substitution on the real Schur
 form each ``StateSpace`` caches, so it factors nothing itself; every
-solve reports its relative residual instead of assuming success.
+solve reports its relative residual instead of assuming success.  The
+same solve, given a second model, returns the cross block of the Gramian
+of the two models' stacked states, a Sylvester equation on the two Schur
+forms: that is how the Gramian of an error system G - R is split into
+G's cached Gramian, R's small one and that block.
 """
 
 from __future__ import annotations
@@ -49,19 +53,31 @@ class GramianResult:
     residual: float
 
 
-def solve_lyapunov(sys: StateSpace, trans: bool = False) -> GramianResult:
+def solve_lyapunov(
+    sys: StateSpace, trans: bool = False, other: StateSpace | None = None
+) -> GramianResult:
     """Reachability Gramian of ``sys``: A P + P A^T = -B B^T, or with
     ``trans`` its observability Gramian: A^T P + P A = -C^T C.
 
-    One LAPACK ``dtrsyl`` back-substitution on the cached real Schur form
-    A = Z T Z^T solves for Z^T P Z.  Raises ``IllPosedLyapunov`` when some
-    eigenvalue pair of A satisfies lambda_i + lambda_j ~ 0 (the operator
-    is then singular; upstream this signals an error system with poles
-    mirrored across the imaginary axis).
+    With ``other`` (A_o, B_o, C_o) it returns instead the off-diagonal
+    block X of that Gramian of the system that stacks the states of both
+    (block-diagonal A, inputs [B; B_o], outputs [C, C_o]): the Sylvester
+    equation A X + X A_o^T = -B B_o^T, or A^T X + X A_o = -C^T C_o.
+
+    One LAPACK ``dtrsyl`` back-substitution on the cached real Schur forms
+    A = Z T Z^T and A_o = Z_o T_o Z_o^T solves for Z^T X Z_o.  Raises
+    ``IllPosedLyapunov`` when some eigenvalue pair of A, or with ``other``
+    of the stacked system, satisfies lambda_i + lambda_j ~ 0 relative to
+    that spectrum's radius (the operator is then singular; upstream this
+    signals an error system with poles mirrored across the imaginary axis).
     """
-    if sys.n == 0:
-        return GramianResult(np.zeros((0, 0)), 0.0)
+    other = sys if other is None else other
+    if sys.n == 0 or other.n == 0:
+        return GramianResult(np.zeros((sys.n, other.n)), 0.0)
     T, Z, lam = sys._schur
+    To, Zo, lam_o = other._schur
+    if other is not sys:
+        lam = np.concatenate([lam, lam_o])
     pair_sums = np.abs(lam[:, None] + lam[None, :])
     radius = max(1.0, float(np.max(np.abs(lam))))
     if np.min(pair_sums) <= _SPECTRUM_PAIR_RTOL * radius:
@@ -69,18 +85,23 @@ def solve_lyapunov(sys: StateSpace, trans: bool = False) -> GramianResult:
             "eigenvalue pair of A sums to ~0; Lyapunov equation has no unique solution"
         )
 
-    A, F, ops = (sys.A.T, sys.C.T, "TN") if trans else (sys.A, sys.B, "NT")
-    ZF = Z.T @ F
-    X, scale, info = dtrsyl(T, T, -ZF @ ZF.T, trana=ops[0], tranb=ops[1])
+    if trans:
+        A, F, Ao, Fo, ops = sys.A.T, sys.C.T, other.A.T, other.C.T, "TN"
+    else:
+        A, F, Ao, Fo, ops = sys.A, sys.B, other.A, other.B, "NT"
+    X, scale, info = dtrsyl(
+        T, To, -(Z.T @ F) @ (Zo.T @ Fo).T, trana=ops[0], tranb=ops[1]
+    )
     if info:
         raise IllPosedLyapunov("Lyapunov solve met (nearly) mirrored eigenvalues")
-    P = Z @ (X / scale) @ Z.T
-    P = 0.5 * (P + P.T)
+    P = Z @ (X / scale) @ Zo.T
+    if other is sys:
+        P = 0.5 * (P + P.T)
     P.setflags(write=False)  # cached and shared by the model's instances
     if not np.all(np.isfinite(P)):
         raise IllPosedLyapunov("Lyapunov solve produced non-finite entries")
-    Q = F @ F.T
-    res = np.linalg.norm(A @ P + P @ A.T + Q, "fro")
+    Q = F @ Fo.T
+    res = np.linalg.norm(A @ P + P @ Ao.T + Q, "fro")
     denom = max(np.linalg.norm(Q, "fro"), np.finfo(float).eps)
     return GramianResult(P, float(res / denom))
 

@@ -17,7 +17,8 @@ class IterationRecord:
     frequency acted on (None for init).  ``h2_is_norm`` is False when the
     error system was unstable, in which case ``h2_metric`` is the same trace
     formula but not a norm.  ``ranks`` lists per-support-point ranks for the
-    low-rank driver and is None otherwise.
+    low-rank driver and is None otherwise.  ``certified`` is False when
+    ``linf_error`` is not a proven upper bound (see ``LinfResult``).
     """
 
     iteration: int
@@ -30,6 +31,7 @@ class IterationRecord:
     stable: bool
     w0_condition: float | None = None
     ranks: tuple[int, ...] | None = None
+    certified: bool = True
 
     def to_dict(self) -> dict:
         ranks = list(self.ranks) if self.ranks is not None else None
@@ -91,13 +93,16 @@ class ReductionReport:
         lines.append(header)
         for rec in self.records:
             omega = f"{rec.omega / scale:.6g}" if rec.omega is not None else "-"
+            linf = f"{rec.linf_error:.6g}" + ("" if rec.certified else "~")
             h2 = f"{rec.h2_metric:.6g}" if rec.h2_metric is not None else "-"
             if rec.h2_metric is not None and not rec.h2_is_norm:
                 h2 += "*"
             lines.append(
                 f"{rec.iteration:>4}  {rec.action:<6} {omega:>12}  {rec.order:>5} "
-                f"{rec.linf_error:>12.6g}  {h2:>12}  {str(rec.stable):>6}"
+                f"{linf:>12}  {h2:>12}  {str(rec.stable):>6}"
             )
+        if not all(rec.certified for rec in self.records):
+            lines.append("  (~ linf_error not certified as an upper bound)")
         if any(rec.h2_metric is not None and not rec.h2_is_norm for rec in self.records):
             lines.append("  (* error system unstable: value is a metric, not a norm)")
         lines.append(f"termination: {self.termination}")

@@ -9,12 +9,24 @@ Each instance factors A once, into its real Schur form A = Z T Z^T, and
 every pole, frequency-response and Gramian computation reads that
 factorization: a response costs one quasi-triangular O(n^2) solve per
 frequency, and each Gramian one Lyapunov back-substitution, cached with it.
+
+A model derived from others by ``subtract``, ``dual`` or a new output map
+on the same states carries one private provenance record (``_Origin``),
+and the derivation rules that read it sit together on ``StateSpace``:
+the Schur form, the seed frequencies of the L-infinity search, the
+Gramians and the frequency response of a derived model all come from its
+operands.  Each model also caches its response at its own seeds, once,
+so the error system G - R of a reduction run solves only R and the
+frequencies that are not seeds of G; its reachability Gramian is
+assembled as [[P_G, X], [X^T, P_R]] from G's cached Gramian, R's r x r
+one and the cross block X of one Sylvester solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -43,6 +55,16 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite entries")
     return M
+
+
+class _Origin(NamedTuple):
+    """How a model was derived: ``kind`` "dynamics" is a new output map on
+    the states of ``of``, "dual" the dual of ``of``, and "difference" the
+    error system ``of`` - ``minus``; None is a model built from matrices."""
+
+    kind: str | None = None
+    of: StateSpace | None = None
+    minus: StateSpace | None = None
 
 
 @dataclass(frozen=True)
@@ -103,43 +125,104 @@ class StateSpace:
     def __repr__(self):
         return f"StateSpace(n={self.n}, q={self.q}, p={self.p})"
 
+    # How the model was derived from others; set only by ``_derived``.
+    _origin = _Origin()
+
     @cached_property
     def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(T, Z, poles) with A = Z T Z^T, T real quasi-triangular."""
+        """(T, Z, poles) with A = Z T Z^T, T real quasi-triangular.
+
+        A derived model reuses its operands' factors: the same states
+        share them, a dual reads them reversed (with E the reversal
+        permutation, A^T = (Z E) (E T^T E) (Z E)^T and E T^T E is again
+        quasi-triangular), and a difference stacks them block-diagonally.
+        """
+        kind, of, minus = self._origin
         if self.n == 0:
             return _frozen(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, complex))
-        # sort_t=0: no eigenvalue reordering, so the select callback is unused
-        T, _, wr, wi, Z, _, info = dgees(lambda re, im: 0, self.A)
-        if info:
-            raise np.linalg.LinAlgError("Schur factorization did not converge")
-        return _frozen(T, Z, wr + 1j * wi)
+        if kind is None:
+            # sort_t=0: no eigenvalue reordering, so the select callback is unused
+            T, _, wr, wi, Z, _, info = dgees(lambda re, im: 0, self.A)
+            if info:
+                raise np.linalg.LinAlgError("Schur factorization did not converge")
+            return _frozen(T, Z, wr + 1j * wi)
+        if kind == "dynamics":
+            return of._schur
+        if kind == "dual":
+            T, Z, lam = of._schur
+            return _frozen(
+                np.asfortranarray(T.T[::-1, ::-1]), Z[:, ::-1].copy(), lam[::-1].copy()
+            )
+        (Tg, Zg, pg), (Tr, Zr, pr) = of._schur, minus._schur
+        return _frozen(
+            np.asfortranarray(sla.block_diag(Tg, Tr)),
+            sla.block_diag(Zg, Zr),
+            np.concatenate([pg, pr]),
+        )
+
+    @cached_property
+    def _seeds(self) -> np.ndarray:
+        """Sorted seed frequencies of the L-infinity search (Bruinsma and
+        Steinbuch): omega = 0 and the |Im| and modulus of every pole.  A
+        difference has the union of its operands' seeds, and a dual or a
+        model on the same states those of its operand, as the same floats."""
+        kind, of, minus = self._origin
+        if kind is None:
+            lam = poles(self)
+            return np.unique(
+                np.concatenate([[0.0], np.abs(lam.imag[lam.imag != 0]), np.abs(lam)])
+            )
+        if kind == "difference":
+            return np.union1d(of._seeds, minus._seeds)
+        return of._seeds
+
+    @cached_property
+    def _seed_responses(self) -> np.ndarray:
+        """The k x p x q response at the k ``_seeds``, solved once; only a
+        model that solves its own responses (see ``_response``) reads it."""
+        return _solve_response(self, self._seeds)
 
     @cached_property
     def _reachability(self) -> numkernels.GramianResult:
-        """P with A P + P A^T = -B B^T, shared with ``_same_dynamics``
-        copies; a ``dual`` reads the observability Gramian of its operand."""
-        if "_dynamics_of" in self.__dict__:
-            return self._dynamics_of._reachability
-        if "_dual_of" in self.__dict__:
-            return self._dual_of._observability
-        return numkernels.solve_lyapunov(self)
+        """P with A P + P A^T = -B B^T.  A model on the same states shares
+        its operand's, and a dual reads its operand's observability
+        Gramian.  A difference G - R assembles [[P_G, X], [X^T, P_R]] from
+        its operands' Gramians and the cross block X, which
+        ``solve_lyapunov`` gives for the pair; that solve tests every
+        eigenvalue pair of the stacked spectrum, G - R pairs included."""
+        kind, g, r = self._origin
+        if kind is None:
+            return numkernels.solve_lyapunov(self)
+        if kind == "dynamics":
+            return g._reachability
+        if kind == "dual":
+            return g._observability
+        cross = numkernels.solve_lyapunov(g, other=r)
+        P_g, P_r = g._reachability, r._reachability
+        P = np.block([[P_g.P, cross.P], [cross.P.T, P_r.P]])
+        P.setflags(write=False)
+        residual = max(P_g.residual, cross.residual, P_r.residual)
+        return numkernels.GramianResult(P, residual)
 
     @cached_property
     def _observability(self) -> numkernels.GramianResult:
         """Q with A^T Q + Q A = -C^T C; a ``dual`` reads the reachability
         Gramian of its operand."""
-        if "_dual_of" in self.__dict__:
-            return self._dual_of._reachability
+        kind, of, _ = self._origin
+        if kind == "dual":
+            return of._reachability
         return numkernels.solve_lyapunov(self, trans=True)
 
 
+def _derived(model: StateSpace, *origin) -> StateSpace:
+    object.__setattr__(model, "_origin", _Origin(*origin))
+    return model
+
+
 def _same_dynamics(sys: StateSpace, C, D) -> StateSpace:
-    """(A, B, C, D) on the states of ``sys``, sharing its Schur form and,
-    once either asks for it, its reachability Gramian."""
-    out = StateSpace(sys.A, sys.B, C, D)
-    object.__setattr__(out, "_schur", sys._schur)
-    object.__setattr__(out, "_dynamics_of", sys)
-    return out
+    """(A, B, C, D) on the states of ``sys``, sharing its Schur form,
+    seeds and reachability Gramian."""
+    return _derived(StateSpace(sys.A, sys.B, C, D), "dynamics", sys)
 
 
 def _frozen(*arrays):
@@ -189,27 +272,61 @@ def _output_resolvent(sys: StateSpace, omega: float) -> np.ndarray:
     return (Z @ _shifted_solve(T, omega, (sys.C @ Z).T, trans=True)).T
 
 
+def _solve_response(sys: StateSpace, omegas: np.ndarray) -> np.ndarray:
+    """k x p x q response at the 1-D ``omegas``: one shifted solve per
+    frequency against the Schur form, on the side with fewer columns."""
+    value = np.empty(omegas.shape + sys.D.shape, dtype=complex)
+    value[...] = sys.D
+    if sys.n and omegas.size:
+        T, Z, _ = sys._schur
+        CZ, ZB = sys.C @ Z, Z.T @ sys.B
+        left = sys.p < sys.q
+        for k, omega in enumerate(omegas):
+            if left:
+                value[k] += _shifted_solve(T, omega, CZ.T, trans=True).T @ ZB
+            else:
+                value[k] += CZ @ _shifted_solve(T, omega, ZB)
+    return value
+
+
+def _response(sys: StateSpace, omegas: np.ndarray, seeded: bool) -> np.ndarray:
+    """k x p x q response at the 1-D ``omegas``, by the model's origin.
+
+    A dual transposes its operand's response and a difference G - R
+    subtracts R's from G's, with G ``seeded``.  Any other model reads its
+    ``_seed_responses`` at the frequencies that are seeds, once they exist
+    or when ``seeded`` asks for them, and solves the rest.
+    """
+    kind, of, minus = sys._origin
+    if kind == "dual":
+        return _response(of, omegas, seeded).transpose(0, 2, 1)
+    if kind == "difference":
+        return _response(of, omegas, True) - _response(minus, omegas, False)
+    if not seeded and "_seed_responses" not in sys.__dict__:
+        return _solve_response(sys, omegas)
+    seeds, known = sys._seeds, sys._seed_responses
+    at = np.minimum(np.searchsorted(seeds, omegas), seeds.size - 1)
+    hit = seeds[at] == omegas
+    value = np.empty(omegas.shape + sys.D.shape, dtype=complex)
+    value[hit] = known[at[hit]]
+    value[~hit] = _solve_response(sys, omegas[~hit])
+    return value
+
+
 def eval_freq(sys: StateSpace, omega) -> np.ndarray:
     """Evaluate G(j*omega) = C (j*omega I - A)^-1 B + D.
 
     A scalar ``omega`` gives the p x q response; a 1-D array of k
     frequencies gives a k x p x q stack.  Each frequency costs one
     shifted solve against the cached Schur form of A, on the side with
-    fewer columns.  Raises ``SingularAtFrequency`` when j*omega is
-    (numerically) an eigenvalue of A.
+    fewer columns, unless it is one of the model's cached seeds.  The
+    error system of ``subtract`` returns G(j*omega) - R(j*omega), so it
+    solves only R at the seeds of G.  Raises ``SingularAtFrequency`` when
+    j*omega is (numerically) an eigenvalue of A.
     """
     omegas = np.asarray(omega, dtype=float)
-    value = np.empty(omegas.shape + sys.D.shape, dtype=complex)
-    value[...] = sys.D
-    if sys.n:
-        T, Z, _ = sys._schur
-        CZ, ZB = sys.C @ Z, Z.T @ sys.B
-        left = sys.p < sys.q
-        for k in np.ndindex(omegas.shape):
-            if left:
-                value[k] += _shifted_solve(T, omegas[k], CZ.T, trans=True).T @ ZB
-            else:
-                value[k] += CZ @ _shifted_solve(T, omegas[k], ZB)
+    value = _response(sys, omegas.reshape(-1), False)
+    value = value.reshape(omegas.shape + sys.D.shape)
     if not np.all(np.isfinite(value)):
         raise SingularAtFrequency(f"response overflow at omega={omega}")
     return value
@@ -218,48 +335,28 @@ def eval_freq(sys: StateSpace, omega) -> np.ndarray:
 def subtract(g: StateSpace, r: StateSpace) -> StateSpace:
     """Realize the error system G(s) - R(s) (block-diagonal states).
 
-    The Schur factors of the result are assembled block-diagonally from
-    those of ``g`` and ``r``, so a fixed ``g`` is factored only once; a
-    static ``r`` leaves the states of ``g``, whose Gramian is then shared.
+    The result remembers its operands: its Schur factors, seeds,
+    reachability Gramian and response are assembled from those of ``g``
+    and ``r``, so a fixed ``g`` is factored, and solved at its seeds,
+    only once.
     """
     if (g.p, g.q) != (r.p, r.q):
         raise DimensionMismatch(
             f"cannot subtract {r.p}x{r.q} system from {g.p}x{g.q} system"
         )
-    if r.n == 0:
-        return _same_dynamics(g, g.C, g.D - r.D)
     A = sla.block_diag(g.A, r.A)
     B = np.vstack([g.B, r.B])
     C = np.hstack([g.C, -r.C])
-    D = g.D - r.D
-    err = StateSpace(A, B, C, D)
-    (Tg, Zg, pg), (Tr, Zr, pr) = g._schur, r._schur
-    factors = (
-        np.asfortranarray(sla.block_diag(Tg, Tr)),
-        sla.block_diag(Zg, Zr),
-        np.concatenate([pg, pr]),
-    )
-    object.__setattr__(err, "_schur", _frozen(*factors))
-    return err
+    return _derived(StateSpace(A, B, C, g.D - r.D), "difference", g, r)
 
 
 def dual(sys: StateSpace) -> StateSpace:
     """Transpose the transfer matrix: (A, B, C, D) -> (A^T, C^T, B^T, D^T).
 
-    The result reuses the factors of ``sys``: with E the reversal
-    permutation, A^T = (Z E) (E T^T E) (Z E)^T and E T^T E is again real
-    quasi-triangular, and the two Gramians of ``sys`` trade places.
+    The result reuses the factors, seed responses and Gramians of ``sys``
+    (its two Gramians trade places).
     """
-    out = StateSpace(sys.A.T, sys.C.T, sys.B.T, sys.D.T)
-    T, Z, lam = sys._schur
-    factors = (
-        np.asfortranarray(T.T[::-1, ::-1]),
-        Z[:, ::-1].copy(),
-        lam[::-1].copy(),
-    )
-    object.__setattr__(out, "_schur", _frozen(*factors))
-    object.__setattr__(out, "_dual_of", sys)
-    return out
+    return _derived(StateSpace(sys.A.T, sys.C.T, sys.B.T, sys.D.T), "dual", sys)
 
 
 def poles(sys: StateSpace) -> np.ndarray:

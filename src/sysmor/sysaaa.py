@@ -386,9 +386,10 @@ def _certify(
 ) -> tuple[IterationRecord, LinfResult | None]:
     """Record of one reduced model: the certified L-infinity error of
     G - R (inf, with no result, when that error system has poles on the
-    imaginary axis), its H2 metric (None when the Lyapunov equation is
-    ill-posed), the order and the measured stability.  ``fields`` carry
-    the rest of the record (iteration, action, omega, ...)."""
+    imaginary axis) and whether a level test proved it, its H2 metric
+    (None when the Lyapunov equation is ill-posed), the order and the
+    measured stability.  ``fields`` carry the rest of the record
+    (iteration, action, omega, ...)."""
     err = subtract(model, reduced)
     try:
         lres = linf_norm(err, rel_tol)
@@ -402,6 +403,7 @@ def _certify(
     record = IterationRecord(
         order=reduced.n,
         linf_error=math.inf if lres is None else lres.gamma,
+        certified=lres is None or lres.certified,
         h2_metric=h2,
         h2_is_norm=stable,
         stable=stable,

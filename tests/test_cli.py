@@ -13,7 +13,8 @@ from sysmor import (
     reduce_lowrank,
     write_model,
 )
-from sysmor.cli import main
+import sysmor.statespace
+from sysmor.cli import _write_sigma_csv, main
 from conftest import random_stable, tf_eval
 
 
@@ -66,6 +67,7 @@ class TestReduceCommand:
         assert doc["input"] == str(model_path)
         assert doc["output"] == str(out_model)
         assert doc["records"][0]["action"] == "init"
+        assert all(rec["certified"] for rec in doc["records"])
         assert doc["records"][-1]["order"] >= 0
         assert "iterates" not in doc
         lines = out_csv.read_text().splitlines()
@@ -82,6 +84,23 @@ class TestReduceCommand:
         best = doc["best_iteration"]
         rec = next(r for r in doc["records"] if r["iteration"] == best)
         assert rec["order"] == reduced.n
+
+    def test_sigma_csv_solves_each_model_once(self, tmp_path, monkeypatch):
+        # The error column is G - R from the two responses: the grid is
+        # solved once on each model and never on the stacked states.
+        rng = np.random.default_rng(103)
+        model = random_stable(rng, n=8, q=2, p=2)
+        reduced = random_stable(rng, n=3, q=2, p=2)
+        solved = []
+        solve = sysmor.statespace._solve_response
+
+        def counted(sys, omegas):
+            solved.extend([sys.n] * omegas.size)
+            return solve(sys, omegas)
+
+        monkeypatch.setattr(sysmor.statespace, "_solve_response", counted)
+        _write_sigma_csv(tmp_path / "sigma.csv", model, reduced, points=40)
+        assert sorted(solved) == [3] * 40 + [8] * 40
 
     def test_balanced_method(self, model_path, tmp_path, capsys):
         out_model = tmp_path / "bal.ss"

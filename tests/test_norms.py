@@ -85,6 +85,30 @@ class TestLinfNorm:
         scale = 1.0 + np.linalg.norm(g.B) * np.linalg.norm(g.C)
         assert res.gamma <= 1e-10 * scale
 
+    def test_certified_only_when_a_level_test_proves_the_bound(self, monkeypatch):
+        import sysmor.norms as mod
+
+        rng = np.random.default_rng(46)
+        g = random_stable(rng, n=4, q=2, p=2)
+        assert linf_norm(RESONANT).certified and linf_norm(g).certified
+        assert linf_norm(static_gain([[2.0]])).certified
+        # The probed maximum below the floor is returned as is.
+        assert not linf_norm(subtract(g, g)).certified
+        # A crossing whose probes stay below the level (tangency).
+        spectrum = mod._axis_frequencies
+        monkeypatch.setattr(
+            mod, "_axis_frequencies",
+            lambda lam: [np.append(f, 1e4) for f in spectrum(lam)],
+        )
+        tangent = linf_norm(RESONANT)
+        assert not tangent.certified
+        assert tangent.gamma == pytest.approx(RESONANT_GAMMA, rel=1e-5)
+        monkeypatch.undo()
+        # The level cap ends the search while crossings remain.
+        monkeypatch.setattr(mod, "_MAX_LEVEL_ITERATIONS", 1)
+        capped = linf_norm(RESONANT)
+        assert capped.iterations == 1 and not capped.certified
+
     @pytest.mark.parametrize("seed, build", [(78, "balanced"), (156, "reduce")])
     def test_crossing_moved_off_axis_is_not_missed(self, seed, build):
         # Small errors of close approximations: roundoff moves a crossing

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_lyapunov, solve_sylvester
 
 from sysmor import (
     GramianResult,
@@ -89,6 +89,26 @@ class TestSolveLyapunov:
         np.testing.assert_allclose(
             result.P, ref, rtol=0, atol=1e-10 * np.abs(ref).max()
         )
+
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_cross_block_matches_scipy_sylvester(self, trans):
+        # The off-diagonal block of the stacked system's Gramian, with an
+        # unstable second model.
+        rng = np.random.default_rng(38)
+        g = random_stable(rng, n=20, q=2, p=3)
+        r = _unstable_well_posed(rng, n=6)
+        if trans:
+            A, Ao, F, Fo = g.A.T, r.A.T, g.C.T, r.C.T
+        else:
+            A, Ao, F, Fo = g.A, r.A, g.B, r.B
+        ref = solve_sylvester(A, Ao.T, -F @ Fo.T)
+        result = solve_lyapunov(g, trans, other=r)
+        assert result.P.shape == (20, 6)
+        assert result.residual <= 1e-10
+        np.testing.assert_allclose(
+            result.P, ref, rtol=0, atol=1e-10 * np.abs(ref).max()
+        )
+        assert solve_lyapunov(g, trans, other=static_gain(g.D)).P.shape == (20, 0)
 
 
 class TestSymEig:

@@ -3,7 +3,10 @@
 Each record of ``reduce`` and ``reduce_lowrank`` and each balanced row of
 ``compare_methods`` is checked against oracles that rebuild the error
 system G - R from raw matrices: its sampled gain never exceeds the
-certified bound, and its H2 metric matches SciPy's Lyapunov solver.
+certified bound, and its H2 metric matches SciPy's Lyapunov solver.  The
+error system itself, which is assembled from its operands (G's cached
+seed responses and Gramian, R's own), is checked the same way, with R
+stable or not.
 """
 
 import math
@@ -14,9 +17,22 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sysmor import StateSpace, StoppingOptions, reduce, reduce_lowrank
+import sysmor.sysaaa
+from sysmor import (
+    IllPosedLyapunov,
+    StateSpace,
+    StoppingOptions,
+    dual,
+    eval_freq,
+    h2_error_metric,
+    linf_norm,
+    reduce,
+    reduce_lowrank,
+    subtract,
+)
 from sysmor.cli import compare_methods
-from conftest import grid_gains, oracle_grid, random_stable
+from sysmor.norms import LinfResult
+from conftest import grid_gains, oracle_grid, random_stable, tf_eval
 
 
 def _raw_error(g, r):
@@ -83,3 +99,111 @@ def test_every_certified_record_is_sound(seed):
 @pytest.mark.parametrize("seed", [1104, 2009])
 def test_badly_scaled_iterates_are_certified(seed):
     _check_every_record(seed)
+
+
+def _operands(seed, unstable):
+    """A model G and a smaller R of the same shape, R unstable on request.
+    An unstable R is shifted so that its leftmost pole, at real part 0.8,
+    does not mirror G's rightmost, at -0.5."""
+    rng = np.random.default_rng(seed)
+    n, k, q, p = (int(rng.integers(1, hi)) for hi in (9, 5, 3, 3))
+    g = random_stable(rng, n, q, p)
+    r = random_stable(rng, k, q, p)
+    if unstable:
+        r = StateSpace(0.3 * np.eye(k) - r.A, r.B, r.C, r.D)
+    return rng, g, r
+
+
+@given(seed=st.integers(0, 2**32 - 1), unstable=st.booleans())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_error_system_and_dual_responses(seed, unstable):
+    # G's seeds read its seed cache, the random frequencies are solved.
+    rng, g, r = _operands(seed, unstable)
+    omegas = np.concatenate([g._seeds, 10.0 ** rng.uniform(-2, 2, 5)])
+    raw = _raw_error(g, r)
+    for _ in range(2):
+        got = eval_freq(subtract(g, r), omegas)
+        for w, value in zip(omegas, got):
+            want = tf_eval(raw.A, raw.B, raw.C, raw.D, 1j * w)
+            assert np.allclose(value, want, rtol=1e-9, atol=1e-12)
+    got = eval_freq(dual(g), omegas)
+    for w, value in zip(omegas, got):
+        want = tf_eval(g.A.T, g.C.T, g.B.T, g.D.T, 1j * w)
+        assert np.allclose(value, want, rtol=1e-9, atol=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), unstable=st.booleans())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_error_system_h2_metric(seed, unstable):
+    _, g, r = _operands(seed, unstable)
+    err = _raw_error(g, r)
+    P = scipy.linalg.solve_continuous_lyapunov(err.A, -err.B @ err.B.T)
+    trace = abs(np.trace(err.C @ P @ err.C.T))
+    scale = np.trace(np.abs(err.C) @ np.abs(P) @ np.abs(err.C).T)
+    assert abs(h2_error_metric(subtract(g, r)) ** 2 - trace) <= 1e-8 * scale
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_mirrored_pole_pair_is_ill_posed(seed):
+    # R carries -lambda for a pole lambda of G: lambda_G + lambda_R = 0.
+    rng = np.random.default_rng(seed)
+    n, q, p = (int(rng.integers(1, hi)) for hi in (9, 3, 3))
+    g = random_stable(rng, n, q, p)
+    lam = np.linalg.eigvals(g.A)[int(rng.integers(n))]
+    if lam.imag == 0.0:
+        A = np.array([[-lam.real]])
+    else:
+        A = np.array([[-lam.real, lam.imag], [-lam.imag, -lam.real]])
+    k = A.shape[0]
+    r = StateSpace(
+        A, rng.standard_normal((k, q)), rng.standard_normal((p, k)), np.zeros((p, q))
+    )
+    with pytest.raises(IllPosedLyapunov):
+        h2_error_metric(subtract(g, r))
+
+
+@given(seed=st.integers(0, 2**32 - 1), unstable=st.booleans())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_bound_is_above_the_gain_and_dual_invariant(seed, unstable):
+    rng, g, r = _operands(seed, unstable)
+    err = subtract(g, r)
+    res = linf_norm(err)
+    assert res.certified
+    raw = _raw_error(g, r)
+    probes = np.concatenate([
+        10.0 ** rng.uniform(-3, 3, 200),
+        res.omega_peak * (1.0 + np.linspace(-1e-3, 1e-3, 21)),
+    ])
+    assert grid_gains(raw, probes).max() <= res.gamma * (1.0 + 1e-9)
+    transposed = linf_norm(dual(err))
+    assert transposed.gamma == pytest.approx(res.gamma, rel=3e-6)
+
+
+def test_uncertified_bound_is_marked(monkeypatch):
+    rng = np.random.default_rng(5)
+    g = random_stable(rng, 4, 1, 1)
+    _, report = reduce(g, StoppingOptions(max_iterations=2))
+    text = report.format_text()
+    assert all(rec.certified for rec in report.records)
+    assert "~" not in text
+
+    real = sysmor.sysaaa.linf_norm
+
+    def uncertified(err, rel_tol=1e-6):
+        res = real(err, rel_tol)
+        return LinfResult(res.gamma, res.omega_peak, res.iterations, False)
+
+    monkeypatch.setattr(sysmor.sysaaa, "linf_norm", uncertified)
+    _, marked = reduce(g, StoppingOptions(max_iterations=2))
+    assert [rec.linf_error for rec in marked.records] == [
+        rec.linf_error for rec in report.records
+    ]
+    assert not any(rec.to_dict()["certified"] for rec in marked.records)
+    rows = marked.format_text().splitlines()
+    for rec in marked.records:
+        assert f"{rec.linf_error:.6g}~" in rows[2 + rec.iteration]
+    assert any(line.startswith("  (~ linf_error not certified") for line in rows)
+    table = 2 + len(report.records)
+    for old, new in zip(text.splitlines()[:table], rows[:table], strict=True):
+        assert new.replace("~", " ").split() == old.split()

@@ -1,5 +1,6 @@
 """Adaptive rational interpolation: blocks, weights, realization, driver."""
 
+import collections
 import itertools
 import math
 
@@ -489,14 +490,17 @@ class TestReduceDriver:
         # Schur form per StateSpace: the model's A is factored once per run,
         # each iterate only factors its own r x r state matrix, and G's
         # Gramians are solved once however many iterations or orders read
-        # them.
+        # them.  G is solved at each of its seed frequencies once per run,
+        # and the Gramian of G - R is split, so no Lyapunov solve runs on
+        # the n + r stacked states.
         rng = np.random.default_rng(72)
         sys = random_stable(rng, n=40, q=2, p=2)
         fresh = StateSpace(sys.A, sys.B, sys.C, sys.D)
-        shapes, eig_shapes, solves = [], [], []
+        shapes, eig_shapes, solves, omegas = [], [], [], []
         dgees = sysmor.statespace.dgees
         eigvals = np.linalg.eigvals
         solve = sysmor.numkernels.solve_lyapunov
+        solve_response = sysmor.statespace._solve_response
 
         def counted(select, a, *args, **kwargs):
             shapes.append(np.shape(a))
@@ -506,16 +510,26 @@ class TestReduceDriver:
             eig_shapes.append(np.shape(a))
             return eigvals(a)
 
-        def counted_solve(model, trans=False):
-            solves.append((model.n, trans))
-            return solve(model, trans)
+        def counted_solve(model, trans=False, other=None):
+            solves.append((model.n, trans, None if other is None else other.n))
+            return solve(model, trans, other)
+
+        def counted_response(model, at):
+            if model.n == 40:
+                omegas.extend(at.tolist())
+            return solve_response(model, at)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("solve_continuous_lyapunov called")
 
+        def solved_once_at_seeds(model):
+            counts = collections.Counter(omegas)
+            return all(counts[w] == 1 for w in model._seeds.tolist())
+
         monkeypatch.setattr(sysmor.statespace, "dgees", counted)
         monkeypatch.setattr(np.linalg, "eigvals", recorded_eigvals)
         monkeypatch.setattr(sysmor.numkernels, "solve_lyapunov", counted_solve)
+        monkeypatch.setattr(sysmor.statespace, "_solve_response", counted_response)
         monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", forbidden)
         _, report = reduce(sys, StoppingOptions(max_iterations=5))
         assert shapes.count((40, 40)) == 1
@@ -524,28 +538,34 @@ class TestReduceDriver:
         assert len(iterates) == 5
         # the only eigensolves left are the 2(n + r) Hamiltonians
         assert eig_shapes and (40, 40) not in eig_shapes
-        assert solves.count((40, False)) == 1
-        assert (40, True) not in solves
+        assert solves.count((40, False, None)) == 1
+        assert max(n for n, _, _ in solves) == 40
+        assert not any(trans for _, trans, _ in solves)
+        assert len(sys._seeds) > 20 and solved_once_at_seeds(sys)
 
         solves.clear()
         entries = compare_methods(fresh, ["balanced"], 5, StoppingOptions())
         assert [e["order"] for e in entries] == [1, 2, 3, 4, 5]
-        assert solves.count((40, False)) == 1
-        assert solves.count((40, True)) == 1
+        assert solves.count((40, False, None)) == 1
+        assert solves.count((40, True, None)) == 1
+        assert max(n for n, _, _ in solves) == 40
 
         # A model with p > q is reduced through its dual, which reuses the
-        # model's Schur form and reads its Gramians with roles swapped.
+        # model's Schur form, seed responses and Gramians (roles swapped).
         wide = random_stable(rng, n=40, q=2, p=3)
         shapes.clear()
         solves.clear()
+        omegas.clear()
         entries = compare_methods(
             wide, ["balanced", "lowrank-aaa"], 5, StoppingOptions()
         )
         assert {e["method"] for e in entries} == {"balanced", "lowrank-aaa"}
         assert all((e["system"].p, e["system"].q) == (3, 2) for e in entries)
         assert shapes.count((40, 40)) == 1
-        assert solves.count((40, False)) == 1
-        assert solves.count((40, True)) == 1
+        assert solves.count((40, False, None)) == 1
+        assert solves.count((40, True, None)) == 1
+        assert max(n for n, _, _ in solves) == 40
+        assert solved_once_at_seeds(wide)
 
     def test_report_metadata(self):
         rng = np.random.default_rng(69)
