@@ -28,7 +28,7 @@ from .exceptions import (
 )
 from .lowrank import reduce_lowrank
 from .modelio import _read_text, parse_raw_matrices, read_model, write_model
-from .report import IterationRecord, ReductionReport
+from .report import IterationRecord, ReductionReport, _error_cells
 from .statespace import StateSpace, eval_freq, is_stable, poles
 from .sysaaa import StoppingOptions, _certify, reduce as reduce_sysaaa
 
@@ -55,11 +55,9 @@ def run_method(
     model: StateSpace, method: str, opts: StoppingOptions
 ) -> tuple[StateSpace, ReductionReport]:
     """Dispatch one reduction method; balanced uses opts.target_order."""
-    if method == "sys-aaa":
-        interp, report = reduce_sysaaa(model, opts)
-        return interp.sys, report
-    if method == "lowrank-aaa":
-        interp, report = reduce_lowrank(model, opts)
+    if method in ("sys-aaa", "lowrank-aaa"):
+        driver = reduce_sysaaa if method == "sys-aaa" else reduce_lowrank
+        interp, report = driver(model, opts)
         return interp.sys, report
     if method == "balanced":
         if opts.target_order is None:
@@ -170,18 +168,22 @@ _nonnegative_int = _checked(int, lambda v: v >= 0, "nonnegative")
 
 
 def _add_common_flags(sp):
+    defaults = StoppingOptions()
     sp.add_argument("model", help="input model file (ss format)")
-    sp.add_argument("--iters", type=_nonnegative_int, default=20,
-                    help="iteration cap for adaptive methods (default 20)")
+    sp.add_argument("--iters", type=_nonnegative_int, default=defaults.max_iterations,
+                    help="iteration cap for adaptive methods (default %(default)s)")
     sp.add_argument("--target-linf", type=_positive_float, default=None,
                     help="stop when the certified error reaches this")
-    sp.add_argument("--min-dist", type=_positive_float, default=0.02,
-                    help="relative rank-growth radius for lowrank-aaa")
+    sp.add_argument("--min-dist", type=_positive_float, default=defaults.min_dist,
+                    help="relative rank-growth radius for lowrank-aaa "
+                    "(default %(default)s)")
     sp.add_argument("--keep-best", action=argparse.BooleanOptionalAction,
-                    default=True,
-                    help="return the lowest-error iterate (default on)")
-    sp.add_argument("--tol-bisect", type=_positive_float, default=1e-6,
-                    help="relative tolerance of the norm bisection")
+                    default=defaults.keep_best,
+                    help="return the lowest-error iterate (default %(default)s)")
+    sp.add_argument("--tol-bisect", type=_positive_float,
+                    default=defaults.bisect_rel_tol,
+                    help="relative tolerance of the norm bisection "
+                    "(default %(default)s)")
     sp.add_argument("--report-json", metavar="PATH",
                     help="write the machine-readable report here")
     sp.add_argument("--hz", action="store_true",
@@ -224,6 +226,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(path, doc: dict) -> None:
+    """Write ``doc`` as strict JSON: a non-finite number, such as the
+    infinite error of an iterate with imaginary-axis poles, is null."""
+    def strict(value):
+        if isinstance(value, dict):
+            return {key: strict(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [strict(item) for item in value]
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    with open(path, "w") as fh:
+        json.dump(strict(doc), fh, indent=2, allow_nan=False)
+    print(f"wrote {path}")
+
+
 def _cmd_reduce(args) -> int:
     model = read_model(args.model)
     opts = _options_from_args(args)
@@ -234,20 +251,16 @@ def _cmd_reduce(args) -> int:
     print(report.format_text(hz=args.hz))
     final = report.final_record
     if final is not None:
-        h2 = "-" if final.h2_metric is None else f"{final.h2_metric:.6g}"
+        linf, h2 = _error_cells(final.linf_error, final.certified, final.h2_metric)
         print(
-            f"final: order {final.order}, linf_error {final.linf_error:.6g}, "
+            f"final: order {final.order}, linf_error {linf}, "
             f"h2 {h2}, stable {final.stable}"
         )
     print(f"wrote {out_path}")
 
     if args.report_json:
-        doc = report.to_dict()
-        doc["input"] = args.model
-        doc["output"] = out_path
-        with open(args.report_json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-        print(f"wrote {args.report_json}")
+        doc = {**report.to_dict(), "input": args.model, "output": out_path}
+        _write_json(args.report_json, doc)
     if args.sigma_csv:
         _write_sigma_csv(args.sigma_csv, model, reduced)
         print(f"wrote {args.sigma_csv}")
@@ -271,8 +284,7 @@ def _cmd_compare(args) -> int:
     print(f"frequencies in {unit}")
     print(f"{'method':<12} {'order':>5} {'linf_error':>13} {'h2':>13}  flag")
     for e in entries:
-        linf = f"{e['linf_error']:.6g}" + ("" if e["certified"] else "~")
-        h2 = "-" if e["h2_metric"] is None else f"{e['h2_metric']:.6g}"
+        linf, h2 = _error_cells(e["linf_error"], e["certified"], e["h2_metric"])
         flag = "" if e["stable"] else "x"
         print(f"{e['method']:<12} {e['order']:>5} {linf:>13} {h2:>13}  {flag}")
     if any(not e["stable"] for e in entries):
@@ -281,17 +293,9 @@ def _cmd_compare(args) -> int:
         print("(~ marks a linf_error not certified as an upper bound)")
 
     if args.report_json:
-        doc = {
-            "model": args.model,
-            "max_order": max_order,
-            "entries": [
-                {k: v for k, v in e.items() if k != "system"}
-                for e in entries
-            ],
-        }
-        with open(args.report_json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-        print(f"wrote {args.report_json}")
+        rows = [{k: v for k, v in e.items() if k != "system"} for e in entries]
+        doc = {"model": args.model, "max_order": max_order, "entries": rows}
+        _write_json(args.report_json, doc)
     return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .exceptions import Saturated
 from .report import ReductionReport
 from .statespace import StateSpace, dual
-from .sysaaa import _FACTOR_RTOL, Interpolant, StoppingOptions, _adaptive_loop
+from .sysaaa import Interpolant, StoppingOptions, _adaptive_loop
 
 # Unused here, but bound so perfbench/tracer.py EXPECTED_BINDINGS finds them.
 from .norms import linf_norm  # noqa: F401
@@ -36,9 +36,9 @@ def select_or_grow(candidate_omega: float, points, min_dist: float) -> int | Non
 
     The candidate grows the nearest existing point when it lands within
     ``min_dist * max(1, omega_i)`` of it and that point's rank is below
-    the numerical rank of its sample (the singular values above 1e-12 of
-    the largest, as ``build_block`` counts them); Saturated is raised
-    when it is not (nothing left to refine there).
+    the ``numerical_rank`` of its sample, the limit ``build_block``
+    enforces; Saturated is raised when it is not (nothing left to refine
+    there).
     """
     if min_dist <= 0:
         raise ValueError("min_dist must be positive")
@@ -50,8 +50,7 @@ def select_or_grow(candidate_omega: float, points, min_dist: float) -> int | Non
     pt = points[i]
     if dists[i] >= min_dist * max(1.0, pt.omega):
         return None
-    s = np.linalg.svd(pt.sample, compute_uv=False)
-    if pt.rank < np.count_nonzero(s > _FACTOR_RTOL * max(1.0, s[0])):
+    if pt.rank < pt.numerical_rank:
         return i
     raise Saturated(
         f"support point at {pt.omega:.6g} rad/s already has full rank {pt.rank}"

@@ -1,21 +1,21 @@
 """L-infinity norm with peak-frequency extraction, and the H2 error metric.
 
 The L-infinity computation is the Hamiltonian bisection of Bruinsma and
-Steinbuch: a candidate level gamma is a strict upper bound iff the
-associated Hamiltonian matrix has no purely imaginary eigenvalues; when
-it does, the imaginary parts bracket frequency intervals where some
-singular value exceeds gamma, and evaluating the response there lifts
-the lower bound.  Stability is not required, only the absence of
-imaginary-axis poles, so the same routine serves unstable interpolants.
+Steinbuch: a level gamma is a strict upper bound iff the gamma-level
+Hamiltonian has no imaginary eigenvalues.  Each level test classifies its
+spectrum once and probes the response once, at the frequencies of every
+eigenvalue near the axis or without its mirror image, and at their
+midpoints.  A gain above the level becomes the new lower bound; otherwise
+the level is accepted, and ``certified`` when no eigenvalue was near the
+axis.  Stability is not required, only the absence of imaginary-axis
+poles, so the same routine serves unstable interpolants.
 
-The seeds of the search, omega = 0 and the |Im| and modulus of every
-pole, are the model's cached ``_seeds``; on the error system G - R of a
-reduction run, G's response there comes from G's seed cache, so each
-call solves only R and the frequencies that are not seeds of G.  A
-result is ``certified`` when its ``gamma`` is a level that a Hamiltonian
-test proved an upper bound.  The H2 metric reads the error system's
-reachability Gramian, which ``subtract`` assembles from G's cached one,
-R's and one Sylvester solve for the block between them.
+The search starts from the model's cached ``_seeds`` (omega = 0 and the
+|Im| and modulus of every pole); on the error system G - R of a reduction
+run, G's response there comes from G's seed cache, so each call solves
+only R and the frequencies that are not seeds of G.  The H2 metric reads
+the error system's reachability Gramian, which ``subtract`` assembles
+from G's cached one, R's and one Sylvester solve for the block between.
 """
 
 from __future__ import annotations
@@ -84,17 +84,17 @@ def _hamiltonian_spectrum(sys: StateSpace, gamma: float) -> np.ndarray:
     return np.linalg.eigvals(H)
 
 
-def _axis_frequencies(lam: np.ndarray):
-    """Frequencies omega >= 0 of the Hamiltonian eigenvalues classed as
-    imaginary, and of those plus the eigenvalues whose mirror image
-    -conj(lam) is missing from the spectrum: off the axis, Hamiltonian
-    eigenvalues come in mirror pairs, so an unpaired one is an imaginary
-    eigenvalue that roundoff moved further than the class margin."""
+def _axis_frequencies(lam: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Sorted frequencies omega >= 0 of the Hamiltonian eigenvalues within
+    the class margin of the axis or without their mirror image -conj(lam)
+    (off the axis eigenvalues come in mirror pairs, so an unpaired one is
+    an imaginary eigenvalue that roundoff moved past the margin), and
+    whether any eigenvalue lies within the margin."""
     on_axis = np.abs(lam.real) <= _IMAG_CLASS_RTOL * np.maximum(1.0, np.abs(lam))
     dist = np.abs(lam.conj()[:, None] + lam[None, :])
     np.fill_diagonal(dist, np.inf)
     lone = dist.min(axis=1, initial=np.inf) > np.abs(lam.real)
-    return [np.unique(np.abs(lam[m].imag)) for m in (on_axis, on_axis | lone)]
+    return np.unique(np.abs(lam[on_axis | lone].imag)), bool(on_axis.any())
 
 
 def _with_midpoints(omegas: np.ndarray) -> list:
@@ -124,18 +124,15 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     best_omega = 0.0
     best_gain = -1.0
 
-    def gains_at(omegas) -> np.ndarray:
-        return np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
-
-    def record(omegas, gains) -> float:
-        nonlocal best_omega, best_gain
-        for w, g in zip(omegas, gains):
-            if g > best_gain:
-                best_gain, best_omega = float(g), float(w)
-        return float(gains.max(initial=0.0))
-
     def probe(omegas) -> float:
-        return record(omegas, gains_at(omegas))
+        nonlocal best_omega, best_gain
+        if not len(omegas):
+            return 0.0
+        gains = np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain, best_omega = float(gains[k]), float(omegas[k])
+        return float(gains[k])
 
     # Seed candidates: DC, resonant frequencies, pole magnitudes.
     probe(sys._seeds)
@@ -148,25 +145,18 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     )
     floor = 1e-13 * max(1.0, rough)
 
-    iterations = 0
-    gamma, certified = gamma_lb, False
-    while iterations < _MAX_LEVEL_ITERATIONS:
-        iterations += 1
+    certified = False
+    for iterations in range(1, _MAX_LEVEL_ITERATIONS + 1):
         level = max(gamma_lb * (1.0 + rel_tol), floor)
-        crossings, suspects = _axis_frequencies(_hamiltonian_spectrum(sys, level))
-        new_lb = probe(_with_midpoints(crossings)) if crossings.size else 0.0
+        suspects, crossed = _axis_frequencies(_hamiltonian_spectrum(sys, level))
+        new_lb = probe(_with_midpoints(suspects))
         if new_lb <= level:
-            # No probe lifted the bound.  Before accepting level, probe the
-            # unpaired eigenvalues too: a gain above level there refutes it.
-            omegas = _with_midpoints(suspects)
-            gains = gains_at(omegas) if omegas else np.zeros(0)
-            if gains.max(initial=0.0) <= level:
-                below_floor = not crossings.size and gamma_lb <= floor
-                gamma = max(gamma_lb, 0.0) if below_floor else level
-                certified = not crossings.size and not below_floor
-                break
-            new_lb = record(omegas, gains)
-        gamma_lb = max(new_lb, gamma_lb)
+            # No probe refutes the level: a bound unless a crossing was seen.
+            below_floor = not crossed and gamma_lb <= floor
+            gamma = max(gamma_lb, 0.0) if below_floor else level
+            certified = not crossed and not below_floor
+            break
+        gamma_lb = new_lb
     else:
         gamma = gamma_lb * (1.0 + rel_tol)
 

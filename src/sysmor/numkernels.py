@@ -4,11 +4,13 @@ Keeps the Lyapunov solve, symmetric eigendecomposition, and SVD
 truncation in one place so the algorithm code stays backend-agnostic.
 The Lyapunov solve is Bartels-Stewart back-substitution on the real Schur
 form each ``StateSpace`` caches, so it factors nothing itself; every
-solve reports its relative residual instead of assuming success.  The
-same solve, given a second model, returns the cross block of the Gramian
-of the two models' stacked states, a Sylvester equation on the two Schur
-forms: that is how the Gramian of an error system G - R is split into
-G's cached Gramian, R's small one and that block.
+solve reports its relative residual instead of assuming success.  It
+solves for reachability Gramians only: an observability Gramian is the
+reachability Gramian of the dual, whose Schur form is the model's
+reversed.  The same solve, given a second model, returns the cross block
+of the Gramian of the two models' stacked states, a Sylvester equation
+on the two Schur forms: that is how the Gramian of an error system G - R
+is split into G's cached Gramian, R's small one and that block.
 """
 
 from __future__ import annotations
@@ -53,16 +55,15 @@ class GramianResult:
     residual: float
 
 
-def solve_lyapunov(
-    sys: StateSpace, trans: bool = False, other: StateSpace | None = None
-) -> GramianResult:
-    """Reachability Gramian of ``sys``: A P + P A^T = -B B^T, or with
-    ``trans`` its observability Gramian: A^T P + P A = -C^T C.
+def solve_lyapunov(sys: StateSpace, other: StateSpace | None = None) -> GramianResult:
+    """Reachability Gramian of ``sys``: A P + P A^T = -B B^T.  The
+    observability Gramian is that of ``dual(sys)``, which shares the
+    Schur form of ``sys``.
 
-    With ``other`` (A_o, B_o, C_o) it returns instead the off-diagonal
-    block X of that Gramian of the system that stacks the states of both
-    (block-diagonal A, inputs [B; B_o], outputs [C, C_o]): the Sylvester
-    equation A X + X A_o^T = -B B_o^T, or A^T X + X A_o = -C^T C_o.
+    With ``other`` (A_o, B_o) it returns instead the off-diagonal block X
+    of the Gramian of the system that stacks the states of both
+    (block-diagonal A, inputs [B; B_o]): the Sylvester equation
+    A X + X A_o^T = -B B_o^T.
 
     One LAPACK ``dtrsyl`` back-substitution on the cached real Schur forms
     A = Z T Z^T and A_o = Z_o T_o Z_o^T solves for Z^T X Z_o.  Raises
@@ -85,12 +86,8 @@ def solve_lyapunov(
             "eigenvalue pair of A sums to ~0; Lyapunov equation has no unique solution"
         )
 
-    if trans:
-        A, F, Ao, Fo, ops = sys.A.T, sys.C.T, other.A.T, other.C.T, "TN"
-    else:
-        A, F, Ao, Fo, ops = sys.A, sys.B, other.A, other.B, "NT"
     X, scale, info = dtrsyl(
-        T, To, -(Z.T @ F) @ (Zo.T @ Fo).T, trana=ops[0], tranb=ops[1]
+        T, To, -(Z.T @ sys.B) @ (Zo.T @ other.B).T, trana="N", tranb="T"
     )
     if info:
         raise IllPosedLyapunov("Lyapunov solve met (nearly) mirrored eigenvalues")
@@ -100,8 +97,8 @@ def solve_lyapunov(
     P.setflags(write=False)  # cached and shared by the model's instances
     if not np.all(np.isfinite(P)):
         raise IllPosedLyapunov("Lyapunov solve produced non-finite entries")
-    Q = F @ Fo.T
-    res = np.linalg.norm(A @ P + P @ Ao.T + Q, "fro")
+    Q = sys.B @ other.B.T
+    res = np.linalg.norm(sys.A @ P + P @ other.A.T + Q, "fro")
     denom = max(np.linalg.norm(Q, "fro"), np.finfo(float).eps)
     return GramianResult(P, float(res / denom))
 

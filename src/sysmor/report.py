@@ -8,6 +8,13 @@ from dataclasses import asdict, dataclass, field
 __all__ = ["IterationRecord", "ReductionReport"]
 
 
+def _error_cells(linf_error, certified, h2_metric) -> tuple[str, str]:
+    """Text of an L-infinity error, with ``~`` when it is not certified as
+    an upper bound, and of an H2 metric, ``-`` when there is none."""
+    linf = f"{linf_error:.6g}" + ("" if certified else "~")
+    return linf, "-" if h2_metric is None else f"{h2_metric:.6g}"
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """Snapshot of one driver iteration.
@@ -64,9 +71,7 @@ class ReductionReport:
     @property
     def final_record(self) -> IterationRecord | None:
         if self.best_iteration is not None:
-            for rec in self.records:
-                if rec.iteration == self.best_iteration:
-                    return rec
+            return self.records[self.best_iteration]
         return self.records[-1] if self.records else None
 
     def to_dict(self) -> dict:
@@ -93,8 +98,7 @@ class ReductionReport:
         lines.append(header)
         for rec in self.records:
             omega = f"{rec.omega / scale:.6g}" if rec.omega is not None else "-"
-            linf = f"{rec.linf_error:.6g}" + ("" if rec.certified else "~")
-            h2 = f"{rec.h2_metric:.6g}" if rec.h2_metric is not None else "-"
+            linf, h2 = _error_cells(rec.linf_error, rec.certified, rec.h2_metric)
             if rec.h2_metric is not None and not rec.h2_is_norm:
                 h2 += "*"
             lines.append(

@@ -206,12 +206,13 @@ class StateSpace:
 
     @cached_property
     def _observability(self) -> numkernels.GramianResult:
-        """Q with A^T Q + Q A = -C^T C; a ``dual`` reads the reachability
-        Gramian of its operand."""
+        """Q with A^T Q + Q A = -C^T C, the reachability Gramian of the
+        dual: a ``dual`` reads its operand's, any other model solves it on
+        its own dual, which reuses its Schur form."""
         kind, of, _ = self._origin
         if kind == "dual":
             return of._reachability
-        return numkernels.solve_lyapunov(self, trans=True)
+        return numkernels.solve_lyapunov(dual(self))
 
 
 def _derived(model: StateSpace, *origin) -> StateSpace:

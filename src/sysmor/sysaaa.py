@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -32,7 +33,7 @@ from .exceptions import (
     SingularW0,
     UnstableInput,
 )
-from .norms import LinfResult, linf_norm, h2_error_metric
+from .norms import DEFAULT_BISECT_RTOL, LinfResult, linf_norm, h2_error_metric
 from .numkernels import (
     DISTINCT_EIGENVALUE_RTOL,
     ZERO_EIGENVALUE_RTOL,
@@ -73,8 +74,8 @@ DUPLICATE_ATOL = 1e-9
 # Residual |Re(pole)| / spectral radius allowed after cancellation.
 _AXIS_RESIDUAL_RTOL = 1e-8
 
-# Singular values below this fraction of the largest make a block factor
-# numerically rank-deficient.
+# Singular values at or below this fraction of the largest (and of 1) are
+# numerically zero.
 _FACTOR_RTOL = 1e-12
 
 # A leading weight block W0 conditioned worse than this makes the
@@ -90,7 +91,9 @@ class SupportPoint:
     ``rank`` None interpolates the whole sample.  A rank r interpolates
     its r leading left singular directions: ``U`` (p x r) and ``V``
     (q x r) have orthonormal columns and ``S`` is the r x r diagonal of
-    leading singular values.  At omega = 0 the sample and its factors are
+    leading singular values.  ``numerical_rank`` counts the singular
+    values of the sample above 1e-12 of the largest (and of 1), the most
+    directions it carries.  At omega = 0 the sample and its factors are
     real; a sample there with a non-negligible imaginary part raises
     NonRealSampleAtZero (a real system cannot have one).
     """
@@ -118,6 +121,11 @@ class SupportPoint:
             U, s, V = svd_truncate(value, self.rank)
             for name, M in (("U", U), ("S", np.diag(s)), ("V", V)):
                 object.__setattr__(self, name, M)
+
+    @cached_property
+    def numerical_rank(self) -> int:
+        s = np.linalg.svd(self.sample, compute_uv=False)
+        return int(np.count_nonzero(s > _FACTOR_RTOL * max(1.0, s[0])))
 
     @property
     def is_zero(self) -> bool:
@@ -224,7 +232,7 @@ class StoppingOptions:
     target_linf: float | None = None
     target_order: int | None = None
     keep_best: bool = True
-    bisect_rel_tol: float = 1e-6
+    bisect_rel_tol: float = DEFAULT_BISECT_RTOL
     min_dist: float = 0.02
 
 
@@ -240,14 +248,14 @@ def build_block(point: SupportPoint) -> BlockRealization:
     L = I_p for a full point and L = U^H for a rank-r point, whose data is
     then S V^H.  At omega = 0 the block is (0, [L G, L]); otherwise
     B1 = [Re L G; -Im L G] and B2 = [Re L; -Im L].  Raises
-    DegenerateFactors when a rank-r point retains a numerically zero
-    singular value (that direction carries nothing to interpolate).
+    DegenerateFactors when a rank-r point's rank exceeds the numerical
+    rank of its sample (a retained direction carries nothing to
+    interpolate).
     """
     if point.rank is None:
         L, LG = np.eye(point.sample.shape[0]), point.sample
     else:
-        s = np.diag(point.S)
-        if s.min() <= _FACTOR_RTOL * max(1.0, s.max()):
+        if point.rank > point.numerical_rank:
             raise DegenerateFactors(
                 "retained singular values include a numerically zero entry"
             )
@@ -346,15 +354,10 @@ def solve_weights(X: np.ndarray, p: int) -> WeightMatrix:
     for i in nonzero[1:]:
         if evals[i] - evals[clusters[-1]] > gap_tol:
             clusters.append(i)
-    if len(clusters) >= p:
-        selected = clusters[:p]
-        degenerate = False
-    else:
-        selected = nonzero[:p]
-        degenerate = True
-    W = evecs[:, selected].T.copy()
+    degenerate = len(clusters) < p
+    selected = (nonzero if degenerate else clusters)[:p]
     return WeightMatrix(
-        W=W,
+        W=evecs[:, selected].T.copy(),
         selected_eigenvalues=tuple(float(evals[i]) for i in selected),
         degenerate=degenerate,
     )

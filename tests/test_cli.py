@@ -36,6 +36,13 @@ def siso_path(tmp_path):
     return path
 
 
+def _highpass(tmp_path):
+    """Model file of s/(s+1) = 1 - 1/(s+1)."""
+    path = tmp_path / "highpass.ss"
+    write_model(StateSpace([[-1.0]], [[1.0]], [[-1.0]], [[1.0]]), path)
+    return path
+
+
 class TestReduceCommand:
     def test_default_run_writes_reduced_model(self, model_path, capsys):
         code = main(["reduce", str(model_path), "--iters", "3"])
@@ -175,6 +182,39 @@ class TestReduceCommand:
         errors = [rec["linf_error"] for rec in doc["records"]]
         assert doc["best_iteration"] == int(np.argmin(errors))
         assert all(max(rec["ranks"], default=1) == 1 for rec in doc["records"])
+
+    def test_axis_pole_iterate_reports_strict_json(self, tmp_path, capsys):
+        # The s/(s+1) run ends at iteration 19, whose interpolant has
+        # imaginary-axis poles and so an infinite error: the report holds
+        # null there, and no constant that strict JSON lacks.
+        out_json = tmp_path / "report.json"
+        code = main(
+            ["reduce", str(_highpass(tmp_path)), "--report-json", str(out_json)]
+        )
+        assert code == 0
+        _ = capsys.readouterr()
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out_json.read_text(), parse_constant=reject)
+        assert doc["termination"] == "interpolant has imaginary-axis poles"
+        assert doc["records"][-1]["linf_error"] is None
+        assert all(rec["linf_error"] is not None for rec in doc["records"][:-1])
+
+    def test_final_line_marks_uncertified_bound(self, tmp_path, capsys):
+        # The returned s/(s+1) iterate has a bound no level test proved:
+        # the final line carries the table's "~" mark.
+        code = main(["reduce", str(_highpass(tmp_path))])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        returned = int(
+            next(ln for ln in lines if ln.startswith("returned iterate")).split()[-1]
+        )
+        cell = lines[2 + returned].split()[4]
+        assert cell.endswith("~")
+        final = next(ln for ln in lines if ln.startswith("final:"))
+        assert f"linf_error {cell}," in final
 
     def test_hz_display(self, model_path, capsys):
         code = main(["reduce", str(model_path), "--iters", "2", "--hz"])

@@ -40,6 +40,18 @@ class TestSigmaMax:
         assert got == pytest.approx(expected, rel=1e-13)
 
 
+def _force_tangency(monkeypatch):
+    """Make every level test see a crossing at 1e4 rad/s, where the gain
+    stays below the level."""
+    import sysmor.norms as mod
+
+    spectrum = mod._axis_frequencies
+    monkeypatch.setattr(
+        mod, "_axis_frequencies",
+        lambda lam: (np.append(spectrum(lam)[0], 1e4), True),
+    )
+
+
 class TestLinfNorm:
     def test_static_gain(self):
         D = np.array([[3.0, 0.0], [0.0, 1.0]])
@@ -95,11 +107,7 @@ class TestLinfNorm:
         # The probed maximum below the floor is returned as is.
         assert not linf_norm(subtract(g, g)).certified
         # A crossing whose probes stay below the level (tangency).
-        spectrum = mod._axis_frequencies
-        monkeypatch.setattr(
-            mod, "_axis_frequencies",
-            lambda lam: [np.append(f, 1e4) for f in spectrum(lam)],
-        )
+        _force_tangency(monkeypatch)
         tangent = linf_norm(RESONANT)
         assert not tangent.certified
         assert tangent.gamma == pytest.approx(RESONANT_GAMMA, rel=1e-5)
@@ -108,6 +116,40 @@ class TestLinfNorm:
         monkeypatch.setattr(mod, "_MAX_LEVEL_ITERATIONS", 1)
         capped = linf_norm(RESONANT)
         assert capped.iterations == 1 and not capped.certified
+
+    def test_tangency_level_probes_once(self, monkeypatch):
+        # Every level test, the accepted tangency level included, evaluates
+        # the response once, after the one evaluation of the seeds.
+        import sysmor.norms as mod
+
+        _force_tangency(monkeypatch)
+        evaluate, calls = mod.eval_freq, []
+
+        def counted(sys, omegas):
+            calls.append(len(omegas))
+            return evaluate(sys, omegas)
+
+        monkeypatch.setattr(mod, "eval_freq", counted)
+        tangent = linf_norm(RESONANT)
+        assert not tangent.certified
+        assert len(calls) == 1 + tangent.iterations
+
+    def test_axis_frequencies_classification(self):
+        from sysmor.norms import _axis_frequencies
+
+        # Mirror pairs (lam, -conj(lam)) are off the axis: nothing to probe.
+        paired = np.array([-1 + 2j, -1 - 2j, 1 + 2j, 1 - 2j])
+        suspects, crossed = _axis_frequencies(paired)
+        assert suspects.size == 0 and not crossed
+        # An off-axis eigenvalue without its mirror is probed, but is no
+        # crossing; an eigenvalue on the axis is both.
+        lone = np.append(paired, [0.01 + 3j, 0.01 - 3j])
+        suspects, crossed = _axis_frequencies(lone)
+        np.testing.assert_array_equal(suspects, [3.0])
+        assert not crossed
+        suspects, crossed = _axis_frequencies(np.append(lone, [5j, -5j]))
+        np.testing.assert_array_equal(suspects, [3.0, 5.0])
+        assert crossed
 
     @pytest.mark.parametrize("seed, build", [(78, "balanced"), (156, "reduce")])
     def test_crossing_moved_off_axis_is_not_missed(self, seed, build):

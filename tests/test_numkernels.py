@@ -9,6 +9,7 @@ from sysmor import (
     IllPosedLyapunov,
     RankOutOfRange,
     StateSpace,
+    dual,
     solve_lyapunov,
     static_gain,
     svd_truncate,
@@ -52,8 +53,8 @@ class TestSolveLyapunov:
     def test_residual_small_for_dense_random(self):
         rng = np.random.default_rng(31)
         sys = random_stable(rng, n=50, q=3, p=3)
-        for trans in (False, True):
-            result = solve_lyapunov(sys, trans)
+        for model in (sys, dual(sys)):
+            result = solve_lyapunov(model)
             assert result.residual <= 1e-10
             # Gramians of a reachable, observable stable system are PSD.
             np.testing.assert_allclose(result.P, result.P.T, atol=1e-14)
@@ -74,41 +75,40 @@ class TestSolveLyapunov:
         assert result.P.shape == (0, 0)
         assert result.residual == 0.0
 
-    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("dualized", [False, True])
     @pytest.mark.parametrize("kind", ["stable", "unstable"])
-    def test_matches_scipy_reference(self, kind, trans):
+    def test_matches_scipy_reference(self, kind, dualized):
         rng = np.random.default_rng(37)
         if kind == "stable":
             sys = random_stable(rng, n=30, q=2, p=3)
         else:
             sys = _unstable_well_posed(rng, n=30)
-        A, F = (sys.A.T, sys.C.T) if trans else (sys.A, sys.B)
+        # The dual's reachability Gramian is the observability Gramian.
+        A, F = (sys.A.T, sys.C.T) if dualized else (sys.A, sys.B)
         ref = solve_continuous_lyapunov(A, -F @ F.T)
-        result = solve_lyapunov(sys, trans)
+        result = solve_lyapunov(dual(sys) if dualized else sys)
         assert result.residual <= 1e-10
         np.testing.assert_allclose(
             result.P, ref, rtol=0, atol=1e-10 * np.abs(ref).max()
         )
 
-    @pytest.mark.parametrize("trans", [False, True])
-    def test_cross_block_matches_scipy_sylvester(self, trans):
+    @pytest.mark.parametrize("dualized", [False, True])
+    def test_cross_block_matches_scipy_sylvester(self, dualized):
         # The off-diagonal block of the stacked system's Gramian, with an
         # unstable second model.
         rng = np.random.default_rng(38)
         g = random_stable(rng, n=20, q=2, p=3)
         r = _unstable_well_posed(rng, n=6)
-        if trans:
-            A, Ao, F, Fo = g.A.T, r.A.T, g.C.T, r.C.T
-        else:
-            A, Ao, F, Fo = g.A, r.A, g.B, r.B
-        ref = solve_sylvester(A, Ao.T, -F @ Fo.T)
-        result = solve_lyapunov(g, trans, other=r)
+        if dualized:
+            g, r = dual(g), dual(r)
+        ref = solve_sylvester(g.A, r.A.T, -g.B @ r.B.T)
+        result = solve_lyapunov(g, other=r)
         assert result.P.shape == (20, 6)
         assert result.residual <= 1e-10
         np.testing.assert_allclose(
             result.P, ref, rtol=0, atol=1e-10 * np.abs(ref).max()
         )
-        assert solve_lyapunov(g, trans, other=static_gain(g.D)).P.shape == (20, 0)
+        assert solve_lyapunov(g, other=static_gain(g.D)).P.shape == (20, 0)
 
 
 class TestSymEig:

@@ -22,9 +22,11 @@ from sysmor import (
     IllPosedLyapunov,
     StateSpace,
     StoppingOptions,
+    balanced_truncate,
     dual,
     eval_freq,
     h2_error_metric,
+    is_stable,
     linf_norm,
     reduce,
     reduce_lowrank,
@@ -32,7 +34,13 @@ from sysmor import (
 )
 from sysmor.cli import compare_methods
 from sysmor.norms import LinfResult
-from conftest import grid_gains, oracle_grid, random_stable, tf_eval
+from conftest import (
+    grid_gains,
+    oracle_grid,
+    random_orthogonal,
+    random_stable,
+    tf_eval,
+)
 
 
 def _raw_error(g, r):
@@ -178,6 +186,26 @@ def test_bound_is_above_the_gain_and_dual_invariant(seed, unstable):
     assert grid_gains(raw, probes).max() <= res.gamma * (1.0 + 1e-9)
     transposed = linf_norm(dual(err))
     assert transposed.gamma == pytest.approx(res.gamma, rel=3e-6)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_coordinate_invariance(seed):
+    # An orthogonal change of state coordinates keeps the transfer
+    # function, so the norms, the stability verdict and the Hankel
+    # singular values (which read both Gramians) must not move.
+    rng = np.random.default_rng(seed)
+    n, q, p = (int(rng.integers(1, hi)) for hi in (9, 3, 3))
+    g = random_stable(rng, n, q, p)
+    Q = random_orthogonal(rng, n)
+    moved = StateSpace(Q.T @ g.A @ Q, Q.T @ g.B, g.C @ Q, g.D)
+    assert linf_norm(moved).gamma == pytest.approx(linf_norm(g).gamma, rel=1e-5)
+    assert h2_error_metric(moved) == pytest.approx(h2_error_metric(g), rel=1e-9)
+    assert is_stable(moved) == is_stable(g)
+    hsv = balanced_truncate(g, 0)[1]
+    np.testing.assert_allclose(
+        balanced_truncate(moved, 0)[1], hsv, rtol=0, atol=1e-9 * hsv[0]
+    )
 
 
 def test_uncertified_bound_is_marked(monkeypatch):

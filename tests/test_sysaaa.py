@@ -510,9 +510,11 @@ class TestReduceDriver:
             eig_shapes.append(np.shape(a))
             return eigvals(a)
 
-        def counted_solve(model, trans=False, other=None):
-            solves.append((model.n, trans, None if other is None else other.n))
-            return solve(model, trans, other)
+        def counted_solve(model, other=None):
+            # An observability Gramian is solved on the model's dual.
+            dualized = model._origin.kind == "dual"
+            solves.append((model.n, dualized, None if other is None else other.n))
+            return solve(model, other)
 
         def counted_response(model, at):
             if model.n == 40:
@@ -540,7 +542,7 @@ class TestReduceDriver:
         assert eig_shapes and (40, 40) not in eig_shapes
         assert solves.count((40, False, None)) == 1
         assert max(n for n, _, _ in solves) == 40
-        assert not any(trans for _, trans, _ in solves)
+        assert not any(dualized for _, dualized, _ in solves)
         assert len(sys._seeds) > 20 and solved_once_at_seeds(sys)
 
         solves.clear()
