@@ -51,9 +51,10 @@ from .sysaaa import (
     realize_interpolant,
     reduce,
     sample_support_point,
+    select_or_grow,
     solve_weights,
 )
-from .lowrank import reduce_lowrank, select_or_grow
+from .lowrank import reduce_lowrank
 from .balred import balanced_truncate
 from .modelio import (
     format_model,

@@ -3,8 +3,8 @@
 Instead of interpolating the full p x q sample at each support point,
 each point interpolates only the leading left singular directions of its
 sample (a ``SupportPoint`` with a rank): a rank-r point costs r states at
-omega = 0 and 2r states otherwise.  When the error peak falls near an
-existing support point the driver grows that point's rank by one
+omega = 0 and 2r states otherwise.  New points enter at rank 1, and the
+shared loop's ``select_or_grow`` rule grows a nearby point's rank by one
 (refactoring the exact sample the point keeps) rather than spending a
 whole new block.
 
@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
-from .exceptions import Saturated
 from .report import ReductionReport
 from .statespace import StateSpace, dual
 from .sysaaa import Interpolant, StoppingOptions, _adaptive_loop
@@ -27,34 +24,7 @@ from .sysaaa import Interpolant, StoppingOptions, _adaptive_loop
 from .norms import linf_norm  # noqa: F401
 from .sysaaa import assemble_error_system, compute_X  # noqa: F401
 
-__all__ = ["select_or_grow", "reduce_lowrank"]
-
-
-def select_or_grow(candidate_omega: float, points, min_dist: float) -> int | None:
-    """Index of the support point whose rank a peak frequency grows, or
-    None when the peak funds a new point.
-
-    The candidate grows the nearest existing point when it lands within
-    ``min_dist * max(1, omega_i)`` of it and that point's rank is below
-    the ``numerical_rank`` of its sample, the limit ``build_block``
-    enforces; Saturated is raised when it is not (nothing left to refine
-    there).
-    """
-    if min_dist <= 0:
-        raise ValueError("min_dist must be positive")
-    if not points:
-        return None
-    candidate = float(candidate_omega)
-    dists = [abs(candidate - pt.omega) for pt in points]
-    i = int(np.argmin(dists))
-    pt = points[i]
-    if dists[i] >= min_dist * max(1.0, pt.omega):
-        return None
-    if pt.rank < pt.numerical_rank:
-        return i
-    raise Saturated(
-        f"support point at {pt.omega:.6g} rad/s already has full rank {pt.rank}"
-    )
+__all__ = ["reduce_lowrank"]
 
 
 def reduce_lowrank(
@@ -62,8 +32,8 @@ def reduce_lowrank(
 ) -> tuple[Interpolant, ReductionReport]:
     """Adaptive interpolation with rank-1 entry and local rank growth.
 
-    Runs the driver loop of ``reduce`` with the ``select_or_grow`` rule;
-    each record additionally lists the per-point ranks.  When the model
+    Runs the driver loop of ``reduce`` with new points entering at rank
+    1; each record additionally lists the per-point ranks.  When the model
     has more outputs than inputs it is reduced through its dual and every
     iterate transposed back (flagged in the report); the support points
     keep the factors of the dual's samples.
@@ -71,7 +41,7 @@ def reduce_lowrank(
     dualized = sys.p > sys.q
     work = dual(sys) if dualized else sys
     _, report = _adaptive_loop(
-        work, options or StoppingOptions(), "lowrank-aaa", select_or_grow
+        work, options or StoppingOptions(), "lowrank-aaa", entry_rank=1
     )
     report.dualized = dualized
     if dualized:

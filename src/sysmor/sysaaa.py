@@ -1,14 +1,15 @@
 """Adaptive rational interpolation of a state-space model.
 
 One driver iteration: locate the peak frequency of the current error,
-sample the full model there, append a real-coefficient interpolation
-block, assemble the cancelled error system H, and re-solve a small
-symmetric eigenvalue problem for the weights that minimise the resulting
-H2 objective.  The interpolant is then read off as a closed-form
-state-space realization; each support point at omega = 0 adds p states
-and each nonzero point adds 2p.  A support point may instead interpolate
-only the r leading left singular directions of its sample, which costs r
-or 2r states; the low-rank driver is built on those.
+decide where it lands (``select_or_grow``: a new support point, or one
+more rank for a nearby rank-limited point), sample the full model there,
+assemble the cancelled error system H, and re-solve a small symmetric
+eigenvalue problem for the weights that minimise the resulting H2
+objective.  The interpolant is then read off as a closed-form
+state-space realization.  A full support point adds p states at
+omega = 0 and 2p elsewhere; a point that interpolates only the r leading
+left singular directions of its sample adds r or 2r, and the low-rank
+driver is built on those.  Both drivers share one loop and one rule.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -63,6 +63,7 @@ __all__ = [
     "compute_X",
     "solve_weights",
     "realize_interpolant",
+    "select_or_grow",
     "reduce",
 ]
 
@@ -189,7 +190,7 @@ class WeightMatrix:
     def w0(self) -> np.ndarray:
         return self.W[:, : self.p]
 
-    @property
+    @cached_property
     def w0_condition(self) -> float:
         """Conditioning of the normalization solve, 1/sigma_min(W0).
 
@@ -213,7 +214,10 @@ class Interpolant:
     sys: StateSpace
     support: tuple
     weights: WeightMatrix
-    order: int
+
+    @property
+    def order(self) -> int:
+        return self.sys.n
 
 
 @dataclass(frozen=True)
@@ -224,8 +228,8 @@ class StoppingOptions:
     ``target_linf`` stops once the certified error drops at or below it;
     ``target_order`` stops before the reduced order would exceed it.
     With ``keep_best`` the driver returns the iterate with the smallest
-    recorded error rather than the last one.  ``min_dist`` only matters
-    to the low-rank driver (rank growth radius).
+    certified error rather than the last one.  ``min_dist`` is the
+    relative radius within which a peak grows a rank-limited point.
     """
 
     max_iterations: int = 20
@@ -415,16 +419,37 @@ def _certify(
     return record, lres
 
 
-def _check_duplicate(omega: float, points) -> None:
-    """Raise DuplicateSupportPoint when ``omega`` coincides with a point."""
-    for pt in points:
-        if abs(omega - pt.omega) <= max(
-            DUPLICATE_ATOL, DUPLICATE_RTOL * max(omega, pt.omega)
-        ):
+def select_or_grow(candidate_omega: float, points, min_dist: float) -> int | None:
+    """Where a peak frequency lands: the index of the point whose rank it
+    grows, or None when it funds a new point.
+
+    A peak within ``min_dist * max(1, omega_i)`` of the nearest point
+    grows that point when it is rank-limited and its rank is below the
+    ``numerical_rank`` of its sample, the limit ``build_block`` enforces;
+    Saturated is raised when it is not (nothing left to refine there).
+    Full points never grow.  Otherwise a peak that coincides with any
+    point raises DuplicateSupportPoint.
+    """
+    if min_dist <= 0:
+        raise ValueError("min_dist must be positive")
+    omega = float(candidate_omega)
+    dists = [abs(omega - pt.omega) for pt in points]
+    if points:
+        i = dists.index(min(dists))
+        pt = points[i]
+        if pt.rank is not None and dists[i] < min_dist * max(1.0, pt.omega):
+            if pt.rank < pt.numerical_rank:
+                return i
+            raise Saturated(
+                f"support point at {pt.omega:.6g} rad/s already has full rank {pt.rank}"
+            )
+    for dist, pt in zip(dists, points):
+        if dist <= max(DUPLICATE_ATOL, DUPLICATE_RTOL * max(omega, pt.omega)):
             raise DuplicateSupportPoint(
                 f"peak frequency {omega:.6g} rad/s coincides with an existing "
                 "support point"
             )
+    return None
 
 
 _STOP_REASONS = {
@@ -437,40 +462,36 @@ def _adaptive_loop(
     work: StateSpace,
     opts: StoppingOptions,
     method: str,
-    grow: Callable | None = None,
+    entry_rank: int | None = None,
 ) -> tuple[Interpolant, ReductionReport]:
     """The adaptive interpolation loop shared by both drivers.
 
     Each iteration certifies and records the current iterate (first the
     feedthrough-only one), checks the stopping rules, snaps near-DC peaks
-    to omega = 0 and plans a step at the certified error peak: a new
-    point there, or, when the low-rank rule ``grow(omega, points,
-    min_dist)`` returns an index, one more rank for that point.  New
-    points carry the full sample without ``grow`` and rank 1 with it.
-    The loop stops before the step would exceed ``target_order``, then
-    takes it and re-solves the weights for the next iterate.
+    to omega = 0 and plans the next support points: ``select_or_grow``
+    either grows a point's rank by one or adds a point at the peak with
+    ``entry_rank`` (None, the full sample, for ``reduce``).  The loop
+    stops before the planned points would exceed ``target_order`` states,
+    then re-solves the weights for the next iterate.
     """
-    new_rank = None if grow is None else 1
     if not is_stable(work):
         raise UnstableInput("adaptive interpolation needs a stable model")
     report = ReductionReport(method=method, options=asdict(opts))
 
     points: list = []
-    current = Interpolant(
-        static_gain(work.D), (), WeightMatrix(np.eye(work.p), ()), 0
-    )
-    iteration, action, acted_omega = 0, "init", None
+    current = Interpolant(static_gain(work.D), (), WeightMatrix(np.eye(work.p), ()))
+    action, acted_omega = "init", None
     while True:
         record, lres = _certify(
             work, current.sys, opts.bisect_rel_tol,
-            iteration=iteration, action=action, omega=acted_omega,
+            iteration=len(report.records), action=action, omega=acted_omega,
             w0_condition=current.weights.w0_condition if points else None,
-            ranks=None if grow is None else tuple(pt.rank for pt in points),
+            ranks=None if entry_rank is None else tuple(pt.rank for pt in points),
         )
         report.records.append(record)
         report.iterates.append(current)
         if lres is None:
-            report.warn(f"iteration {iteration}: interpolant poles on the axis")
+            report.warn(f"iteration {record.iteration}: interpolant poles on the axis")
             termination = "interpolant has imaginary-axis poles"
             break
         if opts.target_linf is not None and lres.gamma <= opts.target_linf:
@@ -479,7 +500,7 @@ def _adaptive_loop(
         if lres.gamma <= 1e-13 * (1.0 + report.records[0].linf_error):
             termination = "error at numerical floor"
             break
-        if iteration >= opts.max_iterations:
+        if record.iteration >= opts.max_iterations:
             termination = "max_iterations reached"
             break
         if math.isinf(lres.omega_peak):
@@ -494,31 +515,26 @@ def _adaptive_loop(
         if omega < DUPLICATE_ATOL:
             omega = 0.0
         try:
-            index = None if grow is None else grow(omega, points, opts.min_dist)
-            if index is None:
-                _check_duplicate(omega, points)
+            index = select_or_grow(omega, points, opts.min_dist)
         except (DuplicateSupportPoint, Saturated) as exc:
             report.warn(f"{type(exc).__name__}: {exc}")
             termination = _STOP_REASONS[type(exc)]
             break
+        step = list(points)
         if index is None:
             action, acted_omega = "add", omega
-            width = work.p if new_rank is None else new_rank
+            step.append(sample_support_point(work, omega, entry_rank))
         else:
-            action, acted_omega, width = "grow", points[index].omega, 1
-        increment = width if acted_omega == 0.0 else 2 * width
+            action, acted_omega = "grow", points[index].omega
+            step[index] = replace(points[index], rank=points[index].rank + 1)
         if (
             opts.target_order is not None
-            and current.order + increment > opts.target_order
+            and sum(pt.order for pt in step) > opts.target_order
         ):
             termination = "target_order would be exceeded"
             break
 
-        if index is None:
-            points.append(sample_support_point(work, omega, new_rank))
-        else:
-            points[index] = replace(points[index], rank=points[index].rank + 1)
-        iteration += 1
+        points = step
         blocks = [build_block(pt) for pt in points]
         X = compute_X(assemble_error_system(blocks, work))
         try:
@@ -528,18 +544,19 @@ def _adaptive_loop(
             report.warn(f"{type(exc).__name__}: {exc}")
             termination = "weight computation failed"
             break
-        current = Interpolant(reduced, tuple(points), weight, reduced.n)
+        current = Interpolant(reduced, tuple(points), weight)
         if weight.degenerate:
             report.warn(
-                f"iteration {iteration}: repeated Gramian eigenvalues, "
-                "distinctness relaxed"
+                f"iteration {len(report.records)}: repeated Gramian "
+                "eigenvalues, distinctness relaxed"
             )
 
     report.termination = termination
-    errors = [rec.linf_error for rec in report.records]
-    report.best_iteration = (
-        errors.index(min(errors)) if opts.keep_best else len(errors) - 1
-    )
+    if opts.keep_best:
+        pool = [rec for rec in report.records if rec.certified] or report.records
+        report.best_iteration = min(pool, key=lambda rec: rec.linf_error).iteration
+    else:
+        report.best_iteration = len(report.records) - 1
     return report.iterates[report.best_iteration], report
 
 

@@ -1,11 +1,13 @@
 """End-to-end command-line runs: artifacts, table output, exit codes."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from sysmor import (
+    SingularW0,
     StateSpace,
     StoppingOptions,
     eval_freq,
@@ -203,9 +205,11 @@ class TestReduceCommand:
         assert all(rec["linf_error"] is not None for rec in doc["records"][:-1])
 
     def test_final_line_marks_uncertified_bound(self, tmp_path, capsys):
-        # The returned s/(s+1) iterate has a bound no level test proved:
-        # the final line carries the table's "~" mark.
-        code = main(["reduce", str(_highpass(tmp_path))])
+        # Iterate 18 of s/(s+1) has a bound no level test proved: returned
+        # without keep_best, the final line carries the table's "~" mark.
+        code = main(
+            ["reduce", str(_highpass(tmp_path)), "--iters", "18", "--no-keep-best"]
+        )
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         returned = int(
@@ -215,6 +219,27 @@ class TestReduceCommand:
         assert cell.endswith("~")
         final = next(ln for ln in lines if ln.startswith("final:"))
         assert f"linf_error {cell}," in final
+
+    def test_weight_failure_exits_cleanly(self, model_path, tmp_path, monkeypatch):
+        # A weight solve that fails mid-run is a report termination, not
+        # a solver error: exit 0 and the reason in the JSON report.
+        import sysmor.sysaaa as mod
+
+        real, calls = mod.solve_weights, itertools.count(1)
+
+        def failing(X, p):
+            if next(calls) == 2:
+                raise SingularW0("injected")
+            return real(X, p)
+
+        monkeypatch.setattr(mod, "solve_weights", failing)
+        out_json = tmp_path / "report.json"
+        code = main(["reduce", str(model_path), "--report-json", str(out_json)])
+        assert code == 0
+        doc = json.loads(out_json.read_text())
+        assert doc["termination"] == "weight computation failed"
+        assert "SingularW0: injected" in doc["warnings"]
+        assert len(doc["records"]) == 2
 
     def test_hz_display(self, model_path, capsys):
         code = main(["reduce", str(model_path), "--iters", "2", "--hz"])

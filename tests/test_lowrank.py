@@ -6,6 +6,7 @@ import pytest
 
 from sysmor import (
     DegenerateFactors,
+    DuplicateSupportPoint,
     NonRealSampleAtZero,
     Saturated,
     StateSpace,
@@ -112,9 +113,35 @@ class TestSelectOrGrow:
         with pytest.raises(Saturated):
             select_or_grow(1.001, pts, min_dist=0.01)
 
+    def test_full_point_at_peak_is_duplicate(self):
+        pts = [make_point(1.0, np.eye(2), None)]
+        with pytest.raises(DuplicateSupportPoint):
+            select_or_grow(1.0, pts, min_dist=0.02)
+
+    def test_full_point_never_grows(self):
+        # Inside the min_dist radius but outside the duplicate band: a
+        # full point funds a new point instead of growing.
+        pts = [make_point(1.0, np.eye(2), None)]
+        assert select_or_grow(1.005, pts, min_dist=0.02) is None
+
+    def test_rank_limited_duplicate_outside_radius(self):
+        # Outside a tiny min_dist radius but inside the duplicate band.
+        pts = [make_point(1.0, np.eye(2), 1)]
+        with pytest.raises(DuplicateSupportPoint):
+            select_or_grow(1.0 + 5e-7, pts, min_dist=1e-8)
+
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             select_or_grow(1.0, [], min_dist=0.0)
+
+
+@pytest.mark.parametrize("driver", [reduce, reduce_lowrank])
+@pytest.mark.parametrize("min_dist", [0.0, -0.5])
+def test_drivers_reject_nonpositive_radius(driver, min_dist):
+    rng = np.random.default_rng(73)
+    sys = random_stable(rng, n=6, q=2, p=2)
+    with pytest.raises(ValueError):
+        driver(sys, StoppingOptions(max_iterations=3, min_dist=min_dist))
 
 
 class TestReduceLowRank:

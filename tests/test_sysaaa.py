@@ -485,6 +485,60 @@ class TestReduceDriver:
         best = linf_norm(subtract(highpass, chosen.sys)).gamma
         assert best <= min(finite) * (1.0 + 1e-4)
 
+    def test_keep_best_returns_certified_iterate(self):
+        # On s/(s+1) the smallest error any record shows is a bound no
+        # level test proved (the late iterates); keep_best returns the
+        # first smallest certified error instead.
+        highpass = StateSpace([[-1.0]], [[1.0]], [[-1.0]], [[1.0]])
+        _, report = reduce(highpass)
+        certified = [r.linf_error for r in report.records if r.certified]
+        assert min(r.linf_error for r in report.records) < min(certified)
+        best = report.records[report.best_iteration]
+        assert best.certified
+        assert best.linf_error == min(certified)
+        assert report.best_iteration == 2
+
+    @BOTH_DRIVERS
+    @pytest.mark.parametrize("failure", [SingularW0, InsufficientSpectrum])
+    def test_weight_failure_terminates_with_warning(
+        self, monkeypatch, driver, failure
+    ):
+        # A weight solve that fails mid-run ends the loop with a report
+        # warning and hands back the last iterate recorded before it.
+        import sysmor.sysaaa as mod
+
+        real, calls = mod.solve_weights, itertools.count(1)
+
+        def failing(X, p):
+            if next(calls) == 3:
+                raise failure("injected")
+            return real(X, p)
+
+        monkeypatch.setattr(mod, "solve_weights", failing)
+        rng = np.random.default_rng(81)
+        sys = random_stable(rng, n=10, q=2, p=2)
+        opts = StoppingOptions(max_iterations=6, keep_best=False)
+        chosen, report = driver(sys, opts)
+        assert report.termination == "weight computation failed"
+        assert report.warnings[-1] == f"{failure.__name__}: injected"
+        assert len(report.records) == 3
+        assert report.best_iteration == 2
+        assert chosen is report.iterates[2]
+
+    @BOTH_DRIVERS
+    def test_repeated_gramian_eigenvalues_warn(self, driver):
+        # Two identical decoupled channels, I/(s+1), give an error Gramian
+        # whose eigenvalues come in equal pairs: the weights relax
+        # distinctness and the report names the iterate.
+        twin = StateSpace(-np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+        opts = StoppingOptions(max_iterations=2, keep_best=False)
+        chosen, report = driver(twin, opts)
+        assert chosen.weights.degenerate
+        assert (
+            "iteration 2: repeated Gramian eigenvalues, distinctness relaxed"
+            in report.warnings
+        )
+
     def test_model_is_factored_once(self, monkeypatch):
         # Every pole, response and Gramian computation reads one cached
         # Schur form per StateSpace: the model's A is factored once per run,
