@@ -10,6 +10,16 @@ the level is accepted, and ``certified`` when no eigenvalue was near the
 axis.  Stability is not required, only the absence of imaginary-axis
 poles, so the same routine serves unstable interpolants.
 
+Before each level test the best probe is refined to a local maximum of
+sigma_max, as Benner and Mitchell do (SIAM J. Sci. Comput. 40(5), 2018):
+between the probes beside it, safeguarded secant steps find a root of
+d sigma_max / d omega = Re(u^H G'(j omega) v), which two shifted solves
+on the cached Schur form give.  The root, unlike the argmax of sigma_max
+itself, is well conditioned, and a refined gain is an ordinary probe, so
+the first level test, at that gain times 1 + rel_tol, usually finds no
+crossings.  When it does find some, the interval around the best new
+probe brackets the next refinement.
+
 The search starts from the model's cached ``_seeds`` (omega = 0 and the
 |Im| and modulus of every pole); on the error system G - R of a reduction
 run, G's response there comes from G's seed cache, so each call solves
@@ -26,7 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ImaginaryAxisPoles, NonzeroFeedthrough
-from .statespace import StateSpace, _axis_margin, eval_freq, poles
+from .statespace import (
+    StateSpace,
+    _axis_margin,
+    _response,
+    _shifted_solve,
+    eval_freq,
+    poles,
+)
 
 __all__ = ["LinfResult", "linf_norm", "sigma_max", "h2_error_metric"]
 
@@ -37,6 +54,14 @@ DEFAULT_BISECT_RTOL = 1e-6
 _IMAG_CLASS_RTOL = 1e-6
 
 _MAX_LEVEL_ITERATIONS = 60
+
+# The peak refinement: its secant search for a root of the slope of
+# sigma_max stops once the bracket is this narrow relative to its upper
+# end, or after this many steps; sigma_max counts as repeated, and its
+# slope as unreliable, where the second singular value is this close.
+_ROOT_RTOL = 1e-12
+_MAX_SLOPE_STEPS = 60
+_REPEATED_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,8 +122,90 @@ def _axis_frequencies(lam: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.unique(np.abs(lam[on_axis | lone].imag)), bool(on_axis.any())
 
 
-def _with_midpoints(omegas: np.ndarray) -> list:
-    return list(omegas) + list(0.5 * (omegas[:-1] + omegas[1:]))
+def _with_midpoints(omegas: np.ndarray) -> np.ndarray:
+    return np.sort(np.concatenate([omegas, 0.5 * (omegas[:-1] + omegas[1:])]))
+
+
+def _gain_and_slope(sys: StateSpace, omega: float) -> tuple[float, float | None]:
+    """sigma_max(G(j omega)) and its derivative in omega, None where
+    sigma_max is (nearly) repeated and so has no reliable slope.
+
+    With u, v the leading singular vectors of G(j omega), the slope is
+    Re(u^H G'(j omega) v) and G'(j omega) = -j C (j omega I - A)^-2 B; on
+    the Schur form A = Z T Z^T it is -j times the product of the row
+    u^H C Z (j omega I - T)^-1 and the column (j omega I - T)^-1 Z^T B v,
+    two one-column shifted solves.
+    """
+    U, s, Vh = np.linalg.svd(_response(sys, np.array([omega]), False)[0])
+    if s.size > 1 and s[1] >= (1.0 - _REPEATED_RTOL) * s[0]:
+        return float(s[0]), None
+    T, Z, _ = sys._schur
+    row = _shifted_solve(T, omega, (U[:, :1].conj().T @ sys.C @ Z).T, trans=True)
+    col = _shifted_solve(T, omega, Z.T @ (sys.B @ Vh[:1].conj().T))
+    return float(s[0]), float((row.T @ col).imag[0, 0])
+
+
+def _slope_root(
+    sys: StateSpace, lo: float, mid: float, hi: float
+) -> tuple[float, float] | None:
+    """(omega, gain) at a local maximum of sigma_max beside ``mid``, the
+    best of a batch of probes whose neighbours are ``lo`` and ``hi``.
+
+    The slope at ``mid`` says on which side the maximum lies.  Halving
+    toward that side's neighbour brackets a root where the slope falls
+    from positive to negative: a midpoint with the opposite slope closes
+    the bracket, one with the same slope and a larger gain becomes the
+    new ``mid``, and one with a smaller gain the new neighbour.  Illinois
+    steps (regula falsi that halves the slope kept at an end the steps do
+    not move, bisecting wherever the secant point leaves the bracket)
+    then narrow the bracket to ``_ROOT_RTOL``.  None at omega = 0, where
+    the slope of the even function sigma_max vanishes, where sigma_max
+    turns (nearly) repeated, or when no bracket closes.
+    """
+    if mid == 0.0:
+        return None
+    gain, f_mid = _gain_and_slope(sys, mid)
+    if not f_mid:
+        return None
+    far = hi if f_mid > 0.0 else lo
+    steps = iter(range(_MAX_SLOPE_STEPS))  # one budget for both loops
+    for _ in steps:
+        if abs(far - mid) <= _ROOT_RTOL * max(far, mid):
+            return None
+        omega = 0.5 * (mid + far)
+        g, f = _gain_and_slope(sys, omega)
+        if f is None:
+            return None
+        if f * f_mid <= 0.0:
+            break
+        if g >= gain:
+            mid, gain, f_mid = omega, g, f
+        else:
+            far = omega
+    else:
+        return None
+    found = omega, g
+    (lo, f_lo), (hi, f_hi) = sorted([(mid, f_mid), (omega, f)])
+    side = 0
+    for _ in steps:
+        if f_lo == 0.0 or f_hi == 0.0 or hi - lo <= _ROOT_RTOL * hi:
+            break
+        omega = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < omega < hi:
+            omega = 0.5 * (lo + hi)
+        g, f = _gain_and_slope(sys, omega)
+        if f is None:
+            return None
+        found = omega, g
+        if f > 0.0:
+            lo, f_lo = omega, f
+            f_hi *= 0.5 if side > 0 else 1.0
+            side = 1
+        else:
+            hi, f_hi = omega, f
+            f_lo *= 0.5 if side < 0 else 1.0
+            side = -1
+    return found
 
 
 def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResult:
@@ -121,23 +228,6 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
             "A has eigenvalues within guard distance of the imaginary axis"
         )
 
-    best_omega = 0.0
-    best_gain = -1.0
-
-    def probe(omegas) -> float:
-        nonlocal best_omega, best_gain
-        if not len(omegas):
-            return 0.0
-        gains = np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain, best_omega = float(gains[k]), float(omegas[k])
-        return float(gains[k])
-
-    # Seed candidates: DC, resonant frequencies, pole magnitudes.
-    probe(sys._seeds)
-    gamma_lb = max(best_gain, d_gain)
-
     # Scale floor so exactly-cancelling systems terminate immediately.
     rough = d_gain + float(
         np.linalg.norm(sys.B) * np.linalg.norm(sys.C)
@@ -145,11 +235,40 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     )
     floor = 1e-13 * max(1.0, rough)
 
+    best_omega = 0.0
+    best_gain = -1.0
+
+    def note(omega, gain) -> float:
+        nonlocal best_omega, best_gain
+        if gain > best_gain:
+            best_gain, best_omega = float(gain), float(omega)
+        return float(gain)
+
+    def probe(omegas: np.ndarray, level: float) -> float:
+        """The largest gain of one sorted batch of frequencies and, when it
+        exceeds ``level``, of the refined peak between the probes beside
+        the best one."""
+        if not omegas.size:
+            return 0.0
+        gains = np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
+        k = int(np.argmax(gains))
+        top = note(omegas[k], gains[k])
+        lo, hi = omegas[max(k - 1, 0)], omegas[min(k + 1, omegas.size - 1)]
+        if top > level and lo < hi:
+            peak = _slope_root(sys, lo, omegas[k], hi)
+            if peak is not None:
+                top = max(top, note(*peak))
+        return top
+
+    # Seed candidates: DC, resonant frequencies, pole magnitudes.
+    probe(sys._seeds, floor)
+    gamma_lb = max(best_gain, d_gain)
+
     certified = False
     for iterations in range(1, _MAX_LEVEL_ITERATIONS + 1):
         level = max(gamma_lb * (1.0 + rel_tol), floor)
         suspects, crossed = _axis_frequencies(_hamiltonian_spectrum(sys, level))
-        new_lb = probe(_with_midpoints(suspects))
+        new_lb = probe(_with_midpoints(suspects), level)
         if new_lb <= level:
             # No probe refutes the level: a bound unless a crossing was seen.
             below_floor = not crossed and gamma_lb <= floor

@@ -243,16 +243,18 @@ def _shifted_solve(
     T: np.ndarray, omega: float, rhs: np.ndarray, trans: bool = False
 ) -> np.ndarray:
     """Solve (j*omega I - T) X = rhs, or (j*omega I - T^T) X = rhs with
-    ``trans``, for quasi-triangular T and real rhs, in real arithmetic.
+    ``trans``, for quasi-triangular T and real or complex rhs, in real
+    arithmetic.
 
     Splitting X = Xr + j Xi turns the shifted solve into the Sylvester
-    equation T [Xr Xi] + [Xr Xi] [[0, -omega], [omega, 0]] = [-rhs 0],
-    one rotation block per column, which LAPACK ``dtrsyl`` solves by
-    back-substitution on T without copying it.
+    equation T [Xr Xi] + [Xr Xi] [[0, -omega], [omega, 0]] =
+    [-Re rhs, -Im rhs], one rotation block per column, which LAPACK
+    ``dtrsyl`` solves by back-substitution on T without copying it.
     """
     n, k = rhs.shape
-    c = np.zeros((n, 2 * k), order="F")
-    c[:, ::2] = -rhs
+    c = np.empty((n, 2 * k), order="F")
+    c[:, ::2] = -rhs.real
+    c[:, 1::2] = -rhs.imag
     rotation = np.zeros((2 * k, 2 * k))
     even = np.arange(0, 2 * k, 2)
     rotation[even, even + 1] = -omega

@@ -228,8 +228,11 @@ class StoppingOptions:
     ``target_linf`` stops once the certified error drops at or below it;
     ``target_order`` stops before the reduced order would exceed it.
     With ``keep_best`` the driver returns the iterate with the smallest
-    certified error rather than the last one.  ``min_dist`` is the
-    relative radius within which a peak grows a rank-limited point.
+    certified error rather than the last one; a later error displaces an
+    earlier one only when it is smaller by more than ``bisect_rel_tol``,
+    the precision of each bound.  ``min_dist`` is the relative radius
+    within which a peak grows a rank-limited point; it must be positive
+    and finite (ValueError).
     """
 
     max_iterations: int = 20
@@ -238,6 +241,10 @@ class StoppingOptions:
     keep_best: bool = True
     bisect_rel_tol: float = DEFAULT_BISECT_RTOL
     min_dist: float = 0.02
+
+    def __post_init__(self):
+        if not 0 < self.min_dist < math.inf:
+            raise ValueError("min_dist must be positive")
 
 
 def _re_im(M: np.ndarray) -> np.ndarray:
@@ -554,7 +561,11 @@ def _adaptive_loop(
     report.termination = termination
     if opts.keep_best:
         pool = [rec for rec in report.records if rec.certified] or report.records
-        report.best_iteration = min(pool, key=lambda rec: rec.linf_error).iteration
+        best = pool[0]
+        for rec in pool[1:]:
+            if rec.linf_error < best.linf_error * (1.0 - opts.bisect_rel_tol):
+                best = rec
+        report.best_iteration = best.iteration
     else:
         report.best_iteration = len(report.records) - 1
     return report.iterates[report.best_iteration], report

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from sysmor import (
+    ImaginaryAxisPoles,
+    LinfResult,
     SingularW0,
     StateSpace,
     StoppingOptions,
@@ -185,10 +187,23 @@ class TestReduceCommand:
         assert doc["best_iteration"] == int(np.argmin(errors))
         assert all(max(rec["ranks"], default=1) == 1 for rec in doc["records"])
 
-    def test_axis_pole_iterate_reports_strict_json(self, tmp_path, capsys):
-        # The s/(s+1) run ends at iteration 19, whose interpolant has
-        # imaginary-axis poles and so an infinite error: the report holds
-        # null there, and no constant that strict JSON lacks.
+    def test_axis_pole_iterate_reports_strict_json(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # An iterate whose error system has imaginary-axis poles (here the
+        # third, by wrapping linf_norm) ends the run with an infinite
+        # error: the report holds null there, and no constant that strict
+        # JSON lacks.
+        import sysmor.sysaaa as mod
+
+        real, calls = mod.linf_norm, itertools.count()
+
+        def axis_poles_at_third(err, rel_tol=1e-6):
+            if next(calls) == 3:
+                raise ImaginaryAxisPoles("injected")
+            return real(err, rel_tol)
+
+        monkeypatch.setattr(mod, "linf_norm", axis_poles_at_third)
         out_json = tmp_path / "report.json"
         code = main(
             ["reduce", str(_highpass(tmp_path)), "--report-json", str(out_json)]
@@ -204,17 +219,30 @@ class TestReduceCommand:
         assert doc["records"][-1]["linf_error"] is None
         assert all(rec["linf_error"] is not None for rec in doc["records"][:-1])
 
-    def test_final_line_marks_uncertified_bound(self, tmp_path, capsys):
-        # Iterate 18 of s/(s+1) has a bound no level test proved: returned
-        # without keep_best, the final line carries the table's "~" mark.
+    def test_final_line_marks_uncertified_bound(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The returned iterate has a bound no level test proved (every
+        # bound is marked so, by wrapping linf_norm): returned without
+        # keep_best, the final line carries the table's "~" mark.
+        import sysmor.sysaaa as mod
+
+        real = mod.linf_norm
+
+        def uncertified(err, rel_tol=1e-6):
+            res = real(err, rel_tol)
+            return LinfResult(res.gamma, res.omega_peak, res.iterations, False)
+
+        monkeypatch.setattr(mod, "linf_norm", uncertified)
         code = main(
-            ["reduce", str(_highpass(tmp_path)), "--iters", "18", "--no-keep-best"]
+            ["reduce", str(_highpass(tmp_path)), "--iters", "3", "--no-keep-best"]
         )
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         returned = int(
             next(ln for ln in lines if ln.startswith("returned iterate")).split()[-1]
         )
+        assert returned == 3
         cell = lines[2 + returned].split()[4]
         assert cell.endswith("~")
         final = next(ln for ln in lines if ln.startswith("final:"))

@@ -1,6 +1,8 @@
 """Low-rank interpolation: rank-limited support points, rank growth,
 dualization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from sysmor import (
     reduce_lowrank,
     select_or_grow,
     sigma_max,
+    static_gain,
 )
 from conftest import random_stable
 
@@ -142,6 +145,21 @@ def test_drivers_reject_nonpositive_radius(driver, min_dist):
     sys = random_stable(rng, n=6, q=2, p=2)
     with pytest.raises(ValueError):
         driver(sys, StoppingOptions(max_iterations=3, min_dist=min_dist))
+
+
+@pytest.mark.parametrize("min_dist", [0.0, -1.0, math.inf, math.nan])
+def test_options_reject_bad_radius(min_dist):
+    with pytest.raises(ValueError, match="min_dist must be positive"):
+        StoppingOptions(min_dist=min_dist)
+
+
+def test_radius_checked_before_the_first_step():
+    # Runs that stop before any step still reject the radius.
+    with pytest.raises(ValueError, match="min_dist must be positive"):
+        reduce(static_gain([[1.0]]), StoppingOptions(min_dist=0.0))
+    first_order = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+    with pytest.raises(ValueError, match="min_dist must be positive"):
+        reduce(first_order, StoppingOptions(min_dist=-1, max_iterations=0))
 
 
 class TestReduceLowRank:

@@ -12,6 +12,7 @@ from sysmor import (
     StateSpace,
     StoppingOptions,
     balanced_truncate,
+    dual,
     eval_freq,
     h2_error_metric,
     linf_norm,
@@ -40,6 +41,36 @@ class TestSigmaMax:
         assert got == pytest.approx(expected, rel=1e-13)
 
 
+class TestSlope:
+    @staticmethod
+    def _check(sys, omegas):
+        from sysmor.norms import _gain_and_slope
+
+        for w in omegas:
+            gain, slope = _gain_and_slope(sys, w)
+            h = 1e-6 * w
+            central = (sigma_max(sys, w + h) - sigma_max(sys, w - h)) / (2 * h)
+            assert gain == pytest.approx(sigma_max(sys, w), rel=1e-12)
+            assert slope == pytest.approx(central, rel=1e-5)
+
+    def test_mimo(self):
+        rng = np.random.default_rng(48)
+        sys = random_stable(rng, n=7, q=2, p=3, feedthrough=True)
+        self._check(sys, 10.0 ** rng.uniform(-1, 1, 5))
+
+    def test_error_system_with_unstable_reduced_model(self):
+        rng = np.random.default_rng(49)
+        g = random_stable(rng, n=8, q=2, p=2)
+        r = random_stable(rng, n=3, q=2, p=2)
+        r = StateSpace(0.3 * np.eye(3) - r.A, r.B, r.C, r.D)
+        self._check(subtract(g, r), 10.0 ** rng.uniform(-1, 1, 5))
+
+    def test_dual(self):
+        rng = np.random.default_rng(50)
+        g = random_stable(rng, n=6, q=3, p=2)
+        self._check(dual(g), 10.0 ** rng.uniform(-1, 1, 5))
+
+
 def _force_tangency(monkeypatch):
     """Make every level test see a crossing at 1e4 rad/s, where the gain
     stays below the level."""
@@ -65,6 +96,23 @@ class TestLinfNorm:
         assert res.gamma == pytest.approx(1.0, rel=1e-5)
         assert res.gamma >= 1.0 - 1e-12
         assert res.omega_peak == pytest.approx(0.0, abs=1e-6)
+
+    def test_resonant_peak_certified_by_one_level_test(self):
+        # The refinement lands on the peak, so the first level test, at
+        # the peak gain times 1 + rel_tol, has no crossings.
+        res = linf_norm(RESONANT)
+        assert res.iterations == 1 and res.certified
+
+    def test_level_tests_on_criterion_3_systems(self):
+        # The 50 random systems of acceptance criterion 3 need at most 60
+        # level tests in all (92 before the refinement, 50 at the floor).
+        rng = np.random.default_rng(1003)
+        total = 0
+        for case in range(50):
+            n, q, p = (int(rng.integers(lo, hi)) for lo, hi in ((2, 41), (1, 4), (1, 4)))
+            sys = random_stable(rng, n, q, p, feedthrough=case % 2 == 0)
+            total += linf_norm(sys).iterations
+        assert total <= 60
 
     def test_resonant_peak_closed_form(self):
         res = linf_norm(RESONANT, rel_tol=1e-9)
@@ -112,7 +160,9 @@ class TestLinfNorm:
         assert not tangent.certified
         assert tangent.gamma == pytest.approx(RESONANT_GAMMA, rel=1e-5)
         monkeypatch.undo()
-        # The level cap ends the search while crossings remain.
+        # The level cap ends the search while crossings remain: without
+        # the peak refinement the first level test finds crossings.
+        monkeypatch.setattr(mod, "_slope_root", lambda *args: None)
         monkeypatch.setattr(mod, "_MAX_LEVEL_ITERATIONS", 1)
         capped = linf_norm(RESONANT)
         assert capped.iterations == 1 and not capped.certified

@@ -90,8 +90,8 @@ def _check_every_record(seed):
 
 
 # Derandomized, so that the suite does not fail at random: about one model
-# in 400 still fails, as the two cases below (found by sweeping the seeds
-# 1000-1399 and 2000-2399) record.
+# in 800 still fails, as the case below (found by sweeping the seeds
+# 1000-1399 and 2000-2399) records.
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None, derandomize=True)
 def test_every_certified_record_is_sound(seed):
@@ -104,9 +104,34 @@ def test_every_certified_record_is_sound(seed):
     "badly scaled for the Hamiltonian level test: a crossing goes unseen "
     "and linf_error under-reports the gain",
 )
-@pytest.mark.parametrize("seed", [1104, 2009])
+@pytest.mark.parametrize("seed", [1104])
 def test_badly_scaled_iterates_are_certified(seed):
     _check_every_record(seed)
+
+
+def test_badly_scaled_iterate_lands_on_its_peak():
+    # Iterate 3 of this model has W0 condition 2.5e5.  Its last level test
+    # sat below the peak, and the badly scaled Hamiltonian missed the
+    # crossings there, so the bound was 0.27 % below the gain.  With the
+    # peak refined first, the level test sits above the peak, where there
+    # are no crossings to miss.
+    _check_every_record(2009)
+
+
+def test_certified_records_are_not_below_the_gain():
+    # A near-tangent crossing pair at a last level test below the peak
+    # once looked like an off-axis mirror pair, so iterate 7 certified a
+    # bound 1.2e-5 below the gain.  Every certified bound must be at or
+    # above the gain on a 100k-point grid.
+    rng = np.random.default_rng(156)
+    n, q, p = (int(rng.integers(1, hi)) for hi in (9, 3, 3))
+    g = random_stable(rng, n, q, p)
+    _, report = reduce(g, StoppingOptions(max_iterations=8))
+    for rec, iterate in zip(report.records, report.iterates, strict=True):
+        if rec.certified:
+            err = _raw_error(g, iterate.sys)
+            gain = grid_gains(err, oracle_grid(err)).max()
+            assert rec.linf_error >= gain * (1.0 - 1e-9), rec.iteration
 
 
 def _operands(seed, unstable):
