@@ -20,6 +20,25 @@ the first level test, at that gain times 1 + rel_tol, usually finds no
 crossings.  When it does find some, the interval around the best new
 probe brackets the next refinement.
 
+On an error system G - R from ``subtract`` with G stable, a level test
+may run on G_k - R instead, with G_k the balanced truncation of G to k
+states (read from G's cached balancing transform; no Schur form, since
+the test builds the Hamiltonian from the matrices).  Glover's bound
+||G - G_k||_inf <= 2 sum_{i>k} sigma_i (Int. J. Control 39, 1984) and
+the triangle inequality carry the proof back: when the Hamiltonian of
+G_k - R at ``level - delta(k)``, with delta(k) = 2 (sum_{i>k} sigma_i
++ c n eps sigma_1), has no imaginary eigenvalues, ||G - R||_inf <=
+``level``.  The second term of delta(k) is an allowance for roundoff in
+the computed G_k, and the surrogate runs only when both of G's Gramian
+residuals are within that allowance.  k is the smallest order with
+4 delta(k) <= 0.1 rel_tol gamma_lb, so the shifted level still sits
+above the peak; when no k < n qualifies (flat Hankel decay, a tiny
+lower bound), or sigma_k is negligible, the exact test runs.  Suspects,
+probes, the peak refinement and the lower bound stay on the exact
+G - R, and a surrogate test whose crossings no probe refutes is
+repeated exactly at the same level, so ``certified`` keeps its meaning.
+The surrogate's test has 2(k + r) states instead of 2(n + r).
+
 The search starts from the model's cached ``_seeds`` (omega = 0 and the
 |Im| and modulus of every pole); on the error system G - R of a reduction
 run, G's response there comes from G's seed cache, so each call solves
@@ -37,12 +56,16 @@ import numpy as np
 
 from .exceptions import ImaginaryAxisPoles, NonzeroFeedthrough
 from .statespace import (
+    _NEGLIGIBLE_HSV_RTOL,
     StateSpace,
     _axis_margin,
+    _balanced_truncation,
     _response,
     _shifted_solve,
     eval_freq,
+    is_stable,
     poles,
+    subtract,
 )
 
 __all__ = ["LinfResult", "linf_norm", "sigma_max", "h2_error_metric"]
@@ -63,26 +86,40 @@ _ROOT_RTOL = 1e-12
 _MAX_SLOPE_STEPS = 60
 _REPEATED_RTOL = 1e-8
 
+# The surrogate level test: c in the roundoff allowance c n eps sigma_1 of
+# its shift delta(k), and the share of rel_tol * gamma_lb that 4 delta(k)
+# may take.
+_ROUNDOFF_ALLOWANCE = 100.0
+_SURROGATE_SHARE = 0.1
+
 
 @dataclass(frozen=True)
 class LinfResult:
     """Peak gain ``gamma``, a frequency attaining it within tolerance, and
-    the number of Hamiltonian level tests performed.  ``omega_peak`` is
+    the number of Hamiltonian level tests performed (``iterations``; a
+    surrogate test repeated exactly counts twice).  ``omega_peak`` is
     ``math.inf`` when the supremum is approached only as omega -> inf
     (feedthrough-dominated error).
 
     ``certified`` is True when ``gamma`` is proven an upper bound: it is
-    the level of a Hamiltonian test that found no crossings, or the exact
-    gain of a static system.  It is False when the level cap was hit, when
-    the last test found crossings whose probes stayed below its level
-    (a tangency), or when the probed maximum fell below the numerical
-    floor and is returned as is.
+    the level of a Hamiltonian test that found no crossings (on G - R, or
+    on a balanced surrogate G_k - R at that level less delta(k)), or the
+    exact gain of a static system.  It is False when the level cap was
+    hit, when the last test found crossings whose probes stayed below its
+    level (a tangency), or when the probed maximum fell below the
+    numerical floor and is returned as is.
+
+    ``surrogate_tests`` counts the level tests that ran on a surrogate,
+    and ``slope_evaluations`` the gain-and-slope evaluations of the peak
+    refinement (each one response and two shifted solves).
     """
 
     gamma: float
     omega_peak: float
     iterations: int
     certified: bool = True
+    surrogate_tests: int = 0
+    slope_evaluations: int = 0
 
 
 def sigma_max(sys: StateSpace, omega: float) -> float:
@@ -146,10 +183,11 @@ def _gain_and_slope(sys: StateSpace, omega: float) -> tuple[float, float | None]
 
 
 def _slope_root(
-    sys: StateSpace, lo: float, mid: float, hi: float
+    gain_and_slope, lo: float, mid: float, hi: float
 ) -> tuple[float, float] | None:
     """(omega, gain) at a local maximum of sigma_max beside ``mid``, the
-    best of a batch of probes whose neighbours are ``lo`` and ``hi``.
+    best of a batch of probes whose neighbours are ``lo`` and ``hi``;
+    ``gain_and_slope(omega)`` evaluates sigma_max and its slope.
 
     The slope at ``mid`` says on which side the maximum lies.  Halving
     toward that side's neighbour brackets a root where the slope falls
@@ -164,7 +202,7 @@ def _slope_root(
     """
     if mid == 0.0:
         return None
-    gain, f_mid = _gain_and_slope(sys, mid)
+    gain, f_mid = gain_and_slope(mid)
     if not f_mid:
         return None
     far = hi if f_mid > 0.0 else lo
@@ -173,7 +211,7 @@ def _slope_root(
         if abs(far - mid) <= _ROOT_RTOL * max(far, mid):
             return None
         omega = 0.5 * (mid + far)
-        g, f = _gain_and_slope(sys, omega)
+        g, f = gain_and_slope(omega)
         if f is None:
             return None
         if f * f_mid <= 0.0:
@@ -193,7 +231,7 @@ def _slope_root(
         omega = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < omega < hi:
             omega = 0.5 * (lo + hi)
-        g, f = _gain_and_slope(sys, omega)
+        g, f = gain_and_slope(omega)
         if f is None:
             return None
         found = omega, g
@@ -206,6 +244,32 @@ def _slope_root(
             f_lo *= 0.5 if side < 0 else 1.0
             side = -1
     return found
+
+
+def _surrogate(
+    sys: StateSpace, gamma_lb: float, rel_tol: float
+) -> tuple[StateSpace, float] | None:
+    """(G_k - R, delta(k)) for a level test of the error system
+    ``sys`` = G - R at a level near ``gamma_lb``, or None when the exact
+    test must run: ``sys`` is not a difference from ``subtract``, G is
+    not stable or has a Gramian residual above the roundoff allowance,
+    or no order 0 < k < n with a non-negligible sigma_k meets
+    4 delta(k) <= 0.1 rel_tol gamma_lb."""
+    kind, g, r = sys._origin
+    if kind != "difference" or g.n < 2 or not gamma_lb > 0.0 or not is_stable(g):
+        return None
+    allowance = _ROUNDOFF_ALLOWANCE * g.n * np.finfo(float).eps
+    if max(g._reachability.residual, g._observability.residual) > allowance:
+        return None
+    _, _, _, hsv, _, tails = g._balancing
+    shifts = 2.0 * (tails[1 : g.n] + allowance * hsv[0])
+    fits = np.flatnonzero(4.0 * shifts <= _SURROGATE_SHARE * rel_tol * gamma_lb)
+    if not fits.size:
+        return None
+    k = int(fits[0]) + 1
+    if hsv[k - 1] <= _NEGLIGIBLE_HSV_RTOL * hsv[0]:
+        return None
+    return subtract(_balanced_truncation(g, k), r), float(shifts[k - 1])
 
 
 def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResult:
@@ -237,6 +301,12 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
 
     best_omega = 0.0
     best_gain = -1.0
+    slopes = 0
+
+    def gain_and_slope(omega: float) -> tuple[float, float | None]:
+        nonlocal slopes
+        slopes += 1
+        return _gain_and_slope(sys, omega)
 
     def note(omega, gain) -> float:
         nonlocal best_omega, best_gain
@@ -255,7 +325,7 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
         top = note(omegas[k], gains[k])
         lo, hi = omegas[max(k - 1, 0)], omegas[min(k + 1, omegas.size - 1)]
         if top > level and lo < hi:
-            peak = _slope_root(sys, lo, omegas[k], hi)
+            peak = _slope_root(gain_and_slope, lo, omegas[k], hi)
             if peak is not None:
                 top = max(top, note(*peak))
         return top
@@ -265,10 +335,22 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     gamma_lb = max(best_gain, d_gain)
 
     certified = False
-    for iterations in range(1, _MAX_LEVEL_ITERATIONS + 1):
+    tests = surrogate_tests = 0
+    for _ in range(_MAX_LEVEL_ITERATIONS):
         level = max(gamma_lb * (1.0 + rel_tol), floor)
-        suspects, crossed = _axis_frequencies(_hamiltonian_spectrum(sys, level))
-        new_lb = probe(_with_midpoints(suspects), level)
+        surrogate = _surrogate(sys, gamma_lb, rel_tol)
+        if surrogate is not None:
+            err_k, shift = surrogate
+            surrogate_tests += 1
+            spectrum = _hamiltonian_spectrum(err_k, level - shift)
+            suspects, crossed = _axis_frequencies(spectrum)
+            new_lb = probe(_with_midpoints(suspects), level)
+            if crossed and new_lb <= level:
+                surrogate = None  # no probe refutes the crossings: test exactly
+        if surrogate is None:
+            tests += 1
+            suspects, crossed = _axis_frequencies(_hamiltonian_spectrum(sys, level))
+            new_lb = probe(_with_midpoints(suspects), level)
         if new_lb <= level:
             # No probe refutes the level: a bound unless a crossing was seen.
             below_floor = not crossed and gamma_lb <= floor
@@ -280,7 +362,10 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
         gamma = gamma_lb * (1.0 + rel_tol)
 
     omega_peak = best_omega if best_gain >= d_gain else math.inf
-    return LinfResult(float(gamma), omega_peak, iterations, certified)
+    return LinfResult(
+        float(gamma), omega_peak, tests + surrogate_tests, certified,
+        surrogate_tests, slopes,
+    )
 
 
 def h2_error_metric(err_sys: StateSpace) -> float:

@@ -20,6 +20,11 @@ so the error system G - R of a reduction run solves only R and the
 frequencies that are not seeds of G; its reachability Gramian is
 assembled as [[P_G, X], [X^T, P_R]] from G's cached Gramian, R's r x r
 one and the cross block X of one Sylvester solve.
+
+A stable model also caches its square-root balancing transform, built
+from its two cached Gramians with one SVD: its Hankel singular values,
+their tail sums and every balanced truncation read it, and a dual reads
+its operand's with the roles of the two Gramians swapped.
 """
 
 from __future__ import annotations
@@ -57,6 +62,13 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
     return M
 
 
+# Hankel values this far below the largest cannot be balanced in floating
+# point (the 1/sqrt scaling would amplify roundoff past the signal); the
+# matching states of a balanced truncation decouple instead of entering
+# the transform.
+_NEGLIGIBLE_HSV_RTOL = 1e-14
+
+
 class _Origin(NamedTuple):
     """How a model was derived: ``kind`` "dynamics" is a new output map on
     the states of ``of``, "dual" the dual of ``of``, and "difference" the
@@ -65,6 +77,20 @@ class _Origin(NamedTuple):
     kind: str | None = None
     of: StateSpace | None = None
     minus: StateSpace | None = None
+
+
+class _Balancing(NamedTuple):
+    """Square-root balancing of a model's Gramians P = Lc Lc^T and
+    Q = Lo Lo^T: the SVD Lo^T Lc = U diag(hsv) Vt, whose singular values
+    are the Hankel singular values (nonincreasing), and ``tails`` with
+    tails[k] = sum(hsv[k:]) for k = 0..n."""
+
+    Lc: np.ndarray
+    Lo: np.ndarray
+    U: np.ndarray
+    hsv: np.ndarray
+    Vt: np.ndarray
+    tails: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -214,6 +240,23 @@ class StateSpace:
             return of._reachability
         return numkernels.solve_lyapunov(dual(self))
 
+    @cached_property
+    def _balancing(self) -> _Balancing:
+        """The square-root balancing transform of a stable model, from
+        its two cached Gramians and one SVD.  A dual reads its operand's
+        with the roles swapped: Lc and Lo trade places, and the SVD of
+        Lc^T Lo is the transpose of that of Lo^T Lc."""
+        kind, of, _ = self._origin
+        if kind == "dual":
+            Lc, Lo, U, hsv, Vt, tails = of._balancing
+            return _Balancing(Lo, Lc, Vt.T, hsv, U.T, tails)
+        Lc = _psd_factor(self._reachability.P)
+        Lo = _psd_factor(self._observability.P)
+        U, hsv, Vt = np.linalg.svd(Lo.T @ Lc)
+        # summed from the smallest value up, so each tail keeps its digits
+        tails = np.append(np.cumsum(hsv[::-1])[::-1], 0.0)
+        return _Balancing(*_frozen(Lc, Lo, U, hsv, Vt, tails))
+
 
 def _derived(model: StateSpace, *origin) -> StateSpace:
     object.__setattr__(model, "_origin", _Origin(*origin))
@@ -224,6 +267,42 @@ def _same_dynamics(sys: StateSpace, C, D) -> StateSpace:
     """(A, B, C, D) on the states of ``sys``, sharing its Schur form,
     seeds and reachability Gramian."""
     return _derived(StateSpace(sys.A, sys.B, C, D), "dynamics", sys)
+
+
+def _psd_factor(M: np.ndarray) -> np.ndarray:
+    """Factor L with M = L L^T for symmetric PSD M.
+
+    Cholesky when it succeeds; otherwise an eigenvalue factorization with
+    negative (roundoff) eigenvalues clipped to zero.
+    """
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        w, V = np.linalg.eigh(0.5 * (M + M.T))
+        return V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+
+
+def _balanced_truncation(sys: StateSpace, order: int) -> StateSpace:
+    """The balanced truncation of a stable ``sys`` to 0 < ``order`` <= n
+    states, read from its cached balancing transform at O(n^2 order) cost.
+
+    With hsv the Hankel values, T = Lc Vt[:order]^T hsv^-1/2 and
+    W = Lo U[:, :order] hsv^-1/2 give (W^T A T, W^T B, C T, D).
+    Directions whose Hankel value is numerically zero decouple as inert
+    states (unit decay, no input or output coupling).
+    """
+    Lc, Lo, U, hsv, Vt, _ = sys._balancing
+    keep = hsv[:order] > _NEGLIGIBLE_HSV_RTOL * max(hsv[0], np.finfo(float).tiny)
+    scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, hsv[:order], 1.0)), 0.0)
+    T = Lc @ Vt[:order].T * scale
+    W = Lo @ U[:, :order] * scale
+    A_r = W.T @ sys.A @ T
+    if not np.all(keep):
+        dead = ~keep
+        A_r[dead, :] = 0.0
+        A_r[:, dead] = 0.0
+        A_r[dead, dead] = -1.0
+    return StateSpace(A_r, W.T @ sys.B, sys.C @ T, sys.D)
 
 
 def _frozen(*arrays):

@@ -22,6 +22,34 @@ def random_stable(rng, n, q, p, damping=0.5, feedthrough=False):
     return StateSpace(A, B, C, D)
 
 
+def mass_chain(seed, masses, inputs, outputs, jitter=1e-2):
+    """Mass-spring-damper chain between two walls (2 * masses states):
+    unit masses, springs of stiffness 100 and dampers of 0.2 plus 0.01
+    times the stiffness, each jittered by the relative amount ``jitter``.
+    Forces act on the masses listed in ``inputs``; the outputs are the
+    positions of the masses listed in ``outputs``.  Its Hankel singular
+    values decay fast, as those of most smooth physical models do."""
+    rng = np.random.default_rng([seed, masses])
+    m = masses
+    mass, spring, damper = (
+        nominal * (1.0 + jitter * rng.uniform(-1.0, 1.0, size))
+        for nominal, size in ((1.0, m), (100.0, m + 1), (0.2, m))
+    )
+    K = np.diag(spring[:-1] + spring[1:])
+    K -= np.diag(spring[1:-1], 1) + np.diag(spring[1:-1], -1)
+    Minv = np.diag(1.0 / mass)
+    A = np.block(
+        [[np.zeros((m, m)), np.eye(m)], [-Minv @ K, -Minv @ (np.diag(damper) + 0.01 * K)]]
+    )
+    B = np.zeros((2 * m, len(inputs)))
+    for j, k in enumerate(inputs):
+        B[m + k, j] = 1.0 / mass[k]
+    C = np.zeros((len(outputs), 2 * m))
+    for i, k in enumerate(outputs):
+        C[i, k] = 1.0
+    return StateSpace(A, B, C, np.zeros((len(outputs), len(inputs))))
+
+
 def tf_eval(A, B, C, D, s):
     """Direct transfer evaluation C (sI - A)^{-1} B + D at one point."""
     n = A.shape[0]

@@ -8,6 +8,7 @@ from sysmor import (
     StateSpace,
     UnstableInput,
     balanced_truncate,
+    dual,
     eval_freq,
     is_stable,
     linf_norm,
@@ -17,6 +18,19 @@ from sysmor import (
 from conftest import random_stable
 
 FIRST_ORDER = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+
+
+def _refactored(sys, order):
+    """The square-root method redone from the model's Gramians at every
+    call: Cholesky factors Lc and Lo, the SVD of Lo^T Lc, and the
+    projection onto its leading ``order`` directions."""
+    Lc = np.linalg.cholesky(sys._reachability.P)
+    Lo = np.linalg.cholesky(sys._observability.P)
+    U, hsv, Vt = np.linalg.svd(Lo.T @ Lc)
+    scale = 1.0 / np.sqrt(hsv[:order])
+    T = Lc @ Vt[:order].T * scale
+    W = Lo @ U[:, :order] * scale
+    return StateSpace(W.T @ sys.A @ T, W.T @ sys.B, sys.C @ T, sys.D), hsv
 
 
 class TestBalancedTruncate:
@@ -110,3 +124,28 @@ class TestBalancedTruncate:
             np.testing.assert_allclose(
                 eval_freq(reduced, omega), eval_freq(sys, omega), atol=1e-9
             )
+
+    def test_orders_share_one_balancing_transform(self, monkeypatch):
+        # Twelve orders of one model, and of its dual, run one SVD; each
+        # matches the square-root method redone from scratch.
+        rng = np.random.default_rng(86)
+        sys = random_stable(rng, n=20, q=2, p=3)
+        expected = [_refactored(sys, k) for k in range(1, 13)]
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        omegas = np.concatenate([[0.0], np.logspace(-2, 2, 40)])
+        for k, (want, want_hsv) in enumerate(expected, start=1):
+            got, hsv = balanced_truncate(sys, k)
+            np.testing.assert_allclose(hsv, want_hsv, rtol=1e-12, atol=0.0)
+            gap = np.abs(eval_freq(got, omegas) - eval_freq(want, omegas)).max()
+            assert gap <= 1e-12 * np.abs(eval_freq(want, omegas)).max()
+            flipped, _ = balanced_truncate(dual(sys), k)
+            gap = np.abs(eval_freq(flipped, omegas).transpose(0, 2, 1)
+                         - eval_freq(want, omegas)).max()
+            assert gap <= 1e-12 * np.abs(eval_freq(want, omegas)).max()
+        assert calls == [(20, 20)]

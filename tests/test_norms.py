@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
+import sysmor.norms
+import sysmor.sysaaa
 from sysmor import (
     ImaginaryAxisPoles,
     NonzeroFeedthrough,
@@ -17,11 +19,13 @@ from sysmor import (
     h2_error_metric,
     linf_norm,
     reduce,
+    reduce_lowrank,
     sigma_max,
     static_gain,
     subtract,
 )
-from conftest import grid_gains, oracle_grid, random_stable
+from conftest import grid_gains, mass_chain, oracle_grid, random_stable
+from test_records import _check, _raw_error
 
 # Second-order resonance 1/(s^2 + 2*zeta*s + 1) with zeta = 0.1: the peak
 # gain is 1/(2*zeta*sqrt(1 - zeta^2)) at omega = sqrt(1 - 2*zeta^2).
@@ -249,6 +253,115 @@ class TestLinfNorm:
         a = linf_norm(sys)
         b = linf_norm(scaled)
         assert b.gamma == pytest.approx(10.0 * a.gamma, rel=1e-5)
+
+
+def _shift(g, k):
+    """delta(k) = 2 (sum_{i>k} sigma_i + c n eps sigma_1), from the Hankel
+    values that balanced_truncate returns."""
+    hsv = balanced_truncate(g, 0)[1]
+    allowance = sysmor.norms._ROUNDOFF_ALLOWANCE * g.n * np.finfo(float).eps
+    return 2.0 * (hsv[k:].sum() + allowance * hsv[0])
+
+
+def _modal(modes, q, p, zeta=0.01):
+    """Lightly damped modes over three decades whose input directions grow
+    as sqrt(omega): every mode has about the same Hankel values, so no
+    truncation below full order is accurate."""
+    rng = np.random.default_rng(7)
+    omega = np.logspace(np.log10(0.5), np.log10(500.0), modes)
+    A = np.zeros((2 * modes, 2 * modes))
+    for k, w in enumerate(omega):
+        A[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [
+            [-zeta * w, w * math.sqrt(1 - zeta**2)],
+            [-w * math.sqrt(1 - zeta**2), -zeta * w],
+        ]
+    B = rng.standard_normal((modes, 2, q)) * np.sqrt(omega)[:, None, None]
+    C = rng.standard_normal((p, 2 * modes))
+    return StateSpace(A, B.reshape(2 * modes, q), C, np.zeros((p, q)))
+
+
+class TestSurrogateLevelTest:
+    """Level tests on G_k - R at the level less delta(k), with G_k the
+    balanced truncation of G, prove bounds on G - R."""
+
+    CHAIN = mass_chain(0, 40, inputs=(0,), outputs=(39,))
+
+    def test_truncation_error_within_shift(self):
+        g = self.CHAIN
+        for k in (10, 25, 40, 55, 70):
+            g_k, _ = balanced_truncate(g, k)
+            err = _raw_error(g, g_k)
+            gains = grid_gains(err, oracle_grid(err, points=20000))
+            assert gains.max() <= _shift(g, k), k
+
+    @pytest.mark.parametrize("build", ["balanced", "reduce"])
+    def test_surrogate_certifies_like_the_full_test(self, build):
+        g = self.CHAIN
+        if build == "balanced":
+            r, _ = balanced_truncate(g, 12)
+        else:
+            r = reduce(g, StoppingOptions(max_iterations=6, keep_best=False))[0].sys
+        res = linf_norm(subtract(g, r))
+        assert res.surrogate_tests > 0 and res.certified
+        # A model built from matrices has no operands: the full test.
+        raw = _raw_error(g, r)
+        full = linf_norm(raw)
+        assert full.surrogate_tests == 0 and full.certified
+        assert res.gamma == pytest.approx(full.gamma, rel=1e-6)
+        assert res.gamma >= grid_gains(raw, oracle_grid(raw)).max()
+
+    def test_unrefuted_surrogate_crossing_runs_the_exact_test(self, monkeypatch):
+        # A spurious axis eigenvalue at 1e4 rad/s, where the error's gain
+        # is far below the level, on every surrogate spectrum: a surrogate
+        # test whose crossings no probe refutes is repeated exactly, and
+        # only the exact test certifies.
+        g = self.CHAIN
+        r, _ = balanced_truncate(g, 12)
+        err = subtract(g, r)
+        clean = linf_norm(err)
+        spectrum, sizes = sysmor.norms._hamiltonian_spectrum, []
+
+        def spurious(sys, gamma):
+            sizes.append(sys.n)
+            lam = spectrum(sys, gamma)
+            return lam if sys.n == err.n else np.append(lam, [1e4j, -1e4j])
+
+        monkeypatch.setattr(sysmor.norms, "_hamiltonian_spectrum", spurious)
+        res = linf_norm(err)
+        assert res.certified and res.surrogate_tests > 0
+        assert sizes.count(err.n) == res.iterations - res.surrogate_tests >= 1
+        assert sizes[-1] == err.n
+        assert res.gamma == pytest.approx(clean.gamma, rel=1e-6)
+
+    def test_no_surrogate_for_unstable_model_or_flat_hankel_decay(self):
+        g = self.CHAIN
+        unstable = StateSpace(-g.A, g.B, g.C, g.D)
+        r = random_stable(np.random.default_rng(11), n=4, q=1, p=1)
+        res = linf_norm(subtract(unstable, r))
+        assert res.surrogate_tests == 0 and res.certified
+        modal = _modal(40, q=2, p=3)
+        for order in (2, 6, 12):
+            r, _ = balanced_truncate(modal, order)
+            res = linf_norm(subtract(modal, r))
+            assert res.surrogate_tests == 0 and res.certified
+
+    @pytest.mark.parametrize("driver", [reduce, reduce_lowrank])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chain_records_are_sound(self, seed, driver, monkeypatch):
+        # One force, two positions: the low-rank driver works on the dual,
+        # whose balancing transform is the model's with the roles swapped.
+        g = mass_chain(seed, 30, inputs=(0,), outputs=(14, 29))
+        real, results = sysmor.sysaaa.linf_norm, []
+
+        def recorded(err, rel_tol=1e-6):
+            results.append(real(err, rel_tol))
+            return results[-1]
+
+        monkeypatch.setattr(sysmor.sysaaa, "linf_norm", recorded)
+        _, report = driver(g, StoppingOptions(max_iterations=8))
+        assert sum(res.surrogate_tests for res in results) > 0
+        for rec, iterate in zip(report.records, report.iterates, strict=True):
+            _check(g, iterate.sys, rec.order, rec.linf_error, rec.h2_metric)
 
 
 class TestH2Metric:
