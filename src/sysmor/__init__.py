@@ -31,12 +31,7 @@ from .statespace import (
     static_gain,
     subtract,
 )
-from .numkernels import (
-    GramianResult,
-    solve_lyapunov,
-    svd_truncate,
-    sym_eig_ascending,
-)
+from .numkernels import GramianResult, solve_lyapunov
 from .norms import LinfResult, h2_error_metric, linf_norm, sigma_max
 from .report import IterationRecord, ReductionReport
 from .sysaaa import (
@@ -76,8 +71,6 @@ __all__ = [
     "is_stable",
     "GramianResult",
     "solve_lyapunov",
-    "sym_eig_ascending",
-    "svd_truncate",
     "LinfResult",
     "linf_norm",
     "sigma_max",

@@ -339,18 +339,16 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     for _ in range(_MAX_LEVEL_ITERATIONS):
         level = max(gamma_lb * (1.0 + rel_tol), floor)
         surrogate = _surrogate(sys, gamma_lb, rel_tol)
-        if surrogate is not None:
-            err_k, shift = surrogate
-            surrogate_tests += 1
-            spectrum = _hamiltonian_spectrum(err_k, level - shift)
+        # The surrogate's test, when there is one, then the exact test, up
+        # to the first that finds no crossings or whose probes refute them.
+        for err, shift in [surrogate, (sys, 0.0)] if surrogate else [(sys, 0.0)]:
+            tests += 1
+            surrogate_tests += err is not sys
+            spectrum = _hamiltonian_spectrum(err, level - shift)
             suspects, crossed = _axis_frequencies(spectrum)
             new_lb = probe(_with_midpoints(suspects), level)
-            if crossed and new_lb <= level:
-                surrogate = None  # no probe refutes the crossings: test exactly
-        if surrogate is None:
-            tests += 1
-            suspects, crossed = _axis_frequencies(_hamiltonian_spectrum(sys, level))
-            new_lb = probe(_with_midpoints(suspects), level)
+            if not crossed or new_lb > level:
+                break
         if new_lb <= level:
             # No probe refutes the level: a bound unless a crossing was seen.
             below_floor = not crossed and gamma_lb <= floor
@@ -363,8 +361,7 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
 
     omega_peak = best_omega if best_gain >= d_gain else math.inf
     return LinfResult(
-        float(gamma), omega_peak, tests + surrogate_tests, certified,
-        surrogate_tests, slopes,
+        float(gamma), omega_peak, tests, certified, surrogate_tests, slopes
     )
 
 

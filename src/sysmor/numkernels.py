@@ -1,16 +1,14 @@
-"""Dense numerical kernels shared by the algorithm modules.
+"""The Lyapunov and Sylvester solve behind every Gramian.
 
-Keeps the Lyapunov solve, symmetric eigendecomposition, and SVD
-truncation in one place so the algorithm code stays backend-agnostic.
-The Lyapunov solve is Bartels-Stewart back-substitution on the real Schur
-form each ``StateSpace`` caches, so it factors nothing itself; every
-solve reports its relative residual instead of assuming success.  It
-solves for reachability Gramians only: an observability Gramian is the
-reachability Gramian of the dual, whose Schur form is the model's
-reversed.  The same solve, given a second model, returns the cross block
-of the Gramian of the two models' stacked states, a Sylvester equation
-on the two Schur forms: that is how the Gramian of an error system G - R
-is split into G's cached Gramian, R's small one and that block.
+It is Bartels-Stewart back-substitution on the real Schur form each
+``StateSpace`` caches, so it factors nothing itself; every solve reports
+its relative residual instead of assuming success.  It solves for
+reachability Gramians only: an observability Gramian is the reachability
+Gramian of the dual, whose Schur form is the model's reversed.  The same
+solve, given a second model, returns the cross block of the Gramian of
+the two models' stacked states, a Sylvester equation on the two Schur
+forms: that is how the Gramian of an error system G - R is split into
+G's cached Gramian, R's small one and that block.
 """
 
 from __future__ import annotations
@@ -21,26 +19,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg.lapack import dtrsyl
 
-from .exceptions import IllPosedLyapunov, RankOutOfRange
+from .exceptions import IllPosedLyapunov
 
 if TYPE_CHECKING:
     from .statespace import StateSpace
 
-__all__ = [
-    "GramianResult",
-    "solve_lyapunov",
-    "sym_eig_ascending",
-    "svd_truncate",
-    "ZERO_EIGENVALUE_RTOL",
-    "DISTINCT_EIGENVALUE_RTOL",
-]
-
-# Thresholds for eigenvalue classification used by the weight selection:
-# lam is treated as zero when lam <= ZERO_EIGENVALUE_RTOL * lam_max, and two
-# ascending eigenvalues are distinct when their gap exceeds
-# DISTINCT_EIGENVALUE_RTOL * lam_max.
-ZERO_EIGENVALUE_RTOL = 1e-9
-DISTINCT_EIGENVALUE_RTOL = 1e-9
+__all__ = ["GramianResult", "solve_lyapunov"]
 
 # lam_i + lam_j magnitudes below this (relative to the spectral radius) make
 # the Lyapunov operator numerically singular.
@@ -102,27 +86,3 @@ def solve_lyapunov(sys: StateSpace, other: StateSpace | None = None) -> GramianR
     denom = max(np.linalg.norm(Q, "fro"), np.finfo(float).eps)
     return GramianResult(P, float(res / denom))
 
-
-def sym_eig_ascending(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a (nearly) symmetric real matrix.
-
-    Symmetrizes as (X + X^T)/2 first.  Returns eigenvalues in ascending
-    order and the matching orthonormal eigenvectors as columns.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    values, vectors = np.linalg.eigh(0.5 * (X + X.T))
-    return values, vectors
-
-
-def svd_truncate(M: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best rank-``r`` factors (U, s, V) of M, so M ~ U @ diag(s) @ V*.
-
-    U is p x r and V is q x r with orthonormal columns; ``s`` holds the r
-    leading singular values (nonincreasing, nonnegative).
-    """
-    M = np.atleast_2d(np.asarray(M))
-    rmax = min(M.shape)
-    if not 1 <= r <= rmax:
-        raise RankOutOfRange(f"rank {r} outside 1..{rmax} for shape {M.shape}")
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    return U[:, :r], s[:r], Vh[:r, :].conj().T

@@ -28,18 +28,13 @@ from .exceptions import (
     ImaginaryAxisPoles,
     InsufficientSpectrum,
     NonRealSampleAtZero,
+    RankOutOfRange,
     ResidualImaginaryPoles,
     Saturated,
     SingularW0,
     UnstableInput,
 )
 from .norms import DEFAULT_BISECT_RTOL, LinfResult, linf_norm, h2_error_metric
-from .numkernels import (
-    DISTINCT_EIGENVALUE_RTOL,
-    ZERO_EIGENVALUE_RTOL,
-    svd_truncate,
-    sym_eig_ascending,
-)
 from .report import IterationRecord, ReductionReport
 from .statespace import (
     StateSpace,
@@ -79,6 +74,12 @@ _AXIS_RESIDUAL_RTOL = 1e-8
 # numerically zero.
 _FACTOR_RTOL = 1e-12
 
+# Weight selection: an eigenvalue of X at or below this fraction of the
+# largest is zero, and two ascending ones are distinct when their gap
+# exceeds this fraction of it.
+_ZERO_EIGENVALUE_RTOL = 1e-9
+_DISTINCT_EIGENVALUE_RTOL = 1e-9
+
 # A leading weight block W0 conditioned worse than this makes the
 # normalization meaningless (SingularW0).
 _W0_CONDITION_CAP = 1e12
@@ -89,14 +90,15 @@ class SupportPoint:
     """A frequency on the imaginary axis, the exact sample G(j*omega)
     taken there, and how much of the sample is interpolated.
 
-    ``rank`` None interpolates the whole sample.  A rank r interpolates
-    its r leading left singular directions: ``U`` (p x r) and ``V``
-    (q x r) have orthonormal columns and ``S`` is the r x r diagonal of
-    leading singular values.  ``numerical_rank`` counts the singular
-    values of the sample above 1e-12 of the largest (and of 1), the most
-    directions it carries.  At omega = 0 the sample and its factors are
-    real; a sample there with a non-negligible imaginary part raises
-    NonRealSampleAtZero (a real system cannot have one).
+    One SVD of the sample gives everything else.  ``numerical_rank``
+    counts its singular values above 1e-12 of the largest (and of 1),
+    the most directions the sample carries.  ``rank`` None interpolates
+    the whole sample.  A rank r in 1..min(p, q) (else RankOutOfRange)
+    interpolates its r leading left singular directions: ``U`` (p x r)
+    and ``V`` (q x r) have orthonormal columns and ``S`` is the r x r
+    diagonal of leading singular values.  At omega = 0 the sample and its
+    factors are real; a sample there with a non-negligible imaginary part
+    raises NonRealSampleAtZero (a real system cannot have one).
     """
 
     omega: float
@@ -105,6 +107,7 @@ class SupportPoint:
     U: np.ndarray | None = field(default=None, init=False, repr=False)
     S: np.ndarray | None = field(default=None, init=False, repr=False)
     V: np.ndarray | None = field(default=None, init=False, repr=False)
+    numerical_rank: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.omega < 0:
@@ -117,16 +120,16 @@ class SupportPoint:
                     f"sample at omega = 0 has imaginary part {imag:.3e}"
                 )
             value = np.real(value).astype(float)
-        object.__setattr__(self, "sample", value)
-        if self.rank is not None:
-            U, s, V = svd_truncate(value, self.rank)
-            for name, M in (("U", U), ("S", np.diag(s)), ("V", V)):
-                object.__setattr__(self, name, M)
-
-    @cached_property
-    def numerical_rank(self) -> int:
-        s = np.linalg.svd(self.sample, compute_uv=False)
-        return int(np.count_nonzero(s > _FACTOR_RTOL * max(1.0, s[0])))
+        r, rmax = self.rank, min(value.shape)
+        if r is not None and not 1 <= r <= rmax:
+            raise RankOutOfRange(f"rank {r} outside 1..{rmax} for shape {value.shape}")
+        U, s, Vh = np.linalg.svd(value, full_matrices=False)
+        floor = _FACTOR_RTOL * max(1.0, s.max(initial=0.0))
+        factors = {"sample": value, "numerical_rank": int(np.count_nonzero(s > floor))}
+        if r is not None:
+            factors.update(U=U[:, :r], S=np.diag(s[:r]), V=Vh[:r].conj().T)
+        for name, M in factors.items():
+            object.__setattr__(self, name, M)
 
     @property
     def is_zero(self) -> bool:
@@ -340,7 +343,8 @@ def compute_X(err_sys: StateSpace) -> np.ndarray:
 
 
 def solve_weights(X: np.ndarray, p: int) -> WeightMatrix:
-    """Weight rows from the p smallest distinct nonzero eigenvalues of X.
+    """Weight rows from the p smallest distinct nonzero eigenvalues of X,
+    symmetrized as (X + X^T) / 2, and their orthonormal eigenvectors.
 
     Eigenvalues below 1e-9 of the largest count as zero and are skipped
     (they correspond to directions already interpolated exactly); if
@@ -350,17 +354,17 @@ def solve_weights(X: np.ndarray, p: int) -> WeightMatrix:
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    evals, evecs = sym_eig_ascending(X)
+    evals, evecs = np.linalg.eigh(0.5 * (X + X.T))
     lam_max = float(evals.max(initial=0.0))
     if lam_max <= 0.0:
         raise InsufficientSpectrum("error Gramian has no positive eigenvalues")
-    zero_tol = ZERO_EIGENVALUE_RTOL * lam_max
+    zero_tol = _ZERO_EIGENVALUE_RTOL * lam_max
     nonzero = [i for i, lam in enumerate(evals) if lam > zero_tol]
     if len(nonzero) < p:
         raise InsufficientSpectrum(
             f"only {len(nonzero)} nonzero eigenvalues available, need {p}"
         )
-    gap_tol = DISTINCT_EIGENVALUE_RTOL * lam_max
+    gap_tol = _DISTINCT_EIGENVALUE_RTOL * lam_max
     clusters: list[int] = [nonzero[0]]
     for i in nonzero[1:]:
         if evals[i] - evals[clusters[-1]] > gap_tol:

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from sysmor import (
+    DegenerateFactors,
     ImaginaryAxisPoles,
     LinfResult,
+    NonRealSampleAtZero,
+    ResidualImaginaryPoles,
     SingularW0,
     StateSpace,
     StoppingOptions,
@@ -536,6 +539,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error[UnstableInput]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, error",
+        [
+            ("build_block", DegenerateFactors),
+            ("assemble_error_system", ResidualImaginaryPoles),
+            ("sample_support_point", NonRealSampleAtZero),
+        ],
+    )
+    def test_solver_failure_inside_a_run(
+        self, model_path, capsys, monkeypatch, name, error
+    ):
+        # Raised on the second call, which the driver makes in its second
+        # step (the first step builds, assembles and samples once): exit 4,
+        # no traceback and no reduced model beside the input.
+        import sysmor.sysaaa as mod
+
+        real, calls = getattr(mod, name), itertools.count(1)
+
+        def failing(*args):
+            if next(calls) == 2:
+                raise error("injected")
+            return real(*args)
+
+        monkeypatch.setattr(mod, name, failing)
+        code = main(["reduce", str(model_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error[SolverFailure]: injected" in err
+        assert "Traceback" not in err
+        assert list(model_path.parent.iterdir()) == [model_path]
 
     def test_solver_failure_category(self, tmp_path, capsys):
         # 1/(s+1) - 1 vanishes at omega = 0, where the first error peak

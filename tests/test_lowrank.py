@@ -2,6 +2,7 @@
 dualization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,6 +60,28 @@ class TestTruncateSample:
         sample = (np.eye(2) + 1j * np.eye(2)).astype(complex)
         assert SupportPoint(1.0, sample, 1).order == 2
         assert SupportPoint(1.0, sample, 2).order == 4
+
+    def test_one_svd_per_point(self, monkeypatch):
+        # U, S, V and numerical_rank come from one SVD of the sample; a
+        # rank growth makes a new point, which factors the sample once.
+        real, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rng = np.random.default_rng(70)
+        sample = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        pt = make_point(1.0, sample, 1)
+        assert pt.numerical_rank == 2 and pt.U.shape == (3, 1)
+        build_block(pt)
+        assert select_or_grow(1.001, [pt], min_dist=0.01) == 0
+        grown = replace(pt, rank=2)
+        build_block(grown)
+        with pytest.raises(Saturated):
+            select_or_grow(1.001, [grown], min_dist=0.01)
+        assert calls == [(3, 2), (3, 2)]
 
 
 class TestBuildLowRankBlock:

@@ -9,6 +9,7 @@ from scipy.integrate import quad_vec
 import sysmor.norms
 import sysmor.sysaaa
 from sysmor import (
+    GramianResult,
     ImaginaryAxisPoles,
     NonzeroFeedthrough,
     StateSpace,
@@ -24,6 +25,7 @@ from sysmor import (
     static_gain,
     subtract,
 )
+from sysmor.norms import _slope_root
 from conftest import grid_gains, mass_chain, oracle_grid, random_stable
 from test_records import _check, _raw_error
 
@@ -73,6 +75,45 @@ class TestSlope:
         rng = np.random.default_rng(50)
         g = random_stable(rng, n=6, q=3, p=2)
         self._check(dual(g), 10.0 ** rng.uniform(-1, 1, 5))
+
+
+class TestSlopeRootExits:
+    """``_slope_root`` gives up, with None, on a synthetic gain-and-slope
+    evaluator that has no usable slope or never changes sign."""
+
+    @staticmethod
+    def _evaluator(gain_and_slope):
+        calls = []
+
+        def counted(omega):
+            calls.append(omega)
+            return gain_and_slope(omega)
+
+        return counted, calls
+
+    def test_no_slope_while_bracketing(self):
+        evaluate, calls = self._evaluator(
+            lambda omega: (1.0, 1.0 if omega == 1.0 else None)
+        )
+        assert _slope_root(evaluate, 0.5, 1.0, 2.0) is None
+        assert calls == [1.0, 1.5]
+
+    def test_bracketing_budget_spent_without_sign_change(self):
+        # The gain rises and the slope stays negative all the way toward
+        # omega = 0: each halving step moves mid, and the bracket never
+        # narrows relative to it, so the step budget runs out.
+        evaluate, calls = self._evaluator(lambda omega: (2.0 - omega, -1.0))
+        assert _slope_root(evaluate, 0.0, 1.0, 2.0) is None
+        assert len(calls) == 1 + sysmor.norms._MAX_SLOPE_STEPS
+        assert calls[-1] == 2.0 ** -sysmor.norms._MAX_SLOPE_STEPS
+
+    def test_no_slope_during_illinois_steps(self):
+        # The first halving step closes the bracket [1, 1.5]; the first
+        # secant point, 1.25, has no slope.
+        slopes = {1.0: 1.0, 1.5: -1.0}
+        evaluate, calls = self._evaluator(lambda omega: (1.0, slopes.get(omega)))
+        assert _slope_root(evaluate, 0.5, 1.0, 2.0) is None
+        assert calls == [1.0, 1.5, 1.25]
 
 
 def _force_tangency(monkeypatch):
@@ -344,6 +385,33 @@ class TestSurrogateLevelTest:
             r, _ = balanced_truncate(modal, order)
             res = linf_norm(subtract(modal, r))
             assert res.surrogate_tests == 0 and res.certified
+
+    def test_no_surrogate_without_hankel_values(self):
+        # With C = 0 every Hankel value of G is zero: the order the shift
+        # rule picks has a negligible sigma_k, and the exact test runs.
+        chain = self.CHAIN
+        g = StateSpace(chain.A, chain.B, np.zeros_like(chain.C), chain.D)
+        r = random_stable(np.random.default_rng(12), n=4, q=1, p=1)
+        assert not g._balancing.hsv.any()
+        res = linf_norm(subtract(g, r))
+        assert res.surrogate_tests == 0 and res.certified
+        raw = _raw_error(g, r)
+        assert res.gamma >= grid_gains(raw, oracle_grid(raw)).max()
+
+    def test_no_surrogate_when_a_gramian_residual_exceeds_the_allowance(self):
+        # A fresh chain, since its cached Gramian is overwritten: one
+        # residual above c n eps and the exact test runs instead.
+        g = mass_chain(0, 40, inputs=(0,), outputs=(39,))
+        r, _ = balanced_truncate(g, 12)
+        assert linf_norm(subtract(g, r)).surrogate_tests > 0
+        allowance = sysmor.norms._ROUNDOFF_ALLOWANCE * g.n * np.finfo(float).eps
+        g.__dict__["_reachability"] = GramianResult(
+            g._reachability.P, 2.0 * allowance
+        )
+        res = linf_norm(subtract(g, r))
+        assert res.surrogate_tests == 0 and res.certified
+        raw = _raw_error(g, r)
+        assert res.gamma >= grid_gains(raw, oracle_grid(raw)).max()
 
     @pytest.mark.parametrize("driver", [reduce, reduce_lowrank])
     @pytest.mark.parametrize("seed", [1, 2, 3])

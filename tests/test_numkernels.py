@@ -1,4 +1,5 @@
-"""Lyapunov solve, symmetric eigendecomposition, and SVD truncation."""
+"""The dense kernels: the Lyapunov solve, the symmetric eigensolve of
+``solve_weights`` and the SVD a ``SupportPoint`` factors its sample by."""
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from sysmor import (
     IllPosedLyapunov,
     RankOutOfRange,
     StateSpace,
+    SupportPoint,
     dual,
     solve_lyapunov,
+    solve_weights,
     static_gain,
-    svd_truncate,
-    sym_eig_ascending,
 )
 from conftest import random_stable
 
@@ -112,30 +113,48 @@ class TestSolveLyapunov:
 
 
 class TestSymEig:
+    """The eigensolve of ``solve_weights``: its selected eigenvalues
+    ascend and its weight rows are the matching orthonormal
+    eigenvectors of the symmetrized X."""
+
     def test_ascending_order_and_orthonormality(self):
         rng = np.random.default_rng(33)
         M = rng.standard_normal((8, 8))
         X = M @ M.T
-        values, vectors = sym_eig_ascending(X)
+        weight = solve_weights(X, 8)
+        values, vectors = np.array(weight.selected_eigenvalues), weight.W.T
         assert np.all(np.diff(values) >= 0)
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(8), atol=1e-12)
         np.testing.assert_allclose(X @ vectors, vectors * values, atol=1e-10)
 
     def test_known_spectrum(self):
-        values, _ = sym_eig_ascending(np.diag([3.0, -1.0, 2.0]))
-        np.testing.assert_allclose(values, [-1.0, 2.0, 3.0], atol=1e-14)
+        weight = solve_weights(np.diag([3.0, 1.0, 2.0]), 3)
+        values = weight.selected_eigenvalues
+        np.testing.assert_allclose(values, [1.0, 2.0, 3.0], atol=1e-14)
+        np.testing.assert_allclose(np.abs(weight.W), np.eye(3)[[1, 2, 0]], atol=1e-14)
+        # A negative eigenvalue is below the zero threshold and skipped.
+        weight = solve_weights(np.diag([3.0, -1.0, 2.0]), 2)
+        np.testing.assert_allclose(weight.selected_eigenvalues, [2.0, 3.0], atol=1e-14)
 
     def test_slightly_asymmetric_input_symmetrized(self):
         X = np.array([[1.0, 1e-13], [0.0, 2.0]])
-        values, _ = sym_eig_ascending(X)
-        np.testing.assert_allclose(values, [1.0, 2.0], atol=1e-12)
+        weight = solve_weights(X, 2)
+        np.testing.assert_allclose(weight.selected_eigenvalues, [1.0, 2.0], atol=1e-12)
 
 
 class TestSvdTruncate:
+    """The factors of a rank-r ``SupportPoint``: U diag(s) V^H is the best
+    rank-r approximation of its sample."""
+
+    @staticmethod
+    def _factors(M, r):
+        point = SupportPoint(1.0, M, r)
+        return point.U, np.diag(point.S), point.V
+
     def test_factors_reconstruct_best_rank(self):
         rng = np.random.default_rng(34)
         M = rng.standard_normal((6, 4))
-        U, s, V = svd_truncate(M, 2)
+        U, s, V = self._factors(M, 2)
         assert U.shape == (6, 2) and V.shape == (4, 2) and s.shape == (2,)
         assert s[0] >= s[1] >= 0
         np.testing.assert_allclose(U.T @ U, np.eye(2), atol=1e-12)
@@ -148,18 +167,21 @@ class TestSvdTruncate:
     def test_full_rank_reproduces_matrix(self):
         rng = np.random.default_rng(35)
         M = rng.standard_normal((3, 5))
-        U, s, V = svd_truncate(M, 3)
+        U, s, V = self._factors(M, 3)
         np.testing.assert_allclose(U @ np.diag(s) @ V.T, M, atol=1e-12)
 
     def test_complex_input(self):
         rng = np.random.default_rng(36)
         M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        U, s, V = svd_truncate(M, 4)
+        U, s, V = self._factors(M, 4)
         np.testing.assert_allclose(U @ np.diag(s) @ V.conj().T, M, atol=1e-12)
 
     def test_rank_bounds(self):
         M = np.ones((3, 2))
         with pytest.raises(RankOutOfRange):
-            svd_truncate(M, 0)
+            SupportPoint(1.0, M, 0)
         with pytest.raises(RankOutOfRange):
-            svd_truncate(M, 3)
+            SupportPoint(1.0, M, 3)
+        # the one SVD also gives the numerical rank, for any rank
+        assert SupportPoint(1.0, M).numerical_rank == 1
+        assert SupportPoint(1.0, M, 2).numerical_rank == 1

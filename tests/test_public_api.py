@@ -11,7 +11,7 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 REMOVED = (
     "series", "vertcat", "FrequencySample", "freq_sample", "minreal",
     "LowRankPoint", "NewPoint", "GrowRank", "truncate_sample",
-    "build_lowrank_block",
+    "build_lowrank_block", "sym_eig_ascending", "svd_truncate",
 )
 
 
@@ -31,8 +31,10 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in sysmor.__all__
         assert not hasattr(sysmor, name)
-        assert not hasattr(sysmor.statespace, name)
-        assert not hasattr(sysmor.lowrank, name)
+        for module in (
+            sysmor.statespace, sysmor.lowrank, sysmor.numkernels, sysmor.sysaaa
+        ):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_benchmark_tracer_bindings_exist():
