@@ -177,9 +177,10 @@ def _gain_and_slope(sys: StateSpace, omega: float) -> tuple[float, float | None]
     if s.size > 1 and s[1] >= (1.0 - _REPEATED_RTOL) * s[0]:
         return float(s[0]), None
     T, Z, _ = sys._schur
-    row = _shifted_solve(T, omega, (U[:, :1].conj().T @ sys.C @ Z).T, trans=True)
-    col = _shifted_solve(T, omega, Z.T @ (sys.B @ Vh[:1].conj().T))
-    return float(s[0]), float((row.T @ col).imag[0, 0])
+    at, uCZ = np.array([omega]), U[:, :1].conj().T @ sys.C @ Z
+    ((_, row),) = _shifted_solve(T, at, uCZ.T, trans=True)
+    ((_, col),) = _shifted_solve(T, at, Z.T @ (sys.B @ Vh[:1].conj().T))
+    return float(s[0]), float((row[0].T @ col[0]).imag[0, 0])
 
 
 def _slope_root(

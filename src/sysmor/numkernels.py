@@ -31,7 +31,7 @@ __all__ = ["GramianResult", "solve_lyapunov"]
 _SPECTRUM_PAIR_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramianResult:
     """Read-only symmetric Lyapunov solution P plus its relative residual."""
 

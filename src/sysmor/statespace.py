@@ -8,7 +8,8 @@ matrices, and return a fresh ``StateSpace``.
 Each instance factors A once, into its real Schur form A = Z T Z^T, and
 every pole, frequency-response and Gramian computation reads that
 factorization: a response costs one quasi-triangular O(n^2) solve per
-frequency, and each Gramian one Lyapunov back-substitution, cached with it.
+frequency, batched into one LAPACK call per chunk of frequencies, and
+each Gramian one Lyapunov back-substitution, cached with it.
 
 A model derived from others by ``subtract``, ``dual`` or a new output map
 on the same states carries one private provenance record (``_Origin``),
@@ -29,6 +30,7 @@ its operand's with the roles of the two Gramians swapped.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -93,13 +95,14 @@ class _Balancing(NamedTuple):
     tails: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """Real (A, B, C, D) quadruple with n states, q inputs, p outputs.
 
     Matrices are validated for shape consistency and finiteness on
     construction and stored read-only, so instances are safely shareable.
-    ``n = 0`` represents a static gain y = D u.
+    ``n = 0`` represents a static gain y = D u.  Instances compare and
+    hash by identity, as every array-carrying result of ``sysmor`` does.
     """
 
     A: np.ndarray
@@ -318,56 +321,110 @@ def static_gain(D) -> StateSpace:
     return StateSpace(np.zeros((0, 0)), np.zeros((0, q)), np.zeros((p, 0)), D)
 
 
-def _shifted_solve(
-    T: np.ndarray, omega: float, rhs: np.ndarray, trans: bool = False
-) -> np.ndarray:
-    """Solve (j*omega I - T) X = rhs, or (j*omega I - T^T) X = rhs with
-    ``trans``, for quasi-triangular T and real or complex rhs, in real
-    arithmetic.
+# Column pairs per LAPACK ``dtrsyl`` call of ``_shifted_solve``: 16
+# frequencies of a one-column right side, 16 // m of an m-column one.
+# Each call has a fixed cost far above one quasi-triangular
+# back-substitution, while the zero blocks of its rotation matrix add
+# O(n pairs^2) work and each chunk holds O(n pairs) memory.
+_CHUNK = 16
 
-    Splitting X = Xr + j Xi turns the shifted solve into the Sylvester
-    equation T [Xr Xi] + [Xr Xi] [[0, -omega], [omega, 0]] =
-    [-Re rhs, -Im rhs], one rotation block per column, which LAPACK
-    ``dtrsyl`` solves by back-substitution on T without copying it.
+
+def _shifted_solve(
+    T: np.ndarray, omegas: np.ndarray, rhs: np.ndarray, trans: bool = False
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Solve (j*omega I - T) X = rhs, or (j*omega I - T^T) X = rhs with
+    ``trans``, for quasi-triangular T, n x m real or complex rhs and every
+    omega of the 1-D ``omegas``, in real arithmetic.  Yields (at, X) per
+    chunk of ``_CHUNK`` // m frequencies (at least one), with X[i] the
+    n x m solution at omegas[at][i], so a caller consumes each chunk in
+    O(n _CHUNK) memory.
+
+    Splitting X = Xr + j Xi turns the solves of one chunk into a single
+    Sylvester equation T [Xr Xi] + [Xr Xi] Omega = [-Re rhs, -Im rhs]:
+    one column pair per (omega, column of rhs), and a block-diagonal
+    Omega with one rotation block [[0, -omega], [omega, 0]] per pair.
+    LAPACK ``dtrsyl`` solves it by back-substitution on T without copying
+    it, and each pair's arithmetic is that of its own one-frequency solve.
     """
-    n, k = rhs.shape
-    c = np.empty((n, 2 * k), order="F")
-    c[:, ::2] = -rhs.real
-    c[:, 1::2] = -rhs.imag
-    rotation = np.zeros((2 * k, 2 * k))
-    even = np.arange(0, 2 * k, 2)
+    step = max(1, _CHUNK // rhs.shape[1])
+    for start in range(0, omegas.size, step):
+        at = slice(start, start + step)
+        yield at, _solve_chunk(T, omegas[at], rhs, trans)
+
+
+def _solve_chunk(
+    T: np.ndarray, omegas: np.ndarray, rhs: np.ndarray, trans: bool
+) -> np.ndarray:
+    """The k x n x m solutions of ``_shifted_solve`` at k frequencies, by
+    one ``dtrsyl`` call.
+
+    That call's singularity threshold reads the largest |omega| of the
+    chunk, and its overflow scale covers the whole chunk, so a chunk that
+    reports either is solved again one frequency at a time: the first
+    frequency at which j*omega is an eigenvalue of T within solver
+    precision raises ``SingularAtFrequency``, and the others keep their
+    one-frequency values.
+    """
+    (n, m), k = rhs.shape, omegas.size
+    c = np.empty((n, 2 * k * m), order="F")
+    # column 2 (i m + j) + part holds part (Re, Im) of column j at omegas[i]
+    pairs = c.reshape((n, 2, m, k), order="F")
+    pairs[:, 0] = -rhs.real[:, :, None]
+    pairs[:, 1] = -rhs.imag[:, :, None]
+    rotation = np.zeros((2 * k * m, 2 * k * m), order="F")
+    even = np.arange(0, 2 * k * m, 2)
+    omega = np.repeat(omegas, m)
     rotation[even, even + 1] = -omega
     rotation[even + 1, even] = omega
-    x, scale, info = dtrsyl(T, rotation, c, trana="T" if trans else "N")
+    x, scale, info = dtrsyl(
+        T, rotation, c, trana="T" if trans else "N", overwrite_c=True
+    )
+    if (info or scale != 1.0) and k > 1:
+        return np.concatenate(
+            [_solve_chunk(T, omegas[i : i + 1], rhs, trans) for i in range(k)]
+        )
     if info:
         raise SingularAtFrequency(
-            f"j*{omega:g} is an eigenvalue of A within solver precision"
+            f"j*{omegas[0]:g} is an eigenvalue of A within solver precision"
         )
-    return (x[:, ::2] + 1j * x[:, 1::2]) / scale
+    pairs = x.reshape((n, 2, m, k), order="F")
+    # C-contiguous per frequency, so a stacked product runs for each
+    # frequency the BLAS kernel (dot, gemv or gemm) that a one-frequency
+    # chunk runs, and a stack equals its scalar calls bit for bit.
+    X = np.empty((k, n, m), dtype=complex)
+    X.real = pairs[:, 0].transpose(2, 0, 1)
+    X.imag = pairs[:, 1].transpose(2, 0, 1)
+    if scale != 1.0:
+        X /= scale
+    return X
 
 
-def _output_resolvent(sys: StateSpace, omega: float) -> np.ndarray:
-    """The p x n rows C (j*omega I - A)^-1."""
-    if sys.n == 0:
-        return np.zeros((sys.p, 0), dtype=complex)
-    T, Z, _ = sys._schur
-    return (Z @ _shifted_solve(T, omega, (sys.C @ Z).T, trans=True)).T
+def _output_resolvent(sys: StateSpace, omegas: np.ndarray) -> np.ndarray:
+    """The k x p x n rows C (j*omega I - A)^-1 at the 1-D ``omegas``,
+    each a transposed view of the n x p product Z X of its chunk."""
+    value = np.zeros((omegas.size, sys.n, sys.p), dtype=complex)
+    if sys.n:
+        T, Z, _ = sys._schur
+        for at, X in _shifted_solve(T, omegas, (sys.C @ Z).T, trans=True):
+            value[at] = Z @ X
+    return value.transpose(0, 2, 1)
 
 
 def _solve_response(sys: StateSpace, omegas: np.ndarray) -> np.ndarray:
-    """k x p x q response at the 1-D ``omegas``: one shifted solve per
-    frequency against the Schur form, on the side with fewer columns."""
+    """k x p x q response at the 1-D ``omegas``: batched shifted solves
+    against the Schur form, on the side with fewer columns, each chunk
+    added into the response as it is solved."""
     value = np.empty(omegas.shape + sys.D.shape, dtype=complex)
     value[...] = sys.D
     if sys.n and omegas.size:
         T, Z, _ = sys._schur
         CZ, ZB = sys.C @ Z, Z.T @ sys.B
-        left = sys.p < sys.q
-        for k, omega in enumerate(omegas):
-            if left:
-                value[k] += _shifted_solve(T, omega, CZ.T, trans=True).T @ ZB
-            else:
-                value[k] += CZ @ _shifted_solve(T, omega, ZB)
+        if sys.p < sys.q:
+            for at, X in _shifted_solve(T, omegas, CZ.T, trans=True):
+                value[at] += X.transpose(0, 2, 1) @ ZB
+        else:
+            for at, X in _shifted_solve(T, omegas, ZB):
+                value[at] += CZ @ X
     return value
 
 
@@ -399,11 +456,14 @@ def eval_freq(sys: StateSpace, omega) -> np.ndarray:
     """Evaluate G(j*omega) = C (j*omega I - A)^-1 B + D.
 
     A scalar ``omega`` gives the p x q response; a 1-D array of k
-    frequencies gives a k x p x q stack.  Each frequency costs one
-    shifted solve against the cached Schur form of A, on the side with
-    fewer columns, unless it is one of the model's cached seeds.  The
-    error system of ``subtract`` returns G(j*omega) - R(j*omega), so it
-    solves only R at the seeds of G.  Raises ``SingularAtFrequency`` when
+    frequencies gives a k x p x q stack, each entry bit-identical to the
+    scalar call at its frequency.  Each frequency costs one shifted solve
+    against the cached Schur form of A, on the side with fewer columns,
+    unless it is one of the model's cached seeds; the solves of a stack
+    run in chunks of one LAPACK call each, in memory that grows with the
+    chunk and not with k.  The error system of ``subtract`` returns
+    G(j*omega) - R(j*omega), so it solves only R at the seeds of G.
+    Raises ``SingularAtFrequency``, naming the first such frequency, when
     j*omega is (numerically) an eigenvalue of A.
     """
     omegas = np.asarray(omega, dtype=float)

@@ -85,7 +85,7 @@ _DISTINCT_EIGENVALUE_RTOL = 1e-9
 _W0_CONDITION_CAP = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportPoint:
     """A frequency on the imaginary axis, the exact sample G(j*omega)
     taken there, and how much of the sample is interpolated.
@@ -150,7 +150,7 @@ def sample_support_point(
     return SupportPoint(float(omega), value, rank)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockRealization:
     """Real state-space block encoding interpolation at one frequency.
 
@@ -171,7 +171,7 @@ class BlockRealization:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """Row-orthonormal weights selected from the error Gramian spectrum.
 
@@ -210,7 +210,7 @@ class WeightMatrix:
         return float(sum(self.selected_eigenvalues))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Interpolant:
     """A reduced model together with the data that produced it."""
 
@@ -311,8 +311,8 @@ def assemble_error_system(blocks, sys: StateSpace) -> StateSpace:
     """
     p, q = sys.p, sys.q
     rows = [-sys.C]
-    for blk in blocks:
-        Zc = _output_resolvent(sys, blk.omega)
+    resolvents = _output_resolvent(sys, np.array([blk.omega for blk in blocks]))
+    for blk, Zc in zip(blocks, resolvents):
         if blk.omega == 0.0:
             Y = blk.B2 @ Zc.real
         else:

@@ -1,10 +1,22 @@
-"""Public API surface: exported names, removed names, traced bindings."""
+"""Public API surface: exported names, removed names, traced bindings,
+and identity equality of the array-carrying types."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import sysmor
+from sysmor import (
+    GramianResult,
+    Interpolant,
+    StateSpace,
+    SupportPoint,
+    WeightMatrix,
+    build_block,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,3 +58,32 @@ def test_benchmark_tracer_bindings_exist():
         for modname in homes:
             bound = getattr(importlib.import_module(modname), name, None)
             assert bound is home, f"{modname}.{name} is not {span}"
+
+
+def _model():
+    return StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [[0.0]])
+
+
+def _weights():
+    return WeightMatrix(np.eye(2, 4), (1.0, 2.0))
+
+
+# Two calls of a factory build equal contents in distinct instances, each
+# with arrays larger than 1 x 1 (where elementwise == has no truth value).
+FACTORIES = {
+    "StateSpace": _model,
+    "SupportPoint": lambda: SupportPoint(1.0, np.eye(2)),
+    "BlockRealization": lambda: build_block(SupportPoint(1.0, np.eye(2))),
+    "WeightMatrix": _weights,
+    "Interpolant": lambda: Interpolant(_model(), (), _weights()),
+    "GramianResult": lambda: GramianResult(np.eye(2), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(FACTORIES))
+def test_array_carriers_compare_by_identity(name):
+    a, b = FACTORIES[name](), FACTORIES[name]()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert a in [b, a] and a not in [b]
+    assert {a, b} == {b, a} and len({a, a, b}) == 2

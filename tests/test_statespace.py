@@ -1,5 +1,7 @@
 """State-space container, frequency evaluation, interconnections, poles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from sysmor import (
     static_gain,
     subtract,
 )
-from conftest import random_stable, tf_eval
+from sysmor.statespace import _CHUNK
+from conftest import mass_chain, random_stable, tf_eval
 
 
 class TestConstruction:
@@ -123,6 +126,103 @@ class TestEvalFreq:
         sys = static_gain([[1.0]])
         with pytest.raises(ValueError):
             sample_support_point(sys, -1.0)
+
+
+def _batched_models():
+    """One model per response path: p < q, p >= q, SISO, a difference
+    (G from seeds, R solved) and a dual."""
+    rng = np.random.default_rng(21)
+    wide = random_stable(rng, n=6, q=3, p=2, feedthrough=True)
+    tall = random_stable(rng, n=7, q=2, p=3, feedthrough=True)
+    siso = random_stable(rng, n=5, q=1, p=1)
+    r = random_stable(rng, n=3, q=2, p=3)
+    return {
+        "p<q": wide,
+        "p>=q": tall,
+        "siso": siso,
+        "difference": subtract(tall, r),
+        "dual": dual(tall),
+    }
+
+
+class TestBatchedSolve:
+    """A stack of frequencies is solved in chunks, one LAPACK call each."""
+
+    OSCILLATOR = StateSpace(
+        [[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]
+    )
+
+    @pytest.mark.parametrize("name", list(_batched_models()))
+    def test_stack_is_bit_identical_to_scalar_calls(self, name):
+        sys = _batched_models()[name]
+        chunk = max(1, _CHUNK // min(sys.p, sys.q))
+        rng = np.random.default_rng(22)
+        # the seeds exercise the seed cache of a difference's G
+        pool = np.concatenate([[0.0], sys._seeds, 10.0 ** rng.uniform(-2, 2, 2000)])
+        for k in sorted({1, chunk - 1, chunk, chunk + 1, 2000} - {0}):
+            omegas = pool[:k]
+            stacked = eval_freq(sys, omegas)
+            single = np.stack([eval_freq(sys, w) for w in omegas])
+            assert stacked.tobytes() == single.tobytes(), (name, k)
+
+    @pytest.mark.parametrize("name", list(_batched_models()))
+    def test_matches_dense_oracle(self, name):
+        sys = _batched_models()[name]
+        omegas = np.concatenate([[0.0], np.logspace(-2, 2, 40)])
+        stacked = eval_freq(sys, omegas)
+        for value, w in zip(stacked, omegas):
+            expected = tf_eval(sys.A, sys.B, sys.C, sys.D, 1j * w)
+            gap = np.linalg.norm(value - expected)
+            assert gap <= 1e-12 * np.linalg.norm(expected), (name, w)
+
+    @pytest.mark.parametrize("name", list(_batched_models()))
+    def test_response_at_zero_is_real(self, name):
+        sys = _batched_models()[name]
+        assert np.all(eval_freq(sys, 0.0).imag == 0.0)
+        stacked = eval_freq(sys, np.array([3.0, 0.0, 0.5]))
+        assert np.all(stacked[1].imag == 0.0)
+
+    @pytest.mark.parametrize(
+        "omegas",
+        [
+            [1.0, 0.5, 2.0],
+            [0.5, 1.0, 2.0],
+            [0.5, 2.0, 1.0],
+            np.insert(np.linspace(0.05, 4.0, 39), _CHUNK + 1, 1.0),
+        ],
+        ids=["first", "middle", "last", "past-chunk-boundary"],
+    )
+    def test_singular_frequency_is_named_in_a_batch(self, omegas):
+        with pytest.raises(
+            SingularAtFrequency, match=r"^j\*1 is an eigenvalue of A"
+        ):
+            eval_freq(self.OSCILLATOR, np.asarray(omegas))
+
+    def test_chunk_threshold_refuses_no_solvable_frequency(self):
+        # One dtrsyl call flags near-singular pivots below eps times the
+        # largest |omega| of its chunk: 2.2e-12 with 1e4 in it, above this
+        # pole's distance 1e-13 from j*0.  Each frequency keeps the value
+        # of its own solve.
+        sys = StateSpace([[-1e-13]], [[1.0]], [[1.0]], [[0.0]])
+        stacked = eval_freq(sys, np.array([0.0, 1e4]))
+        assert stacked[0, 0, 0] == eval_freq(sys, 0.0)[0, 0]
+        assert stacked[0, 0, 0].real == pytest.approx(1e13, rel=1e-12)
+
+    def test_grid_memory_stays_per_chunk(self):
+        # A k x n x m stack of solutions (2000 x 270 x 3 complex, 26 MB)
+        # would dwarf the 288 kB response.
+        io = (0, 67, 134)
+        sys = mass_chain(0, 135, inputs=io, outputs=io)
+        omegas = np.logspace(-2, 2, 2000)
+        poles(sys)  # the Schur form (n x n) is cached before measuring
+        tracemalloc.start()
+        try:
+            value = eval_freq(sys, omegas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value.shape == (2000, 3, 3)
+        assert peak < 2 * value.nbytes
 
 
 class TestInterconnections:
