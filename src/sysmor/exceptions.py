@@ -1,5 +1,24 @@
 """Exception types raised across the toolkit."""
 
+__all__ = [
+    "SysmorError",
+    "DimensionMismatch",
+    "SingularAtFrequency",
+    "IllPosedLyapunov",
+    "RankOutOfRange",
+    "ImaginaryAxisPoles",
+    "NonzeroFeedthrough",
+    "NonRealSampleAtZero",
+    "ResidualImaginaryPoles",
+    "InsufficientSpectrum",
+    "SingularW0",
+    "DuplicateSupportPoint",
+    "Saturated",
+    "DegenerateFactors",
+    "UnstableInput",
+    "ParseError",
+]
+
 
 class SysmorError(Exception):
     """Base class for all toolkit errors."""

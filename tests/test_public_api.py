@@ -18,6 +18,11 @@ from sysmor import (
     build_block,
 )
 
+LAYERS = (
+    "statespace", "numkernels", "norms", "report", "sysaaa", "lowrank",
+    "balred", "modelio", "exceptions",
+)
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 REMOVED = (
@@ -37,6 +42,16 @@ def _expected_bindings():
 def test_exported_names_resolve():
     missing = [name for name in sysmor.__all__ if not hasattr(sysmor, name)]
     assert missing == []
+
+
+def test_package_reexports_each_layers_all():
+    # Each layer's ``__all__`` is the one declaration of its public names.
+    layers = [importlib.import_module(f"sysmor.{layer}") for layer in LAYERS]
+    assert sysmor.__all__ == [name for mod in layers for name in mod.__all__]
+    assert len(set(sysmor.__all__)) == len(sysmor.__all__)
+    for mod in layers:
+        for name in mod.__all__:
+            assert getattr(sysmor, name) is getattr(mod, name), name
 
 
 def test_removed_names_are_gone():
