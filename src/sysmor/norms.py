@@ -13,11 +13,11 @@ poles, so the same routine serves unstable interpolants.
 Before each level test the best probe is refined to a local maximum of
 sigma_max, as Benner and Mitchell do (SIAM J. Sci. Comput. 40(5), 2018):
 between the probes beside it, safeguarded secant steps find a root of
-d sigma_max / d omega = Re(u^H G'(j omega) v), which two shifted solves
-on the cached Schur form give.  The root, unlike the argmax of sigma_max
-itself, is well conditioned, and a refined gain is an ordinary probe, so
-the first level test, at that gain times 1 + rel_tol, usually finds no
-crossings.  When it does find some, the interval around the best new
+d sigma_max / d omega = Re(u^H G'(j omega) v), which the shifted solve
+of the response on the cached Schur form and one more one-column solve
+give.  The root, unlike the argmax of sigma_max itself, is well
+conditioned, and a refined gain is an ordinary probe, so the first level
+test, at that gain times 1 + rel_tol, usually finds no crossings.  When it does find some, the interval around the best new
 probe brackets the next refinement.
 
 On an error system G - R from ``subtract`` with G stable, a level test
@@ -60,7 +60,6 @@ from .statespace import (
     StateSpace,
     _axis_margin,
     _balanced_truncation,
-    _response,
     _shifted_solve,
     eval_freq,
     is_stable,
@@ -111,7 +110,9 @@ class LinfResult:
 
     ``surrogate_tests`` counts the level tests that ran on a surrogate,
     and ``slope_evaluations`` the gain-and-slope evaluations of the peak
-    refinement (each one response and two shifted solves).
+    refinement (each two one-frequency shifted solves: the response's,
+    on the side with fewer columns, and one one-column solve for the
+    slope).
     """
 
     gamma: float
@@ -167,20 +168,27 @@ def _gain_and_slope(sys: StateSpace, omega: float) -> tuple[float, float | None]
     """sigma_max(G(j omega)) and its derivative in omega, None where
     sigma_max is (nearly) repeated and so has no reliable slope.
 
-    With u, v the leading singular vectors of G(j omega), the slope is
-    Re(u^H G'(j omega) v) and G'(j omega) = -j C (j omega I - A)^-2 B; on
-    the Schur form A = Z T Z^T it is -j times the product of the row
-    u^H C Z (j omega I - T)^-1 and the column (j omega I - T)^-1 Z^T B v,
-    two one-column shifted solves.
+    On the Schur form A = Z T Z^T, one shifted solve
+    X = (j omega I - T)^-1 Z^T B gives G(j omega) = C Z X + D.  With u, v
+    the leading singular vectors of G(j omega), the slope is
+    Re(u^H G'(j omega) v) and G'(j omega) = -j C (j omega I - A)^-2 B, so
+    one more one-column solve Y = (j omega I - T)^-1 X v gives it as
+    Im(u^H C Z Y).  When p < q both solves run on the transpose G^T,
+    which has the same sigma_max and slope, so that X has min(p, q)
+    columns.
     """
-    U, s, Vh = np.linalg.svd(_response(sys, np.array([omega]), False)[0])
+    T, Z, _ = sys._schur
+    at, trans = np.array([omega]), sys.p < sys.q
+    if trans:
+        left, right, D = sys.B.T @ Z, Z.T @ sys.C.T, sys.D.T
+    else:
+        left, right, D = sys.C @ Z, Z.T @ sys.B, sys.D
+    ((_, X),) = _shifted_solve(T, at, right, trans)
+    U, s, Vh = np.linalg.svd(left @ X[0] + D)
     if s.size > 1 and s[1] >= (1.0 - _REPEATED_RTOL) * s[0]:
         return float(s[0]), None
-    T, Z, _ = sys._schur
-    at, uCZ = np.array([omega]), U[:, :1].conj().T @ sys.C @ Z
-    ((_, row),) = _shifted_solve(T, at, uCZ.T, trans=True)
-    ((_, col),) = _shifted_solve(T, at, Z.T @ (sys.B @ Vh[:1].conj().T))
-    return float(s[0]), float((row[0].T @ col[0]).imag[0, 0])
+    ((_, Y),) = _shifted_solve(T, at, X[0] @ Vh[:1].conj().T, trans)
+    return float(s[0]), float((U[:, :1].conj().T @ left @ Y[0]).imag[0, 0])
 
 
 def _slope_root(

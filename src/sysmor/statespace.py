@@ -464,14 +464,19 @@ def eval_freq(sys: StateSpace, omega) -> np.ndarray:
     chunk and not with k.  The error system of ``subtract`` returns
     G(j*omega) - R(j*omega), so it solves only R at the seeds of G.
     Raises ``SingularAtFrequency``, naming the first such frequency, when
-    j*omega is (numerically) an eigenvalue of A.
+    j*omega is (numerically) an eigenvalue of A or the response there
+    overflows.
     """
-    omegas = np.asarray(omega, dtype=float)
-    value = _response(sys, omegas.reshape(-1), False)
-    value = value.reshape(omegas.shape + sys.D.shape)
-    if not np.all(np.isfinite(value)):
-        raise SingularAtFrequency(f"response overflow at omega={omega}")
-    return value
+    omegas = np.asarray(omega, dtype=float).reshape(-1)
+    # an overflow shows as a non-finite entry, which the check below names
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _response(sys, omegas, False)
+    finite = np.isfinite(value).all(axis=(1, 2))
+    if not finite.all():
+        raise SingularAtFrequency(
+            f"response overflow at omega={omegas[np.argmin(finite)]:g}"
+        )
+    return value.reshape(np.shape(omega) + sys.D.shape)
 
 
 def subtract(g: StateSpace, r: StateSpace) -> StateSpace:

@@ -204,11 +204,6 @@ class WeightMatrix:
         smin = float(np.linalg.svd(self.w0, compute_uv=False)[-1])
         return 1.0 / smin if smin > 0 else float("inf")
 
-    @property
-    def objective(self) -> float:
-        """Value of the minimised trace objective."""
-        return float(sum(self.selected_eigenvalues))
-
 
 @dataclass(frozen=True, eq=False)
 class Interpolant:

@@ -116,6 +116,20 @@ class TestReduceCommand:
         _write_sigma_csv(tmp_path / "sigma.csv", model, reduced, points=40)
         assert sorted(solved) == [3] * 40 + [8] * 40
 
+    def test_static_model_sigma_csv_uses_default_grid(self, tmp_path, capsys):
+        # No poles to centre the grid on: it spans 1e-2 to 1e2 rad/s.
+        path = tmp_path / "static.ss"
+        path.write_text("ss 0 1 1\n2.5\n")
+        out_csv = tmp_path / "sigma.csv"
+        assert main(["reduce", str(path), "--sigma-csv", str(out_csv)]) == 0
+        lines = out_csv.read_text().splitlines()[1:]
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert rows.shape == (2000, 4)
+        assert rows[0, 0] == pytest.approx(1e-2, rel=1e-10)
+        assert rows[-1, 0] == pytest.approx(1e2, rel=1e-10)
+        assert np.all(np.diff(rows[:, 0]) > 0)
+        np.testing.assert_array_equal(rows[:, 1:], [[2.5, 2.5, 0.0]] * 2000)
+
     def test_balanced_method(self, model_path, tmp_path, capsys):
         out_model = tmp_path / "bal.ss"
         code = main(
@@ -470,6 +484,14 @@ class TestExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "must be nonnegative" in err
+        assert "Traceback" not in err
+
+    def test_non_integer_iters_is_malformed_input(self, model_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", str(model_path), "--iters", "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid int value: 'abc'" in err
         assert "Traceback" not in err
 
     def test_negative_order_rejected(self, model_path, capsys):

@@ -76,6 +76,13 @@ class TestSlope:
         g = random_stable(rng, n=6, q=3, p=2)
         self._check(dual(g), 10.0 ** rng.uniform(-1, 1, 5))
 
+    def test_fewer_outputs_than_inputs(self):
+        # p < q: both solves run on the transpose
+        rng = np.random.default_rng(51)
+        sys = random_stable(rng, n=7, q=3, p=2, feedthrough=True)
+        self._check(sys, 10.0 ** rng.uniform(-1, 1, 5))
+        self._check(subtract(sys, random_stable(rng, n=3, q=3, p=2)), [0.3, 2.0])
+
 
 class TestSlopeRootExits:
     """``_slope_root`` gives up, with None, on a synthetic gain-and-slope

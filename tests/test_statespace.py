@@ -1,6 +1,7 @@
 """State-space container, frequency evaluation, interconnections, poles."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,23 @@ class TestBatchedSolve:
             SingularAtFrequency, match=r"^j\*1 is an eigenvalue of A"
         ):
             eval_freq(self.OSCILLATOR, np.asarray(omegas))
+
+    def test_overflow_names_the_first_frequency(self):
+        huge = StateSpace([[-1.0]], [[1e300]], [[1e300]], [[0.0]])
+        # G(j w) = 1e308 + 1e308 / (1 + j w) overflows only below w ~ 0.5
+        edge = StateSpace([[-1.0]], [[1e154]], [[1e154]], [[1e308]])
+        cases = [
+            (huge, 0.5, "0.5"),
+            (huge, np.linspace(0.1, 1, 3000), "0.1"),
+            (edge, np.array([2.0, 1.0, 0.3, 0.1]), "0.3"),
+        ]
+        for sys, omega, named in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularAtFrequency) as err:
+                    eval_freq(sys, omega)
+            assert str(err.value) == f"response overflow at omega={named}"
+        assert np.isfinite(eval_freq(edge, 2.0)).all()
 
     def test_chunk_threshold_refuses_no_solvable_frequency(self):
         # One dtrsyl call flags near-singular pivots below eps times the

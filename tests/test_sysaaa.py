@@ -250,7 +250,8 @@ class TestComputeX:
 
 class TestSolveWeights:
     def test_picks_smallest_distinct_nonzero(self):
-        weight = solve_weights(np.diag([0.0, 1.0, 2.0, 3.0]), p=2)
+        M = np.diag([0.0, 1.0, 2.0, 3.0])
+        weight = solve_weights(M, p=2)
         assert weight.selected_eigenvalues == (1.0, 2.0)
         assert not weight.degenerate
         np.testing.assert_allclose(
@@ -258,7 +259,7 @@ class TestSolveWeights:
             [[0, 1, 0, 0], [0, 0, 1, 0]],
             atol=1e-12,
         )
-        assert weight.objective == pytest.approx(3.0)
+        assert np.trace(weight.W @ M @ weight.W.T) == pytest.approx(3.0)
 
     def test_rows_orthonormal(self):
         rng = np.random.default_rng(58)
@@ -268,7 +269,7 @@ class TestSolveWeights:
 
     def test_identity_spectrum_single_row(self):
         weight = solve_weights(np.eye(4), p=1)
-        assert weight.objective == pytest.approx(1.0)
+        assert np.trace(weight.W @ weight.W.T) == pytest.approx(1.0)
         assert not weight.degenerate
 
     def test_insufficient_nonzero_eigenvalues(self):
