@@ -17,8 +17,9 @@ d sigma_max / d omega = Re(u^H G'(j omega) v), which the shifted solve
 of the response on the cached Schur form and one more one-column solve
 give.  The root, unlike the argmax of sigma_max itself, is well
 conditioned, and a refined gain is an ordinary probe, so the first level
-test, at that gain times 1 + rel_tol, usually finds no crossings.  When it does find some, the interval around the best new
-probe brackets the next refinement.
+test, at that gain times 1 + rel_tol, usually finds no crossings.  When
+it does find some, the interval around the best new probe brackets the
+next refinement.
 
 On an error system G - R from ``subtract`` with G stable, a level test
 may run on G_k - R instead, with G_k the balanced truncation of G to k
