@@ -36,7 +36,7 @@ def reduce_lowrank(
     1; each record additionally lists the per-point ranks.  When the model
     has more outputs than inputs it is reduced through its dual and every
     iterate transposed back (flagged in the report); the support points
-    keep the factors of the dual's samples.
+    keep the dual's samples and their directions.
     """
     dualized = sys.p > sys.q
     work = dual(sys) if dualized else sys

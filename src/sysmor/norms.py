@@ -68,7 +68,7 @@ from .statespace import (
     subtract,
 )
 
-__all__ = ["LinfResult", "linf_norm", "sigma_max", "h2_error_metric"]
+__all__ = ["LinfResult", "linf_norm", "h2_error_metric"]
 
 DEFAULT_BISECT_RTOL = 1e-6
 
@@ -122,11 +122,6 @@ class LinfResult:
     certified: bool = True
     surrogate_tests: int = 0
     slope_evaluations: int = 0
-
-
-def sigma_max(sys: StateSpace, omega: float) -> float:
-    """Largest singular value of the response at ``omega``."""
-    return float(np.linalg.norm(eval_freq(sys, omega), 2))
 
 
 def _hamiltonian_spectrum(sys: StateSpace, gamma: float) -> np.ndarray:

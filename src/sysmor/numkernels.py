@@ -70,19 +70,21 @@ def solve_lyapunov(sys: StateSpace, other: StateSpace | None = None) -> GramianR
             "eigenvalue pair of A sums to ~0; Lyapunov equation has no unique solution"
         )
 
-    X, scale, info = dtrsyl(
-        T, To, -(Z.T @ sys.B) @ (Zo.T @ other.B).T, trana="N", tranb="T"
-    )
-    if info:
-        raise IllPosedLyapunov("Lyapunov solve met (nearly) mirrored eigenvalues")
-    P = Z @ (X / scale) @ Zo.T
-    if other is sys:
-        P = 0.5 * (P + P.T)
-    P.setflags(write=False)  # cached and shared by the model's instances
-    if not np.all(np.isfinite(P)):
-        raise IllPosedLyapunov("Lyapunov solve produced non-finite entries")
-    Q = sys.B @ other.B.T
-    res = np.linalg.norm(sys.A @ P + P @ other.A.T + Q, "fro")
-    denom = max(np.linalg.norm(Q, "fro"), np.finfo(float).eps)
-    return GramianResult(P, float(res / denom))
+    # Overflow shows as a non-finite P, refused below, never as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        X, scale, info = dtrsyl(
+            T, To, -(Z.T @ sys.B) @ (Zo.T @ other.B).T, trana="N", tranb="T"
+        )
+        if info:
+            raise IllPosedLyapunov("Lyapunov solve met (nearly) mirrored eigenvalues")
+        P = Z @ (X / scale) @ Zo.T
+        if other is sys:
+            P = 0.5 * (P + P.T)
+        P.setflags(write=False)  # cached and shared by the model's instances
+        if not np.all(np.isfinite(P)):
+            raise IllPosedLyapunov("Lyapunov solve produced non-finite entries")
+        Q = sys.B @ other.B.T
+        res = np.linalg.norm(sys.A @ P + P @ other.A.T + Q, "fro")
+        denom = max(np.linalg.norm(Q, "fro"), np.finfo(float).eps)
+        return GramianResult(P, float(res / denom))
 

@@ -101,7 +101,9 @@ class StateSpace:
 
     Matrices are validated for shape consistency and finiteness on
     construction and stored read-only, so instances are safely shareable.
-    ``n = 0`` represents a static gain y = D u.  Instances compare and
+    A 1-D B is one input column and a 1-D C one output row.  A model has
+    at least one input and one output (else DimensionMismatch); ``n = 0``
+    represents a static gain y = D u.  Instances compare and
     hash by identity, as every array-carrying result of ``sysmor`` does.
     """
 
@@ -113,6 +115,8 @@ class StateSpace:
     def __post_init__(self):
         D = _as_matrix(self.D, name="D")
         p, q = D.shape
+        if p == 0 or q == 0:
+            raise DimensionMismatch(f"a model needs inputs and outputs, got D {D.shape}")
         A = np.asarray(self.A, dtype=float)
         if A.size == 0:
             A = A.reshape(0, 0)
@@ -123,9 +127,7 @@ class StateSpace:
         B = np.asarray(self.B, dtype=float)
         if B.ndim < 2:
             B = B.reshape(-1, 1)
-        C = np.asarray(self.C, dtype=float)
-        if C.ndim < 2:
-            C = C.reshape(1, -1)
+        C = self.C
         if n == 0:
             B = np.zeros((0, q))
             C = np.zeros((p, 0))

@@ -94,19 +94,17 @@ class SupportPoint:
     counts its singular values above 1e-12 of the largest (and of 1),
     the most directions the sample carries.  ``rank`` None interpolates
     the whole sample.  A rank r in 1..min(p, q) (else RankOutOfRange)
-    interpolates its r leading left singular directions: ``U`` (p x r)
-    and ``V`` (q x r) have orthonormal columns and ``S`` is the r x r
-    diagonal of leading singular values.  At omega = 0 the sample and its
-    factors are real; a sample there with a non-negligible imaginary part
-    raises NonRealSampleAtZero (a real system cannot have one).
+    interpolates the projection U^H G(j*omega) of the sample onto its r
+    leading left singular directions, the orthonormal columns of ``U``
+    (p x r).  At omega = 0 the sample and ``U`` are real; a sample there
+    with a non-negligible imaginary part raises NonRealSampleAtZero (a
+    real system cannot have one).
     """
 
     omega: float
     sample: np.ndarray
     rank: int | None = None
     U: np.ndarray | None = field(default=None, init=False, repr=False)
-    S: np.ndarray | None = field(default=None, init=False, repr=False)
-    V: np.ndarray | None = field(default=None, init=False, repr=False)
     numerical_rank: int = field(default=0, init=False)
 
     def __post_init__(self):
@@ -123,13 +121,12 @@ class SupportPoint:
         r, rmax = self.rank, min(value.shape)
         if r is not None and not 1 <= r <= rmax:
             raise RankOutOfRange(f"rank {r} outside 1..{rmax} for shape {value.shape}")
-        U, s, Vh = np.linalg.svd(value, full_matrices=False)
+        U, s, _ = np.linalg.svd(value, full_matrices=False)
         floor = _FACTOR_RTOL * max(1.0, s.max(initial=0.0))
-        factors = {"sample": value, "numerical_rank": int(np.count_nonzero(s > floor))}
+        object.__setattr__(self, "sample", value)
+        object.__setattr__(self, "numerical_rank", int(np.count_nonzero(s > floor)))
         if r is not None:
-            factors.update(U=U[:, :r], S=np.diag(s[:r]), V=Vh[:r].conj().T)
-        for name, M in factors.items():
-            object.__setattr__(self, name, M)
+            object.__setattr__(self, "U", U[:, :r])
 
     @property
     def is_zero(self) -> bool:
@@ -154,17 +151,19 @@ def sample_support_point(
 class BlockRealization:
     """Real state-space block encoding interpolation at one frequency.
 
-    For omega = 0 the block is (0_r, [L G(0), L]) with r states; for
-    omega > 0 it pairs +/- j*omega through the skew rotation
-    A = [[0, omega I], [-omega I, 0]] with 2r states.  The r rows of L are
-    the interpolated directions (I_p for a full sample); ``B1`` carries
-    the sample along them, ``B2`` the channel L used later for reweighting.
+    The r rows of ``L`` are the interpolated directions: I_p for a full
+    point, U^H for a rank-r one.  For omega = 0 the block is
+    (0_r, [L G(0), L]) with r states; for omega > 0 it pairs +/- j*omega
+    through the skew rotation A = [[0, omega I], [-omega I, 0]] with 2r
+    states, and B1 = [Re L G; -Im L G], B2 = [Re L; -Im L].  ``B1``
+    carries the data, ``B2`` the channel L used later for reweighting.
     """
 
     omega: float
     A: np.ndarray
     B1: np.ndarray
     B2: np.ndarray
+    L: np.ndarray
 
     @property
     def order(self) -> int:
@@ -245,8 +244,12 @@ class StoppingOptions:
             raise ValueError("min_dist must be positive")
 
 
-def _re_im(M: np.ndarray) -> np.ndarray:
-    """[Re M; -Im M], with +0 rather than -0 below a real M."""
+def _realify(M: np.ndarray, omega: float) -> np.ndarray:
+    """Real rows for the complex rows M at frequency omega: Re M at
+    omega = 0 (where M is real), else [Re M; -Im M], with +0 rather than
+    -0 below a real M."""
+    if omega == 0.0:
+        return M.real
     return np.vstack([M.real, M.conj().imag])
 
 
@@ -254,27 +257,27 @@ def build_block(point: SupportPoint) -> BlockRealization:
     """Interpolation block for one support point.
 
     The block interpolates the data L G(j*omega) along the directions L:
-    L = I_p for a full point and L = U^H for a rank-r point, whose data is
-    then S V^H.  At omega = 0 the block is (0, [L G, L]); otherwise
-    B1 = [Re L G; -Im L G] and B2 = [Re L; -Im L].  Raises
+    L = I_p for a full point and L = U^H for a rank-r point.  Raises
     DegenerateFactors when a rank-r point's rank exceeds the numerical
     rank of its sample (a retained direction carries nothing to
     interpolate).
     """
     if point.rank is None:
-        L, LG = np.eye(point.sample.shape[0]), point.sample
+        L = np.eye(point.sample.shape[0])
+    elif point.rank > point.numerical_rank:
+        raise DegenerateFactors(
+            "retained singular values include a numerically zero entry"
+        )
     else:
-        if point.rank > point.numerical_rank:
-            raise DegenerateFactors(
-                "retained singular values include a numerically zero entry"
-            )
-        L, LG = point.U.conj().T, point.S @ point.V.conj().T
+        L = point.U.conj().T
     r, omega = L.shape[0], float(point.omega)
     if omega == 0.0:
-        return BlockRealization(omega, np.zeros((r, r)), LG.real, L.real)
-    eye, zero = np.eye(r), np.zeros((r, r))
-    A = np.block([[zero, omega * eye], [-omega * eye, zero]])
-    return BlockRealization(omega, A, _re_im(LG), _re_im(L))
+        A = np.zeros((r, r))
+    else:
+        A = omega * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(r))
+    return BlockRealization(
+        omega, A, _realify(L @ point.sample, omega), _realify(L, omega), L
+    )
 
 
 def _stack_blocks(blocks, p: int, q: int):
@@ -295,9 +298,8 @@ def assemble_error_system(blocks, sys: StateSpace) -> StateSpace:
     Y_k (sI - A)^{-1} B plus a resolvent of A_k weighted by
     B1_k - Y_k B - B2_k D, and that weight is zero exactly when the block
     interpolates G at its frequency.  Y_k has a closed form in the rows
-    Zc = C (j omega_k I - A)^{-1}: Y_k = B2_k Re Zc at omega_k = 0, and
-    otherwise [Re W; Im W] with W = (B2_k[:r] + j B2_k[r:]) conj(Zc) for
-    a block of 2r states.  The cancelled system therefore lives on the
+    Zc = C (j omega_k I - A)^{-1}: Y_k is L_k Zc realified as B2_k is
+    from L_k.  The cancelled system therefore lives on the
     state space of G alone, with output map [-C; Y_1; ...; Y_K] and no
     feedthrough, so its poles stay off the imaginary axis whenever G is
     stable, and it shares G's Schur form and reachability Gramian.  A
@@ -308,12 +310,7 @@ def assemble_error_system(blocks, sys: StateSpace) -> StateSpace:
     rows = [-sys.C]
     resolvents = _output_resolvent(sys, np.array([blk.omega for blk in blocks]))
     for blk, Zc in zip(blocks, resolvents):
-        if blk.omega == 0.0:
-            Y = blk.B2 @ Zc.real
-        else:
-            r = blk.order // 2
-            W = (blk.B2[:r] + 1j * blk.B2[r:]) @ Zc.conj()
-            Y = np.vstack([W.real, W.imag])
+        Y = _realify(blk.L @ Zc, blk.omega)
         coupled = Y @ sys.B
         weight = blk.B1 - coupled - blk.B2 @ sys.D
         scale = 1.0 + max(

@@ -31,13 +31,12 @@ from sysmor import (
     reduce,
     reduce_lowrank,
     sample_support_point,
-    sigma_max,
     solve_lyapunov,
     solve_weights,
     subtract,
 )
 from sysmor.cli import compare_methods
-from conftest import grid_gains, oracle_grid, random_stable, tf_eval
+from oracles import grid_gains, oracle_grid, random_stable, tf_eval
 
 ISS_PATH = os.environ.get(
     "SYSMOR_ISS_MODEL", str(Path(__file__).parent / "data" / "iss.ss")
@@ -248,8 +247,9 @@ def test_criterion_8_siso_equivalence():
         ]
         omegas = np.concatenate([[0.0], 10.0 ** rng.uniform(-2, 2, size=9)])
         for w in omegas:
-            gap = abs(eval_freq(full.sys, w)[0, 0] - eval_freq(low.sys, w)[0, 0])
-            assert gap <= 1e-9 * (1.0 + sigma_max(full.sys, w)), (
+            full_w = eval_freq(full.sys, w)
+            gap = abs(full_w[0, 0] - eval_freq(low.sys, w)[0, 0])
+            assert gap <= 1e-9 * (1.0 + np.linalg.norm(full_w, 2)), (
                 f"case {case} omega {w:.4g}: drivers differ by {gap:.3e}"
             )
 

@@ -15,7 +15,7 @@ from sysmor import (
     static_gain,
     subtract,
 )
-from conftest import random_stable
+from oracles import random_stable
 
 FIRST_ORDER = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
 

@@ -22,7 +22,7 @@ from sysmor import (
 )
 import sysmor.statespace
 from sysmor.cli import _write_sigma_csv, main
-from conftest import random_stable, tf_eval
+from oracles import random_stable, tf_eval
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from sysmor import (
     static_gain,
     write_model,
 )
-from conftest import random_stable
+from oracles import random_stable
 
 
 class TestRoundTrip:

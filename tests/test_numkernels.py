@@ -16,7 +16,7 @@ from sysmor import (
     solve_weights,
     static_gain,
 )
-from conftest import random_stable
+from oracles import random_stable
 
 
 def _with_input(A, B):
@@ -70,6 +70,11 @@ class TestSolveLyapunov:
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(IllPosedLyapunov):
             solve_lyapunov(_with_input(A, np.eye(2)))
+
+    def test_overflow_refused_without_warnings(self):
+        # B B^T overflows; the suite turns a leaked RuntimeWarning into an error.
+        with pytest.raises(IllPosedLyapunov, match="non-finite"):
+            solve_lyapunov(_with_input([[-1.0]], [[1e200]]))
 
     def test_empty_problem(self):
         result = solve_lyapunov(static_gain(np.ones((2, 1))))
@@ -143,38 +148,34 @@ class TestSymEig:
 
 
 class TestSvdTruncate:
-    """The factors of a rank-r ``SupportPoint``: U diag(s) V^H is the best
-    rank-r approximation of its sample."""
-
-    @staticmethod
-    def _factors(M, r):
-        point = SupportPoint(1.0, M, r)
-        return point.U, np.diag(point.S), point.V
+    """The directions of a rank-r ``SupportPoint``: U U^H M is the best
+    rank-r approximation of its sample M."""
 
     def test_factors_reconstruct_best_rank(self):
         rng = np.random.default_rng(34)
         M = rng.standard_normal((6, 4))
-        U, s, V = self._factors(M, 2)
-        assert U.shape == (6, 2) and V.shape == (4, 2) and s.shape == (2,)
-        assert s[0] >= s[1] >= 0
+        U = SupportPoint(1.0, M, 2).U
+        assert U.shape == (6, 2)
         np.testing.assert_allclose(U.T @ U, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(V.T @ V, np.eye(2), atol=1e-12)
-        # Eckart-Young: the residual equals the discarded singular values.
+        # U spans the leading singular directions ...
         full = np.linalg.svd(M, compute_uv=False)
-        err = np.linalg.norm(M - U @ np.diag(s) @ V.T, 2)
+        kept = np.linalg.svd(U.T @ M, compute_uv=False)
+        np.testing.assert_allclose(kept, full[:2], rtol=1e-10)
+        # ... and Eckart-Young: the residual is the first discarded one.
+        err = np.linalg.norm(M - U @ U.T @ M, 2)
         assert err == pytest.approx(full[2], rel=1e-10)
 
     def test_full_rank_reproduces_matrix(self):
         rng = np.random.default_rng(35)
         M = rng.standard_normal((3, 5))
-        U, s, V = self._factors(M, 3)
-        np.testing.assert_allclose(U @ np.diag(s) @ V.T, M, atol=1e-12)
+        U = SupportPoint(1.0, M, 3).U
+        np.testing.assert_allclose(U @ U.T @ M, M, atol=1e-12)
 
     def test_complex_input(self):
         rng = np.random.default_rng(36)
         M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        U, s, V = self._factors(M, 4)
-        np.testing.assert_allclose(U @ np.diag(s) @ V.conj().T, M, atol=1e-12)
+        U = SupportPoint(1.0, M, 4).U
+        np.testing.assert_allclose(U @ U.conj().T @ M, M, atol=1e-12)
 
     def test_rank_bounds(self):
         M = np.ones((3, 2))

@@ -28,7 +28,7 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 REMOVED = (
     "series", "vertcat", "FrequencySample", "freq_sample", "minreal",
     "LowRankPoint", "NewPoint", "GrowRank", "truncate_sample",
-    "build_lowrank_block", "sym_eig_ascending", "svd_truncate",
+    "build_lowrank_block", "sym_eig_ascending", "svd_truncate", "sigma_max",
 )
 
 
@@ -59,7 +59,8 @@ def test_removed_names_are_gone():
         assert name not in sysmor.__all__
         assert not hasattr(sysmor, name)
         for module in (
-            sysmor.statespace, sysmor.lowrank, sysmor.numkernels, sysmor.sysaaa
+            sysmor.statespace, sysmor.norms, sysmor.lowrank, sysmor.numkernels,
+            sysmor.sysaaa,
         ):
             assert not hasattr(module, name), (module.__name__, name)
 

@@ -34,7 +34,7 @@ from sysmor import (
 )
 from sysmor.cli import compare_methods
 from sysmor.norms import LinfResult
-from conftest import (
+from oracles import (
     grid_gains,
     oracle_grid,
     random_orthogonal,

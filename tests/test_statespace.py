@@ -21,7 +21,7 @@ from sysmor import (
     subtract,
 )
 from sysmor.statespace import _CHUNK
-from conftest import mass_chain, random_stable, tf_eval
+from oracles import mass_chain, random_stable, tf_eval
 
 
 class TestConstruction:
@@ -46,6 +46,25 @@ class TestConstruction:
     def test_d_decides_io_counts(self):
         with pytest.raises(DimensionMismatch):
             StateSpace(np.eye(2) * -1.0, np.ones((2, 2)), np.ones((1, 2)), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize(
+        "B, C, D",
+        [
+            (np.zeros((2, 0)), np.ones((1, 2)), np.zeros((1, 0))),
+            (np.ones((2, 1)), np.zeros((0, 2)), np.zeros((0, 1))),
+        ],
+        ids=["no-inputs", "no-outputs"],
+    )
+    def test_model_needs_inputs_and_outputs(self, B, C, D):
+        with pytest.raises(DimensionMismatch):
+            StateSpace(-np.eye(2), B, C, D)
+
+    def test_one_dimensional_b_and_c(self):
+        # A 1-D B is one input column, a 1-D C one output row.
+        sys = StateSpace([[-1, 0], [0, -2]], [1, 1], [1, 1], 0)
+        assert sys.B.shape == (2, 1) and sys.C.shape == (1, 2)
+        np.testing.assert_array_equal(sys.B, [[1.0], [1.0]])
+        np.testing.assert_array_equal(sys.C, [[1.0, 1.0]])
 
     def test_nonsquare_a_raises(self):
         with pytest.raises(DimensionMismatch):

@@ -37,12 +37,11 @@ from sysmor import (
     reduce,
     reduce_lowrank,
     sample_support_point,
-    sigma_max,
     solve_weights,
     static_gain,
     subtract,
 )
-from conftest import random_orthogonal, random_stable, tf_eval
+from oracles import random_orthogonal, random_stable, tf_eval
 
 FIRST_ORDER = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
 
@@ -161,18 +160,17 @@ class TestAssembleErrorSystem:
         # N_k - M_k G has a removable singularity at j*omega exactly when
         # (A_k + j*omega I)(B1_k - B2_k G(j*omega)) = 0; that identity is
         # what lets assemble_error_system cancel the block modes.  A rank-r
-        # point satisfies it once G is replaced by its truncation U S V*.
+        # point interpolates U* G, so it satisfies it with G itself too.
         rng = np.random.default_rng(54)
         sys = random_stable(rng, n=6, q=3, p=3)
         for omega in (0.0, 1.7):
             pt = sample_support_point(sys, omega, rank)
             blk = build_block(pt)
             G = eval_freq(sys, omega)
-            target = G if rank is None else pt.U @ pt.S @ pt.V.conj().T
             assert blk.order == pt.order
-            res = (blk.A + 1j * omega * np.eye(blk.order)) @ (
-                blk.B1 - blk.B2 @ target
-            )
+            L = np.eye(3) if rank is None else pt.U.conj().T
+            np.testing.assert_array_equal(blk.L, L)
+            res = (blk.A + 1j * omega * np.eye(blk.order)) @ (blk.B1 - blk.B2 @ G)
             assert np.abs(res).max() <= 1e-12 * (1.0 + np.abs(G).max())
 
     @pytest.mark.parametrize("omega", [0.0, 1.7])
@@ -310,8 +308,9 @@ class TestRealizeInterpolant:
         weight = solve_weights(X, g.p)
         r = realize_interpolant(blocks, weight, g.D)
         assert r.n == 4
-        gap = np.linalg.norm(eval_freq(r, omega) - eval_freq(g, omega), 2)
-        assert gap <= 1e-8 * (1.0 + sigma_max(g, omega))
+        G = eval_freq(g, omega)
+        gap = np.linalg.norm(eval_freq(r, omega) - G, 2)
+        assert gap <= 1e-8 * (1.0 + np.linalg.norm(G, 2))
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(60)
