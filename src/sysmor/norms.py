@@ -13,13 +13,13 @@ poles, so the same routine serves unstable interpolants.
 Before each level test the best probe is refined to a local maximum of
 sigma_max, as Benner and Mitchell do (SIAM J. Sci. Comput. 40(5), 2018):
 between the probes beside it, safeguarded secant steps find a root of
-d sigma_max / d omega = Re(u^H G'(j omega) v), which the shifted solve
-of the response on the cached Schur form and one more one-column solve
-give.  The root, unlike the argmax of sigma_max itself, is well
-conditioned, and a refined gain is an ordinary probe, so the first level
-test, at that gain times 1 + rel_tol, usually finds no crossings.  When
-it does find some, the interval around the best new probe brackets the
-next refinement.
+d sigma_max / d omega = Re(u^H G_omega v), G_omega = dG(j omega)/d omega,
+from the response and the product G_omega v, each composed over the
+operands of G - R.  The root, unlike the argmax of sigma_max itself, is
+well conditioned, and a refined gain is an ordinary probe, so the first
+level test, at that gain times 1 + rel_tol, usually finds no crossings.
+When it does find some, the interval around the best new probe brackets
+the next refinement.
 
 On an error system G - R from ``subtract`` with G stable, a level test
 may run on G_k - R instead, with G_k the balanced truncation of G to k
@@ -55,13 +55,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ImaginaryAxisPoles, NonzeroFeedthrough
+from .exceptions import ImaginaryAxisPoles, NonzeroFeedthrough, SingularAtFrequency
 from .statespace import (
     _NEGLIGIBLE_HSV_RTOL,
     StateSpace,
     _axis_margin,
     _balanced_truncation,
-    _shifted_solve,
+    _response,
+    _response_slope,
     eval_freq,
     is_stable,
     poles,
@@ -111,9 +112,8 @@ class LinfResult:
 
     ``surrogate_tests`` counts the level tests that ran on a surrogate,
     and ``slope_evaluations`` the gain-and-slope evaluations of the peak
-    refinement (each two one-frequency shifted solves: the response's,
-    on the side with fewer columns, and one one-column solve for the
-    slope).
+    refinement (each one response and one product G_omega v, on each
+    operand's modal factor or else two one-column shifted solves).
     """
 
     gamma: float
@@ -127,7 +127,10 @@ class LinfResult:
 def _hamiltonian_spectrum(sys: StateSpace, gamma: float) -> np.ndarray:
     """Eigenvalues of the gamma-level Hamiltonian.  Its imaginary ones
     j omega mark the frequencies where some singular value of G(j omega)
-    equals ``gamma``; with none, gamma is a strict upper bound."""
+    equals ``gamma``; with none, gamma is a strict upper bound.  A level
+    whose square overflows raises ``SingularAtFrequency``."""
+    if not gamma * gamma < math.inf:
+        raise SingularAtFrequency(f"the Hamiltonian at level {gamma:g} overflows")
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     q = sys.q
     R = gamma**2 * np.eye(q) - D.T @ D
@@ -164,27 +167,17 @@ def _gain_and_slope(sys: StateSpace, omega: float) -> tuple[float, float | None]
     """sigma_max(G(j omega)) and its derivative in omega, None where
     sigma_max is (nearly) repeated and so has no reliable slope.
 
-    On the Schur form A = Z T Z^T, one shifted solve
-    X = (j omega I - T)^-1 Z^T B gives G(j omega) = C Z X + D.  With u, v
-    the leading singular vectors of G(j omega), the slope is
-    Re(u^H G'(j omega) v) and G'(j omega) = -j C (j omega I - A)^-2 B, so
-    one more one-column solve Y = (j omega I - T)^-1 X v gives it as
-    Im(u^H C Z Y).  When p < q both solves run on the transpose G^T,
-    which has the same sigma_max and slope, so that X has min(p, q)
-    columns.
+    The gain is that of the response as ``_response`` composes it (on an
+    error system G - R, G's side from its seed cache or its modal
+    factor).  With u, v the leading singular vectors of G(j omega), the
+    slope is Re(u^H G_omega v), where ``_response_slope`` gives
+    G_omega v = dG(j omega)/d omega v by the same composition.
     """
-    T, Z, _ = sys._schur
-    at, trans = np.array([omega]), sys.p < sys.q
-    if trans:
-        left, right, D = sys.B.T @ Z, Z.T @ sys.C.T, sys.D.T
-    else:
-        left, right, D = sys.C @ Z, Z.T @ sys.B, sys.D
-    ((_, X),) = _shifted_solve(T, at, right, trans)
-    U, s, Vh = np.linalg.svd(left @ X[0] + D)
+    U, s, Vh = np.linalg.svd(_response(sys, np.array([omega]), False)[0])
     if s.size > 1 and s[1] >= (1.0 - _REPEATED_RTOL) * s[0]:
         return float(s[0]), None
-    ((_, Y),) = _shifted_solve(T, at, X[0] @ Vh[:1].conj().T, trans)
-    return float(s[0]), float((U[:, :1].conj().T @ left @ Y[0]).imag[0, 0])
+    slope = U[:, :1].conj().T @ _response_slope(sys, omega, Vh[:1].conj().T)
+    return float(s[0]), float(slope.real[0, 0])
 
 
 def _slope_root(
@@ -264,7 +257,8 @@ def _surrogate(
     if kind != "difference" or g.n < 2 or not gamma_lb > 0.0 or not is_stable(g):
         return None
     allowance = _ROUNDOFF_ALLOWANCE * g.n * np.finfo(float).eps
-    if max(g._reachability.residual, g._observability.residual) > allowance:
+    gramians = (g._reachability, g._observability)
+    if not all(gramian.residual <= allowance for gramian in gramians):  # NaN fails
         return None
     _, _, _, hsv, _, tails = g._balancing
     shifts = 2.0 * (tails[1 : g.n] + allowance * hsv[0])
@@ -297,12 +291,11 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
             "A has eigenvalues within guard distance of the imaginary axis"
         )
 
-    # Scale floor so exactly-cancelling systems terminate immediately.
-    rough = d_gain + float(
-        np.linalg.norm(sys.B) * np.linalg.norm(sys.C)
-        / max(np.min(np.abs(lam_A.real)), np.finfo(float).tiny)
-    )
-    floor = 1e-13 * max(1.0, rough)
+    # Scale floor so exactly-cancelling systems terminate immediately, in
+    # Python floats (hypot scales its squares; a product overflows to inf).
+    margin = float(max(np.min(np.abs(lam_A.real)), np.finfo(float).tiny))
+    rough = d_gain + math.hypot(*sys.B.flat) * math.hypot(*sys.C.flat) / margin
+    floor = 1e-13 * min(max(1.0, rough), np.finfo(float).max)
 
     best_omega = 0.0
     best_gain = -1.0

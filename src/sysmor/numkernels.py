@@ -83,8 +83,10 @@ def solve_lyapunov(sys: StateSpace, other: StateSpace | None = None) -> GramianR
         P.setflags(write=False)  # cached and shared by the model's instances
         if not np.all(np.isfinite(P)):
             raise IllPosedLyapunov("Lyapunov solve produced non-finite entries")
-        Q = sys.B @ other.B.T
-        res = np.linalg.norm(sys.A @ P + P @ other.A.T + Q, "fro")
+        # on B, B_o scaled to unit largest entry: no norm overflows to 0 or NaN
+        b, b_o = (max(np.abs(M.B).max(), np.finfo(float).tiny) for M in (sys, other))
+        P_s, Q = P / b / b_o, (sys.B / b) @ (other.B / b_o).T
+        res = np.linalg.norm(sys.A @ P_s + P_s @ other.A.T + Q, "fro")
         denom = max(np.linalg.norm(Q, "fro"), np.finfo(float).eps)
         return GramianResult(P, float(res / denom))
 

@@ -5,11 +5,11 @@ with transfer function G(s) = C (sI - A)^-1 B + D.  Static gains (n = 0)
 are first-class.  All operations are pure: they validate, build new
 matrices, and return a fresh ``StateSpace``.
 
-Each instance factors A once, into its real Schur form A = Z T Z^T, and
-every pole, frequency-response and Gramian computation reads that
-factorization: a response costs one quasi-triangular O(n^2) solve per
-frequency, batched into one LAPACK call per chunk of frequencies, and
-each Gramian one Lyapunov back-substitution, cached with it.
+Each instance factors A once, into its real Schur form A = Z T Z^T, read
+by every pole and Gramian (one cached Lyapunov back-substitution each),
+and, when V is well conditioned, into A = V diag(lam) V^-1 (Laub, IEEE
+TAC 26(2), 1981): a response or its slope then costs O(n p q) per
+frequency, else one quasi-triangular O(n^2) solve, batched per chunk.
 
 A model derived from others by ``subtract``, ``dual`` or a new output map
 on the same states carries one private provenance record (``_Origin``),
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgees, dtrsyl
+from scipy.linalg.lapack import dgees, dgeev, dtrsyl
 
 from . import numkernels
 from .exceptions import DimensionMismatch, SingularAtFrequency
@@ -63,6 +63,13 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
+
+# Largest cond(V), V from dgeev's unit eigenvectors, that responses and
+# slopes are solved on: beyond the Schur path's error, a modal one errs by
+# about cond(V) eps of ||C|| ||B|| / dist(j omega, lam) (Laub 1981).  1e-12
+# keeps three digits of criterion 8's 1e-9 for a reduction to amplify, and
+# is the resolution of the peak refinement's slope root: 1e-12 / eps, 4.5e3.
+_MODAL_COND_MAX = 1e-12 / np.finfo(float).eps
 
 # Hankel values this far below the largest cannot be balanced in floating
 # point (the 1/sqrt scaling would amplify roundoff past the signal); the
@@ -176,6 +183,13 @@ class StateSpace:
             T, _, wr, wi, Z, _, info = dgees(lambda re, im: 0, self.A)
             if info:
                 raise np.linalg.LinAlgError("Schur factorization did not converge")
+            # V = Z Y P, Y the unit eigenvectors of T in real form (_paired)
+            re, im, _, Y, failed = dgeev(T, compute_vl=0)
+            if not failed and np.linalg.cond(Y) <= _MODAL_COND_MAX:
+                lam, YinvZB = re + 1j * im, np.linalg.solve(Y, Z.T @ self.B)
+                CV = _paired(self.C @ Z @ Y, lam)
+                VinvB = _paired(YinvZB.T, lam).conj().T
+                self.__dict__["_modal"] = _frozen(lam, Y, CV, VinvB)
             return _frozen(T, Z, wr + 1j * wi)
         if kind == "dynamics":
             return of._schur
@@ -190,6 +204,24 @@ class StateSpace:
             sla.block_diag(Zg, Zr),
             np.concatenate([pg, pr]),
         )
+
+    @cached_property
+    def _modal(self) -> tuple[np.ndarray, ...] | None:
+        """(lam, Y, CV, V^-1 B) of A = V diag(lam) V^-1, V = Z Y P (``_paired``),
+        or None if cond(V) > ``_MODAL_COND_MAX``.  The same states share lam,
+        Y and V^-1 B; a dual transposes its operand's factor, without Y (so
+        a model on its states has none); a difference has none."""
+        kind, of, _ = self._origin
+        if kind is None:
+            self._schur  # which forms the factor (none when n = 0)
+            return self.__dict__.get("_modal")
+        factor = None if kind == "difference" else of._modal
+        if factor is None or (kind == "dynamics" and factor[1] is None):
+            return None
+        lam, Y, CV, VinvB = factor
+        if kind == "dual":
+            return lam, None, VinvB.T, CV.T
+        return lam, Y, *_frozen(_paired(self.C @ self._schur[1] @ Y, lam)), VinvB
 
     @cached_property
     def _seeds(self) -> np.ndarray:
@@ -263,6 +295,18 @@ class StateSpace:
         return _Balancing(*_frozen(Lc, Lo, U, hsv, Vt, tails))
 
 
+def _paired(M: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """M P for M = X Y, Y in ``dgeev``'s real form: the unit eigenvectors y,
+    conj(y) of a pair lam, conj(lam) (Im lam > 0 first) are its columns
+    Re y, Im y, which the unitary P maps to (y, conj(y)) / sqrt(2).  So
+    cond(Y P) = cond(Y), and (Y P)^-1 N = conj(M P)^T for M = (Y^-1 N)^T."""
+    pair = np.flatnonzero(lam.imag > 0)
+    out = M.astype(complex)
+    out[:, pair] = (M[:, pair] + 1j * M[:, pair + 1]) / np.sqrt(2.0)
+    out[:, pair + 1] = out[:, pair].conj()
+    return out
+
+
 def _derived(model: StateSpace, *origin) -> StateSpace:
     object.__setattr__(model, "_origin", _Origin(*origin))
     return model
@@ -330,6 +374,8 @@ def static_gain(D) -> StateSpace:
 # O(n pairs^2) work and each chunk holds O(n pairs) memory.
 _CHUNK = 16
 
+_EIGENVALUE_AT = "j*{:g} is an eigenvalue of A within solver precision"
+
 
 def _shifted_solve(
     T: np.ndarray, omegas: np.ndarray, rhs: np.ndarray, trans: bool = False
@@ -386,9 +432,7 @@ def _solve_chunk(
             [_solve_chunk(T, omegas[i : i + 1], rhs, trans) for i in range(k)]
         )
     if info:
-        raise SingularAtFrequency(
-            f"j*{omegas[0]:g} is an eigenvalue of A within solver precision"
-        )
+        raise SingularAtFrequency(_EIGENVALUE_AT.format(omegas[0]))
     pairs = x.reshape((n, 2, m, k), order="F")
     # C-contiguous per frequency, so a stacked product runs for each
     # frequency the BLAS kernel (dot, gemv or gemm) that a one-frequency
@@ -413,21 +457,57 @@ def _output_resolvent(sys: StateSpace, omegas: np.ndarray) -> np.ndarray:
 
 
 def _solve_response(sys: StateSpace, omegas: np.ndarray) -> np.ndarray:
-    """k x p x q response at the 1-D ``omegas``: batched shifted solves
-    against the Schur form, on the side with fewer columns, each chunk
-    added into the response as it is solved."""
+    """k x p x q response at the 1-D ``omegas``, ``_CHUNK`` frequencies at
+    a time: on the modal factor the sum of CV[:, i] V^-1 B[i] / (j omega -
+    lam_i), exactly real at omega = 0, or else batched shifted solves
+    against the Schur form, on the side with fewer columns."""
     value = np.empty(omegas.shape + sys.D.shape, dtype=complex)
     value[...] = sys.D
-    if sys.n and omegas.size:
-        T, Z, _ = sys._schur
-        CZ, ZB = sys.C @ Z, Z.T @ sys.B
-        if sys.p < sys.q:
-            for at, X in _shifted_solve(T, omegas, CZ.T, trans=True):
-                value[at] += X.transpose(0, 2, 1) @ ZB
-        else:
-            for at, X in _shifted_solve(T, omegas, ZB):
-                value[at] += CZ @ X
+    if not (sys.n and omegas.size):
+        return value
+    if sys._modal is not None:
+        lam, _, CV, VinvB = sys._modal
+        residues = np.einsum("in,nj->nij", CV, VinvB).reshape(sys.n, -1)
+        # |j omega - lam_i| within eps max(|lam|, omega) is a zero pivot
+        tiny = np.finfo(float).eps * np.maximum(np.abs(lam).max(), np.abs(omegas))
+        for start in range(0, omegas.size, _CHUNK):
+            at = slice(start, start + _CHUNK)
+            gaps = np.tile(-lam, (omegas[at].size, 1))  # j omega - lam, formed
+            gaps.imag += omegas[at, None]  # in place (numpy copies broadcasts)
+            zero = np.abs(gaps).min(axis=1) <= tiny[at]
+            if zero.any():
+                raise SingularAtFrequency(_EIGENVALUE_AT.format(omegas[at][zero][0]))
+            terms = np.reciprocal(gaps, out=gaps)[:, None] @ residues
+            value[at] += terms.reshape(-1, sys.p, sys.q)
+        value.imag[omegas == 0.0] = 0.0
+        return value
+    T, Z, _ = sys._schur
+    CZ, ZB = sys.C @ Z, Z.T @ sys.B
+    if sys.p < sys.q:
+        for at, X in _shifted_solve(T, omegas, CZ.T, trans=True):
+            value[at] += X.transpose(0, 2, 1) @ ZB
+    else:
+        for at, X in _shifted_solve(T, omegas, ZB):
+            value[at] += CZ @ X
     return value
+
+
+def _response_slope(sys: StateSpace, omega: float, v: np.ndarray) -> np.ndarray:
+    """dG(j omega)/d omega v = -j C (j omega I - A)^-2 B v for a q x 1 v: on
+    a difference G's less R's, on a modal factor -j CV diag(1/(j omega -
+    lam)^2) V^-1 B v, or else by two one-column shifted solves."""
+    kind, of, minus = sys._origin
+    if kind == "difference":
+        return _response_slope(of, omega, v) - _response_slope(minus, omega, v)
+    if not sys.n:
+        return np.zeros((sys.p, 1), complex)
+    if sys._modal is not None:
+        lam, _, CV, VinvB = sys._modal
+        return -1j * (CV / (1j * omega - lam) ** 2) @ (VinvB @ v)
+    (T, Z, _), at = sys._schur, np.array([omega])
+    ((_, X),) = _shifted_solve(T, at, Z.T @ (sys.B @ v))
+    ((_, Y),) = _shifted_solve(T, at, X[0])
+    return -1j * (sys.C @ (Z @ Y[0]))
 
 
 def _response(sys: StateSpace, omegas: np.ndarray, seeded: bool) -> np.ndarray:
@@ -459,11 +539,11 @@ def eval_freq(sys: StateSpace, omega) -> np.ndarray:
 
     A scalar ``omega`` gives the p x q response; a 1-D array of k
     frequencies gives a k x p x q stack, each entry bit-identical to the
-    scalar call at its frequency.  Each frequency costs one shifted solve
-    against the cached Schur form of A, on the side with fewer columns,
-    unless it is one of the model's cached seeds; the solves of a stack
-    run in chunks of one LAPACK call each, in memory that grows with the
-    chunk and not with k.  The error system of ``subtract`` returns
+    scalar call at its frequency.  Unless it is a cached seed, each
+    frequency costs O(n p q) on the modal factor of A, or, with cond(V)
+    above ``_MODAL_COND_MAX``, one shifted solve against the Schur form;
+    a stack runs in chunks, in memory that grows with the chunk and not
+    with k.  The error system of ``subtract`` returns
     G(j*omega) - R(j*omega), so it solves only R at the seeds of G.
     Raises ``SingularAtFrequency``, naming the first such frequency, when
     j*omega is (numerically) an eigenvalue of A or the response there

@@ -562,6 +562,16 @@ class TestExitCodes:
         assert "error[UnstableInput]" in err
         assert "Traceback" not in err
 
+    def test_gain_beyond_float_range_is_a_solver_failure(self, tmp_path, capsys):
+        # B = 1e200: the floor's scale must not overflow (the suite turns
+        # that RuntimeWarning into an error), and the level test, whose
+        # gamma^2 would, refuses the level.
+        path = tmp_path / "huge.ss"
+        write_model(StateSpace([[-1.0]], [[1e200]], [[1.0]], [[0.0]]), path)
+        assert main(["reduce", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "error[SolverFailure]" in err and "overflows" in err
+
     @pytest.mark.parametrize(
         "name, error",
         [

@@ -12,6 +12,7 @@ from sysmor import (
     GramianResult,
     ImaginaryAxisPoles,
     NonzeroFeedthrough,
+    SingularAtFrequency,
     StateSpace,
     StoppingOptions,
     balanced_truncate,
@@ -296,6 +297,19 @@ class TestLinfNorm:
         b = linf_norm(scaled)
         assert b.gamma == pytest.approx(10.0 * a.gamma, rel=1e-5)
 
+    def test_input_map_whose_squares_overflow(self):
+        # ||B||^2 = 1e310 overflows, the gain 1e150 and the level test do
+        # not: the rough scale of the numerical floor must not overflow.
+        res = linf_norm(StateSpace([[-1.0]], [[1e155]], [[1e-5]], [[0.0]]))
+        assert res.certified and res.omega_peak == 0.0
+        assert res.gamma == pytest.approx(1e150, rel=2e-6)
+
+    def test_gain_beyond_the_level_test_is_refused(self):
+        # gamma^2 overflows at a gain of 1e200: a documented error, not an
+        # OverflowError or an uncertifiable level test.
+        with pytest.raises(SingularAtFrequency, match="overflows"):
+            linf_norm(StateSpace([[-1.0]], [[1e200]], [[1.0]], [[0.0]]))
+
 
 def _shift(g, k):
     """delta(k) = 2 (sum_{i>k} sigma_i + c n eps sigma_1), from the Hankel
@@ -413,6 +427,16 @@ class TestSurrogateLevelTest:
         assert res.surrogate_tests == 0 and res.certified
         raw = _raw_error(g, r)
         assert res.gamma >= grid_gains(raw, oracle_grid(raw)).max()
+
+    def test_no_surrogate_on_a_residual_that_measured_nothing(self):
+        # A NaN residual fails the gate, as one above the allowance does.
+        g = mass_chain(0, 40, inputs=(0,), outputs=(39,))
+        r, _ = balanced_truncate(g, 12)
+        err = subtract(g, r)
+        gamma_lb = linf_norm(err).gamma
+        assert sysmor.norms._surrogate(err, gamma_lb, 1e-6) is not None
+        g.__dict__["_observability"] = GramianResult(g._observability.P, math.nan)
+        assert sysmor.norms._surrogate(err, gamma_lb, 1e-6) is None
 
     @pytest.mark.parametrize("driver", [reduce, reduce_lowrank])
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -38,6 +38,15 @@ def _unstable_well_posed(rng, n):
 
 
 class TestSolveLyapunov:
+    def test_residual_is_measured_at_any_scale(self):
+        # ||B B^T||_F overflows at B ~ 1e150: the residual is measured on
+        # the scaled equation, so it neither reads 0 nor NaN.
+        sys = random_stable(np.random.default_rng(36), n=4, q=2, p=2)
+        unit = solve_lyapunov(sys).residual
+        huge = solve_lyapunov(StateSpace(sys.A, 1e150 * sys.B, sys.C, sys.D))
+        assert np.isfinite(huge.P).all()
+        assert 0.0 < huge.residual <= 10.0 * unit < 1e-13
+
     def test_scalar_closed_form(self):
         # a p + p a = -b^2 with a = -1, b = 1 gives p = 1/2.
         result = solve_lyapunov(_with_input([[-1.0]], [[1.0]]))

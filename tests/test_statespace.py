@@ -20,7 +20,13 @@ from sysmor import (
     static_gain,
     subtract,
 )
-from sysmor.statespace import _CHUNK
+import sysmor.statespace
+from sysmor.statespace import (
+    _CHUNK,
+    _response_slope,
+    _same_dynamics,
+    _solve_response,
+)
 from oracles import mass_chain, random_stable, tf_eval
 
 
@@ -260,6 +266,110 @@ class TestBatchedSolve:
             tracemalloc.stop()
         assert value.shape == (2000, 3, 3)
         assert peak < 2 * value.nbytes
+
+
+def _near_jordan(rng):
+    """A model on the near-Jordan A of
+    ``TestEvalFreq.test_matches_direct_solve``, whose eigenvector basis
+    has condition above 1e8."""
+    A = -np.diag(1.0 + 0.1 * np.arange(6)) + 10.0 * np.eye(6, k=1)
+    return StateSpace(
+        A,
+        rng.standard_normal((6, 2)),
+        rng.standard_normal((3, 6)),
+        rng.standard_normal((3, 2)),
+    )
+
+
+def _on_schur_form(sys):
+    """The same matrices, solved on the Schur form: no modal factor."""
+    fresh = StateSpace(sys.A, sys.B, sys.C, sys.D)
+    poles(fresh)
+    fresh.__dict__["_modal"] = None
+    return fresh
+
+
+class TestModalFactor:
+    """A well-conditioned model solves responses and slopes on its modal
+    factor A = V diag(lam) V^-1; the others keep the Schur form."""
+
+    @staticmethod
+    def _models():
+        rng = np.random.default_rng(61)
+        io = (0, 20, 39)
+        yield mass_chain(0, 40, inputs=io, outputs=io)
+        for _ in range(8):
+            n, q, p = (int(v) for v in rng.integers((2, 1, 1), (25, 4, 4)))
+            yield random_stable(rng, n, q, p, feedthrough=True)
+
+    def test_modal_and_schur_responses_agree(self):
+        # Relative to the model's largest response on the grid: the chain
+        # rolls off to roundoff at high frequency on either path.
+        for sys in self._models():
+            assert sys._modal is not None
+            omegas = np.concatenate([[0.0], sys._seeds, np.logspace(-2, 3, 200)])
+            modal = eval_freq(sys, omegas)
+            schur = eval_freq(_on_schur_form(sys), omegas)
+            assert np.all(modal[0].imag == 0.0)
+            assert np.abs(modal - schur).max() <= 1e-12 * np.abs(schur).max()
+
+    def test_near_jordan_model_falls_back_to_schur(self):
+        sys = _near_jordan(np.random.default_rng(7))
+        assert sys._modal is None
+        assert dual(sys)._modal is None
+        for omega in (0.0, 0.3, 2.0, 50.0):
+            expected = tf_eval(sys.A, sys.B, sys.C, sys.D, 1j * omega)
+            np.testing.assert_allclose(eval_freq(sys, omega), expected, rtol=1e-12)
+
+    def test_dual_and_dynamics_reuse_the_factor(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        sys = random_stable(rng, n=9, q=2, p=3, feedthrough=True)
+        factored = []
+        dgeev = sysmor.statespace.dgeev
+
+        def counted(a, *args, **kwargs):
+            factored.append(a.shape)
+            return dgeev(a, *args, **kwargs)
+
+        monkeypatch.setattr(sysmor.statespace, "dgeev", counted)
+        lam, Y, _, VinvB = sys._modal
+        flipped = dual(sys)
+        same = _same_dynamics(sys, rng.standard_normal((4, 9)), np.zeros((4, 2)))
+        assert flipped._modal[0] is lam and flipped._modal[1] is None
+        assert same._modal[0] is lam and same._modal[1] is Y
+        assert same._modal[3] is VinvB
+        assert subtract(sys, sys)._modal is None
+        assert factored == [(9, 9)]
+        omegas = np.array([0.0, 0.4, 7.0])
+        for model in (flipped, same):
+            for w, value in zip(omegas, _solve_response(model, omegas)):
+                expected = tf_eval(model.A, model.B, model.C, model.D, 1j * w)
+                np.testing.assert_allclose(value, expected, rtol=1e-12)
+        assert factored == [(9, 9)]
+
+    @pytest.mark.parametrize("path", ["modal", "schur"])
+    def test_slope_matches_central_difference(self, path):
+        # Re(u^H G_omega v) is the slope of sigma_max, for u, v its singular
+        # vectors, on either factor and on an error system G - R.
+        rng = np.random.default_rng(63)
+        g = random_stable(rng, n=8, q=2, p=3, feedthrough=True)
+        r = random_stable(rng, n=3, q=2, p=3)
+        if path == "schur":
+            g, r = _near_jordan(rng), _on_schur_form(r)
+            assert g._modal is None
+        else:
+            assert g._modal is not None and r._modal is not None
+
+        def sigma(sys, w):
+            return np.linalg.norm(eval_freq(sys, w), 2)
+
+        for sys in (g, subtract(g, r)):
+            for w in (0.3, 1.1, 4.0):
+                U, _, Vh = np.linalg.svd(eval_freq(sys, w))
+                slope = U[:, :1].conj().T @ _response_slope(sys, w, Vh[:1].conj().T)
+                h = 1e-6 * w
+                central = (sigma(sys, w + h) - sigma(sys, w - h)) / (2 * h)
+                assert slope.real[0, 0] == pytest.approx(central, rel=1e-5)
 
 
 class TestInterconnections:
