@@ -112,8 +112,7 @@ class LinfResult:
 
     ``surrogate_tests`` counts the level tests that ran on a surrogate,
     and ``slope_evaluations`` the gain-and-slope evaluations of the peak
-    refinement (each one response and one product G_omega v, on each
-    operand's modal factor or else two one-column shifted solves).
+    refinement (each a response and a product G_omega v, per operand).
     """
 
     gamma: float
@@ -127,8 +126,7 @@ class LinfResult:
 def _hamiltonian_spectrum(sys: StateSpace, gamma: float) -> np.ndarray:
     """Eigenvalues of the gamma-level Hamiltonian.  Its imaginary ones
     j omega mark the frequencies where some singular value of G(j omega)
-    equals ``gamma``; with none, gamma is a strict upper bound.  A level
-    whose square overflows raises ``SingularAtFrequency``."""
+    equals ``gamma``; with none, gamma is a strict upper bound."""
     if not gamma * gamma < math.inf:
         raise SingularAtFrequency(f"the Hamiltonian at level {gamma:g} overflows")
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
@@ -167,11 +165,9 @@ def _gain_and_slope(sys: StateSpace, omega: float) -> tuple[float, float | None]
     """sigma_max(G(j omega)) and its derivative in omega, None where
     sigma_max is (nearly) repeated and so has no reliable slope.
 
-    The gain is that of the response as ``_response`` composes it (on an
-    error system G - R, G's side from its seed cache or its modal
-    factor).  With u, v the leading singular vectors of G(j omega), the
-    slope is Re(u^H G_omega v), where ``_response_slope`` gives
-    G_omega v = dG(j omega)/d omega v by the same composition.
+    With u, v the leading singular vectors of the response, composed by
+    ``_response``, the slope is Re(u^H G_omega v), where G_omega v =
+    dG(j omega)/d omega v is composed alike by ``_response_slope``.
     """
     U, s, Vh = np.linalg.svd(_response(sys, np.array([omega]), False)[0])
     if s.size > 1 and s[1] >= (1.0 - _REPEATED_RTOL) * s[0]:
@@ -257,8 +253,7 @@ def _surrogate(
     if kind != "difference" or g.n < 2 or not gamma_lb > 0.0 or not is_stable(g):
         return None
     allowance = _ROUNDOFF_ALLOWANCE * g.n * np.finfo(float).eps
-    gramians = (g._reachability, g._observability)
-    if not all(gramian.residual <= allowance for gramian in gramians):  # NaN fails
+    if not all(m.residual <= allowance for m in (g._reachability, g._observability)):
         return None
     _, _, _, hsv, _, tails = g._balancing
     shifts = 2.0 * (tails[1 : g.n] + allowance * hsv[0])
@@ -291,10 +286,11 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
             "A has eigenvalues within guard distance of the imaginary axis"
         )
 
-    # Scale floor so exactly-cancelling systems terminate immediately, in
-    # Python floats (hypot scales its squares; a product overflows to inf).
+    # Scale floor so exactly-cancelling systems terminate immediately (b c may be inf).
     margin = float(max(np.min(np.abs(lam_A.real)), np.finfo(float).tiny))
-    rough = d_gain + math.hypot(*sys.B.flat) * math.hypot(*sys.C.flat) / margin
+    b, c = (max(float(np.abs(M).max()), np.finfo(float).tiny) for M in (sys.B, sys.C))
+    scaled = float(np.linalg.norm(sys.B / b) * np.linalg.norm(sys.C / c))
+    rough = d_gain + b * c * scaled / margin
     floor = 1e-13 * min(max(1.0, rough), np.finfo(float).max)
 
     best_omega = 0.0

@@ -6,10 +6,9 @@ are first-class.  All operations are pure: they validate, build new
 matrices, and return a fresh ``StateSpace``.
 
 Each instance factors A once, into its real Schur form A = Z T Z^T, read
-by every pole and Gramian (one cached Lyapunov back-substitution each),
-and, when V is well conditioned, into A = V diag(lam) V^-1 (Laub, IEEE
-TAC 26(2), 1981): a response or its slope then costs O(n p q) per
-frequency, else one quasi-triangular O(n^2) solve, batched per chunk.
+by every pole and cached Gramian, and, if V is well conditioned, into A =
+V diag(lam) V^-1 (Laub, IEEE TAC 26(2), 1981): a response or its slope
+costs O(n p q) per frequency on V, else one O(n^2) solve on T per chunk.
 
 A model derived from others by ``subtract``, ``dual`` or a new output map
 on the same states carries one private provenance record (``_Origin``),
@@ -37,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgees, dgeev, dtrsyl
+from scipy.linalg.lapack import dgees, dtrsyl
 
 from . import numkernels
 from .exceptions import DimensionMismatch, SingularAtFrequency
@@ -64,11 +63,9 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
     return M
 
 
-# Largest cond(V), V from dgeev's unit eigenvectors, that responses and
-# slopes are solved on: beyond the Schur path's error, a modal one errs by
-# about cond(V) eps of ||C|| ||B|| / dist(j omega, lam) (Laub 1981).  1e-12
-# keeps three digits of criterion 8's 1e-9 for a reduction to amplify, and
-# is the resolution of the peak refinement's slope root: 1e-12 / eps, 4.5e3.
+# Largest cond(V), V of unit eigenvectors, for modal responses and slopes,
+# which err by about cond(V) eps ||C|| ||B|| / dist(j omega, lam) (Laub 1981):
+# 1e-12, three digits below criterion 8's 1e-9, gives 1e-12 / eps = 4.5e3.
 _MODAL_COND_MAX = 1e-12 / np.finfo(float).eps
 
 # Hankel values this far below the largest cannot be balanced in floating
@@ -183,13 +180,10 @@ class StateSpace:
             T, _, wr, wi, Z, _, info = dgees(lambda re, im: 0, self.A)
             if info:
                 raise np.linalg.LinAlgError("Schur factorization did not converge")
-            # V = Z Y P, Y the unit eigenvectors of T in real form (_paired)
-            re, im, _, Y, failed = dgeev(T, compute_vl=0)
-            if not failed and np.linalg.cond(Y) <= _MODAL_COND_MAX:
-                lam, YinvZB = re + 1j * im, np.linalg.solve(Y, Z.T @ self.B)
-                CV = _paired(self.C @ Z @ Y, lam)
-                VinvB = _paired(YinvZB.T, lam).conj().T
-                self.__dict__["_modal"] = _frozen(lam, Y, CV, VinvB)
+            lam, W = np.linalg.eig(T)  # A = V diag(lam) V^-1, V = Z W (``_modal``)
+            if np.linalg.cond(W) <= _MODAL_COND_MAX:
+                CV, VinvB = self.C @ Z @ W, np.linalg.solve(W, Z.T @ self.B)
+                self.__dict__["_modal"] = _frozen(lam + 0j, CV, VinvB)
             return _frozen(T, Z, wr + 1j * wi)
         if kind == "dynamics":
             return of._schur
@@ -206,22 +200,15 @@ class StateSpace:
         )
 
     @cached_property
-    def _modal(self) -> tuple[np.ndarray, ...] | None:
-        """(lam, Y, CV, V^-1 B) of A = V diag(lam) V^-1, V = Z Y P (``_paired``),
-        or None if cond(V) > ``_MODAL_COND_MAX``.  The same states share lam,
-        Y and V^-1 B; a dual transposes its operand's factor, without Y (so
-        a model on its states has none); a difference has none."""
+    def _modal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(lam, CV, V^-1 B), V = Z W with W the unit eigenvectors of T, or None."""
         kind, of, _ = self._origin
+        if kind == "dual" and of._modal is not None:
+            lam, CV, VinvB = of._modal
+            return lam, VinvB.T, CV.T
         if kind is None:
-            self._schur  # which forms the factor (none when n = 0)
-            return self.__dict__.get("_modal")
-        factor = None if kind == "difference" else of._modal
-        if factor is None or (kind == "dynamics" and factor[1] is None):
-            return None
-        lam, Y, CV, VinvB = factor
-        if kind == "dual":
-            return lam, None, VinvB.T, CV.T
-        return lam, Y, *_frozen(_paired(self.C @ self._schur[1] @ Y, lam)), VinvB
+            self._schur  # stores it if cond(V) allows; other derived models have none
+        return self.__dict__.get("_modal")
 
     @cached_property
     def _seeds(self) -> np.ndarray:
@@ -293,18 +280,6 @@ class StateSpace:
         # summed from the smallest value up, so each tail keeps its digits
         tails = np.append(np.cumsum(hsv[::-1])[::-1], 0.0)
         return _Balancing(*_frozen(Lc, Lo, U, hsv, Vt, tails))
-
-
-def _paired(M: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """M P for M = X Y, Y in ``dgeev``'s real form: the unit eigenvectors y,
-    conj(y) of a pair lam, conj(lam) (Im lam > 0 first) are its columns
-    Re y, Im y, which the unitary P maps to (y, conj(y)) / sqrt(2).  So
-    cond(Y P) = cond(Y), and (Y P)^-1 N = conj(M P)^T for M = (Y^-1 N)^T."""
-    pair = np.flatnonzero(lam.imag > 0)
-    out = M.astype(complex)
-    out[:, pair] = (M[:, pair] + 1j * M[:, pair + 1]) / np.sqrt(2.0)
-    out[:, pair + 1] = out[:, pair].conj()
-    return out
 
 
 def _derived(model: StateSpace, *origin) -> StateSpace:
@@ -457,52 +432,47 @@ def _output_resolvent(sys: StateSpace, omegas: np.ndarray) -> np.ndarray:
 
 
 def _solve_response(sys: StateSpace, omegas: np.ndarray) -> np.ndarray:
-    """k x p x q response at the 1-D ``omegas``, ``_CHUNK`` frequencies at
-    a time: on the modal factor the sum of CV[:, i] V^-1 B[i] / (j omega -
-    lam_i), exactly real at omega = 0, or else batched shifted solves
-    against the Schur form, on the side with fewer columns."""
+    """k x p x q response at the 1-D ``omegas``, ``_CHUNK`` frequencies at a
+    time: sums CV[:, i] V^-1 B[i] / (j omega - lam_i) on the modal factor,
+    else batched shifted solves on the Schur form's side of fewer columns."""
     value = np.empty(omegas.shape + sys.D.shape, dtype=complex)
     value[...] = sys.D
-    if not (sys.n and omegas.size):
-        return value
-    if sys._modal is not None:
-        lam, _, CV, VinvB = sys._modal
+    if sys.n and omegas.size and sys._modal is not None:
+        lam, CV, VinvB = sys._modal
         residues = np.einsum("in,nj->nij", CV, VinvB).reshape(sys.n, -1)
-        # |j omega - lam_i| within eps max(|lam|, omega) is a zero pivot
         tiny = np.finfo(float).eps * np.maximum(np.abs(lam).max(), np.abs(omegas))
         for start in range(0, omegas.size, _CHUNK):
             at = slice(start, start + _CHUNK)
             gaps = np.tile(-lam, (omegas[at].size, 1))  # j omega - lam, formed
-            gaps.imag += omegas[at, None]  # in place (numpy copies broadcasts)
-            zero = np.abs(gaps).min(axis=1) <= tiny[at]
+            gaps.imag += omegas[at, None]  # in place (a broadcast costs copies)
+            zero = np.abs(gaps).min(axis=1) <= tiny[at]  # a zero pivot
             if zero.any():
                 raise SingularAtFrequency(_EIGENVALUE_AT.format(omegas[at][zero][0]))
             terms = np.reciprocal(gaps, out=gaps)[:, None] @ residues
             value[at] += terms.reshape(-1, sys.p, sys.q)
-        value.imag[omegas == 0.0] = 0.0
-        return value
-    T, Z, _ = sys._schur
-    CZ, ZB = sys.C @ Z, Z.T @ sys.B
-    if sys.p < sys.q:
-        for at, X in _shifted_solve(T, omegas, CZ.T, trans=True):
-            value[at] += X.transpose(0, 2, 1) @ ZB
-    else:
-        for at, X in _shifted_solve(T, omegas, ZB):
-            value[at] += CZ @ X
+        value.imag[omegas == 0.0] = 0.0  # exactly real, as the Schur solve is
+    elif sys.n and omegas.size:
+        T, Z, _ = sys._schur
+        CZ, ZB = sys.C @ Z, Z.T @ sys.B
+        if sys.p < sys.q:
+            for at, X in _shifted_solve(T, omegas, CZ.T, trans=True):
+                value[at] += X.transpose(0, 2, 1) @ ZB
+        else:
+            for at, X in _shifted_solve(T, omegas, ZB):
+                value[at] += CZ @ X
     return value
 
 
 def _response_slope(sys: StateSpace, omega: float, v: np.ndarray) -> np.ndarray:
-    """dG(j omega)/d omega v = -j C (j omega I - A)^-2 B v for a q x 1 v: on
-    a difference G's less R's, on a modal factor -j CV diag(1/(j omega -
-    lam)^2) V^-1 B v, or else by two one-column shifted solves."""
+    """dG(j omega)/d omega v = -j C (j omega I - A)^-2 B v, q x 1 v: G's less
+    R's on a difference, else on the modal factor or by two Schur solves."""
     kind, of, minus = sys._origin
     if kind == "difference":
         return _response_slope(of, omega, v) - _response_slope(minus, omega, v)
     if not sys.n:
         return np.zeros((sys.p, 1), complex)
     if sys._modal is not None:
-        lam, _, CV, VinvB = sys._modal
+        lam, CV, VinvB = sys._modal
         return -1j * (CV / (1j * omega - lam) ** 2) @ (VinvB @ v)
     (T, Z, _), at = sys._schur, np.array([omega])
     ((_, X),) = _shifted_solve(T, at, Z.T @ (sys.B @ v))
@@ -540,14 +510,13 @@ def eval_freq(sys: StateSpace, omega) -> np.ndarray:
     A scalar ``omega`` gives the p x q response; a 1-D array of k
     frequencies gives a k x p x q stack, each entry bit-identical to the
     scalar call at its frequency.  Unless it is a cached seed, each
-    frequency costs O(n p q) on the modal factor of A, or, with cond(V)
-    above ``_MODAL_COND_MAX``, one shifted solve against the Schur form;
-    a stack runs in chunks, in memory that grows with the chunk and not
-    with k.  The error system of ``subtract`` returns
-    G(j*omega) - R(j*omega), so it solves only R at the seeds of G.
-    Raises ``SingularAtFrequency``, naming the first such frequency, when
-    j*omega is (numerically) an eigenvalue of A or the response there
-    overflows.
+    frequency costs O(n p q) on the modal factor of A or, above
+    ``_MODAL_COND_MAX``, one shifted solve on the Schur form, in chunks
+    whose memory grows with the chunk and not with k.  The error system
+    of ``subtract`` returns G(j*omega) - R(j*omega), so it solves only R
+    at the seeds of G.  Raises ``SingularAtFrequency``, naming the first
+    such frequency, when j*omega is (numerically) an eigenvalue of A or
+    the response there overflows.
     """
     omegas = np.asarray(omega, dtype=float).reshape(-1)
     # an overflow shows as a non-finite entry, which the check below names
