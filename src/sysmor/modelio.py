@@ -21,8 +21,7 @@ import numpy as np
 from .exceptions import ParseError
 from .statespace import StateSpace
 
-__all__ = ["parse_model", "format_model", "read_model", "write_model",
-           "parse_raw_matrices"]
+__all__ = ["format_model", "read_model", "write_model", "parse_raw_matrices"]
 
 
 def _parse_value(tok: str, where: str) -> float:

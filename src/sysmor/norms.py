@@ -130,6 +130,12 @@ def _hamiltonian_spectrum(sys: StateSpace, gamma: float) -> np.ndarray:
     if not gamma * gamma < math.inf:
         raise SingularAtFrequency(f"the Hamiltonian at level {gamma:g} overflows")
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    # States scaled by the power of two s that matches the largest entries
+    # of B / s and C s: an exact similarity, so B R^-1 B^T and C^T C stay
+    # in range whenever the gain does.
+    b, c = (max(float(np.abs(M).max()), np.finfo(float).tiny) for M in (B, C))
+    s = 2.0 ** round(0.5 * (math.log2(b) - math.log2(c)))
+    B, C = B / s, C * s
     q = sys.q
     R = gamma**2 * np.eye(q) - D.T @ D
     RinvDt = np.linalg.solve(R, D.T)

@@ -24,7 +24,7 @@ from .exceptions import IllPosedLyapunov
 if TYPE_CHECKING:
     from .statespace import StateSpace
 
-__all__ = ["GramianResult", "solve_lyapunov"]
+__all__ = ["solve_lyapunov"]
 
 # lam_i + lam_j magnitudes below this (relative to the spectral radius) make
 # the Lyapunov operator numerically singular.

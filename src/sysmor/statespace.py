@@ -5,10 +5,10 @@ with transfer function G(s) = C (sI - A)^-1 B + D.  Static gains (n = 0)
 are first-class.  All operations are pure: they validate, build new
 matrices, and return a fresh ``StateSpace``.
 
-Each instance factors A once, into its real Schur form A = Z T Z^T, read
-by every pole and cached Gramian, and, if V is well conditioned, into A =
-V diag(lam) V^-1 (Laub, IEEE TAC 26(2), 1981): a response or its slope
-costs O(n p q) per frequency on V, else one O(n^2) solve on T per chunk.
+Each instance factors A once into its real Schur form A = Z T Z^T, read
+by every pole and cached Gramian, and solves every response and slope on
+one factor G(s) = left (sI - T)^-1 right + D by one shifted-solve kernel:
+T is diagonal (Laub, IEEE TAC 26(2), 1981) when cond(V) allows, else Schur.
 
 A model derived from others by ``subtract``, ``dual`` or a new output map
 on the same states carries one private provenance record (``_Origin``),
@@ -43,7 +43,6 @@ from .exceptions import DimensionMismatch, SingularAtFrequency
 
 __all__ = [
     "StateSpace",
-    "static_gain",
     "eval_freq",
     "subtract",
     "dual",
@@ -63,8 +62,8 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
     return M
 
 
-# Largest cond(V), V of unit eigenvectors, for modal responses and slopes,
-# which err by about cond(V) eps ||C|| ||B|| / dist(j omega, lam) (Laub 1981):
+# Largest cond(V), V of unit eigenvectors, for a diagonal ``_factor``, whose
+# responses err by about cond(V) eps ||C|| ||B|| / dist(j omega, lam) (Laub):
 # 1e-12, three digits below criterion 8's 1e-9, gives 1e-12 / eps = 4.5e3.
 _MODAL_COND_MAX = 1e-12 / np.finfo(float).eps
 
@@ -180,10 +179,6 @@ class StateSpace:
             T, _, wr, wi, Z, _, info = dgees(lambda re, im: 0, self.A)
             if info:
                 raise np.linalg.LinAlgError("Schur factorization did not converge")
-            lam, W = np.linalg.eig(T)  # A = V diag(lam) V^-1, V = Z W (``_modal``)
-            if np.linalg.cond(W) <= _MODAL_COND_MAX:
-                CV, VinvB = self.C @ Z @ W, np.linalg.solve(W, Z.T @ self.B)
-                self.__dict__["_modal"] = _frozen(lam + 0j, CV, VinvB)
             return _frozen(T, Z, wr + 1j * wi)
         if kind == "dynamics":
             return of._schur
@@ -200,31 +195,37 @@ class StateSpace:
         )
 
     @cached_property
-    def _modal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(lam, CV, V^-1 B), V = Z W with W the unit eigenvectors of T, or None."""
+    def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(T, left, right) with G(s) = left (sI - T)^-1 right + D, on which
+        every response and slope is solved.
+
+        A model built from matrices whose unit eigenvectors V = Z W of A
+        (W those of T) have cond(V) <= ``_MODAL_COND_MAX`` gets the
+        diagonal form of Laub (IEEE TAC 26(2), 1981): T is the 1-D vector
+        of eigenvalues lam, left = C V and right = V^-1 B.  A dual
+        transposes its operand's diagonal factor.  Every other model gets
+        its real Schur T, with left = C Z and right = Z^T B.
+        """
         kind, of, _ = self._origin
-        if kind == "dual" and of._modal is not None:
-            lam, CV, VinvB = of._modal
-            return lam, VinvB.T, CV.T
-        if kind is None:
-            self._schur  # stores it if cond(V) allows; other derived models have none
-        return self.__dict__.get("_modal")
+        if kind == "dual" and of._factor[0].ndim == 1:
+            lam, left, right = of._factor
+            return lam, right.T, left.T
+        T, Z, _ = self._schur
+        if kind is None and self.n:
+            lam, W = np.linalg.eig(T)
+            if np.linalg.cond(W) <= _MODAL_COND_MAX:
+                right = np.linalg.solve(W, Z.T @ self.B)
+                return _frozen(lam + 0j, self.C @ Z @ W, right)
+        return _frozen(T, self.C @ Z, Z.T @ self.B)
 
     @cached_property
     def _seeds(self) -> np.ndarray:
         """Sorted seed frequencies of the L-infinity search (Bruinsma and
-        Steinbuch): omega = 0 and the |Im| and modulus of every pole.  A
-        difference has the union of its operands' seeds, and a dual or a
-        model on the same states those of its operand, as the same floats."""
-        kind, of, minus = self._origin
-        if kind is None:
-            lam = poles(self)
-            return np.unique(
-                np.concatenate([[0.0], np.abs(lam.imag[lam.imag != 0]), np.abs(lam)])
-            )
-        if kind == "difference":
-            return np.union1d(of._seeds, minus._seeds)
-        return of._seeds
+        Steinbuch): omega = 0 and the |Im| and modulus of every pole."""
+        lam = poles(self)
+        return np.unique(
+            np.concatenate([[0.0], np.abs(lam.imag[lam.imag != 0]), np.abs(lam)])
+        )
 
     @cached_property
     def _seed_responses(self) -> np.ndarray:
@@ -342,9 +343,9 @@ def static_gain(D) -> StateSpace:
     return StateSpace(np.zeros((0, 0)), np.zeros((0, q)), np.zeros((p, 0)), D)
 
 
-# Column pairs per LAPACK ``dtrsyl`` call of ``_shifted_solve``: 16
-# frequencies of a one-column right side, 16 // m of an m-column one.
-# Each call has a fixed cost far above one quasi-triangular
+# Column pairs per chunk of ``_shifted_solve``: 16 frequencies of a
+# one-column right side, 16 // m of an m-column one.  Each LAPACK
+# ``dtrsyl`` call has a fixed cost far above one quasi-triangular
 # back-substitution, while the zero blocks of its rotation matrix add
 # O(n pairs^2) work and each chunk holds O(n pairs) memory.
 _CHUNK = 16
@@ -356,18 +357,11 @@ def _shifted_solve(
     T: np.ndarray, omegas: np.ndarray, rhs: np.ndarray, trans: bool = False
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Solve (j*omega I - T) X = rhs, or (j*omega I - T^T) X = rhs with
-    ``trans``, for quasi-triangular T, n x m real or complex rhs and every
-    omega of the 1-D ``omegas``, in real arithmetic.  Yields (at, X) per
-    chunk of ``_CHUNK`` // m frequencies (at least one), with X[i] the
-    n x m solution at omegas[at][i], so a caller consumes each chunk in
-    O(n _CHUNK) memory.
-
-    Splitting X = Xr + j Xi turns the solves of one chunk into a single
-    Sylvester equation T [Xr Xi] + [Xr Xi] Omega = [-Re rhs, -Im rhs]:
-    one column pair per (omega, column of rhs), and a block-diagonal
-    Omega with one rotation block [[0, -omega], [omega, 0]] per pair.
-    LAPACK ``dtrsyl`` solves it by back-substitution on T without copying
-    it, and each pair's arithmetic is that of its own one-frequency solve.
+    ``trans``, for T a ``_factor``'s (1-D eigenvalues or quasi-triangular),
+    n x m real or complex rhs and every omega of the 1-D ``omegas``.
+    Yields (at, X) per chunk of ``_CHUNK`` // m frequencies (at least
+    one), with X[i] the n x m solution at omegas[at][i], so a caller
+    consumes each chunk in O(n _CHUNK) memory.
     """
     step = max(1, _CHUNK // rhs.shape[1])
     for start in range(0, omegas.size, step):
@@ -378,16 +372,33 @@ def _shifted_solve(
 def _solve_chunk(
     T: np.ndarray, omegas: np.ndarray, rhs: np.ndarray, trans: bool
 ) -> np.ndarray:
-    """The k x n x m solutions of ``_shifted_solve`` at k frequencies, by
-    one ``dtrsyl`` call.
+    """The k x n x m solutions of ``_shifted_solve`` at k frequencies.
 
-    That call's singularity threshold reads the largest |omega| of the
-    chunk, and its overflow scale covers the whole chunk, so a chunk that
-    reports either is solved again one frequency at a time: the first
-    frequency at which j*omega is an eigenvalue of T within solver
-    precision raises ``SingularAtFrequency``, and the others keep their
+    A 1-D T is diagonal: one division by the gaps j*omega - lam, unless
+    a gap is within eps of max(|lam|, |omega|), which raises
+    ``SingularAtFrequency`` at the first such frequency.  A quasi-
+    triangular T is solved in real arithmetic by one ``dtrsyl`` call:
+    X = Xr + j Xi makes the chunk one Sylvester equation T [Xr Xi] +
+    [Xr Xi] Omega = [-Re rhs, -Im rhs], one column pair per (omega,
+    column of rhs) and one block [[0, -omega], [omega, 0]] of Omega per
+    pair, so each pair's arithmetic is that of its own one-frequency
+    solve.  The call's singularity threshold reads the chunk's largest
+    |omega|, and its overflow scale covers the whole chunk, so a chunk
+    that reports either is solved again one frequency at a time: the
+    first frequency at which j*omega is an eigenvalue of T within solver
+    precision raises ``SingularAtFrequency``, the others keep their
     one-frequency values.
     """
+    if T.ndim == 1:
+        gaps = 1j * omegas[:, None] - T
+        tiny = np.finfo(float).eps * np.maximum(np.abs(T).max(), np.abs(omegas))
+        zero = np.abs(gaps).min(axis=1) <= tiny
+        if zero.any():
+            raise SingularAtFrequency(_EIGENVALUE_AT.format(omegas[zero][0]))
+        X = np.empty(omegas.shape + rhs.shape, dtype=complex)
+        X[...] = rhs  # divided in place, as each broadcast operand costs a buffer
+        X /= gaps[:, :, None]
+        return X
     (n, m), k = rhs.shape, omegas.size
     c = np.empty((n, 2 * k * m), order="F")
     # column 2 (i m + j) + part holds part (Re, Im) of column j at omegas[i]
@@ -432,52 +443,35 @@ def _output_resolvent(sys: StateSpace, omegas: np.ndarray) -> np.ndarray:
 
 
 def _solve_response(sys: StateSpace, omegas: np.ndarray) -> np.ndarray:
-    """k x p x q response at the 1-D ``omegas``, ``_CHUNK`` frequencies at a
-    time: sums CV[:, i] V^-1 B[i] / (j omega - lam_i) on the modal factor,
-    else batched shifted solves on the Schur form's side of fewer columns."""
+    """k x p x q response left (j omega I - T)^-1 right + D at the 1-D
+    ``omegas`` on the model's ``_factor``, by shifted solves on the side
+    of fewer columns, each chunk added in as it is solved."""
     value = np.empty(omegas.shape + sys.D.shape, dtype=complex)
     value[...] = sys.D
-    if sys.n and omegas.size and sys._modal is not None:
-        lam, CV, VinvB = sys._modal
-        residues = np.einsum("in,nj->nij", CV, VinvB).reshape(sys.n, -1)
-        tiny = np.finfo(float).eps * np.maximum(np.abs(lam).max(), np.abs(omegas))
-        for start in range(0, omegas.size, _CHUNK):
-            at = slice(start, start + _CHUNK)
-            gaps = np.tile(-lam, (omegas[at].size, 1))  # j omega - lam, formed
-            gaps.imag += omegas[at, None]  # in place (a broadcast costs copies)
-            zero = np.abs(gaps).min(axis=1) <= tiny[at]  # a zero pivot
-            if zero.any():
-                raise SingularAtFrequency(_EIGENVALUE_AT.format(omegas[at][zero][0]))
-            terms = np.reciprocal(gaps, out=gaps)[:, None] @ residues
-            value[at] += terms.reshape(-1, sys.p, sys.q)
-        value.imag[omegas == 0.0] = 0.0  # exactly real, as the Schur solve is
-    elif sys.n and omegas.size:
-        T, Z, _ = sys._schur
-        CZ, ZB = sys.C @ Z, Z.T @ sys.B
+    if sys.n and omegas.size:
+        T, left, right = sys._factor
         if sys.p < sys.q:
-            for at, X in _shifted_solve(T, omegas, CZ.T, trans=True):
-                value[at] += X.transpose(0, 2, 1) @ ZB
+            for at, X in _shifted_solve(T, omegas, left.T, trans=True):
+                value[at] += X.transpose(0, 2, 1) @ right
         else:
-            for at, X in _shifted_solve(T, omegas, ZB):
-                value[at] += CZ @ X
+            for at, X in _shifted_solve(T, omegas, right):
+                value[at] += left @ X
+        value.imag[omegas == 0.0] = 0.0  # exactly real, as G(0) is
     return value
 
 
 def _response_slope(sys: StateSpace, omega: float, v: np.ndarray) -> np.ndarray:
-    """dG(j omega)/d omega v = -j C (j omega I - A)^-2 B v, q x 1 v: G's less
-    R's on a difference, else on the modal factor or by two Schur solves."""
+    """dG(j omega)/d omega v = -j left (j omega I - T)^-2 right v for a
+    q x 1 v, by two one-frequency solves on the ``_factor``; a difference
+    subtracts R's from G's."""
     kind, of, minus = sys._origin
     if kind == "difference":
         return _response_slope(of, omega, v) - _response_slope(minus, omega, v)
     if not sys.n:
         return np.zeros((sys.p, 1), complex)
-    if sys._modal is not None:
-        lam, CV, VinvB = sys._modal
-        return -1j * (CV / (1j * omega - lam) ** 2) @ (VinvB @ v)
-    (T, Z, _), at = sys._schur, np.array([omega])
-    ((_, X),) = _shifted_solve(T, at, Z.T @ (sys.B @ v))
-    ((_, Y),) = _shifted_solve(T, at, X[0])
-    return -1j * (sys.C @ (Z @ Y[0]))
+    (T, left, right), at = sys._factor, np.array([omega])
+    X = _solve_chunk(T, at, right @ v, False)[0]
+    return -1j * (left @ _solve_chunk(T, at, X, False)[0])
 
 
 def _response(sys: StateSpace, omegas: np.ndarray, seeded: bool) -> np.ndarray:
@@ -510,9 +504,9 @@ def eval_freq(sys: StateSpace, omega) -> np.ndarray:
     A scalar ``omega`` gives the p x q response; a 1-D array of k
     frequencies gives a k x p x q stack, each entry bit-identical to the
     scalar call at its frequency.  Unless it is a cached seed, each
-    frequency costs O(n p q) on the modal factor of A or, above
-    ``_MODAL_COND_MAX``, one shifted solve on the Schur form, in chunks
-    whose memory grows with the chunk and not with k.  The error system
+    frequency costs one shifted solve on the model's ``_factor``, O(n p q)
+    on a diagonal T and O(n^2 min(p, q)) on a Schur T, in chunks whose
+    memory grows with the chunk and not with k.  The error system
     of ``subtract`` returns G(j*omega) - R(j*omega), so it solves only R
     at the seeds of G.  Raises ``SingularAtFrequency``, naming the first
     such frequency, when j*omega is (numerically) an eigenvalue of A or

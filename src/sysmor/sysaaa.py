@@ -49,7 +49,6 @@ from .statespace import (
 __all__ = [
     "SupportPoint",
     "BlockRealization",
-    "WeightMatrix",
     "Interpolant",
     "StoppingOptions",
     "sample_support_point",

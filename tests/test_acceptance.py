@@ -17,7 +17,6 @@ from scipy.integrate import quad_vec
 from sysmor import (
     StateSpace,
     StoppingOptions,
-    WeightMatrix,
     balanced_truncate,
     build_block,
     assemble_error_system,
@@ -35,6 +34,7 @@ from sysmor import (
     solve_weights,
     subtract,
 )
+from sysmor.sysaaa import WeightMatrix
 from sysmor.cli import compare_methods
 from oracles import grid_gains, oracle_grid, random_stable, tf_eval
 

@@ -12,9 +12,9 @@ from sysmor import (
     eval_freq,
     is_stable,
     linf_norm,
-    static_gain,
     subtract,
 )
+from sysmor.statespace import static_gain
 from oracles import random_stable
 
 FIRST_ORDER = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])

@@ -22,8 +22,8 @@ from sysmor import (
     reduce,
     reduce_lowrank,
     select_or_grow,
-    static_gain,
 )
+from sysmor.statespace import static_gain
 from oracles import random_stable
 
 

@@ -6,12 +6,12 @@ import pytest
 from sysmor import (
     ParseError,
     format_model,
-    parse_model,
     parse_raw_matrices,
     read_model,
-    static_gain,
     write_model,
 )
+from sysmor.modelio import parse_model
+from sysmor.statespace import static_gain
 from oracles import random_stable
 
 

@@ -1,6 +1,7 @@
 """Peak-gain (Hamiltonian level search) and H2 error metric."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.integrate import quad_vec
 import sysmor.norms
 import sysmor.sysaaa
 from sysmor import (
-    GramianResult,
     ImaginaryAxisPoles,
     NonzeroFeedthrough,
     SingularAtFrequency,
@@ -22,9 +22,10 @@ from sysmor import (
     linf_norm,
     reduce,
     reduce_lowrank,
-    static_gain,
     subtract,
 )
+from sysmor.numkernels import GramianResult
+from sysmor.statespace import static_gain
 from sysmor.norms import _slope_root
 from oracles import grid_gains, mass_chain, oracle_grid, random_stable
 from test_records import _check, _raw_error
@@ -303,6 +304,15 @@ class TestLinfNorm:
         res = linf_norm(StateSpace([[-1.0]], [[1e155]], [[1e-5]], [[0.0]]))
         assert res.certified and res.omega_peak == 0.0
         assert res.gamma == pytest.approx(1e150, rel=2e-6)
+
+    def test_badly_scaled_maps_do_not_overflow_the_hamiltonian(self):
+        # B B^T = 1e320 overflows at gain 1: the level test runs on states
+        # rescaled so that B and C have matching entries.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = linf_norm(StateSpace([[-1.0]], [[1e160]], [[1e-160]], [[0.0]]))
+        assert res.certified and res.omega_peak == 0.0
+        assert res.gamma == pytest.approx(1.0, rel=2e-6)
 
     def test_gain_beyond_the_level_test_is_refused(self):
         # gamma^2 overflows at a gain of 1e200: a documented error, not an

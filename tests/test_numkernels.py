@@ -6,7 +6,6 @@ import pytest
 from scipy.linalg import solve_continuous_lyapunov, solve_sylvester
 
 from sysmor import (
-    GramianResult,
     IllPosedLyapunov,
     RankOutOfRange,
     StateSpace,
@@ -14,8 +13,9 @@ from sysmor import (
     dual,
     solve_lyapunov,
     solve_weights,
-    static_gain,
 )
+from sysmor.numkernels import GramianResult
+from sysmor.statespace import static_gain
 from oracles import random_stable
 
 

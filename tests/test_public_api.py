@@ -10,13 +10,13 @@ import pytest
 
 import sysmor
 from sysmor import (
-    GramianResult,
     Interpolant,
     StateSpace,
     SupportPoint,
-    WeightMatrix,
     build_block,
 )
+from sysmor.numkernels import GramianResult
+from sysmor.sysaaa import WeightMatrix
 
 LAYERS = (
     "statespace", "numkernels", "norms", "report", "sysaaa", "lowrank",
@@ -63,6 +63,20 @@ def test_removed_names_are_gone():
             sysmor.sysaaa,
         ):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+# Used inside the package and by tests, so importable from their layers,
+# but no driver, the CLI or the README needs them.
+LAYER_ONLY = {
+    "static_gain": "statespace", "parse_model": "modelio",
+    "GramianResult": "numkernels", "WeightMatrix": "sysaaa",
+}
+
+
+def test_layer_only_names_are_not_exported():
+    for name, layer in LAYER_ONLY.items():
+        assert name not in sysmor.__all__ and not hasattr(sysmor, name)
+        assert hasattr(importlib.import_module(f"sysmor.{layer}"), name)
 
 
 def test_benchmark_tracer_bindings_exist():

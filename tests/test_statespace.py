@@ -17,7 +17,6 @@ from sysmor import (
     is_stable,
     poles,
     sample_support_point,
-    static_gain,
     subtract,
 )
 from sysmor.statespace import (
@@ -25,6 +24,7 @@ from sysmor.statespace import (
     _response_slope,
     _same_dynamics,
     _solve_response,
+    static_gain,
 )
 from oracles import mass_chain, random_stable, tf_eval
 
@@ -190,6 +190,11 @@ class TestBatchedSolve:
             single = np.stack([eval_freq(sys, w) for w in omegas])
             assert stacked.tobytes() == single.tobytes(), (name, k)
 
+    def test_wide_model_solves_on_a_diagonal_factor(self):
+        # so the transposed side (p < q) of the diagonal solve is covered
+        sys = _batched_models()["p<q"]
+        assert sys.p < sys.q and _is_diagonal(sys)
+
     @pytest.mark.parametrize("name", list(_batched_models()))
     def test_matches_dense_oracle(self, name):
         sys = _batched_models()[name]
@@ -256,7 +261,7 @@ class TestBatchedSolve:
         io = (0, 67, 134)
         sys = mass_chain(0, 135, inputs=io, outputs=io)
         omegas = np.logspace(-2, 2, 2000)
-        poles(sys)  # the Schur form (n x n) is cached before measuring
+        sys._factor  # the factor (n x n) is cached before measuring
         tracemalloc.start()
         try:
             value = eval_freq(sys, omegas)
@@ -281,16 +286,19 @@ def _near_jordan(rng):
 
 
 def _on_schur_form(sys):
-    """The same matrices, solved on the Schur form: no modal factor."""
-    fresh = StateSpace(sys.A, sys.B, sys.C, sys.D)
-    poles(fresh)  # which forms the factor with the Schur form
-    fresh.__dict__["_modal"] = None
-    return fresh
+    """The same model solved on its Schur form: a new output map on the
+    same states has no diagonal factor."""
+    return _same_dynamics(sys, sys.C, sys.D)
+
+
+def _is_diagonal(sys):
+    return sys._factor[0].ndim == 1
 
 
 class TestModalFactor:
-    """A well-conditioned model solves responses and slopes on its modal
-    factor A = V diag(lam) V^-1; the others keep the Schur form."""
+    """A well-conditioned model's ``_factor`` is diagonal, T = lam from
+    A = V diag(lam) V^-1; the others carry the Schur T.  Responses and
+    slopes are solved on either by the same kernel."""
 
     @staticmethod
     def _models():
@@ -305,7 +313,7 @@ class TestModalFactor:
         # Relative to the model's largest response on the grid: the chain
         # rolls off to roundoff at high frequency on either path.
         for sys in self._models():
-            assert sys._modal is not None
+            assert _is_diagonal(sys)
             omegas = np.concatenate([[0.0], sys._seeds, np.logspace(-2, 3, 200)])
             modal = eval_freq(sys, omegas)
             schur = eval_freq(_on_schur_form(sys), omegas)
@@ -314,16 +322,16 @@ class TestModalFactor:
 
     def test_near_jordan_model_falls_back_to_schur(self):
         sys = _near_jordan(np.random.default_rng(7))
-        assert sys._modal is None
-        assert dual(sys)._modal is None
+        assert not _is_diagonal(sys)
+        assert not _is_diagonal(dual(sys))
         for omega in (0.0, 0.3, 2.0, 50.0):
             expected = tf_eval(sys.A, sys.B, sys.C, sys.D, 1j * omega)
             np.testing.assert_allclose(eval_freq(sys, omega), expected, rtol=1e-12)
 
     def test_dual_and_dynamics_reuse_the_factor(self, monkeypatch):
-        # A dual transposes its operand's factor; a model on the same
-        # states and a difference solve on the shared Schur forms.  Only
-        # the operand's Schur factorization forms a factor.
+        # A dual transposes its operand's diagonal factor; a model on the
+        # same states and a difference solve on the shared Schur forms.
+        # Only the operand forms a diagonal factor.
         rng = np.random.default_rng(62)
         sys = random_stable(rng, n=9, q=2, p=3, feedthrough=True)
         factored = []
@@ -334,12 +342,12 @@ class TestModalFactor:
             return eig(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eig", counted)
-        lam, CV, VinvB = sys._modal
+        lam, left, right = sys._factor
         flipped = dual(sys)
         same = _same_dynamics(sys, rng.standard_normal((4, 9)), np.zeros((4, 2)))
-        assert flipped._modal[0] is lam
-        assert flipped._modal[1].base is VinvB and flipped._modal[2].base is CV
-        assert same._modal is None and subtract(sys, sys)._modal is None
+        assert lam.ndim == 1 and flipped._factor[0] is lam
+        assert flipped._factor[1].base is right and flipped._factor[2].base is left
+        assert not _is_diagonal(same) and not _is_diagonal(subtract(sys, sys))
         omegas = np.array([0.0, 0.4, 7.0])
         for model in (flipped, same):
             for w, value in zip(omegas, _solve_response(model, omegas)):
@@ -356,9 +364,9 @@ class TestModalFactor:
         r = random_stable(rng, n=3, q=2, p=3)
         if path == "schur":
             g, r = _near_jordan(rng), _on_schur_form(r)
-            assert g._modal is None
+            assert not _is_diagonal(g) and not _is_diagonal(r)
         else:
-            assert g._modal is not None and r._modal is not None
+            assert _is_diagonal(g) and _is_diagonal(r)
 
         def sigma(sys, w):
             return np.linalg.norm(eval_freq(sys, w), 2)
@@ -399,6 +407,16 @@ class TestInterconnections:
             np.testing.assert_allclose(
                 eval_freq(d, omega), eval_freq(sys, omega).T, atol=1e-12
             )
+
+    def test_derived_models_seed_at_their_operands_seeds(self):
+        # Seeds come from the poles, which a difference stacks and a dual
+        # reverses: the same floats as the operands' seeds.
+        rng = np.random.default_rng(16)
+        g = random_stable(rng, n=7, q=2, p=3, feedthrough=True)
+        r = random_stable(rng, n=4, q=2, p=3)
+        union = np.union1d(g._seeds, r._seeds)
+        assert subtract(g, r)._seeds.tobytes() == union.tobytes()
+        assert dual(g)._seeds.tobytes() == g._seeds.tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

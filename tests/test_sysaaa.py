@@ -27,7 +27,6 @@ from sysmor import (
     StoppingOptions,
     SupportPoint,
     UnstableInput,
-    WeightMatrix,
     assemble_error_system,
     build_block,
     compute_X,
@@ -38,9 +37,10 @@ from sysmor import (
     reduce_lowrank,
     sample_support_point,
     solve_weights,
-    static_gain,
     subtract,
 )
+from sysmor.statespace import static_gain
+from sysmor.sysaaa import WeightMatrix
 from oracles import random_orthogonal, random_stable, tf_eval
 
 FIRST_ORDER = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
