@@ -1,9 +1,9 @@
 """Balanced truncation baseline (square-root method).
 
-The balancing transform (square-root factors of the two Gramians and
-the SVD of their product) is cached on the model, so truncating one
-model at several orders solves its Gramians and runs the SVD once; each
-order then costs one O(n^2 order) projection.
+The balanced realization (built from square-root factors of the two
+Gramians and the SVD of their product) is cached on the model, so
+truncating one model at several orders solves its Gramians and runs the
+SVD once; each order then copies the leading block of that realization.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import sys as _sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -85,16 +86,14 @@ def compare_methods(
 
     Adaptive methods contribute one entry per recorded iterate with
     1 <= order <= max_order; balanced truncation contributes every order
-    in that range.  Each entry carries the reduced system for reuse.
+    in that range, certified two orders at a time (see
+    ``_balanced_entries``).  Each entry carries the reduced system for
+    reuse.
     """
     entries = []
     for method in methods:
         if method == "balanced":
-            for order in range(1, max_order + 1):
-                reduced, report = run_method(
-                    model, method, dataclasses.replace(opts, target_order=order)
-                )
-                entries.append(_entry(method, report.records[0], reduced))
+            entries += _balanced_entries(model, max_order, opts)
             continue
         run_opts = dataclasses.replace(
             opts,
@@ -109,6 +108,56 @@ def compare_methods(
                 entries.append(_entry(method, rec, iterate.sys))
     entries.sort(key=lambda e: (e["method"], e["order"]))
     return entries
+
+
+def _balanced_entries(model: StateSpace, max_order: int, opts: StoppingOptions):
+    """The balanced entries of orders 1..max_order, in order, each as
+    ``run_method`` gives it, or the error of the lowest order that fails.
+
+    The caller's thread and one worker take the orders lowest first, so
+    at most two certifications are in flight and their Hamiltonian
+    eigensolves, which release the GIL, overlap; a third would add its
+    eigensolve's memory.  G's shared caches (balanced realization with
+    both Gramians, response factor and seed responses) are built first,
+    on this thread and as a first certification would build them, so no
+    thread builds one twice.  After a failure neither thread starts
+    another order; every lower order has started by then, so the lowest
+    failure is the one the sequential loop would meet.
+    """
+    if max_order >= 1 and model.n and is_stable(model):
+        model._balancing
+        with np.errstate(over="ignore", invalid="ignore"):  # as in eval_freq
+            model._seed_responses
+    pending = list(range(max_order, 0, -1))  # list.pop is atomic
+    done = {}
+
+    def work():
+        while True:
+            try:
+                order = pending.pop()
+            except IndexError:
+                return
+            try:
+                reduced, report = run_method(
+                    model, "balanced", dataclasses.replace(opts, target_order=order)
+                )
+                done[order] = _entry("balanced", report.records[0], reduced)
+            except Exception as exc:
+                done[order] = exc
+                pending.clear()
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(work)
+        try:
+            work()
+        finally:
+            pending.clear()  # an interrupted caller stops the worker too
+        worker.result()
+    results = [done[order] for order in sorted(done)]
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def _entry(method: str, rec: IterationRecord, system: StateSpace) -> dict:

@@ -23,7 +23,7 @@ the next refinement.
 
 On an error system G - R from ``subtract`` with G stable, a level test
 may run on G_k - R instead, with G_k the balanced truncation of G to k
-states (read from G's cached balancing transform; no Schur form, since
+states (read from G's cached balanced realization; no Schur form, since
 the test builds the Hamiltonian from the matrices).  Glover's bound
 ||G - G_k||_inf <= 2 sum_{i>k} sigma_i (Int. J. Control 39, 1984) and
 the triangle inequality carry the proof back: when the Hamiltonian of
@@ -79,6 +79,9 @@ _IMAG_CLASS_RTOL = 1e-6
 
 _MAX_LEVEL_ITERATIONS = 60
 
+# Eigenvalues per block of the mirror-pair search in ``_axis_frequencies``.
+_MIRROR_ROWS = 64
+
 # The peak refinement: its secant search for a root of the slope of
 # sigma_max stops once the bracket is this narrow relative to its upper
 # end, or after this many steps; sigma_max counts as repeated, and its
@@ -126,7 +129,11 @@ class LinfResult:
 def _hamiltonian_spectrum(sys: StateSpace, gamma: float) -> np.ndarray:
     """Eigenvalues of the gamma-level Hamiltonian.  Its imaginary ones
     j omega mark the frequencies where some singular value of G(j omega)
-    equals ``gamma``; with none, gamma is a strict upper bound."""
+    equals ``gamma``; with none, gamma is a strict upper bound.
+
+    The four blocks are written into one 2n x 2n array, and the D terms
+    are skipped when D = 0, as it is for every error system of a
+    reduction run."""
     if not gamma * gamma < math.inf:
         raise SingularAtFrequency(f"the Hamiltonian at level {gamma:g} overflows")
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
@@ -136,17 +143,18 @@ def _hamiltonian_spectrum(sys: StateSpace, gamma: float) -> np.ndarray:
     b, c = (max(float(np.abs(M).max()), np.finfo(float).tiny) for M in (B, C))
     s = 2.0 ** round(0.5 * (math.log2(b) - math.log2(c)))
     B, C = B / s, C * s
-    q = sys.q
-    R = gamma**2 * np.eye(q) - D.T @ D
-    RinvDt = np.linalg.solve(R, D.T)
-    RinvBt = np.linalg.solve(R, B.T)
-    Acl = A + B @ RinvDt @ C
-    H = np.block(
-        [
-            [Acl, B @ RinvBt],
-            [-C.T @ (np.eye(sys.p) + D @ RinvDt) @ C, -Acl.T],
-        ]
-    )
+    n = sys.n
+    H = np.empty((2 * n, 2 * n))
+    R = gamma**2 * np.eye(sys.q) - D.T @ D
+    np.matmul(B, np.linalg.solve(R, B.T), out=H[:n, n:])
+    if D.any():
+        RinvDt = np.linalg.solve(R, D.T)
+        A = A + B @ RinvDt @ C
+        np.matmul(-C.T @ (np.eye(sys.p) + D @ RinvDt), C, out=H[n:, :n])
+    else:
+        np.matmul(-C.T, C, out=H[n:, :n])
+    H[:n, :n] = A
+    np.negative(A.T, out=H[n:, n:])
     return np.linalg.eigvals(H)
 
 
@@ -155,11 +163,17 @@ def _axis_frequencies(lam: np.ndarray) -> tuple[np.ndarray, bool]:
     the class margin of the axis or without their mirror image -conj(lam)
     (off the axis eigenvalues come in mirror pairs, so an unpaired one is
     an imaginary eigenvalue that roundoff moved past the margin), and
-    whether any eigenvalue lies within the margin."""
+    whether any eigenvalue lies within the margin.  Each eigenvalue's
+    nearest mirror is found ``_MIRROR_ROWS`` eigenvalues at a time, in
+    O(N _MIRROR_ROWS) memory rather than that of the N x N distances."""
     on_axis = np.abs(lam.real) <= _IMAG_CLASS_RTOL * np.maximum(1.0, np.abs(lam))
-    dist = np.abs(lam.conj()[:, None] + lam[None, :])
-    np.fill_diagonal(dist, np.inf)
-    lone = dist.min(axis=1, initial=np.inf) > np.abs(lam.real)
+    nearest = np.empty(lam.size)
+    for start in range(0, lam.size, _MIRROR_ROWS):
+        rows = np.arange(start, min(start + _MIRROR_ROWS, lam.size))
+        dist = np.abs(lam.conj()[rows, None] + lam[None, :])
+        dist[rows - start, rows] = np.inf  # not its own mirror
+        nearest[rows] = dist.min(axis=1, initial=np.inf)
+    lone = nearest > np.abs(lam.real)
     return np.unique(np.abs(lam[on_axis | lone].imag)), bool(on_axis.any())
 
 
@@ -261,7 +275,7 @@ def _surrogate(
     allowance = _ROUNDOFF_ALLOWANCE * g.n * np.finfo(float).eps
     if not all(m.residual <= allowance for m in (g._reachability, g._observability)):
         return None
-    _, _, _, hsv, _, tails = g._balancing
+    hsv, tails = g._balancing.hsv, g._balancing.tails
     shifts = 2.0 * (tails[1 : g.n] + allowance * hsv[0])
     fits = np.flatnonzero(4.0 * shifts <= _SURROGATE_SHARE * rel_tol * gamma_lb)
     if not fits.size:

@@ -21,10 +21,10 @@ frequencies that are not seeds of G; its reachability Gramian is
 assembled as [[P_G, X], [X^T, P_R]] from G's cached Gramian, R's r x r
 one and the cross block X of one Sylvester solve.
 
-A stable model also caches its square-root balancing transform, built
-from its two cached Gramians with one SVD: its Hankel singular values,
-their tail sums and every balanced truncation read it, and a dual reads
-its operand's with the roles of the two Gramians swapped.
+A stable model also caches its balanced realization, built by the
+square-root method from its two cached Gramians with one SVD: its Hankel
+singular values, their tail sums and every balanced truncation (a
+leading block of it) read it, and a dual reads its operand's transposed.
 """
 
 from __future__ import annotations
@@ -85,16 +85,15 @@ class _Origin(NamedTuple):
 
 
 class _Balancing(NamedTuple):
-    """Square-root balancing of a model's Gramians P = Lc Lc^T and
-    Q = Lo Lo^T: the SVD Lo^T Lc = U diag(hsv) Vt, whose singular values
-    are the Hankel singular values (nonincreasing), and ``tails`` with
-    tails[k] = sum(hsv[k:]) for k = 0..n."""
+    """A model's balanced realization (A_b, B_b, C_b), in which both
+    Gramians equal diag(hsv), the Hankel singular values (nonincreasing),
+    and ``tails`` with tails[k] = sum(hsv[k:]) for k = 0..n.  Its leading
+    k states are the balanced truncation to k states."""
 
-    Lc: np.ndarray
-    Lo: np.ndarray
-    U: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
     hsv: np.ndarray
-    Vt: np.ndarray
     tails: np.ndarray
 
 
@@ -267,20 +266,33 @@ class StateSpace:
 
     @cached_property
     def _balancing(self) -> _Balancing:
-        """The square-root balancing transform of a stable model, from
-        its two cached Gramians and one SVD.  A dual reads its operand's
-        with the roles swapped: Lc and Lo trade places, and the SVD of
-        Lc^T Lo is the transpose of that of Lo^T Lc."""
+        """The balanced realization of a stable model by the square-root
+        method, from its two cached Gramians P = Lc Lc^T, Q = Lo Lo^T and
+        the SVD Lo^T Lc = U diag(hsv) Vt: with S = diag(hsv)^-1/2,
+        T = Lc Vt^T S and W = Lo U S give (W^T A T, W^T B, C T).
+        Directions whose Hankel value is numerically zero decouple as
+        inert states (unit decay, no input or output coupling).  A dual
+        reads its operand's transposed: (A_b^T, C_b^T, B_b^T)."""
         kind, of, _ = self._origin
         if kind == "dual":
-            Lc, Lo, U, hsv, Vt, tails = of._balancing
-            return _Balancing(Lo, Lc, Vt.T, hsv, U.T, tails)
+            A, B, C, hsv, tails = of._balancing
+            return _Balancing(A.T, C.T, B.T, hsv, tails)
         Lc = _psd_factor(self._reachability.P)
         Lo = _psd_factor(self._observability.P)
         U, hsv, Vt = np.linalg.svd(Lo.T @ Lc)
+        keep = hsv > _NEGLIGIBLE_HSV_RTOL * max(hsv[0], np.finfo(float).tiny)
+        scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, hsv, 1.0)), 0.0)
+        T = Lc @ Vt.T * scale
+        W = Lo @ U * scale
+        del Lc, Lo, U, Vt
+        A = W.T @ self.A @ T
+        dead = np.flatnonzero(~keep)
+        A[dead, :] = 0.0
+        A[:, dead] = 0.0
+        A[dead, dead] = -1.0
         # summed from the smallest value up, so each tail keeps its digits
         tails = np.append(np.cumsum(hsv[::-1])[::-1], 0.0)
-        return _Balancing(*_frozen(Lc, Lo, U, hsv, Vt, tails))
+        return _Balancing(*_frozen(A, W.T @ self.B, self.C @ T, hsv, tails))
 
 
 def _derived(model: StateSpace, *origin) -> StateSpace:
@@ -309,25 +321,10 @@ def _psd_factor(M: np.ndarray) -> np.ndarray:
 
 def _balanced_truncation(sys: StateSpace, order: int) -> StateSpace:
     """The balanced truncation of a stable ``sys`` to 0 < ``order`` <= n
-    states, read from its cached balancing transform at O(n^2 order) cost.
-
-    With hsv the Hankel values, T = Lc Vt[:order]^T hsv^-1/2 and
-    W = Lo U[:, :order] hsv^-1/2 give (W^T A T, W^T B, C T, D).
-    Directions whose Hankel value is numerically zero decouple as inert
-    states (unit decay, no input or output coupling).
-    """
-    Lc, Lo, U, hsv, Vt, _ = sys._balancing
-    keep = hsv[:order] > _NEGLIGIBLE_HSV_RTOL * max(hsv[0], np.finfo(float).tiny)
-    scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, hsv[:order], 1.0)), 0.0)
-    T = Lc @ Vt[:order].T * scale
-    W = Lo @ U[:, :order] * scale
-    A_r = W.T @ sys.A @ T
-    if not np.all(keep):
-        dead = ~keep
-        A_r[dead, :] = 0.0
-        A_r[:, dead] = 0.0
-        A_r[dead, dead] = -1.0
-    return StateSpace(A_r, W.T @ sys.B, sys.C @ T, sys.D)
+    states: the leading block of its cached balanced realization, read at
+    O(order^2) cost."""
+    A, B, C, _, _ = sys._balancing
+    return StateSpace(A[:order, :order], B[:order], C[:, :order], sys.D)
 
 
 def _frozen(*arrays):
@@ -552,7 +549,12 @@ def dual(sys: StateSpace) -> StateSpace:
 
 
 def poles(sys: StateSpace) -> np.ndarray:
-    """Eigenvalues of A (empty for static gains), read-only."""
+    """Eigenvalues of A (empty for static gains), read-only.  Those of a
+    difference are its operands', so reading them forms no Schur form of
+    the stacked states."""
+    kind, of, minus = sys._origin
+    if kind == "difference":
+        return _frozen(np.concatenate([poles(of), poles(minus)]))[0]
     return sys._schur[2]
 
 

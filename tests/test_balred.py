@@ -149,3 +149,18 @@ class TestBalancedTruncate:
                          - eval_freq(want, omegas)).max()
             assert gap <= 1e-12 * np.abs(eval_freq(want, omegas)).max()
         assert calls == [(20, 20)]
+
+    def test_balancing_caches_the_realization(self):
+        # The cache holds the balanced realization: one n x n array, A_b,
+        # beside B_b, C_b and the Hankel values; a dual's is its transpose.
+        rng = np.random.default_rng(87)
+        sys = random_stable(rng, n=20, q=2, p=3)
+        bal = sys._balancing
+        square = [f for f in bal if np.shape(f) == (20, 20)]
+        assert len(square) == 1 and square[0] is bal.A
+        assert bal.B.shape == (20, 2) and bal.C.shape == (3, 20)
+        flipped = dual(sys)._balancing
+        np.testing.assert_array_equal(flipped.A, bal.A.T)
+        np.testing.assert_array_equal(flipped.B, bal.C.T)
+        np.testing.assert_array_equal(flipped.C, bal.B.T)
+        np.testing.assert_array_equal(flipped.hsv, bal.hsv)

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from sysmor import (
     reduce_lowrank,
     write_model,
 )
+import sysmor.cli
+import sysmor.numkernels
 import sysmor.statespace
 from sysmor.cli import _write_sigma_csv, main
 from oracles import random_stable, tf_eval
@@ -407,6 +411,84 @@ class TestCompareCommand:
         assert len(reports) == 2 and run_report is reports[1]
         assert reduced is run_report.iterates[run_report.best_iteration].sys
 
+
+
+def _plant():
+    """A stable 16-state model with 2 inputs and 3 outputs."""
+    return random_stable(np.random.default_rng(103), n=16, q=2, p=3)
+
+
+class TestBalancedSweep:
+    """``compare_methods`` certifies balanced orders on two threads."""
+
+    def test_entries_match_a_sequential_loop(self):
+        opts = StoppingOptions()
+        threads = threading.active_count()
+        entries = sysmor.cli.compare_methods(_plant(), ["balanced"], 8, opts)
+        assert threading.active_count() == threads
+        model = _plant()
+        want = []
+        for order in range(1, 9):
+            reduced, report = sysmor.cli.run_method(
+                model, "balanced", StoppingOptions(target_order=order)
+            )
+            want.append((report.records[0], reduced))
+        assert [e["order"] for e in entries] == list(range(1, 9))
+        for entry, (rec, reduced) in zip(entries, want):
+            assert entry["method"] == "balanced"
+            assert (entry["order"], entry["linf_error"], entry["h2_metric"],
+                    entry["certified"], entry["stable"]) == (
+                rec.order, rec.linf_error, rec.h2_metric, rec.certified,
+                rec.stable)
+            for name in "ABCD":
+                np.testing.assert_array_equal(
+                    getattr(entry["system"], name), getattr(reduced, name)
+                )
+
+    def test_lowest_failing_order_is_raised(self, monkeypatch):
+        # Order 4 fails at once and order 3 only later: the error raised
+        # is order 3's, as in a loop that stops at its first failure.
+        real = sysmor.cli.run_method
+
+        def failing(model, method, opts):
+            if opts.target_order == 3:
+                time.sleep(0.2)
+                raise ArithmeticError("order 3")
+            if opts.target_order == 4:
+                raise LookupError("order 4")
+            return real(model, method, opts)
+
+        monkeypatch.setattr(sysmor.cli, "run_method", failing)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match="order 3"):
+            sysmor.cli.compare_methods(
+                _plant(), ["balanced"], 6, StoppingOptions()
+            )
+        assert threading.active_count() == threads
+
+    def test_shared_caches_are_built_once(self, monkeypatch):
+        # On a cold model the sweep solves G's two Gramians and runs its
+        # balancing SVD once, whichever thread first needs them.
+        model = _plant()
+        solve, svd, gramians, svds = (
+            sysmor.numkernels.solve_lyapunov, np.linalg.svd, [], []
+        )
+
+        def counted_solve(sys, other=None):
+            if other is None and sys.n == model.n:
+                gramians.append(sys)
+            return solve(sys, other)
+
+        def counted_svd(M, *args, **kwargs):
+            if np.shape(M) == (model.n, model.n):
+                svds.append(M)
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(sysmor.numkernels, "solve_lyapunov", counted_solve)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        sysmor.cli.compare_methods(model, ["balanced"], 8, StoppingOptions())
+        assert len(gramians) == 2
+        assert len(svds) == 1
 
 class TestConvertCommand:
     def test_round_trip(self, tmp_path, capsys):

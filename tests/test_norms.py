@@ -249,6 +249,64 @@ class TestLinfNorm:
         np.testing.assert_array_equal(suspects, [3.0, 5.0])
         assert crossed
 
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 130])
+    def test_axis_frequencies_match_dense_mirror_search(self, size):
+        # Searched in blocks of rows, the nearest mirrors are those of the
+        # full N x N distance matrix, bit for bit, across block edges.
+        from sysmor.norms import _IMAG_CLASS_RTOL, _axis_frequencies
+
+        rng = np.random.default_rng(size)
+        lam = []
+        while len(lam) < size:
+            z = complex(rng.standard_normal(), 5.0 * rng.standard_normal())
+            kind = rng.integers(4)
+            if kind == 0 and len(lam) + 2 <= size:
+                lam += [z, -z.conjugate()]  # an exact mirror pair
+            elif kind == 1 or not lam:
+                lam.append(z)  # a lone eigenvalue
+            elif kind == 2:
+                lam.append(lam[rng.integers(len(lam))])  # a repeated value
+            else:
+                lam.append(1j * z.imag)  # on the axis
+        lam = np.array(lam)
+        on_axis = np.abs(lam.real) <= _IMAG_CLASS_RTOL * np.maximum(1.0, np.abs(lam))
+        dist = np.abs(lam.conj()[:, None] + lam[None, :])
+        np.fill_diagonal(dist, np.inf)
+        lone = dist.min(axis=1, initial=np.inf) > np.abs(lam.real)
+        suspects, crossed = _axis_frequencies(lam)
+        np.testing.assert_array_equal(
+            suspects, np.unique(np.abs(lam[on_axis | lone].imag))
+        )
+        assert crossed == bool(on_axis.any())
+
+    @pytest.mark.parametrize("feedthrough", [False, True])
+    def test_hamiltonian_blocks(self, monkeypatch, feedthrough):
+        # The Hamiltonian written block by block into one array is
+        # [[A + B R^-1 D^T C, B R^-1 B^T], [-C^T (I + D R^-1 D^T) C, -(.)^T]]
+        # with R = gamma^2 I - D^T D, on states scaled by a power of two.
+        sys = random_stable(np.random.default_rng(79), n=6, q=2, p=3,
+                            feedthrough=feedthrough)
+        gamma, seen = 7.0, []
+        eigvals = np.linalg.eigvals
+
+        def captured(H):
+            seen.append(H.copy())
+            return eigvals(H)
+
+        monkeypatch.setattr(np.linalg, "eigvals", captured)
+        sysmor.norms._hamiltonian_spectrum(sys, gamma)
+        (H,) = seen
+        A, B, C, D = sys.A, sys.B, sys.C, sys.D
+        s = 2.0 ** round(0.5 * (math.log2(np.abs(B).max()) - math.log2(np.abs(C).max())))
+        B, C = B / s, C * s
+        R = gamma**2 * np.eye(2) - D.T @ D
+        Acl = A + B @ np.linalg.solve(R, D.T) @ C
+        want = np.block([
+            [Acl, B @ np.linalg.solve(R, B.T)],
+            [-C.T @ (np.eye(3) + D @ np.linalg.solve(R, D.T)) @ C, -Acl.T],
+        ])
+        np.testing.assert_allclose(H, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
     @pytest.mark.parametrize("seed, build", [(78, "balanced"), (156, "reduce")])
     def test_crossing_moved_off_axis_is_not_missed(self, seed, build):
         # Small errors of close approximations: roundoff moves a crossing

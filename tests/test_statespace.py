@@ -14,7 +14,9 @@ from sysmor import (
     StateSpace,
     dual,
     eval_freq,
+    h2_error_metric,
     is_stable,
+    linf_norm,
     poles,
     sample_support_point,
     subtract,
@@ -417,6 +419,21 @@ class TestInterconnections:
         union = np.union1d(g._seeds, r._seeds)
         assert subtract(g, r)._seeds.tobytes() == union.tobytes()
         assert dual(g)._seeds.tobytes() == g._seeds.tobytes()
+
+    def test_difference_poles_form_no_stacked_schur(self):
+        # The poles of G - R are its operands' poles, read without the
+        # block-diagonal Schur form, which neither the L-infinity norm nor
+        # the H2 metric of the error system needs.
+        rng = np.random.default_rng(17)
+        g = random_stable(rng, n=9, q=2, p=3)
+        r = random_stable(rng, n=4, q=2, p=3)
+        err = subtract(g, r)
+        lam = poles(err)
+        assert lam.tobytes() == np.concatenate([poles(g), poles(r)]).tobytes()
+        assert not lam.flags.writeable
+        linf_norm(err)
+        h2_error_metric(err)
+        assert "_schur" not in err.__dict__
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
