@@ -4,6 +4,8 @@ import itertools
 import json
 import threading
 import time
+from sys import getswitchinterval, setswitchinterval
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -465,6 +467,29 @@ class TestBalancedSweep:
                 _plant(), ["balanced"], 6, StoppingOptions()
             )
         assert threading.active_count() == threads
+
+    def test_every_order_runs_once_under_fast_switching(self, monkeypatch):
+        # Thread switches every microsecond: no order is lost or taken by
+        # both threads, and the entries still come back in order.
+        calls = []
+
+        def recorded(model, method, opts):
+            calls.append(opts.target_order)
+            rec = SimpleNamespace(order=opts.target_order, linf_error=1.0,
+                                  certified=True, h2_metric=1.0, stable=True)
+            return model, SimpleNamespace(records=[rec])
+
+        monkeypatch.setattr(sysmor.cli, "run_method", recorded)
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            entries = sysmor.cli.compare_methods(
+                _plant(), ["balanced"], 2000, StoppingOptions()
+            )
+        finally:
+            setswitchinterval(interval)
+        assert sorted(calls) == list(range(1, 2001))
+        assert [e["order"] for e in entries] == list(range(1, 2001))
 
     def test_shared_caches_are_built_once(self, monkeypatch):
         # On a cold model the sweep solves G's two Gramians and runs its

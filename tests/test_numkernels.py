@@ -75,6 +75,14 @@ class TestSolveLyapunov:
         with pytest.raises(IllPosedLyapunov):
             solve_lyapunov(_with_input(np.diag([1.0, -1.0]), np.eye(2)))
 
+    def test_mirrored_pair_found_across_blocks(self):
+        # The pair test runs in blocks of rows: -1 and +1 at the two ends
+        # of a 130-state spectrum lie in different blocks.
+        lam = -np.arange(1.0, 131.0)
+        lam[-1] = 1.0
+        with pytest.raises(IllPosedLyapunov):
+            solve_lyapunov(_with_input(np.diag(lam), np.ones((130, 1))))
+
     def test_imaginary_axis_pole_rejected(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(IllPosedLyapunov):
