@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import sys as _sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from .balred import balanced_truncate
 from .exceptions import (
     DimensionMismatch,
+    ImaginaryAxisPoles,
     ParseError,
     RankOutOfRange,
     SysmorError,
@@ -29,8 +31,9 @@ from .exceptions import (
 )
 from .lowrank import reduce_lowrank
 from .modelio import _read_text, parse_raw_matrices, read_model, write_model
+from .norms import _Search, _hamiltonian_spectrum, _level_loop, _peak_search
 from .report import IterationRecord, ReductionReport, _error_cells
-from .statespace import StateSpace, eval_freq, is_stable, poles
+from .statespace import StateSpace, eval_freq, is_stable, poles, subtract
 from .sysaaa import StoppingOptions, _certify, reduce as reduce_sysaaa
 
 __all__ = ["main", "compare_methods", "run_method"]
@@ -86,78 +89,150 @@ def compare_methods(
 
     Adaptive methods contribute one entry per recorded iterate with
     1 <= order <= max_order; balanced truncation contributes every order
-    in that range, certified two orders at a time (see
-    ``_balanced_entries``).  Each entry carries the reduced system for
-    reuse.
+    in that range.  Each entry carries the reduced system for reuse.
+
+    Entries, and the error raised, are those of running the methods one
+    after another: the first failing method in ``methods`` wins, and of
+    the balanced orders the lowest that fails.  The work runs in three
+    phases, every public call on this thread.  Every balanced order is
+    prepared first (see ``_BalancedOrder``), up to the first that fails.
+    One worker thread then solves each prepared order's first-level
+    Hamiltonian spectrum, lowest order first, while this thread runs the
+    adaptive methods; their eigensolves release the GIL and overlap.
+    Then this thread solves the spectra the worker has not started,
+    highest order first, and finishes each order in order
+    (``_balanced_entries``).  At most two Hamiltonians are in flight.
     """
+    runs = {}  # method -> its entries, or the exception that ended its run
+    orders = []
+    pending = deque()  # prepared orders whose spectrum no thread has taken
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        try:
+            if "balanced" in methods:
+                orders = _prepare_balanced(model, max_order, opts, pending, pool)
+            failed = any(isinstance(prepared, Exception) for prepared in orders)
+            for method in methods:
+                if method == "balanced" and failed:
+                    break  # a balanced order fails: no later method runs
+                if method in runs or method == "balanced":
+                    continue
+                try:
+                    runs[method] = _adaptive_entries(model, method, max_order, opts)
+                except Exception as exc:
+                    runs[method] = exc
+                    break
+            while _solve_next(pending.pop):
+                pass
+        finally:
+            pending.clear()  # an interrupted caller leaves the worker nothing
     entries = []
     for method in methods:
-        if method == "balanced":
-            entries += _balanced_entries(model, max_order, opts)
-            continue
-        run_opts = dataclasses.replace(
-            opts,
-            max_iterations=max(opts.max_iterations, max_order),
-            target_order=max_order,
-            keep_best=False,
-            target_linf=None,
-        )
-        _, report = run_method(model, method, run_opts)
-        for rec, iterate in zip(report.records, report.iterates):
-            if 1 <= rec.order <= max_order:
-                entries.append(_entry(method, rec, iterate.sys))
+        if method == "balanced" and method not in runs:
+            try:
+                runs[method] = _balanced_entries(model, orders, opts)
+            except Exception as exc:
+                runs[method] = exc
+        if isinstance(runs[method], Exception):
+            raise runs[method]
+        entries += runs[method]
     entries.sort(key=lambda e: (e["method"], e["order"]))
     return entries
 
 
-def _balanced_entries(model: StateSpace, max_order: int, opts: StoppingOptions):
-    """The balanced entries of orders 1..max_order, in order, each as
-    ``run_method`` gives it, or the error of the lowest order that fails.
+def _adaptive_entries(model, method, max_order, opts):
+    run_opts = dataclasses.replace(
+        opts,
+        max_iterations=max(opts.max_iterations, max_order),
+        target_order=max_order,
+        keep_best=False,
+        target_linf=None,
+    )
+    _, report = run_method(model, method, run_opts)
+    return [
+        _entry(method, rec, iterate.sys)
+        for rec, iterate in zip(report.records, report.iterates)
+        if 1 <= rec.order <= max_order
+    ]
 
-    The caller's thread and one worker take the orders lowest first, so
-    at most two certifications are in flight and their Hamiltonian
-    eigensolves, which release the GIL, overlap; a third would add its
-    eigensolve's memory.  G's shared caches (balanced realization with
-    both Gramians, response factor and seed responses) are built first,
-    on this thread and as a first certification would build them, so no
-    thread builds one twice.  After a failure neither thread starts
-    another order; every lower order has started by then, so the lowest
-    failure is the one the sequential loop would meet.
-    """
-    if max_order >= 1 and model.n and is_stable(model):
-        model._balancing
-        with np.errstate(over="ignore", invalid="ignore"):  # as in eval_freq
-            model._seed_responses
-    pending = list(range(max_order, 0, -1))  # list.pop is atomic
-    done = {}
 
-    def work():
-        while True:
-            try:
-                order = pending.pop()
-            except IndexError:
-                return
-            try:
-                reduced, report = run_method(
-                    model, "balanced", dataclasses.replace(opts, target_order=order)
-                )
-                done[order] = _entry("balanced", report.records[0], reduced)
-            except Exception as exc:
-                done[order] = exc
-                pending.clear()
+class _BalancedOrder:
+    """One balanced order of ``compare_methods``, prepared on the calling
+    thread: the reduced model and the search step of its L-infinity error
+    (ImaginaryAxisPoles when the error system has axis poles, raised again
+    where the record is made).  The error system itself is dropped, and
+    built again for the record, so a prepared order holds no (n + k)^2
+    array."""
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(work)
+    def __init__(self, model, order, rel_tol):
+        self.reduced, _ = balanced_truncate(model, order)
         try:
-            work()
-        finally:
-            pending.clear()  # an interrupted caller stops the worker too
-        worker.result()
-    results = [done[order] for order in sorted(done)]
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
+            self.search = _peak_search(subtract(model, self.reduced), rel_tol)
+        except ImaginaryAxisPoles as exc:
+            self.search = exc
+        self.spectrum = None
+
+    def solve(self):
+        """The spectrum of the first level test, or its error: the only
+        work of the worker thread, pure numpy on arrays no thread writes."""
+        try:
+            self.spectrum = _hamiltonian_spectrum(*self.search.tests[0])
+        except Exception as exc:
+            self.spectrum = exc
+
+    def norm(self, err):
+        """The L-infinity result of ``err``, the error system built again."""
+        for outcome in (self.search, self.spectrum):
+            if isinstance(outcome, Exception):
+                raise outcome
+        return _level_loop(err, self.search, self.spectrum)
+
+
+def _prepare_balanced(model, max_order, opts, pending, pool):
+    """The prepared balanced orders 1..max_order, up to the first that
+    fails, whose error takes its place in the list.  Each order whose
+    search needs a level test joins ``pending`` and sends the worker one
+    task."""
+    orders = []
+    for order in range(1, max_order + 1):
+        try:
+            prepared = _BalancedOrder(model, order, opts.bisect_rel_tol)
+        except Exception as exc:
+            orders.append(exc)
+            break
+        orders.append(prepared)
+        if isinstance(prepared.search, _Search):
+            pending.append(prepared)
+            pool.submit(_solve_next, pending.popleft)
+    return orders
+
+
+def _solve_next(take) -> bool:
+    """Solve the order ``take`` removes from the pending deque (``popleft``
+    on the worker, lowest first; ``pop`` on the caller, highest first:
+    both are atomic), or return False when none is left."""
+    try:
+        prepared = take()
+    except IndexError:
+        return False
+    prepared.solve()
+    return True
+
+
+def _balanced_entries(model: StateSpace, orders, opts: StoppingOptions):
+    """The balanced entries of the prepared ``orders``, in order, each as
+    ``run_method`` gives it, or the error of the lowest order that fails.
+    Each order finishes here: the probes of its first level test, any
+    further level tests, the H2 metric and the record."""
+    entries = []
+    for prepared in orders:
+        if isinstance(prepared, Exception):
+            raise prepared
+        record, _ = _certify(
+            model, prepared.reduced, opts.bisect_rel_tol, norm=prepared.norm,
+            iteration=0, action="trunc", omega=None,
+        )
+        entries.append(_entry("balanced", record, prepared.reduced))
+    return entries
 
 
 def _entry(method: str, rec: IterationRecord, system: StateSpace) -> dict:

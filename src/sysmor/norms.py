@@ -40,6 +40,14 @@ G - R, and a surrogate test whose crossings no probe refutes is
 repeated exactly at the same level, so ``certified`` keeps its meaning.
 The surrogate's test has 2(k + r) states instead of 2(n + r).
 
+``linf_norm`` runs in two steps that a caller may also run apart.  The
+search step ``_peak_search`` checks for axis poles, sets the floor,
+probes the seeds, refines the best of them and picks the first level
+and its tests (surrogate included); the level loop ``_level_loop`` runs
+the tests and may be handed the first one's spectrum, solved beforehand
+on any thread: ``_hamiltonian_spectrum`` is pure numpy on the models'
+arrays, and writes the A blocks of a difference from its operands.
+
 The search starts from the model's cached ``_seeds`` (omega = 0 and the
 |Im| and modulus of every pole); on the error system G - R of a reduction
 run, G's response there comes from G's seed cache, so each call solves
@@ -126,34 +134,46 @@ class LinfResult:
     slope_evaluations: int = 0
 
 
-def _hamiltonian_spectrum(sys: StateSpace, gamma: float) -> np.ndarray:
-    """Eigenvalues of the gamma-level Hamiltonian.  Its imaginary ones
-    j omega mark the frequencies where some singular value of G(j omega)
-    equals ``gamma``; with none, gamma is a strict upper bound.
+def _hamiltonian_spectrum(
+    sys: StateSpace, gamma: float, minus: StateSpace | None = None
+) -> np.ndarray:
+    """Eigenvalues of the gamma-level Hamiltonian of ``sys``, or of the
+    difference ``sys`` - ``minus`` when ``minus`` is given.  Its imaginary
+    ones j omega mark the frequencies where some singular value of
+    G(j omega) equals ``gamma``; with none, gamma is a strict upper bound.
 
     The four blocks are written into one 2n x 2n array, and the D terms
     are skipped when D = 0, as it is for every error system of a
-    reduction run."""
+    reduction run.  A difference's A blocks are written straight from its
+    operands, so H equals, bit for bit, that of the model ``subtract``
+    builds, and no stacked n x n A is formed.  Pure numpy on the models'
+    arrays: no cached property is read, and ``eigvals`` releases the GIL.
+    """
     if not gamma * gamma < math.inf:
         raise SingularAtFrequency(f"the Hamiltonian at level {gamma:g} overflows")
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    B, C, D = sys.B, sys.C, sys.D
+    if minus is not None:  # stacked as ``subtract`` stacks them
+        B, C, D = np.vstack([B, minus.B]), np.hstack([C, -minus.C]), D - minus.D
     # States scaled by the power of two s that matches the largest entries
     # of B / s and C s: an exact similarity, so B R^-1 B^T and C^T C stay
     # in range whenever the gain does.
     b, c = (max(float(np.abs(M).max()), np.finfo(float).tiny) for M in (B, C))
     s = 2.0 ** round(0.5 * (math.log2(b) - math.log2(c)))
     B, C = B / s, C * s
-    n = sys.n
-    H = np.empty((2 * n, 2 * n))
-    R = gamma**2 * np.eye(sys.q) - D.T @ D
+    (p, q), n, k = D.shape, B.shape[0], sys.n
+    H = np.zeros((2 * n, 2 * n))
+    A = H[:n, :n]  # a view: the A blocks are written in place
+    A[:k, :k] = sys.A
+    if minus is not None:
+        A[k:, k:] = minus.A
+    R = gamma**2 * np.eye(q) - D.T @ D
     np.matmul(B, np.linalg.solve(R, B.T), out=H[:n, n:])
     if D.any():
         RinvDt = np.linalg.solve(R, D.T)
-        A = A + B @ RinvDt @ C
-        np.matmul(-C.T @ (np.eye(sys.p) + D @ RinvDt), C, out=H[n:, :n])
+        A += B @ RinvDt @ C
+        np.matmul(-C.T @ (np.eye(p) + D @ RinvDt), C, out=H[n:, :n])
     else:
         np.matmul(-C.T, C, out=H[n:, :n])
-    H[:n, :n] = A
     np.negative(A.T, out=H[n:, n:])
     return np.linalg.eigvals(H)
 
@@ -263,11 +283,11 @@ def _slope_root(
 def _surrogate(
     sys: StateSpace, gamma_lb: float, rel_tol: float
 ) -> tuple[StateSpace, float] | None:
-    """(G_k - R, delta(k)) for a level test of the error system
-    ``sys`` = G - R at a level near ``gamma_lb``, or None when the exact
-    test must run: ``sys`` is not a difference from ``subtract``, G is
-    not stable or has a Gramian residual above the roundoff allowance,
-    or no order 0 < k < n with a non-negligible sigma_k meets
+    """(G_k, delta(k)) for a level test of the error system ``sys`` = G - R
+    on G_k - R at a level near ``gamma_lb``, or None when the exact test
+    must run: ``sys`` is not a difference from ``subtract``, G is not
+    stable or has a Gramian residual above the roundoff allowance, or no
+    order 0 < k < n with a non-negligible sigma_k meets
     4 delta(k) <= 0.1 rel_tol gamma_lb."""
     kind, g, r = sys._origin
     if kind != "difference" or g.n < 2 or not gamma_lb > 0.0 or not is_stable(g):
@@ -283,17 +303,77 @@ def _surrogate(
     k = int(fits[0]) + 1
     if hsv[k - 1] <= _NEGLIGIBLE_HSV_RTOL * hsv[0]:
         return None
-    return subtract(_balanced_truncation(g, k), r), float(shifts[k - 1])
+    return _balanced_truncation(g, k), float(shifts[k - 1])
 
 
-def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResult:
-    """Peak of sigma_max(G(j omega)) over omega in [0, inf].
+def _level_tests(
+    sys: StateSpace, gamma_lb: float, rel_tol: float, floor: float
+) -> tuple[float, list]:
+    """The level above ``gamma_lb`` and the ``_hamiltonian_spectrum``
+    arguments of its tests: the surrogate's, when there is one, then the
+    exact test on ``sys`` (from its operands when it is a difference)."""
+    level = max(gamma_lb * (1.0 + rel_tol), floor)
+    kind, g, r = sys._origin
+    tests = [(g, level, r) if kind == "difference" else (sys, level, None)]
+    surrogate = _surrogate(sys, gamma_lb, rel_tol)
+    if surrogate is not None:
+        g_k, shift = surrogate
+        tests.insert(0, (g_k, level - shift, r))
+    return level, tests
 
-    Terminates when (upper - lower) / lower <= rel_tol and returns the
-    certified upper bound as ``gamma``; ``omega_peak`` is the best
-    frequency actually evaluated (omega = 0 and the omega -> inf
-    feedthrough limit are always candidates).
-    """
+
+@dataclass
+class _Search:
+    """An L-infinity computation between its search step
+    (``_peak_search``) and its level loop (``_level_loop``): the best
+    probe so far, the gain-and-slope count, the lower bound and floor,
+    and the first level with the arguments of its tests.  It keeps no
+    array of the error system's stacked states, only the models the tests
+    read, so a caller may hold many and solve ``tests[0]`` anywhere."""
+
+    rel_tol: float
+    floor: float
+    d_gain: float
+    best_omega: float = 0.0
+    best_gain: float = -1.0
+    slopes: int = 0
+    gamma_lb: float = 0.0
+    level: float = 0.0
+    tests: list = ()
+
+    def _note(self, omega, gain) -> float:
+        if gain > self.best_gain:
+            self.best_gain, self.best_omega = float(gain), float(omega)
+        return float(gain)
+
+    def _gain_and_slope(self, sys, omega: float) -> tuple[float, float | None]:
+        self.slopes += 1
+        return _gain_and_slope(sys, omega)
+
+    def probe(self, sys: StateSpace, omegas: np.ndarray, level: float) -> float:
+        """The largest gain of ``sys`` over one sorted batch of frequencies
+        and, when it exceeds ``level``, of the refined peak between the
+        probes beside the best one."""
+        if not omegas.size:
+            return 0.0
+        gains = np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
+        k = int(np.argmax(gains))
+        top = self._note(omegas[k], gains[k])
+        lo, hi = omegas[max(k - 1, 0)], omegas[min(k + 1, omegas.size - 1)]
+        if top > level and lo < hi:
+            peak = _slope_root(
+                lambda omega: self._gain_and_slope(sys, omega), lo, omegas[k], hi
+            )
+            if peak is not None:
+                top = max(top, self._note(*peak))
+        return top
+
+
+def _peak_search(sys: StateSpace, rel_tol: float) -> _Search | LinfResult:
+    """The search step of ``linf_norm``: the axis-pole check, the floor,
+    the seed probes with their peak refinement, and the first level with
+    its tests (surrogate included).  A static ``sys`` needs no level test
+    and gets its result at once."""
     if not 0 < rel_tol < math.inf:
         raise ValueError("rel_tol must be positive and finite")
     d_gain = float(np.linalg.norm(sys.D, 2)) if sys.D.size else 0.0
@@ -311,72 +391,69 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     b, c = (max(float(np.abs(M).max()), np.finfo(float).tiny) for M in (sys.B, sys.C))
     scaled = float(np.linalg.norm(sys.B / b) * np.linalg.norm(sys.C / c))
     rough = d_gain + b * c * scaled / margin
-    floor = 1e-13 * min(max(1.0, rough), np.finfo(float).max)
-
-    best_omega = 0.0
-    best_gain = -1.0
-    slopes = 0
-
-    def gain_and_slope(omega: float) -> tuple[float, float | None]:
-        nonlocal slopes
-        slopes += 1
-        return _gain_and_slope(sys, omega)
-
-    def note(omega, gain) -> float:
-        nonlocal best_omega, best_gain
-        if gain > best_gain:
-            best_gain, best_omega = float(gain), float(omega)
-        return float(gain)
-
-    def probe(omegas: np.ndarray, level: float) -> float:
-        """The largest gain of one sorted batch of frequencies and, when it
-        exceeds ``level``, of the refined peak between the probes beside
-        the best one."""
-        if not omegas.size:
-            return 0.0
-        gains = np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
-        k = int(np.argmax(gains))
-        top = note(omegas[k], gains[k])
-        lo, hi = omegas[max(k - 1, 0)], omegas[min(k + 1, omegas.size - 1)]
-        if top > level and lo < hi:
-            peak = _slope_root(gain_and_slope, lo, omegas[k], hi)
-            if peak is not None:
-                top = max(top, note(*peak))
-        return top
+    search = _Search(rel_tol, 1e-13 * min(max(1.0, rough), np.finfo(float).max), d_gain)
 
     # Seed candidates: DC, resonant frequencies, pole magnitudes.
-    probe(sys._seeds, floor)
-    gamma_lb = max(best_gain, d_gain)
+    search.probe(sys, sys._seeds, search.floor)
+    search.gamma_lb = max(search.best_gain, d_gain)
+    search.level, search.tests = _level_tests(
+        sys, search.gamma_lb, rel_tol, search.floor
+    )
+    return search
 
+
+def _level_loop(
+    sys: StateSpace, search: _Search, spectrum: np.ndarray | None = None
+) -> LinfResult:
+    """The level tests of ``linf_norm`` after its ``search`` step on the
+    same ``sys``; ``spectrum``, when given, is that of the first test,
+    ``_hamiltonian_spectrum(*search.tests[0])``, solved beforehand."""
+    s = search
+    gamma_lb, level, tests = s.gamma_lb, s.level, s.tests
     certified = False
-    tests = surrogate_tests = 0
+    runs = surrogate_tests = 0
     for _ in range(_MAX_LEVEL_ITERATIONS):
-        level = max(gamma_lb * (1.0 + rel_tol), floor)
-        surrogate = _surrogate(sys, gamma_lb, rel_tol)
         # The surrogate's test, when there is one, then the exact test, up
         # to the first that finds no crossings or whose probes refute them.
-        for err, shift in [surrogate, (sys, 0.0)] if surrogate else [(sys, 0.0)]:
-            tests += 1
-            surrogate_tests += err is not sys
-            spectrum = _hamiltonian_spectrum(err, level - shift)
+        for test in tests:
+            runs += 1
+            surrogate_tests += test is not tests[-1]
+            if spectrum is None:
+                spectrum = _hamiltonian_spectrum(*test)
             suspects, crossed = _axis_frequencies(spectrum)
-            new_lb = probe(_with_midpoints(suspects), level)
+            spectrum = None
+            new_lb = s.probe(sys, _with_midpoints(suspects), level)
             if not crossed or new_lb > level:
                 break
         if new_lb <= level:
             # No probe refutes the level: a bound unless a crossing was seen.
-            below_floor = not crossed and gamma_lb <= floor
+            below_floor = not crossed and gamma_lb <= s.floor
             gamma = max(gamma_lb, 0.0) if below_floor else level
             certified = not crossed and not below_floor
             break
         gamma_lb = new_lb
+        level, tests = _level_tests(sys, gamma_lb, s.rel_tol, s.floor)
     else:
-        gamma = gamma_lb * (1.0 + rel_tol)
+        gamma = gamma_lb * (1.0 + s.rel_tol)
 
-    omega_peak = best_omega if best_gain >= d_gain else math.inf
+    omega_peak = s.best_omega if s.best_gain >= s.d_gain else math.inf
     return LinfResult(
-        float(gamma), omega_peak, tests, certified, surrogate_tests, slopes
+        float(gamma), omega_peak, runs, certified, surrogate_tests, s.slopes
     )
+
+
+def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResult:
+    """Peak of sigma_max(G(j omega)) over omega in [0, inf].
+
+    Terminates when (upper - lower) / lower <= rel_tol and returns the
+    certified upper bound as ``gamma``; ``omega_peak`` is the best
+    frequency actually evaluated (omega = 0 and the omega -> inf
+    feedthrough limit are always candidates).  Runs the search step
+    ``_peak_search`` and then the level loop ``_level_loop``, which a
+    caller may also run apart, with the first spectrum solved elsewhere.
+    """
+    search = _peak_search(sys, rel_tol)
+    return search if isinstance(search, LinfResult) else _level_loop(sys, search)
 
 
 def h2_error_metric(err_sys: StateSpace) -> float:

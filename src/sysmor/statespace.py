@@ -57,7 +57,8 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
         raise DimensionMismatch(f"{name} has {M.shape[0]} rows, expected {rows}")
     if cols is not None and M.shape[1] != cols:
         raise DimensionMismatch(f"{name} has {M.shape[1]} columns, expected {cols}")
-    if not np.all(np.isfinite(M)):
+    # min and max propagate NaN: no n x n boolean temporary
+    if M.size and not (np.isfinite(M.min()) and np.isfinite(M.max())):
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
@@ -114,7 +115,7 @@ class StateSpace:
     C: np.ndarray
     D: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy=True):
         D = _as_matrix(self.D, name="D")
         p, q = D.shape
         if p == 0 or q == 0:
@@ -136,7 +137,7 @@ class StateSpace:
         B = _as_matrix(B, rows=n, cols=q, name="B")
         C = _as_matrix(C, rows=p, cols=n, name="C")
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
-            M = M.copy()
+            M = M.copy() if copy else M
             M.setflags(write=False)
             object.__setattr__(self, name, M)
 
@@ -293,6 +294,16 @@ class StateSpace:
         # summed from the smallest value up, so each tail keeps its digits
         tails = np.append(np.cumsum(hsv[::-1])[::-1], 0.0)
         return _Balancing(*_frozen(A, W.T @ self.B, self.C @ T, hsv, tails))
+
+
+def _adopt(A, B, C, D) -> StateSpace:
+    """A model on arrays built for it and referenced nowhere else:
+    validated and frozen as the constructor does, but not copied."""
+    model = object.__new__(StateSpace)
+    for name, M in zip("ABCD", (A, B, C, D)):
+        object.__setattr__(model, name, M)
+    model.__post_init__(copy=False)
+    return model
 
 
 def _derived(model: StateSpace, *origin) -> StateSpace:
@@ -536,7 +547,7 @@ def subtract(g: StateSpace, r: StateSpace) -> StateSpace:
     A = sla.block_diag(g.A, r.A)
     B = np.vstack([g.B, r.B])
     C = np.hstack([g.C, -r.C])
-    return _derived(StateSpace(A, B, C, g.D - r.D), "difference", g, r)
+    return _derived(_adopt(A, B, C, g.D - r.D), "difference", g, r)
 
 
 def dual(sys: StateSpace) -> StateSpace:

@@ -391,17 +391,18 @@ def realize_interpolant(blocks, weight: WeightMatrix, D: np.ndarray) -> StateSpa
 
 
 def _certify(
-    model: StateSpace, reduced: StateSpace, rel_tol: float, **fields
+    model: StateSpace, reduced: StateSpace, rel_tol: float, norm=None, **fields
 ) -> tuple[IterationRecord, LinfResult | None]:
     """Record of one reduced model: the certified L-infinity error of
     G - R (inf, with no result, when that error system has poles on the
     imaginary axis) and whether a level test proved it, its H2 metric
     (None when the Lyapunov equation is ill-posed), the order and the
-    measured stability.  ``fields`` carry the rest of the record
+    measured stability.  ``norm(err)``, when given, stands for
+    ``linf_norm(err, rel_tol)``.  ``fields`` carry the rest of the record
     (iteration, action, omega, ...)."""
     err = subtract(model, reduced)
     try:
-        lres = linf_norm(err, rel_tol)
+        lres = linf_norm(err, rel_tol) if norm is None else norm(err)
     except ImaginaryAxisPoles:
         lres = None
     try:

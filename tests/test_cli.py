@@ -1,10 +1,11 @@
 """End-to-end command-line runs: artifacts, table output, exit codes."""
 
+import inspect
 import itertools
 import json
 import threading
 import time
-from sys import getswitchinterval, setswitchinterval
+from sys import getswitchinterval, modules as loaded, setswitchinterval
 from types import SimpleNamespace
 
 import numpy as np
@@ -421,12 +422,25 @@ def _plant():
 
 
 class TestBalancedSweep:
-    """``compare_methods`` certifies balanced orders on two threads."""
+    """``compare_methods`` solves the balanced orders' first level tests on
+    a worker thread while the calling thread runs the adaptive methods."""
 
-    def test_entries_match_a_sequential_loop(self):
+    def test_entries_match_a_sequential_loop(self, monkeypatch):
+        # Entries, the lowrank-aaa report's records and every balanced
+        # system equal those of run_method called order by order.
+        reports = []
+
+        def recorder(model, opts):
+            result = reduce_lowrank(model, opts)
+            reports.append(result[1])
+            return result
+
+        monkeypatch.setattr(sysmor.cli, "reduce_lowrank", recorder)
         opts = StoppingOptions()
         threads = threading.active_count()
-        entries = sysmor.cli.compare_methods(_plant(), ["balanced"], 8, opts)
+        entries = sysmor.cli.compare_methods(
+            _plant(), ["balanced", "lowrank-aaa"], 8, opts
+        )
         assert threading.active_count() == threads
         model = _plant()
         want = []
@@ -435,9 +449,16 @@ class TestBalancedSweep:
                 model, "balanced", StoppingOptions(target_order=order)
             )
             want.append((report.records[0], reduced))
-        assert [e["order"] for e in entries] == list(range(1, 9))
-        for entry, (rec, reduced) in zip(entries, want):
-            assert entry["method"] == "balanced"
+        _, sequential = sysmor.cli.run_method(
+            model, "lowrank-aaa", StoppingOptions(
+                max_iterations=20, target_order=8, keep_best=False
+            )
+        )
+        (threaded, _) = reports
+        assert threaded.records == sequential.records
+        balanced = [e for e in entries if e["method"] == "balanced"]
+        assert [e["order"] for e in balanced] == list(range(1, 9))
+        for entry, (rec, reduced) in zip(balanced, want):
             assert (entry["order"], entry["linf_error"], entry["h2_metric"],
                     entry["certified"], entry["stable"]) == (
                 rec.order, rec.linf_error, rec.h2_metric, rec.certified,
@@ -446,49 +467,174 @@ class TestBalancedSweep:
                 np.testing.assert_array_equal(
                     getattr(entry["system"], name), getattr(reduced, name)
                 )
+        lowrank = [e for e in entries if e["method"] == "lowrank-aaa"]
+        assert [(e["order"], e["linf_error"], e["h2_metric"]) for e in lowrank] == [
+            (rec.order, rec.linf_error, rec.h2_metric)
+            for rec in sequential.records if 1 <= rec.order <= 8
+        ]
+
+    def test_public_calls_run_on_the_calling_thread(self, monkeypatch):
+        # Every public function of every layer, at every module binding,
+        # runs on the caller; the worker only solves spectra.
+        caller, threads, solvers = threading.get_ident(), {}, set()
+        modules = [m for name, m in sorted(loaded.items())
+                   if name == "sysmor" or name.startswith("sysmor.")]
+        for layer in modules:
+            for name in getattr(layer, "__all__", ()):
+                fn = getattr(layer, name)
+                if not inspect.isfunction(fn) or fn.__module__ != layer.__name__:
+                    continue
+
+                def wrapped(*args, _fn=fn, _name=f"{layer.__name__}.{name}", **kw):
+                    threads.setdefault(_name, set()).add(threading.get_ident())
+                    return _fn(*args, **kw)
+
+                for home in modules:
+                    for attr, value in list(vars(home).items()):
+                        if value is fn:
+                            monkeypatch.setattr(home, attr, wrapped)
+        spectrum = sysmor.cli._hamiltonian_spectrum
+
+        def solved(*args):
+            solvers.add(threading.get_ident())
+            return spectrum(*args)
+
+        monkeypatch.setattr(sysmor.cli, "_hamiltonian_spectrum", solved)
+        sysmor.cli.compare_methods(
+            _plant(), ["balanced", "lowrank-aaa"], 8, StoppingOptions()
+        )
+        assert {"sysmor.balred.balanced_truncate", "sysmor.norms.linf_norm",
+                "sysmor.statespace.subtract", "sysmor.lowrank.reduce_lowrank",
+                "sysmor.cli.run_method"} <= threads.keys()
+        assert {name: ids for name, ids in threads.items() if ids != {caller}} == {}
+        assert solvers - {caller}, "the worker solved no spectrum"
 
     def test_lowest_failing_order_is_raised(self, monkeypatch):
-        # Order 4 fails at once and order 3 only later: the error raised
-        # is order 3's, as in a loop that stops at its first failure.
-        real = sysmor.cli.run_method
+        # Order 4's spectrum fails on the worker at once and order 3 fails
+        # later, on the caller: the error raised is order 3's, as in a loop
+        # that stops at its first failure.
+        caller, failed_on = threading.get_ident(), []
+        spectrum, levels = sysmor.cli._hamiltonian_spectrum, sysmor.cli._level_loop
 
-        def failing(model, method, opts):
-            if opts.target_order == 3:
-                time.sleep(0.2)
-                raise ArithmeticError("order 3")
-            if opts.target_order == 4:
+        def failing_spectrum(sys, gamma, minus=None):
+            if threading.get_ident() == caller:
+                time.sleep(0.2)  # the worker takes every order it can
+            elif minus.n == 4:
+                failed_on.append(threading.get_ident())
                 raise LookupError("order 4")
-            return real(model, method, opts)
+            return spectrum(sys, gamma, minus)
 
-        monkeypatch.setattr(sysmor.cli, "run_method", failing)
+        def failing_levels(sys, search, first=None):
+            if sys._origin.minus.n == 3:
+                raise ArithmeticError("order 3")
+            return levels(sys, search, first)
+
+        monkeypatch.setattr(sysmor.cli, "_hamiltonian_spectrum", failing_spectrum)
+        monkeypatch.setattr(sysmor.cli, "_level_loop", failing_levels)
         threads = threading.active_count()
         with pytest.raises(ArithmeticError, match="order 3"):
+            sysmor.cli.compare_methods(_plant(), ["balanced"], 6, StoppingOptions())
+        assert threading.active_count() == threads
+        assert failed_on and caller not in failed_on
+
+    @pytest.mark.parametrize("where", ["spectrum", "prepare"])
+    @pytest.mark.parametrize("balanced_first", [True, False])
+    def test_first_failing_method_wins(self, monkeypatch, where, balanced_first):
+        # lowrank-aaa raises and balanced order 2 fails, in its spectrum
+        # or while it is prepared: the error raised is that of the method
+        # listed first, and one that fails while prepared, listed first,
+        # keeps the adaptive method from running at all.
+        ran = []
+
+        def failing_method(model, method, opts):
+            ran.append(method)
+            raise LookupError("adaptive")
+
+        def broken(real):
+            def call(*args):
+                if args[-1] == 2 or getattr(args[-1], "n", None) == 2:
+                    raise ArithmeticError("balanced")
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(sysmor.cli, "run_method", failing_method)
+        name = "_hamiltonian_spectrum" if where == "spectrum" else "balanced_truncate"
+        monkeypatch.setattr(sysmor.cli, name, broken(getattr(sysmor.cli, name)))
+        methods = ["balanced", "lowrank-aaa"]
+        if not balanced_first:
+            methods.reverse()
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError if balanced_first else LookupError):
+            sysmor.cli.compare_methods(_plant(), methods, 4, StoppingOptions())
+        assert threading.active_count() == threads
+        assert ran == ([] if balanced_first and where == "prepare" else ["lowrank-aaa"])
+
+    def test_interrupt_joins_the_worker(self, monkeypatch):
+        # An interrupt in the adaptive run reaches the caller once the
+        # worker has finished the spectrum it is solving; it starts no other.
+        spectrum, solved = sysmor.cli._hamiltonian_spectrum, []
+
+        def slow(*args):
+            time.sleep(0.05)
+            solved.append(args[-1].n)
+            return spectrum(*args)
+
+        def interrupted(model, method, opts):
+            time.sleep(0.02)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sysmor.cli, "_hamiltonian_spectrum", slow)
+        monkeypatch.setattr(sysmor.cli, "run_method", interrupted)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
             sysmor.cli.compare_methods(
-                _plant(), ["balanced"], 6, StoppingOptions()
+                _plant(), ["balanced", "sys-aaa"], 8, StoppingOptions()
             )
         assert threading.active_count() == threads
+        count = len(solved)
+        time.sleep(0.1)
+        assert len(solved) == count < 8
 
     def test_every_order_runs_once_under_fast_switching(self, monkeypatch):
-        # Thread switches every microsecond: no order is lost or taken by
-        # both threads, and the entries still come back in order.
-        calls = []
+        # Thread switches every microsecond while both threads take orders
+        # from the two ends of one deque (the worker waits on its first
+        # order until the caller solves one): no order's spectrum is lost
+        # or solved twice, and each order is finished with its own, in order.
+        caller, calls, solvers, go = threading.get_ident(), [], set(), threading.Event()
 
-        def recorded(model, method, opts):
-            calls.append(opts.target_order)
-            rec = SimpleNamespace(order=opts.target_order, linf_error=1.0,
-                                  certified=True, h2_metric=1.0, stable=True)
-            return model, SimpleNamespace(records=[rec])
+        class Quick(sysmor.cli._BalancedOrder):
+            def __init__(self, model, order, rel_tol):
+                self.reduced, self.spectrum = order, None
+                self.search = sysmor.norms._Search(rel_tol, 0.0, 0.0, tests=[(order,)])
 
-        monkeypatch.setattr(sysmor.cli, "run_method", recorded)
+        def certify(model, order, rel_tol, norm, **fields):
+            assert norm.__self__.spectrum == order
+            return SimpleNamespace(order=order, linf_error=1.0, certified=True,
+                                   h2_metric=1.0, stable=True), None
+
+        def solve(order):
+            if threading.get_ident() == caller:
+                go.set()
+            go.wait(10.0)
+            calls.append(order)
+            solvers.add(threading.get_ident())
+            return order
+
+        monkeypatch.setattr(sysmor.cli, "_BalancedOrder", Quick)
+        monkeypatch.setattr(sysmor.cli, "_hamiltonian_spectrum", solve)
+        monkeypatch.setattr(sysmor.cli, "_certify", certify)
         interval = getswitchinterval()
         setswitchinterval(1e-6)
         try:
+            threads = threading.active_count()
             entries = sysmor.cli.compare_methods(
                 _plant(), ["balanced"], 2000, StoppingOptions()
             )
         finally:
             setswitchinterval(interval)
+        assert threading.active_count() == threads
         assert sorted(calls) == list(range(1, 2001))
+        assert len(solvers) == 2
         assert [e["order"] for e in entries] == list(range(1, 2001))
 
     def test_shared_caches_are_built_once(self, monkeypatch):

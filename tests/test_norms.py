@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad_vec
 
 import sysmor.norms
+import sysmor.statespace
 import sysmor.sysaaa
 from sysmor import (
     ImaginaryAxisPoles,
@@ -307,6 +308,41 @@ class TestLinfNorm:
         ])
         np.testing.assert_allclose(H, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
+    @pytest.mark.parametrize("case", ["D = 0", "D != 0", "surrogate"])
+    def test_hamiltonian_of_operands_is_that_of_the_stacked_model(
+        self, monkeypatch, case
+    ):
+        # H written from the operands of G - R equals, bit for bit, H of
+        # the stacked model ``subtract`` builds, and so do the spectra.
+        rng = np.random.default_rng(80)
+        if case == "surrogate":  # G_m - R on a chain, as a surrogate test runs it
+            chain = mass_chain(0, 40, inputs=(0,), outputs=(39,))
+            g = sysmor.statespace._balanced_truncation(chain, 30)
+            r, _ = balanced_truncate(chain, 8)
+        else:
+            feedthrough = case == "D != 0"
+            g = random_stable(rng, n=12, q=2, p=3, feedthrough=feedthrough)
+            r = random_stable(rng, n=5, q=2, p=3, feedthrough=feedthrough)
+        err = subtract(g, r)
+        assert err.D.any() == (case == "D != 0")
+        stacked = StateSpace(err.A, err.B, err.C, err.D)
+        gamma = 1.5 * linf_norm(err).gamma
+        seen, eigvals = [], np.linalg.eigvals
+
+        def captured(H):
+            seen.append(H.copy())
+            return eigvals(H)
+
+        monkeypatch.setattr(np.linalg, "eigvals", captured)
+        spectra = [
+            sysmor.norms._hamiltonian_spectrum(*args)
+            for args in [(stacked, gamma), (err, gamma), (g, gamma, r)]
+        ]
+        assert seen[0].shape == (2 * err.n, 2 * err.n)
+        for H, lam in zip(seen[1:], spectra[1:]):
+            assert H.tobytes() == seen[0].tobytes()
+            assert lam.tobytes() == spectra[0].tobytes()
+
     @pytest.mark.parametrize("seed, build", [(78, "balanced"), (156, "reduce")])
     def test_crossing_moved_off_axis_is_not_missed(self, seed, build):
         # Small errors of close approximations: roundoff moves a crossing
@@ -445,10 +481,10 @@ class TestSurrogateLevelTest:
         clean = linf_norm(err)
         spectrum, sizes = sysmor.norms._hamiltonian_spectrum, []
 
-        def spurious(sys, gamma):
-            sizes.append(sys.n)
-            lam = spectrum(sys, gamma)
-            return lam if sys.n == err.n else np.append(lam, [1e4j, -1e4j])
+        def spurious(sys, gamma, minus=None):
+            sizes.append(sys.n + (0 if minus is None else minus.n))
+            lam = spectrum(sys, gamma, minus)
+            return lam if sizes[-1] == err.n else np.append(lam, [1e4j, -1e4j])
 
         monkeypatch.setattr(sysmor.norms, "_hamiltonian_spectrum", spurious)
         res = linf_norm(err)
