@@ -140,6 +140,7 @@ def compare_methods(
 
 
 def _adaptive_entries(model, method, max_order, opts):
+    """The entries of one adaptive run to ``max_order``."""
     run_opts = dataclasses.replace(
         opts,
         max_iterations=max(opts.max_iterations, max_order),

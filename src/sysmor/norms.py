@@ -74,7 +74,6 @@ from .statespace import (
     eval_freq,
     is_stable,
     poles,
-    subtract,
 )
 
 __all__ = ["LinfResult", "linf_norm", "h2_error_metric"]

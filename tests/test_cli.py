@@ -454,8 +454,8 @@ class TestBalancedSweep:
                 max_iterations=20, target_order=8, keep_best=False
             )
         )
-        (threaded, _) = reports
-        assert threaded.records == sequential.records
+        threaded, rerun = reports  # the sequential run is recorded too
+        assert rerun is sequential and threaded.records == sequential.records
         balanced = [e for e in entries if e["method"] == "balanced"]
         assert [e["order"] for e in balanced] == list(range(1, 9))
         for entry, (rec, reduced) in zip(balanced, want):
@@ -550,7 +550,7 @@ class TestBalancedSweep:
             ran.append(method)
             raise LookupError("adaptive")
 
-        def broken(real):
+        def broken(real):  # fails order 2: balanced_truncate(G, 2) or G - R_2
             def call(*args):
                 if args[-1] == 2 or getattr(args[-1], "n", None) == 2:
                     raise ArithmeticError("balanced")
