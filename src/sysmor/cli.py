@@ -15,7 +15,6 @@ import dataclasses
 import json
 import math
 import sys as _sys
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -91,43 +90,46 @@ def compare_methods(
     1 <= order <= max_order; balanced truncation contributes every order
     in that range.  Each entry carries the reduced system for reuse.
 
-    Entries, and the error raised, are those of running the methods one
-    after another: the first failing method in ``methods`` wins, and of
-    the balanced orders the lowest that fails.  The work runs in three
+    Entries, and the error raised, are those of running each method once,
+    in the order first listed: the first failing method wins, and of the
+    balanced orders the lowest that fails.  The work runs in three
     phases, every public call on this thread.  Every balanced order is
-    prepared first (see ``_BalancedOrder``), up to the first that fails.
-    One worker thread then solves each prepared order's first-level
-    Hamiltonian spectrum, lowest order first, while this thread runs the
-    adaptive methods; their eigensolves release the GIL and overlap.
-    Then this thread solves the spectra the worker has not started,
-    highest order first, and finishes each order in order
-    (``_balanced_entries``).  At most two Hamiltonians are in flight.
+    prepared first, up to the first that fails, and its first-level
+    Hamiltonian spectrum is queued on one worker thread
+    (``_prepare_balanced``), which solves them lowest order first while
+    this thread runs the adaptive methods; their eigensolves release the
+    GIL and overlap.  Then this thread cancels, highest order first, each
+    spectrum the worker has not started and solves it itself, and
+    finishes each order in order (``_balanced_entries``).  At most two
+    Hamiltonians are in flight.
     """
+    methods = list(dict.fromkeys(methods))  # a method listed twice runs once
     runs = {}  # method -> its entries, or the exception that ended its run
     orders = []
-    pending = deque()  # prepared orders whose spectrum no thread has taken
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        try:
-            if "balanced" in methods:
-                orders = _prepare_balanced(model, max_order, opts, pending, pool)
-            failed = any(isinstance(prepared, Exception) for prepared in orders)
-            for method in methods:
-                if method == "balanced" and failed:
-                    break  # a balanced order fails: no later method runs
-                if method in runs or method == "balanced":
-                    continue
-                try:
-                    runs[method] = _adaptive_entries(model, method, max_order, opts)
-                except Exception as exc:
-                    runs[method] = exc
-                    break
-            while _solve_next(pending.pop):
-                pass
-        finally:
-            pending.clear()  # an interrupted caller leaves the worker nothing
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        if "balanced" in methods:
+            orders = _prepare_balanced(model, max_order, opts, pool)
+        failed = any(isinstance(prepared, Exception) for prepared in orders)
+        for method in methods:
+            if method == "balanced" and failed:
+                break  # a balanced order fails: no later method runs
+            if method == "balanced":
+                continue
+            try:
+                runs[method] = _adaptive_entries(model, method, max_order, opts)
+            except Exception as exc:
+                runs[method] = exc
+                break
+        for prepared in reversed(orders):
+            if getattr(prepared, "future", None) and prepared.future.cancel():
+                prepared.solve()  # the worker had not started it
+    finally:
+        # an interrupted caller leaves the worker only the spectrum it solves
+        pool.shutdown(cancel_futures=True)
     entries = []
     for method in methods:
-        if method == "balanced" and method not in runs:
+        if method == "balanced":
             try:
                 runs[method] = _balanced_entries(model, orders, opts)
             except Exception as exc:
@@ -188,11 +190,11 @@ class _BalancedOrder:
         return _level_loop(err, self.search, self.spectrum)
 
 
-def _prepare_balanced(model, max_order, opts, pending, pool):
+def _prepare_balanced(model, max_order, opts, pool):
     """The prepared balanced orders 1..max_order, up to the first that
     fails, whose error takes its place in the list.  Each order whose
-    search needs a level test joins ``pending`` and sends the worker one
-    task."""
+    search needs a level test keeps as ``future`` its spectrum, submitted
+    to the one worker of ``pool``, which solves them lowest order first."""
     orders = []
     for order in range(1, max_order + 1):
         try:
@@ -202,21 +204,8 @@ def _prepare_balanced(model, max_order, opts, pending, pool):
             break
         orders.append(prepared)
         if isinstance(prepared.search, _Search):
-            pending.append(prepared)
-            pool.submit(_solve_next, pending.popleft)
+            prepared.future = pool.submit(prepared.solve)
     return orders
-
-
-def _solve_next(take) -> bool:
-    """Solve the order ``take`` removes from the pending deque (``popleft``
-    on the worker, lowest first; ``pop`` on the caller, highest first:
-    both are atomic), or return False when none is left."""
-    try:
-        prepared = take()
-    except IndexError:
-        return False
-    prepared.solve()
-    return True
 
 
 def _balanced_entries(model: StateSpace, orders, opts: StoppingOptions):

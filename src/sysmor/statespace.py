@@ -358,6 +358,13 @@ def static_gain(D) -> StateSpace:
 # O(n pairs^2) work and each chunk holds O(n pairs) memory.
 _CHUNK = 16
 
+# Entries of X per chunk of ``_shifted_solve`` on a diagonal T (2^12
+# complex, 64 kB).  Its solve is one division per entry, with no work
+# that grows with the chunk, so only memory sizes it: hundreds of
+# frequencies of a small model, and of a 270-state model with three
+# columns the 5 that ``_CHUNK`` gives.
+_DIAGONAL_CHUNK = 2**12
+
 _EIGENVALUE_AT = "j*{:g} is an eigenvalue of A within solver precision"
 
 
@@ -367,11 +374,13 @@ def _shifted_solve(
     """Solve (j*omega I - T) X = rhs, or (j*omega I - T^T) X = rhs with
     ``trans``, for T a ``_factor``'s (1-D eigenvalues or quasi-triangular),
     n x m real or complex rhs and every omega of the 1-D ``omegas``.
-    Yields (at, X) per chunk of ``_CHUNK`` // m frequencies (at least
-    one), with X[i] the n x m solution at omegas[at][i], so a caller
-    consumes each chunk in O(n _CHUNK) memory.
+    Yields (at, X) per chunk of ``_CHUNK`` // m frequencies on a Schur T,
+    ``_DIAGONAL_CHUNK`` // (n m) on a diagonal one (at least one), with
+    X[i] the n x m solution at omegas[at][i], so a caller consumes each
+    chunk in memory bounded by the chunk and not by the batch.
     """
-    step = max(1, _CHUNK // rhs.shape[1])
+    budget = _DIAGONAL_CHUNK // T.size if T.ndim == 1 else _CHUNK
+    step = max(1, budget // rhs.shape[1])
     for start in range(0, omegas.size, step):
         at = slice(start, start + step)
         yield at, _solve_chunk(T, omegas[at], rhs, trans)

@@ -372,6 +372,26 @@ class TestCompareCommand:
         assert rows and all(row.rstrip().endswith("x") for row in rows)
         assert "(x marks an unstable reduced model)" in out
 
+    def test_method_listed_twice_gives_its_rows_once(self, model_path, capsys):
+        # Each method runs once, in the order first listed.
+        model = random_stable(np.random.default_rng(7), n=6, q=2, p=2)
+        twice = sysmor.cli.compare_methods(
+            model, ["balanced", "balanced", "lowrank-aaa", "lowrank-aaa"], 2,
+            StoppingOptions(),
+        )
+        once = sysmor.cli.compare_methods(
+            model, ["balanced", "lowrank-aaa"], 2, StoppingOptions()
+        )
+        rows = [(e["method"], e["order"], e["linf_error"]) for e in twice]
+        assert rows == [(e["method"], e["order"], e["linf_error"]) for e in once]
+        assert len(set(rows)) == len(rows)
+        code = main(["compare", str(model_path), "--max-order", "3",
+                     "--methods", "balanced", "balanced"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert [ln.split()[1] for ln in out.splitlines()
+                if ln.startswith("balanced")] == ["1", "2", "3"]
+
     def test_max_order_validated(self, model_path, capsys):
         for value in ("9", "0", "-2"):
             code = main(["compare", str(model_path), "--max-order", value])
@@ -596,10 +616,11 @@ class TestBalancedSweep:
         assert len(solved) == count < 8
 
     def test_every_order_runs_once_under_fast_switching(self, monkeypatch):
-        # Thread switches every microsecond while both threads take orders
-        # from the two ends of one deque (the worker waits on its first
-        # order until the caller solves one): no order's spectrum is lost
-        # or solved twice, and each order is finished with its own, in order.
+        # Thread switches every microsecond while the worker runs the
+        # queued spectra lowest first and the caller cancels and solves
+        # them highest first (the worker waits on its first order until
+        # the caller solves one): no order's spectrum is lost or solved
+        # twice, and each order is finished with its own, in order.
         caller, calls, solvers, go = threading.get_ident(), [], set(), threading.Event()
 
         class Quick(sysmor.cli._BalancedOrder):

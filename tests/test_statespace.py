@@ -23,8 +23,11 @@ from sysmor import (
 )
 from sysmor.statespace import (
     _CHUNK,
+    _DIAGONAL_CHUNK,
     _response_slope,
     _same_dynamics,
+    _shifted_solve,
+    _solve_chunk,
     _solve_response,
     static_gain,
 )
@@ -191,6 +194,27 @@ class TestBatchedSolve:
             stacked = eval_freq(sys, omegas)
             single = np.stack([eval_freq(sys, w) for w in omegas])
             assert stacked.tobytes() == single.tobytes(), (name, k)
+
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_diagonal_chunks_are_bit_identical_to_one_frequency_solves(
+        self, trans
+    ):
+        # A diagonal factor's chunks are sized by their entries of X, so a
+        # small model's batch spans several chunks of hundreds of frequencies.
+        sys = _batched_models()["p>=q"]
+        T, left, right = sys._factor
+        rhs = left.T if trans else right
+        assert T.ndim == 1
+        omegas = 10.0 ** np.random.default_rng(23).uniform(-2, 2, 2000)
+        chunks = list(_shifted_solve(T, omegas, rhs, trans))
+        step = _DIAGONAL_CHUNK // rhs.size
+        assert 1 < step < omegas.size and len(chunks) == -(-omegas.size // step)
+        stacked = np.concatenate([X for _, X in chunks])
+        single = np.stack(
+            [_solve_chunk(T, omegas[i : i + 1], rhs, trans)[0]
+             for i in range(omegas.size)]
+        )
+        assert stacked.tobytes() == single.tobytes()
 
     def test_wide_model_solves_on_a_diagonal_factor(self):
         # so the transposed side (p < q) of the diagonal solve is covered
