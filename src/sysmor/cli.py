@@ -15,14 +15,13 @@ import dataclasses
 import json
 import math
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import norms
 from .balred import balanced_truncate
 from .exceptions import (
     DimensionMismatch,
-    ImaginaryAxisPoles,
     ParseError,
     RankOutOfRange,
     SysmorError,
@@ -30,9 +29,8 @@ from .exceptions import (
 )
 from .lowrank import reduce_lowrank
 from .modelio import _read_text, parse_raw_matrices, read_model, write_model
-from .norms import _Search, _hamiltonian_spectrum, _level_loop, _peak_search
 from .report import IterationRecord, ReductionReport, _error_cells
-from .statespace import StateSpace, eval_freq, is_stable, poles, subtract
+from .statespace import StateSpace, eval_freq, is_stable, poles
 from .sysaaa import StoppingOptions, _certify, reduce as reduce_sysaaa
 
 __all__ = ["main", "compare_methods", "run_method"]
@@ -92,27 +90,28 @@ def compare_methods(
 
     Entries, and the error raised, are those of running each method once,
     in the order first listed: the first failing method wins, and of the
-    balanced orders the lowest that fails.  The work runs in three
-    phases, every public call on this thread.  Every balanced order is
-    prepared first, up to the first that fails, and its first-level
-    Hamiltonian spectrum is queued on one worker thread
-    (``_prepare_balanced``), which solves them lowest order first while
-    this thread runs the adaptive methods; their eigensolves release the
-    GIL and overlap.  Then this thread cancels, highest order first, each
-    spectrum the worker has not started and solves it itself, and
-    finishes each order in order (``_balanced_entries``).  At most two
-    Hamiltonians are in flight.
+    balanced orders the lowest that fails.  The balanced orders are
+    truncated first, up to the first that fails.  Their L-infinity errors
+    come from ``norms._linf_sweep``, which runs the adaptive methods, one
+    after another on this thread, while its worker thread solves the
+    balanced orders' first level tests (the eigensolves overlap only on
+    error systems above about 250 states, where numpy's ``eigvals``
+    releases the GIL).  A failed truncation keeps the methods listed
+    after balanced from running.
     """
     methods = list(dict.fromkeys(methods))  # a method listed twice runs once
     runs = {}  # method -> its entries, or the exception that ended its run
-    orders = []
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        if "balanced" in methods:
-            orders = _prepare_balanced(model, max_order, opts, pool)
-        failed = any(isinstance(prepared, Exception) for prepared in orders)
+    reduced = []
+    for order in range(1, max_order + 1 if "balanced" in methods else 1):
+        try:
+            reduced.append(balanced_truncate(model, order)[0])
+        except Exception as exc:
+            runs["balanced"] = exc  # raised unless a lower order fails
+            break
+
+    def adaptive_runs():
         for method in methods:
-            if method == "balanced" and failed:
+            if method == "balanced" and "balanced" in runs:
                 break  # a balanced order fails: no later method runs
             if method == "balanced":
                 continue
@@ -121,19 +120,19 @@ def compare_methods(
             except Exception as exc:
                 runs[method] = exc
                 break
-        for prepared in reversed(orders):
-            if getattr(prepared, "future", None) and prepared.future.cancel():
-                prepared.solve()  # the worker had not started it
-    finally:
-        # an interrupted caller leaves the worker only the spectrum it solves
-        pool.shutdown(cancel_futures=True)
+
+    linfs = norms._linf_sweep(model, reduced, opts.bisect_rel_tol, adaptive_runs)
     entries = []
     for method in methods:
         if method == "balanced":
-            try:
-                runs[method] = _balanced_entries(model, orders, opts)
-            except Exception as exc:
-                runs[method] = exc
+            rows = []
+            for system, linf in zip(reduced, linfs):  # raises the lowest failure
+                record, _ = _certify(
+                    model, system, opts.bisect_rel_tol, linf,
+                    iteration=0, action="trunc", omega=None,
+                )
+                rows.append(_entry(method, record, system))
+            runs.setdefault(method, rows)  # a failed truncation stays
         if isinstance(runs[method], Exception):
             raise runs[method]
         entries += runs[method]
@@ -156,73 +155,6 @@ def _adaptive_entries(model, method, max_order, opts):
         for rec, iterate in zip(report.records, report.iterates)
         if 1 <= rec.order <= max_order
     ]
-
-
-class _BalancedOrder:
-    """One balanced order of ``compare_methods``, prepared on the calling
-    thread: the reduced model and the search step of its L-infinity error
-    (ImaginaryAxisPoles when the error system has axis poles, raised again
-    where the record is made).  The error system itself is dropped, and
-    built again for the record, so a prepared order holds no (n + k)^2
-    array."""
-
-    def __init__(self, model, order, rel_tol):
-        self.reduced, _ = balanced_truncate(model, order)
-        try:
-            self.search = _peak_search(subtract(model, self.reduced), rel_tol)
-        except ImaginaryAxisPoles as exc:
-            self.search = exc
-        self.spectrum = None
-
-    def solve(self):
-        """The spectrum of the first level test, or its error: the only
-        work of the worker thread, pure numpy on arrays no thread writes."""
-        try:
-            self.spectrum = _hamiltonian_spectrum(*self.search.tests[0])
-        except Exception as exc:
-            self.spectrum = exc
-
-    def norm(self, err):
-        """The L-infinity result of ``err``, the error system built again."""
-        for outcome in (self.search, self.spectrum):
-            if isinstance(outcome, Exception):
-                raise outcome
-        return _level_loop(err, self.search, self.spectrum)
-
-
-def _prepare_balanced(model, max_order, opts, pool):
-    """The prepared balanced orders 1..max_order, up to the first that
-    fails, whose error takes its place in the list.  Each order whose
-    search needs a level test keeps as ``future`` its spectrum, submitted
-    to the one worker of ``pool``, which solves them lowest order first."""
-    orders = []
-    for order in range(1, max_order + 1):
-        try:
-            prepared = _BalancedOrder(model, order, opts.bisect_rel_tol)
-        except Exception as exc:
-            orders.append(exc)
-            break
-        orders.append(prepared)
-        if isinstance(prepared.search, _Search):
-            prepared.future = pool.submit(prepared.solve)
-    return orders
-
-
-def _balanced_entries(model: StateSpace, orders, opts: StoppingOptions):
-    """The balanced entries of the prepared ``orders``, in order, each as
-    ``run_method`` gives it, or the error of the lowest order that fails.
-    Each order finishes here: the probes of its first level test, any
-    further level tests, the H2 metric and the record."""
-    entries = []
-    for prepared in orders:
-        if isinstance(prepared, Exception):
-            raise prepared
-        record, _ = _certify(
-            model, prepared.reduced, opts.bisect_rel_tol, norm=prepared.norm,
-            iteration=0, action="trunc", omega=None,
-        )
-        entries.append(_entry("balanced", record, prepared.reduced))
-    return entries
 
 
 def _entry(method: str, rec: IterationRecord, system: StateSpace) -> dict:

@@ -40,7 +40,7 @@ G - R, and a surrogate test whose crossings no probe refutes is
 repeated exactly at the same level, so ``certified`` keeps its meaning.
 The surrogate's test has 2(k + r) states instead of 2(n + r).
 
-``linf_norm`` runs in two steps that a caller may also run apart.  The
+``linf_norm`` runs in two steps that ``_linf_sweep`` runs apart.  The
 search step ``_peak_search`` checks for axis poles, sets the floor,
 probes the seeds, refines the best of them and picks the first level
 and its tests (surrogate included); the level loop ``_level_loop`` runs
@@ -59,6 +59,7 @@ from G's cached one, R's and one Sylvester solve for the block between.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,7 @@ from .statespace import (
     eval_freq,
     is_stable,
     poles,
+    subtract,
 )
 
 __all__ = ["LinfResult", "linf_norm", "h2_error_metric"]
@@ -146,7 +148,8 @@ def _hamiltonian_spectrum(
     reduction run.  A difference's A blocks are written straight from its
     operands, so H equals, bit for bit, that of the model ``subtract``
     builds, and no stacked n x n A is formed.  Pure numpy on the models'
-    arrays: no cached property is read, and ``eigvals`` releases the GIL.
+    arrays: no cached property is read.  ``eigvals`` releases the GIL only
+    on a large H: with numpy 2.4 it did at 512 x 512, not at 500 x 500.
     """
     if not gamma * gamma < math.inf:
         raise SingularAtFrequency(f"the Hamiltonian at level {gamma:g} overflows")
@@ -448,11 +451,67 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     certified upper bound as ``gamma``; ``omega_peak`` is the best
     frequency actually evaluated (omega = 0 and the omega -> inf
     feedthrough limit are always candidates).  Runs the search step
-    ``_peak_search`` and then the level loop ``_level_loop``, which a
-    caller may also run apart, with the first spectrum solved elsewhere.
+    ``_peak_search`` and then the level loop ``_level_loop``, which
+    ``_linf_sweep`` runs apart, with the first spectrum solved elsewhere.
     """
     search = _peak_search(sys, rel_tol)
     return search if isinstance(search, LinfResult) else _level_loop(sys, search)
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _linf_sweep(model: StateSpace, reduced, rel_tol: float, meanwhile) -> list:
+    """``linf_norm(subtract(model, r), rel_tol)`` for each r in
+    ``reduced``, in order, each its result or the exception it raised,
+    with ``meanwhile()`` run on this thread while one worker thread solves
+    the first level tests.
+
+    Each search step runs here, on an error system that is then dropped
+    and built again for the level loop, so no (n + k)^2 array is held
+    between the two.  Each first test's spectrum goes to the worker,
+    which solves them lowest first.  After ``meanwhile()`` this thread
+    cancels, highest first, each one the worker has not started and
+    solves it itself; then it runs the level loops in order.  The worker
+    runs nothing but ``_hamiltonian_spectrum``, so every public call stays
+    on this thread and at most two Hamiltonians are in flight.  They
+    overlap only where ``eigvals`` releases the GIL: the spectra of error
+    systems of up to about 250 states are solved one at a time.  An
+    exception from ``meanwhile()`` propagates once the worker has finished
+    the spectrum it is solving.
+    """
+    outcomes, spectra = [], []
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        for r in reduced:
+            search = _attempt(lambda: _peak_search(subtract(model, r), rel_tol))
+            outcomes.append(search)
+            spectra.append(
+                pool.submit(_hamiltonian_spectrum, *search.tests[0])
+                if isinstance(search, _Search) else None
+            )
+        meanwhile()
+        for i in reversed(range(len(spectra))):
+            if spectra[i] is not None and spectra[i].cancel():
+                spectra[i] = _attempt(_hamiltonian_spectrum, *outcomes[i].tests[0])
+    finally:
+        # an interrupted caller leaves the worker only the spectrum it solves
+        pool.shutdown(cancel_futures=True)
+    for i, (r, spectrum) in enumerate(zip(reduced, spectra)):
+        if isinstance(spectrum, Future):
+            spectrum = spectrum.exception() or spectrum.result()
+        if isinstance(spectrum, Exception):
+            outcomes[i] = spectrum
+        elif spectrum is not None:
+            outcomes[i] = _attempt(
+                lambda: _level_loop(subtract(model, r), outcomes[i], spectrum)
+            )
+    return outcomes
 
 
 def h2_error_metric(err_sys: StateSpace) -> float:

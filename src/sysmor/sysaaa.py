@@ -391,18 +391,21 @@ def realize_interpolant(blocks, weight: WeightMatrix, D: np.ndarray) -> StateSpa
 
 
 def _certify(
-    model: StateSpace, reduced: StateSpace, rel_tol: float, norm=None, **fields
+    model: StateSpace, reduced: StateSpace, rel_tol: float, linf=None, **fields
 ) -> tuple[IterationRecord, LinfResult | None]:
     """Record of one reduced model: the certified L-infinity error of
     G - R (inf, with no result, when that error system has poles on the
     imaginary axis) and whether a level test proved it, its H2 metric
     (None when the Lyapunov equation is ill-posed), the order and the
-    measured stability.  ``norm(err)``, when given, stands for
-    ``linf_norm(err, rel_tol)``.  ``fields`` carry the rest of the record
+    measured stability.  ``linf``, when given, is the outcome of
+    ``linf_norm(err, rel_tol)`` computed beforehand: its result or the
+    exception it raised.  ``fields`` carry the rest of the record
     (iteration, action, omega, ...)."""
     err = subtract(model, reduced)
     try:
-        lres = linf_norm(err, rel_tol) if norm is None else norm(err)
+        lres = linf_norm(err, rel_tol) if linf is None else linf
+        if isinstance(lres, Exception):
+            raise lres
     except ImaginaryAxisPoles:
         lres = None
     try:

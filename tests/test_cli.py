@@ -5,6 +5,7 @@ import itertools
 import json
 import threading
 import time
+import weakref
 from sys import getswitchinterval, modules as loaded, setswitchinterval
 from types import SimpleNamespace
 
@@ -26,6 +27,7 @@ from sysmor import (
     write_model,
 )
 import sysmor.cli
+import sysmor.norms
 import sysmor.numkernels
 import sysmor.statespace
 from sysmor.cli import _write_sigma_csv, main
@@ -513,13 +515,13 @@ class TestBalancedSweep:
                     for attr, value in list(vars(home).items()):
                         if value is fn:
                             monkeypatch.setattr(home, attr, wrapped)
-        spectrum = sysmor.cli._hamiltonian_spectrum
+        spectrum = sysmor.norms._hamiltonian_spectrum
 
         def solved(*args):
             solvers.add(threading.get_ident())
             return spectrum(*args)
 
-        monkeypatch.setattr(sysmor.cli, "_hamiltonian_spectrum", solved)
+        monkeypatch.setattr(sysmor.norms, "_hamiltonian_spectrum", solved)
         sysmor.cli.compare_methods(
             _plant(), ["balanced", "lowrank-aaa"], 8, StoppingOptions()
         )
@@ -534,7 +536,7 @@ class TestBalancedSweep:
         # later, on the caller: the error raised is order 3's, as in a loop
         # that stops at its first failure.
         caller, failed_on = threading.get_ident(), []
-        spectrum, levels = sysmor.cli._hamiltonian_spectrum, sysmor.cli._level_loop
+        spectrum, levels = sysmor.norms._hamiltonian_spectrum, sysmor.norms._level_loop
 
         def failing_spectrum(sys, gamma, minus=None):
             if threading.get_ident() == caller:
@@ -549,8 +551,8 @@ class TestBalancedSweep:
                 raise ArithmeticError("order 3")
             return levels(sys, search, first)
 
-        monkeypatch.setattr(sysmor.cli, "_hamiltonian_spectrum", failing_spectrum)
-        monkeypatch.setattr(sysmor.cli, "_level_loop", failing_levels)
+        monkeypatch.setattr(sysmor.norms, "_hamiltonian_spectrum", failing_spectrum)
+        monkeypatch.setattr(sysmor.norms, "_level_loop", failing_levels)
         threads = threading.active_count()
         with pytest.raises(ArithmeticError, match="order 3"):
             sysmor.cli.compare_methods(_plant(), ["balanced"], 6, StoppingOptions())
@@ -578,8 +580,9 @@ class TestBalancedSweep:
             return call
 
         monkeypatch.setattr(sysmor.cli, "run_method", failing_method)
-        name = "_hamiltonian_spectrum" if where == "spectrum" else "balanced_truncate"
-        monkeypatch.setattr(sysmor.cli, name, broken(getattr(sysmor.cli, name)))
+        home, name = ((sysmor.norms, "_hamiltonian_spectrum") if where == "spectrum"
+                      else (sysmor.cli, "balanced_truncate"))
+        monkeypatch.setattr(home, name, broken(getattr(home, name)))
         methods = ["balanced", "lowrank-aaa"]
         if not balanced_first:
             methods.reverse()
@@ -592,7 +595,7 @@ class TestBalancedSweep:
     def test_interrupt_joins_the_worker(self, monkeypatch):
         # An interrupt in the adaptive run reaches the caller once the
         # worker has finished the spectrum it is solving; it starts no other.
-        spectrum, solved = sysmor.cli._hamiltonian_spectrum, []
+        spectrum, solved = sysmor.norms._hamiltonian_spectrum, []
 
         def slow(*args):
             time.sleep(0.05)
@@ -603,7 +606,7 @@ class TestBalancedSweep:
             time.sleep(0.02)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(sysmor.cli, "_hamiltonian_spectrum", slow)
+        monkeypatch.setattr(sysmor.norms, "_hamiltonian_spectrum", slow)
         monkeypatch.setattr(sysmor.cli, "run_method", interrupted)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
@@ -623,13 +626,11 @@ class TestBalancedSweep:
         # twice, and each order is finished with its own, in order.
         caller, calls, solvers, go = threading.get_ident(), [], set(), threading.Event()
 
-        class Quick(sysmor.cli._BalancedOrder):
-            def __init__(self, model, order, rel_tol):
-                self.reduced, self.spectrum = order, None
-                self.search = sysmor.norms._Search(rel_tol, 0.0, 0.0, tests=[(order,)])
+        def search(order, rel_tol):  # order k stands for G_k and for G - G_k
+            return sysmor.norms._Search(rel_tol, 0.0, 0.0, tests=[(order,)])
 
-        def certify(model, order, rel_tol, norm, **fields):
-            assert norm.__self__.spectrum == order
+        def certify(model, order, rel_tol, linf, **fields):
+            assert linf == order  # the level loop hands back its spectrum
             return SimpleNamespace(order=order, linf_error=1.0, certified=True,
                                    h2_metric=1.0, stable=True), None
 
@@ -641,8 +642,11 @@ class TestBalancedSweep:
             solvers.add(threading.get_ident())
             return order
 
-        monkeypatch.setattr(sysmor.cli, "_BalancedOrder", Quick)
-        monkeypatch.setattr(sysmor.cli, "_hamiltonian_spectrum", solve)
+        monkeypatch.setattr(sysmor.cli, "balanced_truncate", lambda G, k: (k, None))
+        monkeypatch.setattr(sysmor.norms, "subtract", lambda G, k: k)
+        monkeypatch.setattr(sysmor.norms, "_peak_search", search)
+        monkeypatch.setattr(sysmor.norms, "_hamiltonian_spectrum", solve)
+        monkeypatch.setattr(sysmor.norms, "_level_loop", lambda k, search, first: first)
         monkeypatch.setattr(sysmor.cli, "_certify", certify)
         interval = getswitchinterval()
         setswitchinterval(1e-6)
@@ -681,6 +685,63 @@ class TestBalancedSweep:
         sysmor.cli.compare_methods(model, ["balanced"], 8, StoppingOptions())
         assert len(gramians) == 2
         assert len(svds) == 1
+
+    def test_at_most_two_spectra_in_flight(self, monkeypatch):
+        # Each spectrum sleeps before it solves, so that the GIL cannot
+        # hide a third concurrent call: at most two are in flight, and
+        # both threads solve some.
+        spectrum, lock = sysmor.norms._hamiltonian_spectrum, threading.Lock()
+        flight, solvers = {"now": 0, "peak": 0}, set()
+
+        def counted(*args):
+            with lock:
+                flight["now"] += 1
+                flight["peak"] = max(flight["peak"], flight["now"])
+                solvers.add(threading.get_ident())
+            try:
+                time.sleep(0.01)
+                return spectrum(*args)
+            finally:
+                with lock:
+                    flight["now"] -= 1
+
+        for name, home in list(loaded.items()):
+            if name.startswith("sysmor") and getattr(
+                home, "_hamiltonian_spectrum", None
+            ) is spectrum:
+                monkeypatch.setattr(home, "_hamiltonian_spectrum", counted)
+        sysmor.cli.compare_methods(
+            _plant(), ["balanced", "lowrank-aaa"], 8, StoppingOptions()
+        )
+        assert 1 <= flight["peak"] <= 2
+        assert len(solvers) == 2
+
+    def test_error_systems_are_freed_before_the_adaptive_run(self, monkeypatch):
+        # Every error system G - G_k built for a balanced order's search
+        # step is freed by the time the first adaptive method starts, so
+        # no (n + k)^2 array is held while the adaptive run goes.
+        subtract, run = sysmor.statespace.subtract, sysmor.cli.run_method
+        built, at_start = [], []
+
+        def tracked(g, r):
+            err = subtract(g, r)
+            built.append(weakref.ref(err))
+            return err
+
+        def first_run(model, method, opts):
+            if not at_start:
+                at_start.append([ref() is None for ref in built])
+            return run(model, method, opts)
+
+        for name, home in list(loaded.items()):
+            if name.startswith("sysmor") and getattr(home, "subtract", None) is subtract:
+                monkeypatch.setattr(home, "subtract", tracked)
+        monkeypatch.setattr(sysmor.cli, "run_method", first_run)
+        sysmor.cli.compare_methods(
+            _plant(), ["balanced", "lowrank-aaa"], 8, StoppingOptions()
+        )
+        assert at_start == [[True] * 8]
+
 
 class TestConvertCommand:
     def test_round_trip(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Public API surface: exported names, removed names, traced bindings,
 and identity equality of the array-carrying types."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -88,6 +89,19 @@ def test_benchmark_tracer_bindings_exist():
         for modname in homes:
             bound = getattr(importlib.import_module(modname), name, None)
             assert bound is home, f"{modname}.{name} is not {span}"
+
+
+def test_cli_imports_no_private_norms_name():
+    # compare's L-infinity schedule lives behind one norms entry, so the
+    # CLI imports none of the level-test internals by name.
+    cli = Path(importlib.util.find_spec("sysmor.cli").origin)
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse(cli.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module in ("norms", "sysmor.norms")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def _model():
