@@ -39,14 +39,16 @@ METHODS = ("sys-aaa", "lowrank-aaa", "balanced")
 
 
 def _options_from_args(args) -> StoppingOptions:
+    # --order, --target-linf and --keep-best are flags of reduce alone
+    defaults = StoppingOptions()
     order = getattr(args, "order", None)
     if order is not None and order < 0:
         raise DimensionMismatch(f"--order {order} is negative")
     return StoppingOptions(
         max_iterations=args.iters,
-        target_linf=args.target_linf,
+        target_linf=getattr(args, "target_linf", defaults.target_linf),
         target_order=order,
-        keep_best=args.keep_best,
+        keep_best=getattr(args, "keep_best", defaults.keep_best),
         bisect_rel_tol=args.tol_bisect,
         min_dist=args.min_dist,
     )
@@ -218,14 +220,9 @@ def _add_common_flags(sp):
     sp.add_argument("model", help="input model file (ss format)")
     sp.add_argument("--iters", type=_nonnegative_int, default=defaults.max_iterations,
                     help="iteration cap for adaptive methods (default %(default)s)")
-    sp.add_argument("--target-linf", type=_positive_float, default=None,
-                    help="stop when the certified error reaches this")
     sp.add_argument("--min-dist", type=_positive_float, default=defaults.min_dist,
                     help="relative rank-growth radius for lowrank-aaa "
                     "(default %(default)s)")
-    sp.add_argument("--keep-best", action=argparse.BooleanOptionalAction,
-                    default=defaults.keep_best,
-                    help="return the lowest-error iterate (default %(default)s)")
     sp.add_argument("--tol-bisect", type=_positive_float,
                     default=defaults.bisect_rel_tol,
                     help="relative tolerance of the norm bisection "
@@ -246,6 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
     red = sub.add_parser("reduce", help="reduce one model with one method")
     _add_common_flags(red)
     red.add_argument("--method", choices=METHODS, default="sys-aaa")
+    red.add_argument("--target-linf", type=_positive_float, default=None,
+                     help="stop when the certified error reaches this")
+    red.add_argument("--keep-best", action=argparse.BooleanOptionalAction,
+                     default=StoppingOptions().keep_best,
+                     help="return the lowest-error iterate (default %(default)s)")
     red.add_argument("--order", type=int, default=None,
                      help="target order (required for balanced)")
     red.add_argument("--output", "-o", metavar="PATH",

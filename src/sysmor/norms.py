@@ -40,13 +40,14 @@ G - R, and a surrogate test whose crossings no probe refutes is
 repeated exactly at the same level, so ``certified`` keeps its meaning.
 The surrogate's test has 2(k + r) states instead of 2(n + r).
 
-``linf_norm`` runs in two steps that ``_linf_sweep`` runs apart.  The
-search step ``_peak_search`` checks for axis poles, sets the floor,
-probes the seeds, refines the best of them and picks the first level
-and its tests (surrogate included); the level loop ``_level_loop`` runs
-the tests and may be handed the first one's spectrum, solved beforehand
-on any thread: ``_hamiltonian_spectrum`` is pure numpy on the models'
-arrays, and writes the A blocks of a difference from its operands.
+The computation is one generator, ``_linf_steps``: it yields the
+arguments of each level test and is sent the test's spectrum, so the
+spectrum may be solved on any thread (``_hamiltonian_spectrum`` is pure
+numpy on the models' arrays, and writes the A blocks of a difference
+from its operands).  ``linf_norm`` solves every test in turn;
+``_linf_sweep``, for compare's balanced orders, runs each order's
+generator to its first test, hands that test to a worker thread while
+the caller does other work, and then finishes each order.
 
 The search starts from the model's cached ``_seeds`` (omega = 0 and the
 |Im| and modulus of every pole); on the error system G - R of a reduction
@@ -59,6 +60,7 @@ from G's cached one, R's and one Sylvester solve for the block between.
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -308,74 +310,13 @@ def _surrogate(
     return _balanced_truncation(g, k), float(shifts[k - 1])
 
 
-def _level_tests(
-    sys: StateSpace, gamma_lb: float, rel_tol: float, floor: float
-) -> tuple[float, list]:
-    """The level above ``gamma_lb`` and the ``_hamiltonian_spectrum``
-    arguments of its tests: the surrogate's, when there is one, then the
-    exact test on ``sys`` (from its operands when it is a difference)."""
-    level = max(gamma_lb * (1.0 + rel_tol), floor)
-    kind, g, r = sys._origin
-    tests = [(g, level, r) if kind == "difference" else (sys, level, None)]
-    surrogate = _surrogate(sys, gamma_lb, rel_tol)
-    if surrogate is not None:
-        g_k, shift = surrogate
-        tests.insert(0, (g_k, level - shift, r))
-    return level, tests
-
-
-@dataclass
-class _Search:
-    """An L-infinity computation between its search step
-    (``_peak_search``) and its level loop (``_level_loop``): the best
-    probe so far, the gain-and-slope count, the lower bound and floor,
-    and the first level with the arguments of its tests.  It keeps no
-    array of the error system's stacked states, only the models the tests
-    read, so a caller may hold many and solve ``tests[0]`` anywhere."""
-
-    rel_tol: float
-    floor: float
-    d_gain: float
-    best_omega: float = 0.0
-    best_gain: float = -1.0
-    slopes: int = 0
-    gamma_lb: float = 0.0
-    level: float = 0.0
-    tests: list = ()
-
-    def _note(self, omega, gain) -> float:
-        if gain > self.best_gain:
-            self.best_gain, self.best_omega = float(gain), float(omega)
-        return float(gain)
-
-    def _gain_and_slope(self, sys, omega: float) -> tuple[float, float | None]:
-        self.slopes += 1
-        return _gain_and_slope(sys, omega)
-
-    def probe(self, sys: StateSpace, omegas: np.ndarray, level: float) -> float:
-        """The largest gain of ``sys`` over one sorted batch of frequencies
-        and, when it exceeds ``level``, of the refined peak between the
-        probes beside the best one."""
-        if not omegas.size:
-            return 0.0
-        gains = np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
-        k = int(np.argmax(gains))
-        top = self._note(omegas[k], gains[k])
-        lo, hi = omegas[max(k - 1, 0)], omegas[min(k + 1, omegas.size - 1)]
-        if top > level and lo < hi:
-            peak = _slope_root(
-                lambda omega: self._gain_and_slope(sys, omega), lo, omegas[k], hi
-            )
-            if peak is not None:
-                top = max(top, self._note(*peak))
-        return top
-
-
-def _peak_search(sys: StateSpace, rel_tol: float) -> _Search | LinfResult:
-    """The search step of ``linf_norm``: the axis-pole check, the floor,
-    the seed probes with their peak refinement, and the first level with
-    its tests (surrogate included).  A static ``sys`` needs no level test
-    and gets its result at once."""
+def _linf_steps(
+    sys: StateSpace, rel_tol: float
+) -> Generator[tuple, np.ndarray, LinfResult]:
+    """The computation of ``linf_norm`` as a generator: it yields the
+    ``_hamiltonian_spectrum`` arguments of each level test, is sent that
+    test's spectrum, and returns the ``LinfResult``.  A level test on a
+    difference G - R yields (G, level, R), so no stacked A is formed."""
     if not 0 < rel_tol < math.inf:
         raise ValueError("rel_tol must be positive and finite")
     d_gain = float(np.linalg.norm(sys.D, 2)) if sys.D.size else 0.0
@@ -393,55 +334,89 @@ def _peak_search(sys: StateSpace, rel_tol: float) -> _Search | LinfResult:
     b, c = (max(float(np.abs(M).max()), np.finfo(float).tiny) for M in (sys.B, sys.C))
     scaled = float(np.linalg.norm(sys.B / b) * np.linalg.norm(sys.C / c))
     rough = d_gain + b * c * scaled / margin
-    search = _Search(rel_tol, 1e-13 * min(max(1.0, rough), np.finfo(float).max), d_gain)
+    floor = 1e-13 * min(max(1.0, rough), np.finfo(float).max)
+
+    best_omega = 0.0
+    best_gain = -1.0
+    slopes = 0
+
+    def gain_and_slope(omega: float) -> tuple[float, float | None]:
+        nonlocal slopes
+        slopes += 1
+        return _gain_and_slope(sys, omega)
+
+    def note(omega, gain) -> float:
+        nonlocal best_omega, best_gain
+        if gain > best_gain:
+            best_gain, best_omega = float(gain), float(omega)
+        return float(gain)
+
+    def probe(omegas: np.ndarray, level: float) -> float:
+        """The largest gain of one sorted batch of frequencies and, when it
+        exceeds ``level``, of the refined peak between the probes beside
+        the best one."""
+        if not omegas.size:
+            return 0.0
+        gains = np.linalg.norm(eval_freq(sys, omegas), 2, axis=(1, 2))
+        k = int(np.argmax(gains))
+        top = note(omegas[k], gains[k])
+        lo, hi = omegas[max(k - 1, 0)], omegas[min(k + 1, omegas.size - 1)]
+        if top > level and lo < hi:
+            peak = _slope_root(gain_and_slope, lo, omegas[k], hi)
+            if peak is not None:
+                top = max(top, note(*peak))
+        return top
 
     # Seed candidates: DC, resonant frequencies, pole magnitudes.
-    search.probe(sys, sys._seeds, search.floor)
-    search.gamma_lb = max(search.best_gain, d_gain)
-    search.level, search.tests = _level_tests(
-        sys, search.gamma_lb, rel_tol, search.floor
-    )
-    return search
+    probe(sys._seeds, floor)
+    gamma_lb = max(best_gain, d_gain)
 
-
-def _level_loop(
-    sys: StateSpace, search: _Search, spectrum: np.ndarray | None = None
-) -> LinfResult:
-    """The level tests of ``linf_norm`` after its ``search`` step on the
-    same ``sys``; ``spectrum``, when given, is that of the first test,
-    ``_hamiltonian_spectrum(*search.tests[0])``, solved beforehand."""
-    s = search
-    gamma_lb, level, tests = s.gamma_lb, s.level, s.tests
+    kind, g, r = sys._origin
+    if kind != "difference":
+        g, r = sys, None
     certified = False
     runs = surrogate_tests = 0
     for _ in range(_MAX_LEVEL_ITERATIONS):
+        level = max(gamma_lb * (1.0 + rel_tol), floor)
+        tests = [(g, level, r)]
+        surrogate = _surrogate(sys, gamma_lb, rel_tol)
+        if surrogate is not None:
+            g_k, shift = surrogate
+            tests.insert(0, (g_k, level - shift, r))
         # The surrogate's test, when there is one, then the exact test, up
         # to the first that finds no crossings or whose probes refute them.
         for test in tests:
             runs += 1
             surrogate_tests += test is not tests[-1]
-            if spectrum is None:
-                spectrum = _hamiltonian_spectrum(*test)
-            suspects, crossed = _axis_frequencies(spectrum)
-            spectrum = None
-            new_lb = s.probe(sys, _with_midpoints(suspects), level)
+            suspects, crossed = _axis_frequencies((yield test))
+            new_lb = probe(_with_midpoints(suspects), level)
             if not crossed or new_lb > level:
                 break
         if new_lb <= level:
             # No probe refutes the level: a bound unless a crossing was seen.
-            below_floor = not crossed and gamma_lb <= s.floor
+            below_floor = not crossed and gamma_lb <= floor
             gamma = max(gamma_lb, 0.0) if below_floor else level
             certified = not crossed and not below_floor
             break
         gamma_lb = new_lb
-        level, tests = _level_tests(sys, gamma_lb, s.rel_tol, s.floor)
     else:
-        gamma = gamma_lb * (1.0 + s.rel_tol)
+        gamma = gamma_lb * (1.0 + rel_tol)
 
-    omega_peak = s.best_omega if s.best_gain >= s.d_gain else math.inf
+    omega_peak = best_omega if best_gain >= d_gain else math.inf
     return LinfResult(
-        float(gamma), omega_peak, runs, certified, surrogate_tests, s.slopes
+        float(gamma), omega_peak, runs, certified, surrogate_tests, slopes
     )
+
+
+def _finish(steps: Generator, spectrum: np.ndarray | None = None) -> LinfResult:
+    """The result of the ``_linf_steps`` generator ``steps``: it is sent
+    ``spectrum``, that of the test it waits on (None starts it), and each
+    later test is solved here."""
+    try:
+        while True:
+            spectrum = _hamiltonian_spectrum(*steps.send(spectrum))
+    except StopIteration as stop:
+        return stop.value
 
 
 def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResult:
@@ -450,12 +425,9 @@ def linf_norm(sys: StateSpace, rel_tol: float = DEFAULT_BISECT_RTOL) -> LinfResu
     Terminates when (upper - lower) / lower <= rel_tol and returns the
     certified upper bound as ``gamma``; ``omega_peak`` is the best
     frequency actually evaluated (omega = 0 and the omega -> inf
-    feedthrough limit are always candidates).  Runs the search step
-    ``_peak_search`` and then the level loop ``_level_loop``, which
-    ``_linf_sweep`` runs apart, with the first spectrum solved elsewhere.
+    feedthrough limit are always candidates).
     """
-    search = _peak_search(sys, rel_tol)
-    return search if isinstance(search, LinfResult) else _level_loop(sys, search)
+    return _finish(_linf_steps(sys, rel_tol))
 
 
 def _attempt(fn, *args):
@@ -472,45 +444,50 @@ def _linf_sweep(model: StateSpace, reduced, rel_tol: float, meanwhile) -> list:
     with ``meanwhile()`` run on this thread while one worker thread solves
     the first level tests.
 
-    Each search step runs here, on an error system that is then dropped
-    and built again for the level loop, so no (n + k)^2 array is held
-    between the two.  Each first test's spectrum goes to the worker,
-    which solves them lowest first.  After ``meanwhile()`` this thread
-    cancels, highest first, each one the worker has not started and
-    solves it itself; then it runs the level loops in order.  The worker
-    runs nothing but ``_hamiltonian_spectrum``, so every public call stays
-    on this thread and at most two Hamiltonians are in flight.  They
-    overlap only where ``eigvals`` releases the GIL: the spectra of error
-    systems of up to about 250 states are solved one at a time.  An
-    exception from ``meanwhile()`` propagates once the worker has finished
-    the spectrum it is solving.
+    Each order's ``_linf_steps`` runs here to its first test, whose
+    spectrum goes to the worker; the worker solves them lowest first.
+    After ``meanwhile()`` this thread cancels, highest first, each one the
+    worker has not started and solves it itself; then it finishes the
+    orders in turn.  An error system forms no stacked A, so no (n + k)^2
+    array is held while ``meanwhile()`` runs.  The worker runs nothing
+    but ``_hamiltonian_spectrum``, so every public call stays on this
+    thread and at most two Hamiltonians are in flight.  They overlap only
+    where ``eigvals`` releases the GIL: the spectra of error systems of
+    up to about 250 states are solved one at a time.  An exception from
+    ``meanwhile()`` propagates once the worker has finished the spectrum
+    it is solving.
     """
-    outcomes, spectra = [], []
+    outcomes, tests, spectra = [], [], []
     pool = ThreadPoolExecutor(max_workers=1)
     try:
         for r in reduced:
-            search = _attempt(lambda: _peak_search(subtract(model, r), rel_tol))
-            outcomes.append(search)
+            test = None
+            try:
+                steps = _linf_steps(subtract(model, r), rel_tol)
+                test = next(steps)
+            except StopIteration as stop:  # a static error system: no test
+                steps = stop.value
+            except Exception as exc:
+                steps = exc
+            outcomes.append(steps)
+            tests.append(test)
             spectra.append(
-                pool.submit(_hamiltonian_spectrum, *search.tests[0])
-                if isinstance(search, _Search) else None
+                None if test is None else pool.submit(_hamiltonian_spectrum, *test)
             )
         meanwhile()
         for i in reversed(range(len(spectra))):
             if spectra[i] is not None and spectra[i].cancel():
-                spectra[i] = _attempt(_hamiltonian_spectrum, *outcomes[i].tests[0])
+                spectra[i] = _attempt(_hamiltonian_spectrum, *tests[i])
     finally:
         # an interrupted caller leaves the worker only the spectrum it solves
         pool.shutdown(cancel_futures=True)
-    for i, (r, spectrum) in enumerate(zip(reduced, spectra)):
+    for i, spectrum in enumerate(spectra):
         if isinstance(spectrum, Future):
             spectrum = spectrum.exception() or spectrum.result()
         if isinstance(spectrum, Exception):
             outcomes[i] = spectrum
         elif spectrum is not None:
-            outcomes[i] = _attempt(
-                lambda: _level_loop(subtract(model, r), outcomes[i], spectrum)
-            )
+            outcomes[i] = _attempt(_finish, outcomes[i], spectrum)
     return outcomes
 
 

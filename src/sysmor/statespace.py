@@ -108,6 +108,7 @@ class StateSpace:
     at least one input and one output (else DimensionMismatch); ``n = 0``
     represents a static gain y = D u.  Instances compare and
     hash by identity, as every array-carrying result of ``sysmor`` does.
+    The error system of ``subtract`` forms its A when it is first read.
     """
 
     A: np.ndarray
@@ -115,7 +116,7 @@ class StateSpace:
     C: np.ndarray
     D: np.ndarray
 
-    def __post_init__(self, copy=True):
+    def __post_init__(self):
         D = _as_matrix(self.D, name="D")
         p, q = D.shape
         if p == 0 or q == 0:
@@ -137,14 +138,26 @@ class StateSpace:
         B = _as_matrix(B, rows=n, cols=q, name="B")
         C = _as_matrix(C, rows=p, cols=n, name="C")
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
-            M = M.copy() if copy else M
+            M = M.copy()
             M.setflags(write=False)
             object.__setattr__(self, name, M)
+
+    def __getattr__(self, name):
+        # Reached only for an attribute not yet set: the A of a difference
+        # from ``subtract``, block_diag(G.A, R.A), formed on its first read.
+        kind, of, minus = self._origin
+        if name != "A" or kind != "difference":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        A = _frozen(sla.block_diag(of.A, minus.A))[0]
+        object.__setattr__(self, "A", A)
+        return A
 
     @property
     def n(self) -> int:
         """State count."""
-        return self.A.shape[0]
+        return self.B.shape[0]
 
     @property
     def q(self) -> int:
@@ -294,16 +307,6 @@ class StateSpace:
         # summed from the smallest value up, so each tail keeps its digits
         tails = np.append(np.cumsum(hsv[::-1])[::-1], 0.0)
         return _Balancing(*_frozen(A, W.T @ self.B, self.C @ T, hsv, tails))
-
-
-def _adopt(A, B, C, D) -> StateSpace:
-    """A model on arrays built for it and referenced nowhere else:
-    validated and frozen as the constructor does, but not copied."""
-    model = object.__new__(StateSpace)
-    for name, M in zip("ABCD", (A, B, C, D)):
-        object.__setattr__(model, name, M)
-    model.__post_init__(copy=False)
-    return model
 
 
 def _derived(model: StateSpace, *origin) -> StateSpace:
@@ -547,16 +550,18 @@ def subtract(g: StateSpace, r: StateSpace) -> StateSpace:
     The result remembers its operands: its Schur factors, seeds,
     reachability Gramian and response are assembled from those of ``g``
     and ``r``, so a fixed ``g`` is factored, and solved at its seeds,
-    only once.
+    only once.  It stores the stacked B and C and D_g - D_r; its stacked
+    A, which no computation of ``sysmor`` reads, is formed on first read.
     """
     if (g.p, g.q) != (r.p, r.q):
         raise DimensionMismatch(
             f"cannot subtract {r.p}x{r.q} system from {g.p}x{g.q} system"
         )
-    A = sla.block_diag(g.A, r.A)
-    B = np.vstack([g.B, r.B])
-    C = np.hstack([g.C, -r.C])
-    return _derived(_adopt(A, B, C, g.D - r.D), "difference", g, r)
+    err = object.__new__(StateSpace)
+    stacked = np.vstack([g.B, r.B]), np.hstack([g.C, -r.C]), g.D - r.D
+    for name, M in zip("BCD", stacked):
+        object.__setattr__(err, name, _frozen(_as_matrix(M, name=name))[0])
+    return _derived(err, "difference", g, r)
 
 
 def dual(sys: StateSpace) -> StateSpace:

@@ -5,7 +5,6 @@ import itertools
 import json
 import threading
 import time
-import weakref
 from sys import getswitchinterval, modules as loaded, setswitchinterval
 from types import SimpleNamespace
 
@@ -536,7 +535,7 @@ class TestBalancedSweep:
         # later, on the caller: the error raised is order 3's, as in a loop
         # that stops at its first failure.
         caller, failed_on = threading.get_ident(), []
-        spectrum, levels = sysmor.norms._hamiltonian_spectrum, sysmor.norms._level_loop
+        spectrum, real = sysmor.norms._hamiltonian_spectrum, sysmor.norms._linf_steps
 
         def failing_spectrum(sys, gamma, minus=None):
             if threading.get_ident() == caller:
@@ -546,13 +545,14 @@ class TestBalancedSweep:
                 raise LookupError("order 4")
             return spectrum(sys, gamma, minus)
 
-        def failing_levels(sys, search, first=None):
+        def failing_steps(sys, tol):
+            result = yield from real(sys, tol)
             if sys._origin.minus.n == 3:
                 raise ArithmeticError("order 3")
-            return levels(sys, search, first)
+            return result
 
         monkeypatch.setattr(sysmor.norms, "_hamiltonian_spectrum", failing_spectrum)
-        monkeypatch.setattr(sysmor.norms, "_level_loop", failing_levels)
+        monkeypatch.setattr(sysmor.norms, "_linf_steps", failing_steps)
         threads = threading.active_count()
         with pytest.raises(ArithmeticError, match="order 3"):
             sysmor.cli.compare_methods(_plant(), ["balanced"], 6, StoppingOptions())
@@ -626,11 +626,11 @@ class TestBalancedSweep:
         # twice, and each order is finished with its own, in order.
         caller, calls, solvers, go = threading.get_ident(), [], set(), threading.Event()
 
-        def search(order, rel_tol):  # order k stands for G_k and for G - G_k
-            return sysmor.norms._Search(rel_tol, 0.0, 0.0, tests=[(order,)])
+        def steps(k, tol):  # order k stands for G_k and for G - G_k
+            return (yield (k,))
 
         def certify(model, order, rel_tol, linf, **fields):
-            assert linf == order  # the level loop hands back its spectrum
+            assert linf == order  # the steps hand back their spectrum
             return SimpleNamespace(order=order, linf_error=1.0, certified=True,
                                    h2_metric=1.0, stable=True), None
 
@@ -644,9 +644,8 @@ class TestBalancedSweep:
 
         monkeypatch.setattr(sysmor.cli, "balanced_truncate", lambda G, k: (k, None))
         monkeypatch.setattr(sysmor.norms, "subtract", lambda G, k: k)
-        monkeypatch.setattr(sysmor.norms, "_peak_search", search)
+        monkeypatch.setattr(sysmor.norms, "_linf_steps", steps)
         monkeypatch.setattr(sysmor.norms, "_hamiltonian_spectrum", solve)
-        monkeypatch.setattr(sysmor.norms, "_level_loop", lambda k, search, first: first)
         monkeypatch.setattr(sysmor.cli, "_certify", certify)
         interval = getswitchinterval()
         setswitchinterval(1e-6)
@@ -716,21 +715,23 @@ class TestBalancedSweep:
         assert 1 <= flight["peak"] <= 2
         assert len(solvers) == 2
 
-    def test_error_systems_are_freed_before_the_adaptive_run(self, monkeypatch):
-        # Every error system G - G_k built for a balanced order's search
-        # step is freed by the time the first adaptive method starts, so
-        # no (n + k)^2 array is held while the adaptive run goes.
+    def test_error_systems_form_no_stacked_A_before_the_adaptive_run(
+        self, monkeypatch
+    ):
+        # No error system G - G_k built for a balanced order's first test
+        # has formed its stacked A by the time the first adaptive method
+        # starts, so no (n + k)^2 array is held while the adaptive run goes.
         subtract, run = sysmor.statespace.subtract, sysmor.cli.run_method
         built, at_start = [], []
 
         def tracked(g, r):
             err = subtract(g, r)
-            built.append(weakref.ref(err))
+            built.append(err)
             return err
 
         def first_run(model, method, opts):
             if not at_start:
-                at_start.append([ref() is None for ref in built])
+                at_start.append(["A" not in vars(err) for err in built])
             return run(model, method, opts)
 
         for name, home in list(loaded.items()):
@@ -820,6 +821,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "must be nonnegative" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag", [["--target-linf", "0.1"], ["--keep-best"], ["--no-keep-best"]]
+    )
+    def test_compare_refuses_the_flags_of_reduce(self, model_path, capsys, flag):
+        # compare's adaptive runs go to --max-order and keep every iterate,
+        # so a stopping target or a best-iterate choice has no meaning there
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(model_path), *flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag[0] in err
 
     def test_non_integer_iters_is_malformed_input(self, model_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,14 @@
 """State-space container, frequency evaluation, interconnections, poles."""
 
+import copy
+import dataclasses
+import pickle
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -271,6 +275,19 @@ class TestBatchedSolve:
             assert str(err.value) == f"response overflow at omega={named}"
         assert np.isfinite(eval_freq(edge, 2.0)).all()
 
+    def test_singular_schur_chunk_is_solved_one_frequency_at_a_time(self):
+        # A Schur factor's chunk that dtrsyl reports singular is solved
+        # again per frequency: the singular one is named, and a chunk
+        # without it keeps the values of one-frequency calls.
+        G = StateSpace([[0.0, 2.0], [-2.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        sys = _same_dynamics(G, G.C, G.D)
+        assert sys._factor[0].ndim == 2
+        with pytest.raises(SingularAtFrequency, match=r"^j\*2 is an eigenvalue of A"):
+            eval_freq(sys, np.array([1.0, 2.0, 3.0]))
+        stacked = eval_freq(sys, np.array([1.0, 3.0]))
+        single = np.stack([eval_freq(sys, w) for w in (1.0, 3.0)])
+        assert stacked.tobytes() == single.tobytes()
+
     def test_chunk_threshold_refuses_no_solvable_frequency(self):
         # One dtrsyl call flags near-singular pivots below eps times the
         # largest |omega| of its chunk: 2.2e-12 with 1e4 in it, above this
@@ -426,9 +443,10 @@ class TestInterconnections:
 
     def test_subtract_adopts_its_stacked_arrays(self):
         # At the size of a 270-state G less a 12-state R, the stacked A
-        # (0.64 MB) is built once and handed to the model uncopied: the
-        # traced peak read 1.31 MB with the defensive copy, 0.66 MB
-        # without.  Arrays a caller passes in are still copied and frozen.
+        # (0.64 MB) is built once, on its first read, and kept uncopied:
+        # the traced peak of subtract and that read is 0.66 MB, where a
+        # defensive copy would make it 1.31 MB.  Arrays a caller passes in
+        # are still copied and frozen.
         rng = np.random.default_rng(17)
         g = StateSpace(rng.standard_normal((270, 270)), rng.standard_normal((270, 3)),
                        rng.standard_normal((6, 270)), np.zeros((6, 3)))
@@ -436,6 +454,7 @@ class TestInterconnections:
         tracemalloc.start()
         try:
             err = subtract(g, r)
+            err.A
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -445,6 +464,32 @@ class TestInterconnections:
         own = StateSpace(A, r.B, r.C, r.D)
         A[0, 0] += 1.0
         assert own.A[0, 0] == r.A[0, 0] and not own.A.flags.writeable
+
+    def test_difference_forms_its_A_on_first_read(self):
+        rng = np.random.default_rng(18)
+        g = random_stable(rng, n=5, q=2, p=3, feedthrough=True)
+        r = random_stable(rng, n=3, q=2, p=3)
+        err = subtract(g, r)
+        assert "A" not in vars(err)
+        assert err.n == 8 and "A" not in vars(err)
+        A = err.A
+        assert A.tobytes() == sla.block_diag(g.A, r.A).tobytes()
+        assert not A.flags.writeable and err.A is A
+        omegas = np.array([0.0, 0.7, 3.0])
+        fresh = subtract(g, r)
+        clones = [copy.copy(fresh), copy.deepcopy(fresh),
+                  pickle.loads(pickle.dumps(fresh)), dataclasses.replace(fresh)]
+        for clone in clones:
+            assert clone.n == 8 and clone.A.tobytes() == A.tobytes()
+        for clone in clones[:3]:  # still differences of g and r
+            np.testing.assert_array_equal(eval_freq(clone, omegas), eval_freq(err, omegas))
+        # a replaced model is built from its matrices, and factors its own A
+        np.testing.assert_allclose(
+            eval_freq(clones[3], omegas), eval_freq(err, omegas), rtol=1e-12
+        )
+        for model in (err, g):
+            with pytest.raises(AttributeError, match="no_such_name"):
+                model.no_such_name
 
     def test_dual_transposes_transfer(self):
         rng = np.random.default_rng(15)
