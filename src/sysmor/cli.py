@@ -10,7 +10,6 @@ into the documented model format.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -187,12 +186,11 @@ def _write_sigma_csv(path, model, reduced, points=2000):
         np.linalg.norm(value, 2, axis=(1, 2)) for value in (full, red, full - red)
     )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["omega_rad_s", "sigma_max_G", "sigma_max_R", "sigma_max_error"]
+        np.savetxt(
+            fh, np.column_stack([omegas, g_full, g_red, g_err]), fmt="%.10e",
+            delimiter=",", newline="\r\n", comments="",
+            header="omega_rad_s,sigma_max_G,sigma_max_R,sigma_max_error",
         )
-        for row in zip(omegas, g_full, g_red, g_err):
-            writer.writerow([f"{v:.10e}" for v in row])
 
 
 def _checked(kind, valid, requirement: str):

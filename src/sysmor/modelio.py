@@ -8,13 +8,16 @@ Format::
     <p lines of n reals>   C
     <p lines of q reals>   D
 
-Values are ASCII decimal, whitespace-separated; blank lines are ignored
-and a matrix with a zero dimension contributes no lines.  Values are
-written with enough digits that read(write(sys)) is bit-identical.
-NaN and infinity are rejected on input.
+Values are ASCII, whitespace-separated; blank lines are ignored and a
+matrix with a zero dimension contributes no lines.  A value is any finite
+spelling Python's ``float`` reads (sign, exponent, ``1_000``), in model
+files and raw dumps alike: NaN, infinity and overflow (``1e999``) are
+rejected.  Values are written with ``%.17g``, so read(write(sys)) is exact.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
@@ -24,24 +27,22 @@ from .statespace import StateSpace
 __all__ = ["format_model", "read_model", "write_model", "parse_raw_matrices"]
 
 
-def _parse_value(tok: str, where: str) -> float:
+def _values(tokens: list[str], where: str) -> np.ndarray:
+    """The tokens as float64 in one conversion (``np.array`` calls ``float``
+    on each str); ParseError naming the first bad or non-finite token."""
     try:
-        val = float(tok)
+        values = np.array(tokens, dtype=float)
     except ValueError:
-        raise ParseError(f"bad number {tok!r} in {where}") from None
-    if not np.isfinite(val):
-        raise ParseError(f"non-finite value {tok!r} in {where}")
-    return val
-
-
-def _parse_row(line: str, width: int, label: str, row: int) -> list[float]:
-    tokens = line.split()
-    if len(tokens) != width:
-        raise ParseError(
-            f"row {row + 1} of {label} has {len(tokens)} entries, "
-            f"expected {width}"
-        )
-    return [_parse_value(tok, label) for tok in tokens]
+        values = None
+    if values is None or not np.isfinite(values).all():
+        for tok in tokens:
+            try:
+                finite = np.isfinite(float(tok))
+            except ValueError:
+                raise ParseError(f"bad number {tok!r} in {where}") from None
+            if not finite:
+                raise ParseError(f"non-finite value {tok!r} in {where}")
+    return values
 
 
 def parse_model(text: str) -> StateSpace:
@@ -59,36 +60,38 @@ def parse_model(text: str) -> StateSpace:
     if min(n, q, p) < 0 or q == 0 or p == 0:
         raise ParseError(f"invalid dimensions n={n} q={q} p={p}")
 
-    body = lines[1:]
-    pos = 0
-    matrices = {}
+    pos = 1
+    matrices = []
     for label, rows, cols in (
         ("A", n, n), ("B", n, q), ("C", p, n), ("D", p, q)
     ):
-        if rows == 0 or cols == 0:
-            matrices[label] = np.zeros((rows, cols))
-            continue
-        if pos + rows > len(body):
-            raise ParseError(f"file ends inside matrix {label}")
-        data = [
-            _parse_row(body[pos + i], cols, label, i) for i in range(rows)
-        ]
-        pos += rows
-        matrices[label] = np.array(data).reshape(rows, cols)
-    if pos != len(body):
-        raise ParseError(f"{len(body) - pos} unexpected trailing lines")
-    return StateSpace(matrices["A"], matrices["B"], matrices["C"], matrices["D"])
+        M = np.empty((rows, cols))
+        if M.size:
+            if pos + rows > len(lines):
+                raise ParseError(f"file ends inside matrix {label}")
+            for i in range(rows):
+                tokens = lines[pos + i].split()
+                if len(tokens) != cols:
+                    raise ParseError(
+                        f"row {i + 1} of {label} has {len(tokens)} entries, "
+                        f"expected {cols}"
+                    )
+                M[i] = _values(tokens, label)
+            pos += rows
+        matrices.append(M)
+    if pos != len(lines):
+        raise ParseError(f"{len(lines) - pos} unexpected trailing lines")
+    return StateSpace(*matrices)
 
 
 def format_model(sys: StateSpace) -> str:
     """Render a model in the documented format (round-trip exact)."""
-    lines = [f"ss {sys.n} {sys.q} {sys.p}"]
+    out = io.StringIO()
+    out.write(f"ss {sys.n} {sys.q} {sys.p}\n")
     for M in (sys.A, sys.B, sys.C, sys.D):
-        if M.shape[0] == 0 or M.shape[1] == 0:
-            continue
-        for row in M:
-            lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+        if M.size:
+            np.savetxt(out, M, fmt="%.17g")
+    return out.getvalue()
 
 
 def _read_text(path) -> str:
@@ -115,16 +118,14 @@ def parse_raw_matrices(text: str, n: int, q: int, p: int) -> StateSpace:
     concatenated in that order) into a model, given its dimensions."""
     if min(n, q, p) < 0 or q == 0 or p == 0:
         raise ParseError(f"invalid dimensions n={n} q={q} p={p}")
-    values = [_parse_value(tok, "raw matrix dump") for tok in text.split()]
+    flat = _values(text.split(), "raw matrix dump")
     expected = n * n + n * q + p * n + p * q
-    if len(values) != expected:
+    if flat.size != expected:
         raise ParseError(
-            f"raw dump has {len(values)} values, expected {expected} "
+            f"raw dump has {flat.size} values, expected {expected} "
             f"for n={n} q={q} p={p}"
         )
-    flat = np.array(values)
-    splits = np.cumsum([n * n, n * q, p * n])
-    A, B, C, D = np.split(flat, splits)
+    A, B, C, D = np.split(flat, np.cumsum([n * n, n * q, p * n]))
     return StateSpace(
         A.reshape(n, n), B.reshape(n, q), C.reshape(p, n), D.reshape(p, q)
     )

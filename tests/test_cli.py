@@ -124,6 +124,22 @@ class TestReduceCommand:
         _write_sigma_csv(tmp_path / "sigma.csv", model, reduced, points=40)
         assert sorted(solved) == [3] * 40 + [8] * 40
 
+    def test_sigma_csv_bytes(self, tmp_path):
+        # 1/(s+1) + 1/(s+10) against 1/(s+1): the grid spans 4 decades
+        # around the poles; rows end in CRLF as csv.writer wrote them.
+        model = StateSpace(
+            [[-1.0, 0.0], [0.0, -10.0]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]]
+        )
+        reduced = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+        path = tmp_path / "sigma.csv"
+        _write_sigma_csv(path, model, reduced, points=3)
+        assert path.read_bytes() == (
+            b"omega_rad_s,sigma_max_G,sigma_max_R,sigma_max_error\r\n"
+            b"3.1622776602e-02,1.0994630874e+00,9.9950037469e-01,9.9999500004e-02\r\n"
+            b"3.1622776602e+00,3.6477095723e-01,3.0151134458e-01,9.5346258925e-02\r\n"
+            b"3.1622776602e+02,6.3223198397e-03,3.1622618489e-03,3.1606977062e-03\r\n"
+        )
+
     def test_static_model_sigma_csv_uses_default_grid(self, tmp_path, capsys):
         # No poles to centre the grid on: it spans 1e-2 to 1e2 rad/s.
         path = tmp_path / "static.ss"

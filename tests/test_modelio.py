@@ -1,10 +1,16 @@
 """Plain-text model format: round-trips and malformed-input rejection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sysmor import (
     ParseError,
+    StateSpace,
     format_model,
     parse_raw_matrices,
     read_model,
@@ -12,7 +18,27 @@ from sysmor import (
 )
 from sysmor.modelio import parse_model
 from sysmor.statespace import static_gain
-from oracles import random_stable
+from oracles import mass_chain, random_stable
+
+MAX = np.finfo(float).max
+# Every finite float, with the edges of the text format drawn often.
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, MAX, -MAX]
+)
+
+
+@st.composite
+def models(draw):
+    n = draw(st.integers(0, 6))
+    q, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return StateSpace(*(
+        draw(hnp.arrays(float, shape, elements=FINITE))
+        for shape in ((n, n), (n, q), (p, n), (p, q))
+    ))
+
+
+def _bits(sys):
+    return [np.ascontiguousarray(M).tobytes() for M in (sys.A, sys.B, sys.C, sys.D)]
 
 
 class TestRoundTrip:
@@ -49,6 +75,35 @@ class TestRoundTrip:
         back = read_model(path)
         np.testing.assert_array_equal(back.A, sys.A)
         np.testing.assert_array_equal(back.D, sys.D)
+
+    @given(sys=models())
+    @settings(
+        max_examples=60, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_any_finite_model_round_trips(self, sys, tmp_path):
+        path = tmp_path / "model.ss"
+        write_model(sys, path)
+        back = read_model(path)
+        assert _bits(back) == _bits(sys)
+        text = path.read_text()
+        assert format_model(parse_model(text)) == text
+
+    def test_parse_holds_one_line_of_tokens(self):
+        # All n^2 values as Python floats would cost 4 x A's bytes (32
+        # bytes a value); a line-at-a-time decode holds A, the lines of the
+        # text and one line of tokens (about 2.4 x).
+        io = (0, 75, 149)
+        sys = mass_chain(0, 150, inputs=io, outputs=io)
+        text = format_model(sys)
+        tracemalloc.start()
+        try:
+            back = parse_model(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _bits(back) == _bits(sys)
+        assert peak < 3.5 * sys.A.nbytes
 
     def test_header_counts(self):
         rng = np.random.default_rng(94)
@@ -112,6 +167,42 @@ class TestParseErrors:
     def test_infinity_rejected(self):
         with pytest.raises(ParseError, match="non-finite"):
             parse_model("ss 1 1 1\n-1\n1\ninf\n0\n")
+
+    @pytest.mark.parametrize("where", ["A", "B", "C", "D", "raw matrix dump"])
+    @pytest.mark.parametrize(
+        "token, problem",
+        [
+            ("1.2.3", "bad number"),
+            ("0x10", "bad number"),
+            ("nan", "non-finite value"),
+            ("-inf", "non-finite value"),
+            ("1e999", "non-finite value"),
+        ],
+    )
+    def test_offending_token_is_named(self, token, problem, where):
+        # ss 2 1 1 with the token first in the last row of ``where``
+        rows = {"A": ["-1 0", "0 -2"], "B": ["1", "1"], "C": ["1 0"], "D": ["0"]}
+        with pytest.raises(ParseError) as info:
+            if where == "raw matrix dump":
+                parse_raw_matrices(f"-1 0 0 -2 1 {token} 1 0 0", 2, 1, 1)
+            else:
+                rows[where][-1] = token + rows[where][-1][1:]
+                parse_model("ss 2 1 1\n" + "\n".join(sum(rows.values(), [])))
+        assert str(info.value) == f"{problem} {token!r} in {where}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a bad token in A is met before a short row of C
+            ("ss 2 1 1\n-1 x\n0 -2\n1\n1\n1\n0\n", "bad number 'x' in A"),
+            # B's rows are counted before they are read
+            ("ss 2 1 1\n-1 0\n0 -2\nnan\n", "file ends inside matrix B"),
+        ],
+    )
+    def test_first_of_two_errors_is_reported(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_model(text)
+        assert str(info.value) == message
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
