@@ -17,7 +17,6 @@ import sys as _sys
 
 import numpy as np
 
-from . import norms
 from .balred import balanced_truncate
 from .exceptions import (
     DimensionMismatch,
@@ -27,10 +26,11 @@ from .exceptions import (
     UnstableInput,
 )
 from .lowrank import reduce_lowrank
-from .modelio import _read_text, parse_raw_matrices, read_model, write_model
-from .report import IterationRecord, ReductionReport, _error_cells
+from .modelio import read_model, read_raw_matrices, write_model
+from .norms import linf_sweep
+from .report import IterationRecord, ReductionReport, error_cells
 from .statespace import StateSpace, eval_freq, is_stable, poles
-from .sysaaa import StoppingOptions, _certify, reduce as reduce_sysaaa
+from .sysaaa import StoppingOptions, certify, reduce as reduce_sysaaa
 
 __all__ = ["main", "compare_methods", "run_method"]
 
@@ -65,7 +65,7 @@ def run_method(
         if opts.target_order is None:
             raise RankOutOfRange("balanced truncation needs an explicit order")
         reduced, hsv = balanced_truncate(model, opts.target_order)
-        record, _ = _certify(
+        record, _ = certify(
             model, reduced, opts.bisect_rel_tol,
             iteration=0, action="trunc", omega=None,
         )
@@ -93,7 +93,7 @@ def compare_methods(
     in the order first listed: the first failing method wins, and of the
     balanced orders the lowest that fails.  The balanced orders are
     truncated first, up to the first that fails.  Their L-infinity errors
-    come from ``norms._linf_sweep``, which runs the adaptive methods, one
+    come from ``norms.linf_sweep``, which runs the adaptive methods, one
     after another on this thread, while its worker thread solves the
     balanced orders' first level tests (the eigensolves overlap only on
     error systems above about 250 states, where numpy's ``eigvals``
@@ -122,13 +122,13 @@ def compare_methods(
                 runs[method] = exc
                 break
 
-    linfs = norms._linf_sweep(model, reduced, opts.bisect_rel_tol, adaptive_runs)
+    linfs = linf_sweep(model, reduced, opts.bisect_rel_tol, adaptive_runs)
     entries = []
     for method in methods:
         if method == "balanced":
             rows = []
             for system, linf in zip(reduced, linfs):  # raises the lowest failure
-                record, _ = _certify(
+                record, _ = certify(
                     model, system, opts.bisect_rel_tol, linf,
                     iteration=0, action="trunc", omega=None,
                 )
@@ -182,8 +182,10 @@ def _sigma_grid(sys: StateSpace, points: int = 2000) -> np.ndarray:
 def _write_sigma_csv(path, model, reduced, points=2000):
     omegas = _sigma_grid(model, points)
     full, red = eval_freq(model, omegas), eval_freq(reduced, omegas)
+    siso = model.p == model.q == 1  # sigma_max of a scalar is its modulus
     g_full, g_red, g_err = (
-        np.linalg.norm(value, 2, axis=(1, 2)) for value in (full, red, full - red)
+        np.abs(value[:, 0, 0]) if siso else np.linalg.norm(value, 2, axis=(1, 2))
+        for value in (full, red, full - red)
     )
     with open(path, "w", newline="") as fh:
         np.savetxt(
@@ -297,7 +299,7 @@ def _cmd_reduce(args) -> int:
     print(report.format_text(hz=args.hz))
     final = report.final_record
     if final is not None:
-        linf, h2 = _error_cells(final.linf_error, final.certified, final.h2_metric)
+        linf, h2 = error_cells(final.linf_error, final.certified, final.h2_metric)
         print(
             f"final: order {final.order}, linf_error {linf}, "
             f"h2 {h2}, stable {final.stable}"
@@ -330,7 +332,7 @@ def _cmd_compare(args) -> int:
     print(f"frequencies in {unit}")
     print(f"{'method':<12} {'order':>5} {'linf_error':>13} {'h2':>13}  flag")
     for e in entries:
-        linf, h2 = _error_cells(e["linf_error"], e["certified"], e["h2_metric"])
+        linf, h2 = error_cells(e["linf_error"], e["certified"], e["h2_metric"])
         flag = "" if e["stable"] else "x"
         print(f"{e['method']:<12} {e['order']:>5} {linf:>13} {h2:>13}  {flag}")
     if any(not e["stable"] for e in entries):
@@ -346,7 +348,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    model = parse_raw_matrices(_read_text(args.raw), args.n, args.q, args.p)
+    model = read_raw_matrices(args.raw, args.n, args.q, args.p)
     write_model(model, args.output)
     print(
         f"wrote {args.output} (n={model.n}, q={model.q}, p={model.p}, "

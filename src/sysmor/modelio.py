@@ -18,13 +18,18 @@ rejected.  Values are written with ``%.17g``, so read(write(sys)) is exact.
 from __future__ import annotations
 
 import io
+import itertools
+import re
 
 import numpy as np
 
 from .exceptions import ParseError
 from .statespace import StateSpace
 
-__all__ = ["format_model", "read_model", "write_model", "parse_raw_matrices"]
+__all__ = ["format_model", "read_model", "write_model", "read_raw_matrices"]
+
+# Tokens of a raw dump decoded at a time, so no list of all its tokens is held.
+_RAW_SLICE = 4096
 
 
 def _values(tokens: list[str], where: str) -> np.ndarray:
@@ -113,12 +118,20 @@ def write_model(sys: StateSpace, path) -> None:
         fh.write(format_model(sys))
 
 
+def read_raw_matrices(path, n: int, q: int, p: int) -> StateSpace:
+    return parse_raw_matrices(_read_text(path), n, q, p)
+
+
 def parse_raw_matrices(text: str, n: int, q: int, p: int) -> StateSpace:
     """Convert a raw whitespace-separated dump of A, B, C, D (row-major,
     concatenated in that order) into a model, given its dimensions."""
     if min(n, q, p) < 0 or q == 0 or p == 0:
         raise ParseError(f"invalid dimensions n={n} q={q} p={p}")
-    flat = _values(text.split(), "raw matrix dump")
+    tokens = (match.group() for match in re.finditer(r"\S+", text))
+    slices = iter(lambda: list(itertools.islice(tokens, _RAW_SLICE)), [])
+    flat = np.concatenate(
+        [np.empty(0)] + [_values(chunk, "raw matrix dump") for chunk in slices]
+    )
     expected = n * n + n * q + p * n + p * q
     if flat.size != expected:
         raise ParseError(

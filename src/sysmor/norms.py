@@ -45,7 +45,7 @@ arguments of each level test and is sent the test's spectrum, so the
 spectrum may be solved on any thread (``_hamiltonian_spectrum`` is pure
 numpy on the models' arrays, and writes the A blocks of a difference
 from its operands).  ``linf_norm`` solves every test in turn;
-``_linf_sweep``, for compare's balanced orders, runs each order's
+``linf_sweep``, for compare's balanced orders, runs each order's
 generator to its first test, hands that test to a worker thread while
 the caller does other work, and then finishes each order.
 
@@ -80,7 +80,7 @@ from .statespace import (
     subtract,
 )
 
-__all__ = ["LinfResult", "linf_norm", "h2_error_metric"]
+__all__ = ["LinfResult", "linf_norm", "linf_sweep", "h2_error_metric"]
 
 DEFAULT_BISECT_RTOL = 1e-6
 
@@ -438,7 +438,7 @@ def _attempt(fn, *args):
         return exc
 
 
-def _linf_sweep(model: StateSpace, reduced, rel_tol: float, meanwhile) -> list:
+def linf_sweep(model: StateSpace, reduced, rel_tol: float, meanwhile) -> list:
     """``linf_norm(subtract(model, r), rel_tol)`` for each r in
     ``reduced``, in order, each its result or the exception it raised,
     with ``meanwhile()`` run on this thread while one worker thread solves

@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-__all__ = ["IterationRecord", "ReductionReport"]
+__all__ = ["IterationRecord", "ReductionReport", "error_cells"]
 
 
-def _error_cells(linf_error, certified, h2_metric) -> tuple[str, str]:
+def error_cells(linf_error, certified, h2_metric) -> tuple[str, str]:
     """Text of an L-infinity error, with ``~`` when it is not certified as
     an upper bound, and of an H2 metric, ``-`` when there is none."""
     linf = f"{linf_error:.6g}" + ("" if certified else "~")
@@ -98,7 +98,7 @@ class ReductionReport:
         lines.append(header)
         for rec in self.records:
             omega = f"{rec.omega / scale:.6g}" if rec.omega is not None else "-"
-            linf, h2 = _error_cells(rec.linf_error, rec.certified, rec.h2_metric)
+            linf, h2 = error_cells(rec.linf_error, rec.certified, rec.h2_metric)
             if rec.h2_metric is not None and not rec.h2_is_norm:
                 h2 += "*"
             lines.append(

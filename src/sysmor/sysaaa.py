@@ -58,6 +58,7 @@ __all__ = [
     "solve_weights",
     "realize_interpolant",
     "select_or_grow",
+    "certify",
     "reduce",
 ]
 
@@ -390,17 +391,18 @@ def realize_interpolant(blocks, weight: WeightMatrix, D: np.ndarray) -> StateSpa
     return StateSpace(A - B2 @ what, B2 @ D - B1, -what, D)
 
 
-def _certify(
+def certify(
     model: StateSpace, reduced: StateSpace, rel_tol: float, linf=None, **fields
 ) -> tuple[IterationRecord, LinfResult | None]:
-    """Record of one reduced model: the certified L-infinity error of
-    G - R (inf, with no result, when that error system has poles on the
-    imaginary axis) and whether a level test proved it, its H2 metric
-    (None when the Lyapunov equation is ill-posed), the order and the
-    measured stability.  ``linf``, when given, is the outcome of
-    ``linf_norm(err, rel_tol)`` computed beforehand: its result or the
-    exception it raised.  ``fields`` carry the rest of the record
-    (iteration, action, omega, ...)."""
+    """Record of one reduced model, and its ``LinfResult``: the certified
+    L-infinity error of G - R (inf, with no result, when that error system
+    has poles on the imaginary axis) and whether a level test proved it,
+    its H2 metric (None when the Lyapunov equation is ill-posed), the
+    order and the measured stability.  ``linf``, when given, is the
+    outcome of ``linf_norm(err, rel_tol)`` computed beforehand (as
+    ``linf_sweep`` computes it): its result or the exception it raised.
+    ``fields`` carry the rest of the record (iteration, action, omega,
+    ...).  The drivers and the CLI make every record here."""
     err = subtract(model, reduced)
     try:
         lres = linf_norm(err, rel_tol) if linf is None else linf
@@ -488,7 +490,7 @@ def _adaptive_loop(
     current = Interpolant(static_gain(work.D), (), WeightMatrix(np.eye(work.p), ()))
     action, acted_omega = "init", None
     while True:
-        record, lres = _certify(
+        record, lres = certify(
             work, current.sys, opts.bisect_rel_tol,
             iteration=len(report.records), action=action, omega=acted_omega,
             w0_condition=current.weights.w0_condition if points else None,

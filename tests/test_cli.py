@@ -20,6 +20,7 @@ from sysmor import (
     SingularW0,
     StateSpace,
     StoppingOptions,
+    balanced_truncate,
     eval_freq,
     read_model,
     reduce_lowrank,
@@ -30,7 +31,7 @@ import sysmor.norms
 import sysmor.numkernels
 import sysmor.statespace
 from sysmor.cli import _write_sigma_csv, main
-from oracles import random_stable, tf_eval
+from oracles import mass_chain, random_stable, tf_eval
 
 
 @pytest.fixture
@@ -139,6 +140,25 @@ class TestReduceCommand:
             b"3.1622776602e+00,3.6477095723e-01,3.0151134458e-01,9.5346258925e-02\r\n"
             b"3.1622776602e+02,6.3223198397e-03,3.1622618489e-03,3.1606977062e-03\r\n"
         )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_siso_sigma_csv_matches_the_svd(self, tmp_path, seed):
+        # sigma_max of a SISO response is its modulus: the CSV of the
+        # 60-mass chain (force on the first mass, position of the last)
+        # reads byte for byte as one written from the batched SVD.
+        model = mass_chain(seed, 60, inputs=(0,), outputs=(59,), jitter=1e-3)
+        reduced, _ = balanced_truncate(model, 8)
+        path = tmp_path / "sigma.csv"
+        _write_sigma_csv(path, model, reduced)
+        omegas = sysmor.cli._sigma_grid(model)
+        full, red = eval_freq(model, omegas), eval_freq(reduced, omegas)
+        columns = [omegas] + [
+            np.linalg.norm(value, 2, axis=(1, 2)) for value in (full, red, full - red)
+        ]
+        rows = "".join(
+            ",".join(f"{v:.10e}" for v in row) + "\r\n" for row in zip(*columns)
+        )
+        assert path.read_bytes().split(b"\r\n", 1)[1] == rows.encode()
 
     def test_static_model_sigma_csv_uses_default_grid(self, tmp_path, capsys):
         # No poles to centre the grid on: it spans 1e-2 to 1e2 rad/s.
@@ -541,6 +561,7 @@ class TestBalancedSweep:
             _plant(), ["balanced", "lowrank-aaa"], 8, StoppingOptions()
         )
         assert {"sysmor.balred.balanced_truncate", "sysmor.norms.linf_norm",
+                "sysmor.norms.linf_sweep", "sysmor.sysaaa.certify",
                 "sysmor.statespace.subtract", "sysmor.lowrank.reduce_lowrank",
                 "sysmor.cli.run_method"} <= threads.keys()
         assert {name: ids for name, ids in threads.items() if ids != {caller}} == {}
@@ -662,7 +683,7 @@ class TestBalancedSweep:
         monkeypatch.setattr(sysmor.norms, "subtract", lambda G, k: k)
         monkeypatch.setattr(sysmor.norms, "_linf_steps", steps)
         monkeypatch.setattr(sysmor.norms, "_hamiltonian_spectrum", solve)
-        monkeypatch.setattr(sysmor.cli, "_certify", certify)
+        monkeypatch.setattr(sysmor.cli, "certify", certify)
         interval = getswitchinterval()
         setswitchinterval(1e-6)
         try:

@@ -12,11 +12,11 @@ from sysmor import (
     ParseError,
     StateSpace,
     format_model,
-    parse_raw_matrices,
     read_model,
+    read_raw_matrices,
     write_model,
 )
-from sysmor.modelio import parse_model
+from sysmor.modelio import parse_model, parse_raw_matrices
 from sysmor.statespace import static_gain
 from oracles import mass_chain, random_stable
 
@@ -234,3 +234,44 @@ class TestRawMatrices:
     def test_bad_dimensions(self):
         with pytest.raises(ParseError):
             parse_raw_matrices("", 1, 0, 1)
+
+    def test_read_from_path(self, tmp_path):
+        path = tmp_path / "plant.raw"
+        path.write_text("-1 0\n0 -2\n1 1\n1 0 0\n")
+        back = read_raw_matrices(path, 2, 1, 1)
+        np.testing.assert_array_equal(back.A, [[-1.0, 0.0], [0.0, -2.0]])
+        np.testing.assert_array_equal(back.C, [[1.0, 0.0]])
+        with pytest.raises(ParseError, match="cannot read"):
+            read_raw_matrices(tmp_path / "absent.raw", 2, 1, 1)
+
+    def test_parse_holds_one_slice_of_tokens(self):
+        # The 3 x 3 chain of 150 masses: all n^2 tokens as one list of str
+        # held 8.9 x A's bytes; decoding a bounded slice of tokens at a
+        # time holds the values twice (the slices, then A) and one slice.
+        m = 150
+        sys = mass_chain(
+            0, m, inputs=(0, m // 3, 2 * m // 3),
+            outputs=(m // 3 - 1, 2 * m // 3 - 1, m - 1),
+        )
+        dump = " ".join(
+            repr(float(v)) for M in (sys.A, sys.B, sys.C, sys.D) for v in M.ravel()
+        )
+        tracemalloc.start()
+        try:
+            back = parse_raw_matrices(dump, sys.n, sys.q, sys.p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _bits(back) == _bits(sys)
+        assert peak < 3.5 * sys.A.nbytes
+
+    @pytest.mark.parametrize("at", [0, 5000])
+    def test_first_bad_token_of_a_long_dump_is_named(self, at):
+        # The offender at ``at``, in the first slice of tokens or a later
+        # one, is named ahead of a later one and of the count of values
+        # (9,001 of the 10,000 that n=90 q=10 p=10 need).
+        tokens = ["0"] * 9001
+        tokens[at], tokens[-1] = "x", "nan"
+        with pytest.raises(ParseError) as info:
+            parse_raw_matrices(" ".join(tokens), 90, 10, 10)
+        assert str(info.value) == "bad number 'x' in raw matrix dump"

@@ -33,11 +33,11 @@ REMOVED = (
 )
 
 
-def _expected_bindings():
+def _tracer():
     spec = importlib.util.spec_from_file_location("_sysmor_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.EXPECTED_BINDINGS
+    return tracer
 
 
 def test_exported_names_resolve():
@@ -70,6 +70,7 @@ def test_removed_names_are_gone():
 # but no driver, the CLI or the README needs them.
 LAYER_ONLY = {
     "static_gain": "statespace", "parse_model": "modelio",
+    "parse_raw_matrices": "modelio",
     "GramianResult": "numkernels", "WeightMatrix": "sysaaa",
 }
 
@@ -83,7 +84,7 @@ def test_layer_only_names_are_not_exported():
 def test_benchmark_tracer_bindings_exist():
     # The benchmark tracer wraps these functions at every listed module
     # binding; a refactor that drops one makes its self-check report it.
-    for span, homes in _expected_bindings().items():
+    for span, homes in _tracer().EXPECTED_BINDINGS.items():
         layer, name = span.split(".")
         home = getattr(importlib.import_module(f"sysmor.{layer}"), name)
         for modname in homes:
@@ -91,17 +92,57 @@ def test_benchmark_tracer_bindings_exist():
             assert bound is home, f"{modname}.{name} is not {span}"
 
 
-def test_cli_imports_no_private_norms_name():
-    # compare's L-infinity schedule lives behind one norms entry, so the
-    # CLI imports none of the level-test internals by name.
+def test_cli_uses_no_private_name_of_the_package():
+    # The CLI runs on public names: it neither imports a _-prefixed name
+    # from a sysmor module nor reads a _-prefixed attribute of one.
     cli = Path(importlib.util.find_spec("sysmor.cli").origin)
-    private = [
-        alias.name
-        for node in ast.walk(ast.parse(cli.read_text()))
-        if isinstance(node, ast.ImportFrom) and node.module in ("norms", "sysmor.norms")
-        for alias in node.names if alias.name.startswith("_")
-    ]
+    tree = ast.parse(cli.read_text())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {
+                alias.asname or alias.name.split(".")[0] for alias in node.names
+                if alias.name.split(".")[0] == "sysmor"
+            }
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "sysmor"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+                if node.module is None or node.module == "sysmor":  # a module
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        root = node
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if (
+            isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(root, ast.Name) and root.id in modules
+        ):
+            private.append(ast.unparse(node))
     assert private == []
+
+
+def test_compare_sweep_is_traced_under_compare_methods():
+    # The benchmark tracer wraps each layer's public functions, so the
+    # balanced orders' L-infinity sweep is a norms span of its own inside
+    # compare_methods, not compare_methods' self time.
+    from oracles import mass_chain
+
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        sysmor.cli.compare_methods(
+            mass_chain(0, 4, inputs=(0,), outputs=(3,)), ["balanced", "sys-aaa"],
+            3, sysmor.StoppingOptions(),
+        )
+    finally:
+        tracer.uninstall()
+    names = [name for name, *_ in tracer.spans]
+    sweeps = [parent for name, _, _, parent in tracer.spans if name == "norms.linf_sweep"]
+    assert len(sweeps) == 1 and names[sweeps[0]] == "cli.compare_methods"
+    assert tracer.absent == [] and tracer.invariant_violations() == []
 
 
 def _model():
