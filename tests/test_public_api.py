@@ -18,6 +18,7 @@ from sysmor import (
 )
 from sysmor.numkernels import GramianResult
 from sysmor.sysaaa import WeightMatrix
+from oracles import mass_chain
 
 LAYERS = (
     "statespace", "numkernels", "norms", "report", "sysaaa", "lowrank",
@@ -128,8 +129,6 @@ def test_compare_sweep_is_traced_under_compare_methods():
     # The benchmark tracer wraps each layer's public functions, so the
     # balanced orders' L-infinity sweep is a norms span of its own inside
     # compare_methods, not compare_methods' self time.
-    from oracles import mass_chain
-
     tracer = _tracer().Tracer()
     tracer.install()
     try:
