@@ -48,11 +48,9 @@ from .statespace import (
 
 __all__ = [
     "SupportPoint",
-    "BlockRealization",
     "Interpolant",
     "StoppingOptions",
     "sample_support_point",
-    "build_block",
     "assemble_error_system",
     "compute_X",
     "solve_weights",
@@ -98,7 +96,18 @@ class SupportPoint:
     leading left singular directions, the orthonormal columns of ``U``
     (p x r).  At omega = 0 the sample and ``U`` are real; a sample there
     with a non-negligible imaginary part raises NonRealSampleAtZero (a
-    real system cannot have one).
+    real system cannot have one).  ``omega`` must be finite and
+    nonnegative (ValueError).
+
+    The point is also its real interpolation block, built on first read.
+    The r rows of ``L`` are the interpolated directions: I_p for a full
+    point, U^H for a rank-r one; reading ``L`` (or any block matrix)
+    raises DegenerateFactors when the rank exceeds ``numerical_rank`` (a
+    retained direction carries nothing to interpolate).  For omega = 0
+    the block is (0_r, [L G(0), L]) with r states; for omega > 0 it pairs
+    +/- j*omega through the skew rotation A = [[0, omega I], [-omega I, 0]]
+    with 2r states, and B1 = [Re L G; -Im L G], B2 = [Re L; -Im L].
+    ``B1`` carries the data, ``B2`` the channel L used for reweighting.
     """
 
     omega: float
@@ -108,8 +117,8 @@ class SupportPoint:
     numerical_rank: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("support frequencies are nonnegative")
+        if not 0 <= self.omega < math.inf:
+            raise ValueError("support frequencies are nonnegative and finite")
         value = np.atleast_2d(np.asarray(self.sample))
         if self.omega == 0.0:
             imag = float(np.abs(np.imag(value)).max(initial=0.0))
@@ -138,6 +147,31 @@ class SupportPoint:
         width = self.sample.shape[0] if self.rank is None else self.rank
         return width if self.is_zero else 2 * width
 
+    @cached_property
+    def L(self) -> np.ndarray:
+        if self.rank is None:
+            return np.eye(self.sample.shape[0])
+        if self.rank > self.numerical_rank:
+            raise DegenerateFactors(
+                "retained singular values include a numerically zero entry"
+            )
+        return self.U.conj().T
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        r = self.L.shape[0]
+        if self.is_zero:
+            return np.zeros((r, r))
+        return self.omega * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(r))
+
+    @cached_property
+    def B1(self) -> np.ndarray:
+        return _realify(self.L @ self.sample, self.omega)
+
+    @cached_property
+    def B2(self) -> np.ndarray:
+        return _realify(self.L, self.omega)
+
 
 def sample_support_point(
     sys: StateSpace, omega: float, rank: int | None = None
@@ -145,29 +179,6 @@ def sample_support_point(
     """Sample G(j*omega) into a ``SupportPoint`` of the given ``rank``."""
     value = np.atleast_2d(eval_freq(sys, omega))
     return SupportPoint(float(omega), value, rank)
-
-
-@dataclass(frozen=True, eq=False)
-class BlockRealization:
-    """Real state-space block encoding interpolation at one frequency.
-
-    The r rows of ``L`` are the interpolated directions: I_p for a full
-    point, U^H for a rank-r one.  For omega = 0 the block is
-    (0_r, [L G(0), L]) with r states; for omega > 0 it pairs +/- j*omega
-    through the skew rotation A = [[0, omega I], [-omega I, 0]] with 2r
-    states, and B1 = [Re L G; -Im L G], B2 = [Re L; -Im L].  ``B1``
-    carries the data, ``B2`` the channel L used later for reweighting.
-    """
-
-    omega: float
-    A: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
-    L: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.A.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +239,9 @@ class StoppingOptions:
     certified error rather than the last one; a later error displaces an
     earlier one only when it is smaller by more than ``bisect_rel_tol``,
     the precision of each bound.  ``min_dist`` is the relative radius
-    within which a peak grows a rank-limited point; it must be positive
-    and finite (ValueError).
+    within which a peak grows a rank-limited point.  ``min_dist`` and
+    ``bisect_rel_tol`` must be positive and finite, and ``target_linf``
+    None or positive and finite (ValueError).
     """
 
     max_iterations: int = 20
@@ -242,6 +254,10 @@ class StoppingOptions:
     def __post_init__(self):
         if not 0 < self.min_dist < math.inf:
             raise ValueError("min_dist must be positive")
+        if not 0 < self.bisect_rel_tol < math.inf:
+            raise ValueError("bisect_rel_tol must be positive and finite")
+        if self.target_linf is not None and not 0 < self.target_linf < math.inf:
+            raise ValueError("target_linf must be positive and finite")
 
 
 def _realify(M: np.ndarray, omega: float) -> np.ndarray:
@@ -253,47 +269,11 @@ def _realify(M: np.ndarray, omega: float) -> np.ndarray:
     return np.vstack([M.real, M.conj().imag])
 
 
-def build_block(point: SupportPoint) -> BlockRealization:
-    """Interpolation block for one support point.
-
-    The block interpolates the data L G(j*omega) along the directions L:
-    L = I_p for a full point and L = U^H for a rank-r point.  Raises
-    DegenerateFactors when a rank-r point's rank exceeds the numerical
-    rank of its sample (a retained direction carries nothing to
-    interpolate).
-    """
-    if point.rank is None:
-        L = np.eye(point.sample.shape[0])
-    elif point.rank > point.numerical_rank:
-        raise DegenerateFactors(
-            "retained singular values include a numerically zero entry"
-        )
-    else:
-        L = point.U.conj().T
-    r, omega = L.shape[0], float(point.omega)
-    if omega == 0.0:
-        A = np.zeros((r, r))
-    else:
-        A = omega * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(r))
-    return BlockRealization(
-        omega, A, _realify(L @ point.sample, omega), _realify(L, omega), L
-    )
-
-
-def _stack_blocks(blocks, p: int, q: int):
-    if not blocks:
-        return np.zeros((0, 0)), np.zeros((0, q)), np.zeros((0, p))
-    A = scipy.linalg.block_diag(*[blk.A for blk in blocks])
-    B1 = np.vstack([blk.B1 for blk in blocks])
-    B2 = np.vstack([blk.B2 for blk in blocks])
-    return A, B1, B2
-
-
-def assemble_error_system(blocks, sys: StateSpace) -> StateSpace:
+def assemble_error_system(points, sys: StateSpace) -> StateSpace:
     """Cancelled realization of H(s) = N(s) - M(s) G(s).
 
-    The first p rows carry D - G(s); block k contributes the rows
-    (sI - A_k)^{-1} (B1_k - B2_k G(s)).  Splitting the cross term through
+    The first p rows carry D - G(s); the block of point k contributes the
+    rows (sI - A_k)^{-1} (B1_k - B2_k G(s)).  Splitting the cross term through
     the solution of A_k Y_k - Y_k A = B2_k C turns each block row into
     Y_k (sI - A)^{-1} B plus a resolvent of A_k weighted by
     B1_k - Y_k B - B2_k D, and that weight is zero exactly when the block
@@ -308,13 +288,13 @@ def assemble_error_system(blocks, sys: StateSpace) -> StateSpace:
     """
     p, q = sys.p, sys.q
     rows = [-sys.C]
-    resolvents = _output_resolvent(sys, np.array([blk.omega for blk in blocks]))
-    for blk, Zc in zip(blocks, resolvents):
-        Y = _realify(blk.L @ Zc, blk.omega)
+    resolvents = _output_resolvent(sys, np.array([pt.omega for pt in points]))
+    for pt, Zc in zip(points, resolvents):
+        Y = _realify(pt.L @ Zc, pt.omega)
         coupled = Y @ sys.B
-        weight = blk.B1 - coupled - blk.B2 @ sys.D
+        weight = pt.B1 - coupled - pt.B2 @ sys.D
         scale = 1.0 + max(
-            float(np.abs(blk.B1).max(initial=0.0)),
+            float(np.abs(pt.B1).max(initial=0.0)),
             float(np.abs(coupled).max(initial=0.0)),
         )
         if float(np.abs(weight).max(initial=0.0)) > _AXIS_RESIDUAL_RTOL * scale:
@@ -323,7 +303,7 @@ def assemble_error_system(blocks, sys: StateSpace) -> StateSpace:
                 "match the model at its frequency"
             )
         rows.append(Y)
-    n_out = p + sum(blk.order for blk in blocks)
+    n_out = p + sum(pt.order for pt in points)
     return _same_dynamics(sys, np.vstack(rows), np.zeros((n_out, q)))
 
 
@@ -370,18 +350,23 @@ def solve_weights(X: np.ndarray, p: int) -> WeightMatrix:
     )
 
 
-def realize_interpolant(blocks, weight: WeightMatrix, D: np.ndarray) -> StateSpace:
-    """Closed-form interpolant from weights and blocks.
+def realize_interpolant(points, weight: WeightMatrix, D: np.ndarray) -> StateSpace:
+    """Closed-form interpolant from weights and support points.
 
-    With the stacked block data (A, B1, B2) and W = [W0 W1], the reduced
-    model is (A - B2 W0^{-1} W1, B2 D - B1, -W0^{-1} W1, D); with no
-    blocks this degenerates to the static feedthrough.  A leading block
+    With the points' stacked block data (A, B1, B2) and W = [W0 W1], the
+    reduced model is (A - B2 W0^{-1} W1, B2 D - B1, -W0^{-1} W1, D); with
+    no points this degenerates to the static feedthrough.  A leading block
     W0 with condition number beyond 1e12 would make the normalization
     meaningless and raises SingularW0.
     """
     D = np.atleast_2d(np.asarray(D, dtype=float))
     p, q = D.shape
-    A, B1, B2 = _stack_blocks(blocks, p, q)
+    if points:
+        A = scipy.linalg.block_diag(*[pt.A for pt in points])
+        B1 = np.vstack([pt.B1 for pt in points])
+        B2 = np.vstack([pt.B2 for pt in points])
+    else:
+        A, B1, B2 = np.zeros((0, 0)), np.zeros((0, q)), np.zeros((0, p))
     if weight.W.shape[1] != p + A.shape[0]:
         raise ValueError("weight width does not match block states")
     cond = weight.w0_condition
@@ -433,7 +418,7 @@ def select_or_grow(candidate_omega: float, points, min_dist: float) -> int | Non
 
     A peak within ``min_dist * max(1, omega_i)`` of the nearest point
     grows that point when it is rank-limited and its rank is below the
-    ``numerical_rank`` of its sample, the limit ``build_block`` enforces;
+    ``numerical_rank`` of its sample, the limit its ``L`` enforces;
     Saturated is raised when it is not (nothing left to refine there).
     Full points never grow.  Otherwise a peak that coincides with any
     point raises DuplicateSupportPoint.
@@ -543,11 +528,10 @@ def _adaptive_loop(
             break
 
         points = step
-        blocks = [build_block(pt) for pt in points]
-        X = compute_X(assemble_error_system(blocks, work))
+        X = compute_X(assemble_error_system(points, work))
         try:
             weight = solve_weights(X, work.p)
-            reduced = realize_interpolant(blocks, weight, work.D)
+            reduced = realize_interpolant(points, weight, work.D)
         except (SingularW0, InsufficientSpectrum) as exc:
             report.warn(f"{type(exc).__name__}: {exc}")
             termination = "weight computation failed"

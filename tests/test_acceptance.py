@@ -18,7 +18,6 @@ from sysmor import (
     StateSpace,
     StoppingOptions,
     balanced_truncate,
-    build_block,
     assemble_error_system,
     compute_X,
     eval_freq,
@@ -194,12 +193,9 @@ def test_criterion_6_weight_rotation_invariance():
     # unchanged (1e-9 relative at 10 random frequencies, 20 draws of Q).
     rng = np.random.default_rng(1006)
     sys = random_stable(rng, 12, 2, 2)
-    blocks = [
-        build_block(sample_support_point(sys, 0.0)),
-        build_block(sample_support_point(sys, 1.3)),
-    ]
-    weight = solve_weights(compute_X(assemble_error_system(blocks, sys)), sys.p)
-    base = realize_interpolant(blocks, weight, sys.D)
+    points = [sample_support_point(sys, 0.0), sample_support_point(sys, 1.3)]
+    weight = solve_weights(compute_X(assemble_error_system(points, sys)), sys.p)
+    base = realize_interpolant(points, weight, sys.D)
     omegas = 10.0 ** rng.uniform(-2, 2, size=10)
     base_vals = [eval_freq(base, w) for w in omegas]
     for _ in range(20):
@@ -207,7 +203,7 @@ def test_criterion_6_weight_rotation_invariance():
         Q, R = np.linalg.qr(M)
         Q = Q * np.sign(np.diag(R))
         rotated = realize_interpolant(
-            blocks, WeightMatrix(Q @ weight.W, weight.selected_eigenvalues), sys.D
+            points, WeightMatrix(Q @ weight.W, weight.selected_eigenvalues), sys.D
         )
         for w, ref in zip(omegas, base_vals):
             gap = np.linalg.norm(eval_freq(rotated, w) - ref, 2)

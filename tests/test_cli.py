@@ -960,7 +960,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "name, error",
         [
-            ("build_block", DegenerateFactors),
+            ("realize_interpolant", DegenerateFactors),
             ("assemble_error_system", ResidualImaginaryPoles),
             ("sample_support_point", NonRealSampleAtZero),
         ],
@@ -969,7 +969,7 @@ class TestExitCodes:
         self, model_path, capsys, monkeypatch, name, error
     ):
         # Raised on the second call, which the driver makes in its second
-        # step (the first step builds, assembles and samples once): exit 4,
+        # step (the first step samples, assembles and realizes once): exit 4,
         # no traceback and no reduced model beside the input.
         import sysmor.sysaaa as mod
 

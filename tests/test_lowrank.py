@@ -16,7 +16,6 @@ from sysmor import (
     StoppingOptions,
     SupportPoint,
     UnstableInput,
-    build_block,
     dual,
     eval_freq,
     reduce,
@@ -62,8 +61,9 @@ class TestTruncateSample:
         assert SupportPoint(1.0, sample, 2).order == 4
 
     def test_one_svd_per_point(self, monkeypatch):
-        # U and numerical_rank come from one SVD of the sample; a
-        # rank growth makes a new point, which factors the sample once.
+        # U and numerical_rank come from one SVD of the sample, and the
+        # block takes none; a rank growth makes a new point, which factors
+        # the sample once.
         real, calls = np.linalg.svd, []
 
         def counted(*args, **kwargs):
@@ -75,39 +75,40 @@ class TestTruncateSample:
         sample = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         pt = make_point(1.0, sample, 1)
         assert pt.numerical_rank == 2 and pt.U.shape == (3, 1)
-        build_block(pt)
+        assert (pt.A.shape, pt.B1.shape, pt.B2.shape) == ((2, 2), (2, 2), (2, 3))
         assert select_or_grow(1.001, [pt], min_dist=0.01) == 0
         grown = replace(pt, rank=2)
-        build_block(grown)
+        assert (grown.A.shape, grown.B1.shape, grown.B2.shape) == (
+            (4, 4), (4, 2), (4, 3)
+        )
         with pytest.raises(Saturated):
             select_or_grow(1.001, [grown], min_dist=0.01)
         assert calls == [(3, 2), (3, 2)]
 
 
 class TestBuildLowRankBlock:
-    """``build_block`` on rank-r points: directions U^H, data U^H G."""
+    """The block of a rank-r point: directions U^H, data U^H G."""
 
     def test_state_counts(self):
         rng = np.random.default_rng(71)
         sample = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert build_block(make_point(1.0, sample, 1)).order == 2
-        assert build_block(make_point(1.0, sample, 2)).order == 4
-        assert build_block(make_point(0.0, sample.real, 1)).order == 1
+        assert make_point(1.0, sample, 1).A.shape == (2, 2)
+        assert make_point(1.0, sample, 2).A.shape == (4, 4)
+        assert make_point(0.0, sample.real, 1).A.shape == (1, 1)
 
     def test_full_rank_zero_frequency_matches_sample(self):
         rng = np.random.default_rng(72)
         sample = rng.standard_normal((2, 2))
-        blk = build_block(SupportPoint(0.0, sample, 2))
-        # U B1 = U U^T G recovers the sample; U B2 = U U^T = I at full rank.
         pt = SupportPoint(0.0, sample, 2)
-        np.testing.assert_allclose(pt.U @ blk.B1, sample, atol=1e-12)
-        np.testing.assert_allclose(pt.U @ blk.B2, np.eye(2), atol=1e-12)
+        # U B1 = U U^T G recovers the sample; U B2 = U U^T = I at full rank.
+        np.testing.assert_allclose(pt.U @ pt.B1, sample, atol=1e-12)
+        np.testing.assert_allclose(pt.U @ pt.B2, np.eye(2), atol=1e-12)
 
     def test_degenerate_rank_rejected(self):
         rank_one = np.outer([1.0, 2.0], [3.0, 4.0]).astype(complex)
         pt = make_point(1.0, rank_one, 2)
         with pytest.raises(DegenerateFactors):
-            build_block(pt)
+            pt.L
 
 
 class TestSelectOrGrow:
@@ -174,6 +175,22 @@ def test_drivers_reject_nonpositive_radius(driver, min_dist):
 def test_options_reject_bad_radius(min_dist):
     with pytest.raises(ValueError, match="min_dist must be positive"):
         StoppingOptions(min_dist=min_dist)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bisect_rel_tol", 0.0), ("bisect_rel_tol", -1e-6),
+        ("bisect_rel_tol", math.inf), ("bisect_rel_tol", math.nan),
+        ("target_linf", 0.0), ("target_linf", -1.0), ("target_linf", math.inf),
+        ("target_linf", math.nan),
+    ],
+)
+def test_options_reject_bad_tolerance_and_target(field, value):
+    # A zero tolerance would fail inside the first linf_norm, and a NaN
+    # target is never met, so both are refused when the options are built.
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        StoppingOptions(**{field: value})
 
 
 def test_radius_checked_before_the_first_step():

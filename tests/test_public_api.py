@@ -14,7 +14,6 @@ from sysmor import (
     Interpolant,
     StateSpace,
     SupportPoint,
-    build_block,
 )
 from sysmor.numkernels import GramianResult
 from sysmor.sysaaa import WeightMatrix
@@ -31,6 +30,7 @@ REMOVED = (
     "series", "vertcat", "FrequencySample", "freq_sample", "minreal",
     "LowRankPoint", "NewPoint", "GrowRank", "truncate_sample",
     "build_lowrank_block", "sym_eig_ascending", "svd_truncate", "sigma_max",
+    "BlockRealization", "build_block",
 )
 
 
@@ -157,7 +157,6 @@ def _weights():
 FACTORIES = {
     "StateSpace": _model,
     "SupportPoint": lambda: SupportPoint(1.0, np.eye(2)),
-    "BlockRealization": lambda: build_block(SupportPoint(1.0, np.eye(2))),
     "WeightMatrix": _weights,
     "Interpolant": lambda: Interpolant(_model(), (), _weights()),
     "GramianResult": lambda: GramianResult(np.eye(2), 0.0),

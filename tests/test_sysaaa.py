@@ -1,4 +1,5 @@
-"""Adaptive rational interpolation: blocks, weights, realization, driver."""
+"""Adaptive rational interpolation: support-point blocks, weights,
+realization, driver."""
 
 import collections
 import itertools
@@ -15,7 +16,6 @@ import sysmor.statespace
 from sysmor.cli import compare_methods
 
 from sysmor import (
-    BlockRealization,
     ImaginaryAxisPoles,
     InsufficientSpectrum,
     Interpolant,
@@ -28,7 +28,6 @@ from sysmor import (
     SupportPoint,
     UnstableInput,
     assemble_error_system,
-    build_block,
     compute_X,
     eval_freq,
     linf_norm,
@@ -50,37 +49,39 @@ BOTH_DRIVERS = pytest.mark.parametrize(
 )
 
 
-def nm_eval(blocks, D, s):
+def nm_eval(points, D, s):
     """Direct evaluation of the stacked pair [N(s) M(s)].
 
-    The first row block is the constant [D I]; every support block k
-    contributes [(sI - A_k)^-1 B1_k, (sI - A_k)^-1 B2_k].
+    The first row block is the constant [D I]; the block of every support
+    point k contributes [(sI - A_k)^-1 B1_k, (sI - A_k)^-1 B2_k].
     """
     D = np.atleast_2d(D)
     p = D.shape[0]
     N_rows = [D.astype(complex)]
     M_rows = [np.eye(p, dtype=complex)]
-    for blk in blocks:
-        inv = np.linalg.inv(s * np.eye(blk.order) - blk.A)
-        N_rows.append(inv @ blk.B1)
-        M_rows.append(inv @ blk.B2)
+    for pt in points:
+        inv = np.linalg.inv(s * np.eye(pt.order) - pt.A)
+        N_rows.append(inv @ pt.B1)
+        M_rows.append(inv @ pt.B2)
     return np.vstack(N_rows), np.vstack(M_rows)
 
 
 class TestBuildBlock:
+    """A support point's own interpolation block, built on first read."""
+
     def test_zero_frequency_scalar(self):
-        blk = build_block(SupportPoint(0.0, np.array([[1.0 + 0.0j]])))
-        np.testing.assert_array_equal(blk.A, [[0.0]])
-        np.testing.assert_array_equal(blk.B1, [[1.0]])
-        np.testing.assert_array_equal(blk.B2, [[1.0]])
-        assert blk.order == 1
+        pt = SupportPoint(0.0, np.array([[1.0 + 0.0j]]))
+        np.testing.assert_array_equal(pt.A, [[0.0]])
+        np.testing.assert_array_equal(pt.B1, [[1.0]])
+        np.testing.assert_array_equal(pt.B2, [[1.0]])
+        assert pt.order == 1
 
     def test_nonzero_frequency_scalar(self):
-        blk = build_block(SupportPoint(2.0, np.array([[1.0 + 1.0j]])))
-        np.testing.assert_array_equal(blk.A, [[0.0, 2.0], [-2.0, 0.0]])
-        np.testing.assert_array_equal(blk.B1, [[1.0], [-1.0]])
-        np.testing.assert_array_equal(blk.B2, [[1.0], [0.0]])
-        assert blk.order == 2
+        pt = SupportPoint(2.0, np.array([[1.0 + 1.0j]]))
+        np.testing.assert_array_equal(pt.A, [[0.0, 2.0], [-2.0, 0.0]])
+        np.testing.assert_array_equal(pt.B1, [[1.0], [-1.0]])
+        np.testing.assert_array_equal(pt.B2, [[1.0], [0.0]])
+        assert pt.order == 2
 
     def test_rational_forms(self):
         # For the sample g at omega, the block realizes
@@ -88,38 +89,43 @@ class TestBuildBlock:
         #        -(g_i s + g_r w) / (s^2 + w^2)
         # and M(s) = [s; -w] / (s^2 + w^2).
         omega, g = 2.0, 1.0 + 1.0j
-        blk = build_block(SupportPoint(omega, np.array([[g]])))
+        pt = SupportPoint(omega, np.array([[g]]))
         s = 0.7j
-        inv = np.linalg.inv(s * np.eye(2) - blk.A)
+        inv = np.linalg.inv(s * np.eye(2) - pt.A)
         den = s * s + omega * omega
         np.testing.assert_allclose(
-            inv @ blk.B1,
+            inv @ pt.B1,
             np.array([[g.real * s - g.imag * omega], [-(g.imag * s + g.real * omega)]])
             / den,
             atol=1e-14,
         )
         np.testing.assert_allclose(
-            inv @ blk.B2, np.array([[s], [-omega]]) / den, atol=1e-14
+            inv @ pt.B2, np.array([[s], [-omega]]) / den, atol=1e-14
         )
 
     def test_size_scales_with_outputs(self):
         rng = np.random.default_rng(51)
         val = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        blk = build_block(SupportPoint(1.5, val))
-        assert blk.order == 6
-        assert blk.B1.shape == (6, 2)
-        assert blk.B2.shape == (6, 3)
+        pt = SupportPoint(1.5, val)
+        assert pt.order == 6
+        assert pt.A.shape == (6, 6)
+        assert pt.B1.shape == (6, 2)
+        assert pt.B2.shape == (6, 3)
         real_val = rng.standard_normal((3, 2)).astype(complex)
-        blk0 = build_block(SupportPoint(0.0, real_val))
-        assert blk0.order == 3
+        pt0 = SupportPoint(0.0, real_val)
+        assert pt0.order == 3
+        assert pt0.A.shape == (3, 3)
 
     def test_complex_sample_at_zero_rejected(self):
         with pytest.raises(NonRealSampleAtZero):
-            build_block(SupportPoint(0.0, np.array([[1.0 + 1.0j]])))
+            SupportPoint(0.0, np.array([[1.0 + 1.0j]]))
 
     def test_negative_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            build_block(SupportPoint(-1.0, np.array([[1.0 + 0.0j]])))
+        # NaN and infinite frequencies are rejected alike: A = omega [[0,
+        # I], [-I, 0]] would carry them into every realization.
+        for omega in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                SupportPoint(omega, np.array([[1.0 + 0.0j]]))
 
     def test_sample_support_point(self):
         pt = sample_support_point(FIRST_ORDER, 1.0)
@@ -132,24 +138,18 @@ class TestAssembleErrorSystem:
     def test_matches_rational_oracle(self):
         rng = np.random.default_rng(52)
         sys = random_stable(rng, n=7, q=2, p=2, feedthrough=True)
-        blocks = [
-            build_block(sample_support_point(sys, 0.0)),
-            build_block(sample_support_point(sys, 1.3)),
-        ]
-        h = assemble_error_system(blocks, sys)
+        points = [sample_support_point(sys, 0.0), sample_support_point(sys, 1.3)]
+        h = assemble_error_system(points, sys)
         for omega in (0.4, 2.9, 11.0):
-            N, M = nm_eval(blocks, sys.D, 1j * omega)
+            N, M = nm_eval(points, sys.D, 1j * omega)
             expect = N - M @ eval_freq(sys, omega)
             np.testing.assert_allclose(eval_freq(h, omega), expect, atol=1e-9)
 
     def test_block_states_cancel(self):
         rng = np.random.default_rng(53)
         sys = random_stable(rng, n=6, q=2, p=2)
-        blocks = [
-            build_block(sample_support_point(sys, 0.0)),
-            build_block(sample_support_point(sys, 2.0)),
-        ]
-        h = assemble_error_system(blocks, sys)
+        points = [sample_support_point(sys, 0.0), sample_support_point(sys, 2.0)]
+        h = assemble_error_system(points, sys)
         # Only the dynamics of the sampled model survive the cancellation.
         assert h.n == sys.n
         lam = np.linalg.eigvals(h.A)
@@ -165,12 +165,11 @@ class TestAssembleErrorSystem:
         sys = random_stable(rng, n=6, q=3, p=3)
         for omega in (0.0, 1.7):
             pt = sample_support_point(sys, omega, rank)
-            blk = build_block(pt)
             G = eval_freq(sys, omega)
-            assert blk.order == pt.order
+            assert pt.A.shape == (pt.order, pt.order)
             L = np.eye(3) if rank is None else pt.U.conj().T
-            np.testing.assert_array_equal(blk.L, L)
-            res = (blk.A + 1j * omega * np.eye(blk.order)) @ (blk.B1 - blk.B2 @ G)
+            np.testing.assert_array_equal(pt.L, L)
+            res = (pt.A + 1j * omega * np.eye(pt.order)) @ (pt.B1 - pt.B2 @ G)
             assert np.abs(res).max() <= 1e-12 * (1.0 + np.abs(G).max())
 
     @pytest.mark.parametrize("omega", [0.0, 1.7])
@@ -180,18 +179,15 @@ class TestAssembleErrorSystem:
         rng = np.random.default_rng(71)
         sys = random_stable(rng, n=9, q=3, p=3, feedthrough=True)
         sample = eval_freq(sys, omega)
-        blocks = [
-            build_block(SupportPoint(omega, sample)),
-            build_block(SupportPoint(omega, sample, 2)),
-        ]
-        h = assemble_error_system(blocks, sys)
+        points = [SupportPoint(omega, sample), SupportPoint(omega, sample, 2)]
+        h = assemble_error_system(points, sys)
         row = sys.p
-        for blk in blocks:
-            ref = solve_sylvester(blk.A, -sys.A, blk.B2 @ sys.C)
+        for pt in points:
+            ref = solve_sylvester(pt.A, -sys.A, pt.B2 @ sys.C)
             np.testing.assert_allclose(
-                h.C[row:row + blk.order], ref, rtol=1e-10, atol=1e-12
+                h.C[row:row + pt.order], ref, rtol=1e-10, atol=1e-12
             )
-            row += blk.order
+            row += pt.order
         assert row == h.p
 
     def test_no_blocks_gives_feedthrough_error(self):
@@ -210,9 +206,9 @@ class TestAssembleErrorSystem:
 
     def test_wrong_sample_leaves_axis_poles(self):
         # A sample that is not G(j*omega) cannot cancel the block modes.
-        blk = build_block(SupportPoint(1.0, np.array([[123.0 + 0.0j]])))
+        pt = SupportPoint(1.0, np.array([[123.0 + 0.0j]]))
         with pytest.raises(ResidualImaginaryPoles):
-            assemble_error_system([blk], FIRST_ORDER)
+            assemble_error_system([pt], FIRST_ORDER)
 
 
 class TestComputeX:
@@ -303,10 +299,10 @@ class TestRealizeInterpolant:
         rng = np.random.default_rng(59)
         g = random_stable(rng, n=8, q=2, p=2)
         omega = 1.3
-        blocks = [build_block(sample_support_point(g, omega))]
-        X = compute_X(assemble_error_system(blocks, g))
+        points = [sample_support_point(g, omega)]
+        X = compute_X(assemble_error_system(points, g))
         weight = solve_weights(X, g.p)
-        r = realize_interpolant(blocks, weight, g.D)
+        r = realize_interpolant(points, weight, g.D)
         assert r.n == 4
         G = eval_freq(g, omega)
         gap = np.linalg.norm(eval_freq(r, omega) - G, 2)
@@ -315,23 +311,23 @@ class TestRealizeInterpolant:
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(60)
         g = random_stable(rng, n=6, q=2, p=2)
-        blocks = [build_block(sample_support_point(g, 0.8))]
-        weight = solve_weights(compute_X(assemble_error_system(blocks, g)), g.p)
-        r = realize_interpolant(blocks, weight, g.D)
+        points = [sample_support_point(g, 0.8)]
+        weight = solve_weights(compute_X(assemble_error_system(points, g)), g.p)
+        r = realize_interpolant(points, weight, g.D)
         v_pos = tf_eval(r.A, r.B, r.C, r.D, 1j * 2.4)
         v_neg = tf_eval(r.A, r.B, r.C, r.D, -1j * 2.4)
         np.testing.assert_allclose(v_neg, v_pos.conj(), atol=1e-12)
 
     def test_singular_normalization_rejected(self):
-        blocks = [build_block(SupportPoint(0.0, np.array([[1.0 + 0.0j]])))]
+        points = [SupportPoint(0.0, np.array([[1.0 + 0.0j]]))]
         bad = WeightMatrix(np.array([[1e-15, 1.0]]), (1.0,))
         with pytest.raises(SingularW0):
-            realize_interpolant(blocks, bad, np.zeros((1, 1)))
+            realize_interpolant(points, bad, np.zeros((1, 1)))
 
     def test_weight_width_checked(self):
-        blocks = [build_block(SupportPoint(0.0, np.array([[1.0 + 0.0j]])))]
+        points = [SupportPoint(0.0, np.array([[1.0 + 0.0j]]))]
         with pytest.raises(ValueError):
-            realize_interpolant(blocks, WeightMatrix(np.eye(1), ()), np.zeros((1, 1)))
+            realize_interpolant(points, WeightMatrix(np.eye(1), ()), np.zeros((1, 1)))
 
 
 class TestReduceDriver:
@@ -372,6 +368,29 @@ class TestReduceDriver:
             step = sys.p if rec.omega == 0.0 else 2 * sys.p
             assert rec.order - prev == step
             prev = rec.order
+
+    def test_each_block_built_once_per_run(self, monkeypatch):
+        # Every step assembles the error system from the points so far.  A
+        # point carried from one step to the next hands over the same B1
+        # array object, so its block is built once in the whole run.
+        import sysmor.sysaaa as mod
+
+        real, seen = mod.assemble_error_system, []
+
+        def recording(points, sys):
+            seen.append([pt.B1 for pt in points])
+            return real(points, sys)
+
+        monkeypatch.setattr(mod, "assemble_error_system", recording)
+        rng = np.random.default_rng(61)
+        sys = random_stable(rng, n=14, q=2, p=2)
+        _, report = reduce(sys, StoppingOptions(max_iterations=4, keep_best=False))
+        assert len(seen) == 4
+        for before, after in zip(seen, seen[1:]):
+            assert len(after) == len(before) + 1
+            assert all(a is b for a, b in zip(before, after))
+        last = report.iterates[-1].support
+        assert all(pt.B1 is b1 for pt, b1 in zip(last, seen[-1]))
 
     def test_interpolation_at_all_support_points(self):
         rng = np.random.default_rng(62)
