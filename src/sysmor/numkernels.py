@@ -9,15 +9,31 @@ solve, given a second model, returns the cross block of the Gramian of
 the two models' stacked states, a Sylvester equation on the two Schur
 forms: that is how the Gramian of an error system G - R is split into
 G's cached Gramian, R's small one and that block.
+
+The package's two LAPACK routines, the real Schur factorization
+``dgees`` and the quasi-triangular Sylvester solve ``dtrsyl``, are bound
+here, once, from ``scipy.linalg._flapack``: the compiled wrapper module
+that ``scipy.linalg.lapack`` re-exports, so they are the very same
+objects, on the same LAPACK build.  It is loaded by its file spec under
+scipy's ``linalg`` directory, which runs neither ``scipy/__init__`` nor
+``scipy/linalg/__init__``: importing ``scipy.linalg``, which even
+``scipy.linalg.lapack`` alone does, takes longer than importing numpy,
+and each ``sysmor`` command would pay it.  Where a scipy build has no such
+module, both come from ``scipy.linalg.lapack``.  ``block_diag`` writes
+what ``scipy.linalg.block_diag`` does, so no module of the package
+imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dtrsyl
 
 from .exceptions import IllPosedLyapunov
 
@@ -33,6 +49,45 @@ _SPECTRUM_PAIR_RTOL = 1e-10
 # Eigenvalues per block of that pair test: it holds O(n _PAIR_ROWS) sums
 # at a time rather than all n^2.
 _PAIR_ROWS = 64
+
+
+def _lapack_routines():
+    """(dgees, dtrsyl) of ``scipy.linalg._flapack``, loaded without
+    importing ``scipy.linalg``; of ``scipy.linalg.lapack`` where no such
+    extension is found.  Without scipy this raises a plain ``ImportError``."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        dirs = (scipy and scipy.submodule_search_locations) or ()
+        spec = PathFinder.find_spec(name, [os.path.join(d, "linalg") for d in dirs])
+        if spec is None:
+            from scipy.linalg.lapack import dgees, dtrsyl
+
+            return dgees, dtrsyl
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # a later ``import scipy.linalg`` re-exports this module, not a copy
+        sys.modules[name] = module
+    return module.dgees, module.dtrsyl
+
+
+dgees, dtrsyl = _lapack_routines()
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The 2-D blocks (any shape, 0 x 0 included) on the diagonal of one
+    C-ordered array, zero elsewhere: the bytes of
+    ``scipy.linalg.block_diag``."""
+    out = np.zeros(
+        tuple(map(sum, zip(*(b.shape for b in blocks)))),
+        dtype=np.result_type(*blocks),
+    )
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,11 +35,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dgees, dtrsyl
 
 from . import numkernels
 from .exceptions import DimensionMismatch, SingularAtFrequency
+from .numkernels import block_diag, dgees, dtrsyl
 
 __all__ = [
     "StateSpace",
@@ -150,7 +149,7 @@ class StateSpace:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        A = _frozen(sla.block_diag(of.A, minus.A))[0]
+        A = _frozen(block_diag(of.A, minus.A))[0]
         object.__setattr__(self, "A", A)
         return A
 
@@ -202,8 +201,8 @@ class StateSpace:
             )
         (Tg, Zg, pg), (Tr, Zr, pr) = of._schur, minus._schur
         return _frozen(
-            np.asfortranarray(sla.block_diag(Tg, Tr)),
-            sla.block_diag(Zg, Zr),
+            np.asfortranarray(block_diag(Tg, Tr)),
+            block_diag(Zg, Zr),
             np.concatenate([pg, pr]),
         )
 

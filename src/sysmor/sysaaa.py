@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     DegenerateFactors,
@@ -35,6 +34,7 @@ from .exceptions import (
     UnstableInput,
 )
 from .norms import DEFAULT_BISECT_RTOL, LinfResult, linf_norm, h2_error_metric
+from .numkernels import block_diag
 from .report import IterationRecord, ReductionReport
 from .statespace import (
     StateSpace,
@@ -362,7 +362,7 @@ def realize_interpolant(points, weight: WeightMatrix, D: np.ndarray) -> StateSpa
     D = np.atleast_2d(np.asarray(D, dtype=float))
     p, q = D.shape
     if points:
-        A = scipy.linalg.block_diag(*[pt.A for pt in points])
+        A = block_diag(*[pt.A for pt in points])
         B1 = np.vstack([pt.B1 for pt in points])
         B2 = np.vstack([pt.B2 for pt in points])
     else:

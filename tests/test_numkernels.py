@@ -1,9 +1,17 @@
 """The dense kernels: the Lyapunov solve, the symmetric eigensolve of
-``solve_weights`` and the SVD a ``SupportPoint`` factors its sample by."""
+``solve_weights``, the SVD a ``SupportPoint`` factors its sample by, and
+the LAPACK routines and block-diagonal stacking the package runs on."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_lyapunov, solve_sylvester
+import scipy.linalg as sla
+from scipy.linalg import lapack, solve_continuous_lyapunov, solve_sylvester
 
 from sysmor import (
     IllPosedLyapunov,
@@ -14,6 +22,7 @@ from sysmor import (
     solve_lyapunov,
     solve_weights,
 )
+from sysmor import numkernels
 from sysmor.numkernels import GramianResult
 from sysmor.statespace import static_gain
 from oracles import random_stable
@@ -35,6 +44,124 @@ def _unstable_well_posed(rng, n):
     A = V @ np.kron(np.eye(n // 6), core) @ np.linalg.inv(V)
     return StateSpace(A, rng.standard_normal((n, 2)),
                       rng.standard_normal((3, n)), np.zeros((3, 2)))
+
+
+# A run of the package in a fresh interpreter: a reduction and a balanced
+# truncation of a small model, which factor, solve and stack blocks.
+_REDUCE = """
+import sysmor
+from oracles import mass_chain
+model = mass_chain(0, 4, [0], [3])
+reduced, report = sysmor.reduce(model, sysmor.StoppingOptions(max_iterations=3))
+assert reduced.order > 0 and len(report.records) == 4
+assert sysmor.balanced_truncate(model, 2)[0].n == 2
+"""
+
+
+def _fresh(*parts: str) -> subprocess.CompletedProcess:
+    """The code ``parts``, each dedented, run in turn by a fresh interpreter
+    that imports ``sysmor`` from this checkout's ``src`` (and the test
+    oracles)."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", "\n".join(map(textwrap.dedent, parts))],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestLapackRoutines:
+    def test_import_and_run_load_no_scipy_linalg(self):
+        done = _fresh("""
+            import sys
+            import sysmor, sysmor.cli
+        """, _REDUCE, """
+            loaded = sorted(k for k in sys.modules if k.startswith("scipy"))
+            assert loaded == ["scipy.linalg._flapack"], loaded
+            # scipy.linalg, imported later, re-exports the loaded routines
+            from scipy.linalg import lapack
+            assert lapack.dgees is sysmor.statespace.dgees
+            assert lapack.dtrsyl is sysmor.numkernels.dtrsyl
+        """)
+        assert done.returncode == 0, done.stderr
+
+    def test_loaded_after_scipy_linalg(self):
+        done = _fresh("""
+            from scipy.linalg import lapack
+            import sysmor
+            assert sysmor.statespace.dgees is lapack.dgees
+            assert sysmor.numkernels.dtrsyl is lapack.dtrsyl
+        """, _REDUCE)
+        assert done.returncode == 0, done.stderr
+        # and in this process, which has imported both
+        assert numkernels.dgees is lapack.dgees and numkernels.dtrsyl is lapack.dtrsyl
+        dgees, dtrsyl = numkernels._lapack_routines()
+        assert dgees is lapack.dgees and dtrsyl is lapack.dtrsyl
+
+    def test_bit_identical_to_scipy_lapack(self):
+        rng = np.random.default_rng(0)
+        A, B, C = (rng.standard_normal((50, 50)) for _ in range(3))
+        ours = numkernels.dgees(lambda re, im: 0, A)
+        theirs = lapack.dgees(lambda re, im: 0, A)
+        assert [np.asarray(x).tobytes() for x in ours] == [
+            np.asarray(x).tobytes() for x in theirs
+        ]
+        T, S = ours[0], numkernels.dgees(lambda re, im: 0, B)[0]
+        ours = numkernels.dtrsyl(T, S, C, tranb="T")
+        theirs = lapack.dtrsyl(T, S, C, tranb="T")
+        assert ours[2] == 0
+        assert [np.asarray(x).tobytes() for x in ours] == [
+            np.asarray(x).tobytes() for x in theirs
+        ]
+
+    def test_falls_back_to_scipy_linalg_lapack(self):
+        # A scipy whose _flapack is not where the loader looks: scipy's own
+        # import of it, with scipy.linalg under way, still finds it.
+        done = _fresh("""
+            import sys
+            from importlib.machinery import PathFinder
+
+            find = PathFinder.find_spec
+
+            def hidden(cls, name, path=None, target=None):
+                if name == "scipy.linalg._flapack" and "scipy.linalg" not in sys.modules:
+                    return None
+                return find(name, path, target)
+
+            PathFinder.find_spec = classmethod(hidden)
+            import sysmor
+            assert "scipy.linalg" in sys.modules
+            from scipy.linalg import lapack
+            assert sysmor.statespace.dgees is lapack.dgees
+            assert sysmor.numkernels.dtrsyl is lapack.dtrsyl
+        """, _REDUCE)
+        assert done.returncode == 0, done.stderr
+
+    def test_without_scipy_import_fails_plainly(self):
+        done = _fresh("""
+            import sys
+            sys.modules["scipy"] = None
+            try:
+                import sysmor
+            except ImportError as exc:
+                assert "scipy" in str(exc), exc
+            else:
+                raise AssertionError("imported without scipy")
+        """)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(3, 3)], [(2, 2), (0, 0), (3, 3)], [(2, 3), (0, 2), (3, 0), (1, 1)],
+         [(0, 0)], [(0, 0), (0, 0)]],
+    )
+    def test_block_diag_writes_scipys_bytes(self, shapes):
+        rng = np.random.default_rng(len(shapes))
+        blocks = [rng.standard_normal(shape) for shape in shapes]
+        ours, theirs = numkernels.block_diag(*blocks), sla.block_diag(*blocks)
+        assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+        assert ours.flags.c_contiguous and ours.tobytes() == theirs.tobytes()
 
 
 class TestSolveLyapunov:

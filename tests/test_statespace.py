@@ -475,6 +475,16 @@ class TestInterconnections:
         A = err.A
         assert A.tobytes() == sla.block_diag(g.A, r.A).tobytes()
         assert not A.flags.writeable and err.A is A
+        # its Schur factors stack its operands' the same way
+        (T, Z, _), (Tg, Zg, _), (Tr, Zr, _) = err._schur, g._schur, r._schur
+        assert T.flags.f_contiguous
+        assert T.tobytes() == sla.block_diag(Tg, Tr).tobytes()
+        assert Z.tobytes() == sla.block_diag(Zg, Zr).tobytes()
+        # a 0-state operand adds no rows and no columns
+        static = subtract(g, static_gain(np.ones((3, 2))))
+        assert static.n == 5 and static.A.tobytes() == sla.block_diag(g.A).tobytes()
+        T0, Z0, _ = static._schur
+        assert T0.tobytes() == Tg.tobytes() and Z0.tobytes() == Zg.tobytes()
         omegas = np.array([0.0, 0.7, 3.0])
         fresh = subtract(g, r)
         clones = [copy.copy(fresh), copy.deepcopy(fresh),

@@ -308,6 +308,20 @@ class TestRealizeInterpolant:
         gap = np.linalg.norm(eval_freq(r, omega) - G, 2)
         assert gap <= 1e-8 * (1.0 + np.linalg.norm(G, 2))
 
+    def test_stacks_the_points_blocks(self):
+        # a p-state block at 0 and a 2p-state one elsewhere, stacked as
+        # scipy.linalg.block_diag stacks them
+        rng = np.random.default_rng(61)
+        g = random_stable(rng, n=8, q=2, p=2)
+        points = [sample_support_point(g, 0.0), sample_support_point(g, 1.3)]
+        weight = solve_weights(compute_X(assemble_error_system(points, g)), g.p)
+        r = realize_interpolant(points, weight, g.D)
+        assert [pt.A.shape for pt in points] == [(2, 2), (4, 4)]
+        what = np.linalg.solve(weight.w0, weight.W[:, g.p :])
+        B2 = np.vstack([pt.B2 for pt in points])
+        A = scipy.linalg.block_diag(*[pt.A for pt in points]) - B2 @ what
+        assert r.A.tobytes() == A.tobytes()
+
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(60)
         g = random_stable(rng, n=6, q=2, p=2)
