@@ -95,10 +95,9 @@ def compare_methods(
     truncated first, up to the first that fails.  Their L-infinity errors
     come from ``norms.linf_sweep``, which runs the adaptive methods, one
     after another on this thread, while its worker thread solves the
-    balanced orders' first level tests (the eigensolves overlap only on
-    error systems above about 250 states, where numpy's ``eigvals``
-    releases the GIL).  A failed truncation keeps the methods listed
-    after balanced from running.
+    balanced orders' first level tests (each eigensolve releases the GIL,
+    so they overlap at every size).  A failed truncation keeps the
+    methods listed after balanced from running.
     """
     methods = list(dict.fromkeys(methods))  # a method listed twice runs once
     runs = {}  # method -> its entries, or the exception that ended its run

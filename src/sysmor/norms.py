@@ -42,12 +42,13 @@ The surrogate's test has 2(k + r) states instead of 2(n + r).
 
 The computation is one generator, ``_linf_steps``: it yields the
 arguments of each level test and is sent the test's spectrum, so the
-spectrum may be solved on any thread (``_hamiltonian_spectrum`` is pure
-numpy on the models' arrays, and writes the A blocks of a difference
-from its operands).  ``linf_norm`` solves every test in turn;
-``linf_sweep``, for compare's balanced orders, runs each order's
-generator to its first test, hands that test to a worker thread while
-the caller does other work, and then finishes each order.
+spectrum may be solved on any thread (``_hamiltonian_spectrum`` reads
+only the models' arrays, writes the A blocks of a difference from its
+operands, and solves H in place without holding the GIL).
+``linf_norm`` solves every test in turn; ``linf_sweep``, for compare's
+balanced orders, runs each order's generator to its first test, hands
+that test to a worker thread while the caller does other work, and then
+finishes each order.
 
 The search starts from the model's cached ``_seeds`` (omega = 0 and the
 |Im| and modulus of every pole); on the error system G - R of a reduction
@@ -60,6 +61,7 @@ from G's cached one, R's and one Sylvester solve for the block between.
 from __future__ import annotations
 
 import math
+import mmap
 from collections.abc import Generator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,6 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ImaginaryAxisPoles, NonzeroFeedthrough, SingularAtFrequency
+from .numkernels import _eigvals_overwrite, _sorted_unique
 from .statespace import (
     _NEGLIGIBLE_HSV_RTOL,
     StateSpace,
@@ -145,13 +148,16 @@ def _hamiltonian_spectrum(
     ones j omega mark the frequencies where some singular value of
     G(j omega) equals ``gamma``; with none, gamma is a strict upper bound.
 
-    The four blocks are written into one 2n x 2n array, and the D terms
-    are skipped when D = 0, as it is for every error system of a
-    reduction run.  A difference's A blocks are written straight from its
-    operands, so H equals, bit for bit, that of the model ``subtract``
-    builds, and no stacked n x n A is formed.  Pure numpy on the models'
-    arrays: no cached property is read.  ``eigvals`` releases the GIL only
-    on a large H: with numpy 2.4 it did at 512 x 512, not at 500 x 500.
+    The four blocks are written into one column-major 2n x 2n array, and
+    the D terms are skipped when D = 0, as it is for every error system
+    of a reduction run.  A difference's A blocks are written straight
+    from its operands, so H equals, bit for bit, that of the model
+    ``subtract`` builds, and no stacked n x n A is formed.  Only the
+    models' arrays are read, no cached property.  H lies in an anonymous
+    mapping of its own, so its pages go back to the system with it rather
+    than stay in a thread's malloc arena, and ``_eigvals_overwrite``
+    solves it there: numpy's ``dgeev``, with no copy of H and without the
+    GIL, at every size, for the spectrum ``np.linalg.eigvals`` gives.
     """
     if not gamma * gamma < math.inf:
         raise SingularAtFrequency(f"the Hamiltonian at level {gamma:g} overflows")
@@ -165,7 +171,10 @@ def _hamiltonian_spectrum(
     s = 2.0 ** round(0.5 * (math.log2(b) - math.log2(c)))
     B, C = B / s, C * s
     (p, q), n, k = D.shape, B.shape[0], sys.n
-    H = np.zeros((2 * n, 2 * n))
+    # Zero pages of a mapping of its own, unmapped with its last view; not
+    # closed here, which raises BufferError while a traceback holds a view.
+    H = np.frombuffer(mmap.mmap(-1, 32 * n * n), dtype=float)
+    H = H.reshape((2 * n, 2 * n), order="F")
     A = H[:n, :n]  # a view: the A blocks are written in place
     A[:k, :k] = sys.A
     if minus is not None:
@@ -179,7 +188,7 @@ def _hamiltonian_spectrum(
     else:
         np.matmul(-C.T, C, out=H[n:, :n])
     np.negative(A.T, out=H[n:, n:])
-    return np.linalg.eigvals(H)
+    return _eigvals_overwrite(H)
 
 
 def _axis_frequencies(lam: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -198,7 +207,7 @@ def _axis_frequencies(lam: np.ndarray) -> tuple[np.ndarray, bool]:
         dist[rows - start, rows] = np.inf  # not its own mirror
         nearest[rows] = dist.min(axis=1, initial=np.inf)
     lone = nearest > np.abs(lam.real)
-    return np.unique(np.abs(lam[on_axis | lone].imag)), bool(on_axis.any())
+    return _sorted_unique(np.abs(lam[on_axis | lone].imag)), bool(on_axis.any())
 
 
 def _with_midpoints(omegas: np.ndarray) -> np.ndarray:
@@ -451,11 +460,10 @@ def linf_sweep(model: StateSpace, reduced, rel_tol: float, meanwhile) -> list:
     orders in turn.  An error system forms no stacked A, so no (n + k)^2
     array is held while ``meanwhile()`` runs.  The worker runs nothing
     but ``_hamiltonian_spectrum``, so every public call stays on this
-    thread and at most two Hamiltonians are in flight.  They overlap only
-    where ``eigvals`` releases the GIL: the spectra of error systems of
-    up to about 250 states are solved one at a time.  An exception from
-    ``meanwhile()`` propagates once the worker has finished the spectrum
-    it is solving.
+    thread and at most two Hamiltonians are in flight.  Each eigensolve
+    releases the GIL, so the worker's overlap this thread's work at every
+    size.  An exception from ``meanwhile()`` propagates once the worker
+    has finished the spectrum it is solving.
     """
     outcomes, tests, spectra = [], [], []
     pool = ThreadPoolExecutor(max_workers=1)

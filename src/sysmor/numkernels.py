@@ -22,10 +22,26 @@ and each ``sysmor`` command would pay it.  Where a scipy build has no such
 module, both come from ``scipy.linalg.lapack``.  ``block_diag`` writes
 what ``scipy.linalg.block_diag`` does, so no module of the package
 imports ``scipy.linalg``.
+
+The Hamiltonian eigensolve of every L-infinity level test is LAPACK's
+``dgeev`` in the OpenBLAS that numpy's linear-algebra extension links,
+the routine ``np.linalg.eigvals`` runs, called through ctypes by
+``_eigvals_overwrite``.  It overwrites the caller's column-major H in
+place, so no copy of H is made, and ctypes releases the GIL for the call,
+at every size.  Its spectrum is numpy's, bit for bit.  Where that numpy
+exports no such symbol (a build on another LAPACK), ``np.linalg.eigvals``
+solves H instead.  ``_sorted_unique`` is ``np.unique`` of a 1-D float
+array without the ``numpy.ma`` import that ``np.unique`` makes on its
+first call.
+
+dgees and dtrsyl stay on scipy's LAPACK build, and ``dgeev`` stays on
+numpy's, so that every output keeps its bits: the two wheels bundle
+different OpenBLAS releases, which differ at roundoff.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.util
 import os
 import sys
@@ -34,6 +50,7 @@ from importlib.machinery import PathFinder
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .exceptions import IllPosedLyapunov
 
@@ -73,6 +90,75 @@ def _lapack_routines():
 
 
 dgees, dtrsyl = _lapack_routines()
+
+
+def _numpy_dgeev():
+    """``dgeev`` of the ILP64 OpenBLAS that numpy's ``_umath_linalg``
+    links (``scipy_dgeev_64_``, found through that extension's own
+    dependencies), as a ctypes function that releases the GIL; None where
+    numpy's LAPACK exports no such symbol."""
+    try:
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_dgeev_64_
+    except (OSError, AttributeError):
+        return None
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # JOBVL, JOBVR, N, A, LDA, WR, WI, VL, LDVL, VR, LDVR, WORK, LWORK,
+    # INFO, then the two hidden lengths of the Fortran strings
+    fn.argtypes = [ctypes.c_char_p] * 2 + [i64, ptr, i64, ptr, ptr] + [
+        ptr, i64, ptr, i64, ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t
+    ]
+    fn.restype = None
+    return fn
+
+
+_dgeev = _numpy_dgeev()
+
+
+def _eigvals_overwrite(H: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals(H)``, bit for bit, dtype and errors included,
+    for a writable float64 Fortran-ordered square ``H``, which it
+    overwrites: ``dgeev`` factors H where it lies, with the workspace size
+    LAPACK's query returns, as numpy queries it.  Any other array is
+    refused rather than copied."""
+    if not (
+        H.dtype == np.float64 and H.ndim == 2 and H.shape[0] == H.shape[1]
+        and H.flags.f_contiguous and H.flags.writeable
+    ):
+        raise ValueError("H must be a writable float64 Fortran-ordered square array")
+    if _dgeev is None:
+        return np.linalg.eigvals(H)
+    if not np.isfinite(H).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    n = H.shape[0]
+    w = np.empty(2 * n)  # the real parts, then the imaginary ones
+    wr, wi = w[:n], w[n:]
+    N, ld, lwork, info = (ctypes.c_int64(v) for v in (n, max(n, 1), -1, 0))
+    work = np.empty(1)
+    args = [b"N", b"N", N, H.ctypes.data, ld, wr.ctypes.data, wi.ctypes.data,
+            None, ld, None, ld]
+    _dgeev(*args, work.ctypes.data, lwork, info, 1, 1)
+    if info.value == 0:
+        lwork.value = int(work[0])
+        work = np.empty(max(lwork.value, 1))
+        _dgeev(*args, work.ctypes.data, lwork, info, 1, 1)
+    if info.value:
+        raise LinAlgError("Eigenvalues did not converge")
+    if not wi.any():
+        return wr
+    lam = np.empty(n, dtype=complex)
+    lam.real, lam.imag = wr, wi
+    return lam
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of the finite 1-D float array ``x``,
+    ``np.unique(x)`` byte for byte (the same sort, then the first of each
+    run of equal values), without the ``numpy.ma`` import of
+    ``np.unique``."""
+    x = np.sort(x)
+    keep = np.ones(x.shape, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import numkernels
 from .exceptions import DimensionMismatch, SingularAtFrequency
-from .numkernels import block_diag, dgees, dtrsyl
+from .numkernels import _sorted_unique, block_diag, dgees, dtrsyl
 
 __all__ = [
     "StateSpace",
@@ -235,7 +235,7 @@ class StateSpace:
         """Sorted seed frequencies of the L-infinity search (Bruinsma and
         Steinbuch): omega = 0 and the |Im| and modulus of every pole."""
         lam = poles(self)
-        return np.unique(
+        return _sorted_unique(
             np.concatenate([[0.0], np.abs(lam.imag[lam.imag != 0]), np.abs(lam)])
         )
 

@@ -1,7 +1,9 @@
 """The dense kernels: the Lyapunov solve, the symmetric eigensolve of
-``solve_weights``, the SVD a ``SupportPoint`` factors its sample by, and
-the LAPACK routines and block-diagonal stacking the package runs on."""
+``solve_weights``, the SVD a ``SupportPoint`` factors its sample by, the
+in-place Hamiltonian eigensolve, and the LAPACK routines, block-diagonal
+stacking and sorted distinct values the package runs on."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -151,6 +153,30 @@ class TestLapackRoutines:
         """)
         assert done.returncode == 0, done.stderr
 
+    def test_run_loads_no_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call; _sorted_unique does not
+        done = _fresh("import sys", _REDUCE, """
+            assert "numpy.ma" not in sys.modules
+        """)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize(
+        "values",
+        [[3.0, 1.0, 3.0, 2.0, 1.0], [0.0, -0.0, 1.0], [-0.0, 0.0, -0.0, 2.0],
+         [5.0], []],
+    )
+    def test_sorted_unique_writes_np_unique_bytes(self, values):
+        x = np.array(values, dtype=float)
+        ours, theirs = numkernels._sorted_unique(x), np.unique(x)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+    def test_sorted_unique_on_seeded_duplicates(self):
+        rng = np.random.default_rng(40)
+        for size in (2, 17, 300, 5000):
+            x = rng.integers(-20, 20, size) / 4.0
+            x[rng.integers(size, size=size // 3)] *= -0.0  # both signed zeros
+            assert numkernels._sorted_unique(x).tobytes() == np.unique(x).tobytes()
+
     @pytest.mark.parametrize(
         "shapes",
         [[(3, 3)], [(2, 2), (0, 0), (3, 3)], [(2, 3), (0, 2), (3, 0), (1, 1)],
@@ -162,6 +188,100 @@ class TestLapackRoutines:
         ours, theirs = numkernels.block_diag(*blocks), sla.block_diag(*blocks)
         assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
         assert ours.flags.c_contiguous and ours.tobytes() == theirs.tobytes()
+
+
+def _overwritten(M: np.ndarray) -> np.ndarray:
+    """The spectrum ``_eigvals_overwrite`` gives on a Fortran copy of M."""
+    return numkernels._eigvals_overwrite(np.asfortranarray(M, dtype=float))
+
+
+class TestEigvalsOverwrite:
+    """The in-place ``dgeev`` of the Hamiltonian level tests gives what
+    ``np.linalg.eigvals`` gives, bytes, dtype and errors included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 232, 564])
+    @pytest.mark.parametrize("spectrum", ["complex", "real"])
+    def test_bit_identical_to_numpy(self, n, spectrum):
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((n, n))
+        if spectrum == "real":
+            M = np.triu(M)
+        elif n == 2:
+            M = np.array([[0.5, 2.0], [-3.0, 0.25]])
+        ours, theirs = _overwritten(M), np.linalg.eigvals(M)
+        kind = complex if spectrum == "complex" and n > 1 else float
+        assert ours.dtype == theirs.dtype == kind
+        assert ours.tobytes() == theirs.tobytes()
+
+    def test_overwrites_in_place(self):
+        M = np.asfortranarray(np.random.default_rng(41).standard_normal((30, 30)))
+        H = M.copy(order="F")
+        assert numkernels._eigvals_overwrite(H).tobytes() == (
+            np.linalg.eigvals(M).tobytes()
+        )
+        assert not np.array_equal(H, M)  # dgeev's Schur factor
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_as_numpy_refuses(self, bad):
+        M = np.eye(4)
+        M[2, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError) as theirs:
+            np.linalg.eigvals(M)
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            _overwritten(M)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_no_convergence_raises_numpys_error(self, monkeypatch):
+        if numkernels._dgeev is None:
+            pytest.skip("numpy's LAPACK exports no scipy_dgeev_64_")
+        dgeev = numkernels._dgeev
+
+        def fails(*args):
+            dgeev(*args)
+            if args[12].value > 0:  # the solve, not the workspace query
+                args[13].value = 1
+
+        monkeypatch.setattr(numkernels, "_dgeev", fails)
+        with pytest.raises(np.linalg.LinAlgError) as theirs:
+            np.linalg._linalg._raise_linalgerror_eigenvalues_nonconvergence(None, None)
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            _overwritten(np.diag([1.0, 2.0]))
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("spectrum", ["complex", "real"])
+    def test_fallback_gives_the_same_bytes(self, monkeypatch, spectrum):
+        M = np.random.default_rng(42).standard_normal((40, 40))
+        if spectrum == "real":
+            M = np.triu(M)
+        bound = _overwritten(M)
+        monkeypatch.setattr(numkernels, "_dgeev", None)
+        fallback = _overwritten(M)
+        assert fallback.dtype == bound.dtype
+        assert fallback.tobytes() == bound.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [np.ascontiguousarray, lambda M: M.astype(np.float32, order="F"),
+         lambda M: M.astype(complex, order="F"), lambda M: M[:, :3].copy(order="F"),
+         lambda M: M.ravel(order="F")],
+    )
+    def test_refuses_rather_than_copies(self, make):
+        H = make(np.random.default_rng(43).standard_normal((4, 4)))
+        before = H.copy()
+        with pytest.raises(ValueError, match="Fortran"):
+            numkernels._eigvals_overwrite(H)
+        assert np.array_equal(H, before)
+        frozen = np.asfortranarray(np.eye(3))
+        frozen.setflags(write=False)
+        with pytest.raises(ValueError, match="writable"):
+            numkernels._eigvals_overwrite(frozen)
+
+    def test_binding_releases_the_gil(self):
+        # a CDLL function releases the GIL for its call; a PyDLL one holds it
+        if numkernels._dgeev is None:
+            pytest.skip("numpy's LAPACK exports no scipy_dgeev_64_")
+        assert not numkernels._dgeev._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+        assert numkernels._dgeev._flags_ & ctypes._FUNCFLAG_CDECL
 
 
 class TestSolveLyapunov:

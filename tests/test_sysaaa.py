@@ -635,7 +635,7 @@ class TestReduceDriver:
         fresh = StateSpace(sys.A, sys.B, sys.C, sys.D)
         shapes, eig_shapes, solves, omegas = [], [], [], []
         dgees = sysmor.statespace.dgees
-        eigvals = np.linalg.eigvals
+        eigvals, eigvals_overwrite = np.linalg.eigvals, sysmor.norms._eigvals_overwrite
         solve = sysmor.numkernels.solve_lyapunov
         solve_response = sysmor.statespace._solve_response
 
@@ -646,6 +646,10 @@ class TestReduceDriver:
         def recorded_eigvals(a):
             eig_shapes.append(np.shape(a))
             return eigvals(a)
+
+        def recorded_hamiltonian(H):
+            eig_shapes.append(np.shape(H))
+            return eigvals_overwrite(H)
 
         def counted_solve(model, other=None):
             # An observability Gramian is solved on the model's dual.
@@ -667,6 +671,7 @@ class TestReduceDriver:
 
         monkeypatch.setattr(sysmor.statespace, "dgees", counted)
         monkeypatch.setattr(np.linalg, "eigvals", recorded_eigvals)
+        monkeypatch.setattr(sysmor.norms, "_eigvals_overwrite", recorded_hamiltonian)
         monkeypatch.setattr(sysmor.numkernels, "solve_lyapunov", counted_solve)
         monkeypatch.setattr(sysmor.statespace, "_solve_response", counted_response)
         monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", forbidden)
