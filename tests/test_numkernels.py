@@ -195,6 +195,12 @@ def _overwritten(M: np.ndarray) -> np.ndarray:
     return numkernels._eigvals_overwrite(np.asfortranarray(M, dtype=float))
 
 
+def _read_only(M: np.ndarray) -> np.ndarray:
+    M = np.asfortranarray(M)
+    M.setflags(write=False)
+    return M
+
+
 class TestEigvalsOverwrite:
     """The in-place ``dgeev`` of the Hamiltonian level tests gives what
     ``np.linalg.eigvals`` gives, bytes, dtype and errors included."""
@@ -263,18 +269,14 @@ class TestEigvalsOverwrite:
         "make",
         [np.ascontiguousarray, lambda M: M.astype(np.float32, order="F"),
          lambda M: M.astype(complex, order="F"), lambda M: M[:, :3].copy(order="F"),
-         lambda M: M.ravel(order="F")],
+         lambda M: M.ravel(order="F"), _read_only],
     )
     def test_refuses_rather_than_copies(self, make):
         H = make(np.random.default_rng(43).standard_normal((4, 4)))
         before = H.copy()
-        with pytest.raises(ValueError, match="Fortran"):
+        with pytest.raises(ValueError, match="writable float64 Fortran-ordered square"):
             numkernels._eigvals_overwrite(H)
         assert np.array_equal(H, before)
-        frozen = np.asfortranarray(np.eye(3))
-        frozen.setflags(write=False)
-        with pytest.raises(ValueError, match="writable"):
-            numkernels._eigvals_overwrite(frozen)
 
     def test_binding_releases_the_gil(self):
         # a CDLL function releases the GIL for its call; a PyDLL one holds it
