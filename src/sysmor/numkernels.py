@@ -10,33 +10,36 @@ the two models' stacked states, a Sylvester equation on the two Schur
 forms: that is how the Gramian of an error system G - R is split into
 G's cached Gramian, R's small one and that block.
 
-The package's two LAPACK routines, the real Schur factorization
-``dgees`` and the quasi-triangular Sylvester solve ``dtrsyl``, are bound
-here, once, from ``scipy.linalg._flapack``: the compiled wrapper module
-that ``scipy.linalg.lapack`` re-exports, so they are the very same
-objects, on the same LAPACK build.  It is loaded by its file spec under
-scipy's ``linalg`` directory, which runs neither ``scipy/__init__`` nor
-``scipy/linalg/__init__``: importing ``scipy.linalg``, which even
-``scipy.linalg.lapack`` alone does, takes longer than importing numpy,
-and each ``sysmor`` command would pay it.  Where a scipy build has no such
-module, both come from ``scipy.linalg.lapack``.  ``block_diag`` writes
-what ``scipy.linalg.block_diag`` does, so no module of the package
-imports ``scipy.linalg``.
+The package's three LAPACK routines, the real Schur factorization
+``dgees``, the quasi-triangular Sylvester solve ``dtrsyl`` and the
+eigensolve ``dgeev``, are bound here, once, through ctypes from the
+OpenBLAS that numpy's linear-algebra extension links: numpy's wheel
+bundles it, so a ``sysmor`` process loads one LAPACK and no scipy module.
+Each ctypes call releases the GIL.  ``dgees`` and ``dtrsyl`` take the
+arguments, and return the tuples, of scipy's ``scipy.linalg.lapack``
+wrappers as the package calls them; ``dgees`` passes scipy's workspace
+size, so its factors are the bits scipy's wrapper computes on this
+LAPACK.  ``dtrsyl`` has no workspace, but its bits depend on the LAPACK
+build, so its solves differ from those of scipy's own OpenBLAS at
+roundoff.
 
-The Hamiltonian eigensolve of every L-infinity level test is LAPACK's
-``dgeev`` in the OpenBLAS that numpy's linear-algebra extension links,
-the routine ``np.linalg.eigvals`` runs, called through ctypes by
+The Hamiltonian eigensolve of every L-infinity level test is the
+``dgeev`` that ``np.linalg.eigvals`` runs, called by
 ``_eigvals_overwrite``.  It overwrites the caller's column-major H in
-place, so no copy of H is made, and ctypes releases the GIL for the call,
-at every size.  Its spectrum is numpy's, bit for bit.  Where that numpy
-exports no such symbol (a build on another LAPACK), ``np.linalg.eigvals``
-solves H instead.  ``_sorted_unique`` is ``np.unique`` of a 1-D float
-array without the ``numpy.ma`` import that ``np.unique`` makes on its
-first call.
+place, so no copy of H is made, and its spectrum is numpy's, bit for
+bit.  ``_sorted_unique`` is ``np.unique`` of a 1-D float array without
+the ``numpy.ma`` import that ``np.unique`` makes on its first call.
+``block_diag`` writes what ``scipy.linalg.block_diag`` does.
 
-dgees and dtrsyl stay on scipy's LAPACK build, and ``dgeev`` stays on
-numpy's, so that every output keeps its bits: the two wheels bundle
-different OpenBLAS releases, which differ at roundoff.
+Where numpy's LAPACK does not export all three routines under these
+names (a build on Accelerate or MKL, say), none is bound:
+``np.linalg.eigvals`` solves each H, and ``dgees`` and ``dtrsyl`` are
+scipy's own, from ``scipy.linalg._flapack``, the compiled module that
+``scipy.linalg.lapack`` re-exports.  It is loaded by its file spec under
+scipy's ``linalg`` directory, which runs neither ``scipy/__init__`` nor
+``scipy/linalg/__init__``, because importing ``scipy.linalg`` takes
+longer than importing numpy; where a scipy build has no such module,
+both come from ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
@@ -89,29 +92,99 @@ def _lapack_routines():
     return module.dgees, module.dtrsyl
 
 
-dgees, dtrsyl = _lapack_routines()
+# ctypes types of the LAPACK arguments: a Fortran string, a pointer to an
+# integer, to a double, or to an array (None passes NULL); the two hidden
+# lengths of the Fortran strings follow the last argument.
+_ARGTYPES = {
+    "s": ctypes.c_char_p,
+    "i": ctypes.POINTER(ctypes.c_int64),
+    "d": ctypes.POINTER(ctypes.c_double),
+    "p": ctypes.c_void_p,
+}
+
+# The arguments of each routine, in LAPACK's order.
+_SIGNATURES = {
+    # JOBVL, JOBVR, N, A, LDA, WR, WI, VL, LDVL, VR, LDVR, WORK, LWORK, INFO
+    "dgeev": "ssipipppipipii",
+    # JOBVS, SORT, SELECT, N, A, LDA, SDIM, WR, WI, VS, LDVS, WORK, LWORK,
+    # BWORK, INFO
+    "dgees": "sspipiipppipipi",
+    # TRANA, TRANB, ISGN, M, N, A, LDA, B, LDB, C, LDC, SCALE, INFO
+    "dtrsyl": "ssiiipipipidi",
+}
 
 
-def _numpy_dgeev():
-    """``dgeev`` of the ILP64 OpenBLAS that numpy's ``_umath_linalg``
-    links (``scipy_dgeev_64_``, found through that extension's own
-    dependencies), as a ctypes function that releases the GIL; None where
-    numpy's LAPACK exports no such symbol."""
+def _numpy_lapack():
+    """``dgeev``, ``dgees`` and ``dtrsyl`` of the ILP64 OpenBLAS that
+    numpy's ``_umath_linalg`` links (``scipy_<name>_64_``, found through
+    that extension's own dependencies), as ctypes functions that release
+    the GIL; all three None unless numpy's LAPACK exports all three."""
     try:
-        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_dgeev_64_
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        routines = [getattr(lib, f"scipy_{name}_64_") for name in _SIGNATURES]
     except (OSError, AttributeError):
-        return None
-    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    # JOBVL, JOBVR, N, A, LDA, WR, WI, VL, LDVL, VR, LDVR, WORK, LWORK,
-    # INFO, then the two hidden lengths of the Fortran strings
-    fn.argtypes = [ctypes.c_char_p] * 2 + [i64, ptr, i64, ptr, ptr] + [
-        ptr, i64, ptr, i64, ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t
-    ]
-    fn.restype = None
-    return fn
+        return (None,) * len(_SIGNATURES)
+    for fn, args in zip(routines, _SIGNATURES.values()):
+        fn.argtypes = [_ARGTYPES[a] for a in args] + [ctypes.c_size_t] * 2
+        fn.restype = None
+    return routines
 
 
-_dgeev = _numpy_dgeev()
+_dgeev, _dgees, _dtrsyl = _numpy_lapack()
+
+
+def _ints(*values: int) -> list[ctypes.c_int64]:
+    """One ctypes integer per value, for LAPACK's integer arguments."""
+    return [ctypes.c_int64(v) for v in values]
+
+
+def dgees(select, a: np.ndarray):
+    """``scipy.linalg.lapack.dgees(select, a)``: the real Schur form
+    a = Z T Z^T, unsorted (``select`` is not called), as the tuple
+    (T, sdim, wr, wi, Z, work, info), computed on a Fortran copy of
+    ``a`` with scipy's workspace of max(3n, 1), so its bits are scipy's
+    on the same LAPACK."""
+    t = np.array(a, dtype=np.float64, order="F")
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise ValueError("a must be a square matrix")
+    n = t.shape[0]
+    wr, wi = np.empty(n), np.empty(n)
+    z = np.empty((n, n), order="F")
+    work = np.empty(max(3 * n, 1))
+    N, ld, sdim, lwork, info = _ints(n, max(n, 1), 0, work.size, 0)
+    _dgees(b"V", b"N", None, N, t.ctypes.data, ld, sdim, wr.ctypes.data,
+           wi.ctypes.data, z.ctypes.data, ld, work.ctypes.data, lwork, None,
+           info, 1, 1)
+    return t, sdim.value, wr, wi, z, work, info.value
+
+
+def dtrsyl(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray,
+    trana: str = "N", tranb: str = "N", overwrite_c: bool = False,
+):
+    """``scipy.linalg.lapack.dtrsyl(a, b, c, trana, tranb,
+    overwrite_c=overwrite_c)``: X with op(a) X + X op(b) = scale c for
+    quasi-triangular a and b, as (X, scale, info).  X overwrites ``c``
+    only with ``overwrite_c`` and a writable float64 Fortran-ordered
+    ``c``; any other ``c`` is copied, as f2py copies it."""
+    a, b = (np.asfortranarray(m, dtype=np.float64) for m in (a, b))
+    if not (
+        overwrite_c and isinstance(c, np.ndarray) and c.dtype == np.float64
+        and c.flags.f_contiguous and c.flags.writeable
+    ):
+        c = np.array(c, dtype=np.float64, order="F")
+    m, n = c.shape
+    if a.shape != (m, m) or b.shape != (n, n):
+        raise ValueError("a, b and c must be m x m, n x n and m x n")
+    scale = ctypes.c_double()
+    isgn, M, N, ldm, ldn, info = _ints(1, m, n, max(m, 1), max(n, 1), 0)
+    _dtrsyl(trana.encode(), tranb.encode(), isgn, M, N, a.ctypes.data, ldm,
+            b.ctypes.data, ldn, c.ctypes.data, ldm, scale, info, 1, 1)
+    return c, scale.value, info.value
+
+
+if _dgees is None:  # numpy's LAPACK binds none of the three: scipy's own
+    dgees, dtrsyl = _lapack_routines()
 
 
 def _eigvals_overwrite(H: np.ndarray) -> np.ndarray:
@@ -132,7 +205,7 @@ def _eigvals_overwrite(H: np.ndarray) -> np.ndarray:
     n = H.shape[0]
     w = np.empty(2 * n)  # the real parts, then the imaginary ones
     wr, wi = w[:n], w[n:]
-    N, ld, lwork, info = (ctypes.c_int64(v) for v in (n, max(n, 1), -1, 0))
+    N, ld, lwork, info = _ints(n, max(n, 1), -1, 0)
     work = np.empty(1)
     args = [b"N", b"N", N, H.ctypes.data, ld, wr.ctypes.data, wi.ctypes.data,
             None, ld, None, ld]

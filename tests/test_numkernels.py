@@ -4,6 +4,8 @@ in-place Hamiltonian eigensolve, and the LAPACK routines, block-diagonal
 stacking and sorted distinct values the package runs on."""
 
 import ctypes
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -73,18 +75,77 @@ def _fresh(*parts: str) -> subprocess.CompletedProcess:
     )
 
 
+# Run first in a fresh interpreter: ctypes finds no ``scipy_*_64_`` symbol
+# (the ``prefix`` ones), as on a numpy whose LAPACK names them otherwise.
+_HIDE_SYMBOLS = """
+import ctypes
+
+class _Hidden(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name.startswith({prefix!r}):
+            raise AttributeError(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = _Hidden
+"""
+
+# The records of ``_REDUCE``'s reduction, as one JSON line.
+_RECORDS = """
+import json
+print(json.dumps([record.to_dict() for record in report.records]))
+"""
+
+# Bound on ``dtrsyl`` against scipy's own build, relative to the solution's
+# largest entry: the two OpenBLAS builds differ at roundoff (4.2e-15 on the
+# seeded 50 x 50 case below).
+_DTRSYL_BUILD_RTOL = 1e-13
+
+_BOUND = numkernels._dgees is not None
+needs_numpy_lapack = pytest.mark.skipif(
+    not _BOUND, reason="numpy's LAPACK exports no scipy_dgees_64_"
+)
+
+
+def _chain_mimo_A() -> np.ndarray:
+    """The state matrix of the benchmark's 270-state chain at seed 0."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_models", path)
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    return models.chain_mimo(0)[0]
+
+
+def _factor_bytes(schur: tuple) -> list[bytes]:
+    """The bytes of what ``dgees`` returns, but for LAPACK's workspace:
+    T, sdim, wr, wi, Z and info."""
+    return [np.asarray(schur[i]).tobytes() for i in (0, 1, 2, 3, 4, 6)]
+
+
+def _sylvester_residual(a, b, c, x, scale, trana, tranb) -> float:
+    """||op(a) x + x op(b) - scale c||_F relative to the terms' sizes."""
+    op_a = a.T if trana == "T" else a
+    op_b = b.T if tranb == "T" else b
+    res = np.linalg.norm(op_a @ x + x @ op_b - scale * c)
+    size = (np.linalg.norm(a) + np.linalg.norm(b)) * np.linalg.norm(x)
+    return res / (size + scale * np.linalg.norm(c))
+
+
 class TestLapackRoutines:
     def test_import_and_run_load_no_scipy_linalg(self):
+        # numpy's OpenBLAS runs all three routines: no scipy module and one
+        # OpenBLAS in the process (where numpy binds none of them, only
+        # scipy's compiled wrapper module, without scipy.linalg)
         done = _fresh("""
             import sys
             import sysmor, sysmor.cli
         """, _REDUCE, """
-            loaded = sorted(k for k in sys.modules if k.startswith("scipy"))
-            assert loaded == ["scipy.linalg._flapack"], loaded
-            # scipy.linalg, imported later, re-exports the loaded routines
-            from scipy.linalg import lapack
-            assert lapack.dgees is sysmor.statespace.dgees
-            assert lapack.dtrsyl is sysmor.numkernels.dtrsyl
+            loaded = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+            bound = sysmor.numkernels._dgees is not None
+            assert loaded == ([] if bound else ["scipy.linalg._flapack"]), loaded
+            if bound and sys.platform == "linux":
+                with open("/proc/self/maps") as maps:
+                    paths = {line.split()[-1] for line in maps if "openblas" in line}
+                assert len(paths) == 1, paths
         """)
         assert done.returncode == 0, done.stderr
 
@@ -92,36 +153,42 @@ class TestLapackRoutines:
         done = _fresh("""
             from scipy.linalg import lapack
             import sysmor
-            assert sysmor.statespace.dgees is lapack.dgees
-            assert sysmor.numkernels.dtrsyl is lapack.dtrsyl
+            bound = sysmor.numkernels._dgees is not None
+            assert (sysmor.statespace.dgees is lapack.dgees) is not bound
+            assert (sysmor.numkernels.dtrsyl is lapack.dtrsyl) is not bound
         """, _REDUCE)
         assert done.returncode == 0, done.stderr
-        # and in this process, which has imported both
-        assert numkernels.dgees is lapack.dgees and numkernels.dtrsyl is lapack.dtrsyl
+        # and in this process, which has imported both: numpy's routines,
+        # and a fallback that would hand back scipy's very objects
+        assert (numkernels.dgees is lapack.dgees) is not _BOUND
         dgees, dtrsyl = numkernels._lapack_routines()
         assert dgees is lapack.dgees and dtrsyl is lapack.dtrsyl
 
     def test_bit_identical_to_scipy_lapack(self):
+        # dgees with scipy's workspace size writes scipy's bytes; dtrsyl's
+        # bits depend on the LAPACK build, so it is checked by its residual
+        # and its distance from scipy's
         rng = np.random.default_rng(0)
         A, B, C = (rng.standard_normal((50, 50)) for _ in range(3))
-        ours = numkernels.dgees(lambda re, im: 0, A)
-        theirs = lapack.dgees(lambda re, im: 0, A)
-        assert [np.asarray(x).tobytes() for x in ours] == [
-            np.asarray(x).tobytes() for x in theirs
-        ]
-        T, S = ours[0], numkernels.dgees(lambda re, im: 0, B)[0]
-        ours = numkernels.dtrsyl(T, S, C, tranb="T")
-        theirs = lapack.dtrsyl(T, S, C, tranb="T")
-        assert ours[2] == 0
-        assert [np.asarray(x).tobytes() for x in ours] == [
-            np.asarray(x).tobytes() for x in theirs
-        ]
+        for M in (A, _chain_mimo_A()):
+            ours = numkernels.dgees(lambda re, im: 0, M)
+            theirs = lapack.dgees(lambda re, im: 0, M)
+            assert ours[6] == 0
+            assert _factor_bytes(ours) == _factor_bytes(theirs)
+        T, S = numkernels.dgees(lambda re, im: 0, A)[0], lapack.dgees(
+            lambda re, im: 0, B)[0]
+        x, scale, info = numkernels.dtrsyl(T, S, C, tranb="T")
+        x_s, scale_s, info_s = lapack.dtrsyl(T, S, C, tranb="T")
+        assert (scale, info) == (scale_s, info_s) == (1.0, 0)
+        assert _sylvester_residual(T, S, C, x, scale, "N", "T") < 1e-14
+        assert np.abs(x - x_s).max() <= _DTRSYL_BUILD_RTOL * np.abs(x_s).max()
 
     def test_falls_back_to_scipy_linalg_lapack(self):
-        # A scipy whose _flapack is not where the loader looks: scipy's own
-        # import of it, with scipy.linalg under way, still finds it.
-        done = _fresh("""
-            import sys
+        # numpy's LAPACK without the symbols: np.linalg.eigvals and scipy's
+        # routines, from its compiled module; and where that module is not
+        # where the loader looks, scipy's own import of it, with
+        # scipy.linalg under way, still finds it.
+        path_finder = """
             from importlib.machinery import PathFinder
 
             find = PathFinder.find_spec
@@ -132,16 +199,48 @@ class TestLapackRoutines:
                 return find(name, path, target)
 
             PathFinder.find_spec = classmethod(hidden)
-            import sysmor
-            assert "scipy.linalg" in sys.modules
+        """
+        records = _fresh(_REDUCE, _RECORDS)
+        assert records.returncode == 0, records.stderr
+        for finder, linalg in (("", False), (path_finder, True)):
+            done = _fresh(_HIDE_SYMBOLS.format(prefix="scipy_"), "import sys", finder, """
+                import sysmor
+                from sysmor import numkernels
+                assert numkernels._dgeev is numkernels._dgees is numkernels._dtrsyl is None
+            """, f"assert ('scipy.linalg' in sys.modules) is {linalg}", """
+                from scipy.linalg import lapack
+                assert sysmor.statespace.dgees is lapack.dgees
+                assert numkernels.dtrsyl is lapack.dtrsyl
+            """, _REDUCE, _RECORDS)
+            assert done.returncode == 0, done.stderr
+            # the same records, up to scipy's dtrsyl build in the H2 metric
+            ours, theirs = json.loads(records.stdout), json.loads(done.stdout)
+            assert [r.keys() for r in ours] == [r.keys() for r in theirs]
+            for r, t in zip(ours, theirs):
+                for key, value in r.items():
+                    if isinstance(value, float):
+                        assert value == pytest.approx(t[key], rel=1e-12), key
+                    else:
+                        assert value == t[key], key
+
+    def test_binds_all_three_or_none(self):
+        done = _fresh(_HIDE_SYMBOLS.format(prefix="scipy_dtrsyl_64_"), """
             from scipy.linalg import lapack
+            import sysmor
+            assert sysmor.numkernels._dgeev is None
             assert sysmor.statespace.dgees is lapack.dgees
-            assert sysmor.numkernels.dtrsyl is lapack.dtrsyl
-        """, _REDUCE)
+        """)
         assert done.returncode == 0, done.stderr
 
     def test_without_scipy_import_fails_plainly(self):
-        done = _fresh("""
+        # with numpy's routines the package needs no scipy; without them
+        # the import names what is missing
+        bound = _fresh("""
+            import sys
+            sys.modules["scipy"] = None
+        """, _REDUCE)
+        assert bound.returncode == 0, bound.stderr
+        done = _fresh(_HIDE_SYMBOLS.format(prefix="scipy_"), """
             import sys
             sys.modules["scipy"] = None
             try:
@@ -199,6 +298,92 @@ def _read_only(M: np.ndarray) -> np.ndarray:
     M = np.asfortranarray(M)
     M.setflags(write=False)
     return M
+
+
+def _schur_pair(seed: int, m: int = 7, n: int = 4):
+    """Quasi-triangular real Schur factors of seeded m x m and n x n
+    matrices, and an m x n right side."""
+    rng = np.random.default_rng(seed)
+    A, B, C = (rng.standard_normal(shape) for shape in ((m, m), (n, n), (m, n)))
+    T = numkernels.dgees(lambda re, im: 0, A)[0]
+    S = numkernels.dgees(lambda re, im: 0, B)[0]
+    return T, S, C
+
+
+@needs_numpy_lapack
+class TestLapackWrappers:
+    """``dgees`` and ``dtrsyl`` on numpy's OpenBLAS take and return what
+    scipy's f2py wrappers do, for the calls the package makes."""
+
+    def test_overwrite_c_writes_into_a_fortran_float64_c(self):
+        T, S, C = _schur_pair(50)
+        c = np.asfortranarray(C)
+        x, scale, info = numkernels.dtrsyl(T, S, c, overwrite_c=True)
+        assert x is c and info == 0
+        assert _sylvester_residual(T, S, C, x, scale, "N", "N") < 1e-14
+
+    @pytest.mark.parametrize(
+        "make, overwrite_c",
+        [(np.asfortranarray, False)] + [
+            (make, flag)
+            for make in (np.ascontiguousarray, _read_only,
+                         lambda C: C.astype(np.float32, order="F"))
+            for flag in (False, True)
+        ],
+    )
+    def test_any_other_c_is_copied(self, make, overwrite_c):
+        T, S, C = _schur_pair(51)
+        c = make(C)
+        before = c.copy()
+        x, _, info = numkernels.dtrsyl(T, S, c, overwrite_c=overwrite_c)
+        assert x is not c and info == 0
+        assert np.array_equal(c, before)
+        assert x.dtype == np.float64 and x.flags.f_contiguous
+        expected = numkernels.dtrsyl(T, S, np.asfortranarray(c, dtype=float))[0]
+        assert x.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("trana, tranb", [("N", "T"), ("N", "N"), ("T", "N")])
+    def test_transposes_the_package_uses(self, trana, tranb):
+        # N/T: solve_lyapunov; N or T with N: _solve_chunk
+        T, S, C = _schur_pair(52, m=30, n=12)
+        x, scale, info = numkernels.dtrsyl(T, S, C, trana=trana, tranb=tranb)
+        x_s, scale_s, info_s = lapack.dtrsyl(T, S, C, trana=trana, tranb=tranb)
+        assert (scale, info) == (scale_s, info_s) == (1.0, 0)
+        assert _sylvester_residual(T, S, C, x, scale, trana, tranb) < 1e-14
+        assert np.abs(x - x_s).max() <= _DTRSYL_BUILD_RTOL * np.abs(x_s).max()
+
+    def test_c_ordered_operands_solve_as_their_fortran_copies(self):
+        T, S, C = _schur_pair(53)
+        fortran = numkernels.dtrsyl(T, S, C, tranb="T")
+        ordered = numkernels.dtrsyl(
+            np.ascontiguousarray(T), np.ascontiguousarray(S), C, tranb="T"
+        )
+        assert ordered[0].tobytes() == fortran[0].tobytes()
+        assert ordered[1:] == fortran[1:]
+        A = np.random.default_rng(53).standard_normal((9, 9))
+        ours = numkernels.dgees(lambda re, im: 0, A)
+        fortran = numkernels.dgees(lambda re, im: 0, np.asfortranarray(A))
+        assert _factor_bytes(ours) == _factor_bytes(fortran)
+
+    @pytest.mark.parametrize("name", ["_dgees", "_dtrsyl"])
+    def test_bindings_release_the_gil(self, name):
+        # as _dgeev's (TestEigvalsOverwrite): CDLL functions, not PyDLL ones
+        fn = getattr(numkernels, name)
+        assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+        assert fn._flags_ & ctypes._FUNCFLAG_CDECL
+
+    def test_dgees_failure_raises_schur_error(self, monkeypatch):
+        bound = numkernels._dgees
+
+        def fails(*args):
+            bound(*args)
+            args[14].value = 1  # INFO
+
+        monkeypatch.setattr(numkernels, "_dgees", fails)
+        A = np.random.default_rng(54).standard_normal((6, 6))
+        model = StateSpace(A, np.ones((6, 1)), np.ones((1, 6)), np.zeros((1, 1)))
+        with pytest.raises(np.linalg.LinAlgError, match="Schur factorization"):
+            model._schur
 
 
 class TestEigvalsOverwrite:
