@@ -461,9 +461,9 @@ def linf_sweep(model: StateSpace, reduced, rel_tol: float, meanwhile) -> list:
     array is held while ``meanwhile()`` runs.  The worker runs nothing
     but ``_hamiltonian_spectrum``, so every public call stays on this
     thread and at most two Hamiltonians are in flight.  Each eigensolve
-    releases the GIL, so the worker's overlap this thread's work at every
-    size.  An exception from ``meanwhile()`` propagates once the worker
-    has finished the spectrum it is solving.
+    releases the GIL, so the worker's eigensolves overlap this thread's
+    work at every size.  An exception from ``meanwhile()`` propagates once
+    the worker has finished the spectrum it is solving.
     """
     outcomes, tests, spectra = [], [], []
     pool = ThreadPoolExecutor(max_workers=1)

@@ -175,8 +175,7 @@ class TestLapackRoutines:
             theirs = lapack.dgees(lambda re, im: 0, M)
             assert ours[6] == 0
             assert _factor_bytes(ours) == _factor_bytes(theirs)
-        T, S = numkernels.dgees(lambda re, im: 0, A)[0], lapack.dgees(
-            lambda re, im: 0, B)[0]
+        T, S = (numkernels.dgees(lambda re, im: 0, M)[0] for M in (A, B))
         x, scale, info = numkernels.dtrsyl(T, S, C, tranb="T")
         x_s, scale_s, info_s = lapack.dtrsyl(T, S, C, tranb="T")
         assert (scale, info) == (scale_s, info_s) == (1.0, 0)
@@ -235,11 +234,12 @@ class TestLapackRoutines:
     def test_without_scipy_import_fails_plainly(self):
         # with numpy's routines the package needs no scipy; without them
         # the import names what is missing
-        bound = _fresh("""
-            import sys
-            sys.modules["scipy"] = None
-        """, _REDUCE)
-        assert bound.returncode == 0, bound.stderr
+        if _BOUND:
+            bound = _fresh("""
+                import sys
+                sys.modules["scipy"] = None
+            """, _REDUCE)
+            assert bound.returncode == 0, bound.stderr
         done = _fresh(_HIDE_SYMBOLS.format(prefix="scipy_"), """
             import sys
             sys.modules["scipy"] = None
