@@ -8,6 +8,8 @@ SVD once; each order then copies the leading block of that realization.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .exceptions import RankOutOfRange, UnstableInput
@@ -28,7 +30,8 @@ def balanced_truncate(
     states (unit decay, no input or output coupling), so any order up to
     n is accepted even for models that are not minimal.  Raises
     UnstableInput for unstable models and RankOutOfRange unless
-    0 <= order <= n.
+    0 <= order <= n.  The reduced model owns validated copies of its
+    arrays, so keeping it does not keep the n x n realization alive.
     """
     order = int(order)
     if order < 0 or order > sys.n:
@@ -40,4 +43,4 @@ def balanced_truncate(
     hsv = sys._balancing.hsv.copy()
     if order == 0:
         return static_gain(sys.D), hsv
-    return _balanced_truncation(sys, order), hsv
+    return replace(_balanced_truncation(sys, order)), hsv

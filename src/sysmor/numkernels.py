@@ -200,7 +200,8 @@ def _eigvals_overwrite(H: np.ndarray) -> np.ndarray:
         raise ValueError("H must be a writable float64 Fortran-ordered square array")
     if _dgeev is None:
         return np.linalg.eigvals(H)
-    if not np.isfinite(H).all():
+    # min and max propagate NaN: no 2n x 2n boolean temporary
+    if H.size and not (np.isfinite(H.min()) and np.isfinite(H.max())):
         raise LinAlgError("Array must not contain infs or NaNs")
     n = H.shape[0]
     w = np.empty(2 * n)  # the real parts, then the imaginary ones

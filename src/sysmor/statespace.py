@@ -2,8 +2,10 @@
 
 A continuous-time LTI system is carried as a real quadruple (A, B, C, D)
 with transfer function G(s) = C (sI - A)^-1 B + D.  Static gains (n = 0)
-are first-class.  All operations are pure: they validate, build new
-matrices, and return a fresh ``StateSpace``.
+are first-class.  All operations are pure: they return a fresh
+``StateSpace`` and never write into their operands.  The constructor
+validates and copies the matrices it is given; a model derived from
+others (below) instead shares their frozen arrays, or views of them.
 
 Each instance factors A once into its real Schur form A = Z T Z^T, read
 by every pole and cached Gramian, and solves every response and slope on
@@ -77,7 +79,9 @@ _NEGLIGIBLE_HSV_RTOL = 1e-14
 class _Origin(NamedTuple):
     """How a model was derived: ``kind`` "dynamics" is a new output map on
     the states of ``of``, "dual" the dual of ``of``, and "difference" the
-    error system ``of`` - ``minus``; None is a model built from matrices."""
+    error system ``of`` - ``minus``; None is a model built from matrices.
+    A derived model shares its operands' frozen arrays (A and B of the
+    same states, the transposes of a dual) rather than copying them."""
 
     kind: str | None = None
     of: StateSpace | None = None
@@ -102,7 +106,8 @@ class StateSpace:
     """Real (A, B, C, D) quadruple with n states, q inputs, p outputs.
 
     Matrices are validated for shape consistency and finiteness on
-    construction and stored read-only, so instances are safely shareable.
+    construction and stored as read-only copies, so instances are safely
+    shareable; models derived from others share their frozen arrays.
     A 1-D B is one input column and a 1-D C one output row.  A model has
     at least one input and one output (else DimensionMismatch); ``n = 0``
     represents a static gain y = D u.  Instances compare and
@@ -308,15 +313,30 @@ class StateSpace:
         return _Balancing(*_frozen(A, W.T @ self.B, self.C @ T, hsv, tails))
 
 
-def _derived(model: StateSpace, *origin) -> StateSpace:
-    object.__setattr__(model, "_origin", _Origin(*origin))
+def _derived(
+    kind: str | None, of: StateSpace | None, minus: StateSpace | None = None,
+    **arrays: np.ndarray,
+) -> StateSpace:
+    """The model derived from ``of`` (and ``minus``) by ``kind`` (see
+    ``_Origin``) on the named ``arrays`` A, B, C and D, which it freezes
+    and adopts as they are: no copy and no check, so a view of an
+    operand's frozen array stays a view.  Callers hand it only arrays of
+    validated models, or arrays they have checked; a difference hands no
+    A, which it forms on first read."""
+    model = object.__new__(StateSpace)
+    for name, M in arrays.items():
+        object.__setattr__(model, name, _frozen(M)[0])
+    object.__setattr__(model, "_origin", _Origin(kind, of, minus))
     return model
 
 
 def _same_dynamics(sys: StateSpace, C, D) -> StateSpace:
-    """(A, B, C, D) on the states of ``sys``, sharing its Schur form,
-    seeds and reachability Gramian."""
-    return _derived(StateSpace(sys.A, sys.B, C, D), "dynamics", sys)
+    """(A, B, C, D) on the states of ``sys``: it shares the frozen A and
+    B of ``sys``, with its Schur form, seeds and reachability Gramian,
+    and checks only the new C and D."""
+    C = _as_matrix(C, cols=sys.n, name="C")
+    D = _as_matrix(D, rows=C.shape[0], cols=sys.q, name="D")
+    return _derived("dynamics", sys, A=sys.A, B=sys.B, C=C, D=D)
 
 
 def _psd_factor(M: np.ndarray) -> np.ndarray:
@@ -334,10 +354,13 @@ def _psd_factor(M: np.ndarray) -> np.ndarray:
 
 def _balanced_truncation(sys: StateSpace, order: int) -> StateSpace:
     """The balanced truncation of a stable ``sys`` to 0 < ``order`` <= n
-    states: the leading block of its cached balanced realization, read at
-    O(order^2) cost."""
+    states: views of the leading block of its cached balanced realization,
+    no copy.  The model keeps that n x n realization alive; a caller that
+    keeps it longer than ``sys`` copies it."""
     A, B, C, _, _ = sys._balancing
-    return StateSpace(A[:order, :order], B[:order], C[:, :order], sys.D)
+    return _derived(
+        None, None, A=A[:order, :order], B=B[:order], C=C[:, :order], D=sys.D
+    )
 
 
 def _frozen(*arrays):
@@ -549,27 +572,29 @@ def subtract(g: StateSpace, r: StateSpace) -> StateSpace:
     The result remembers its operands: its Schur factors, seeds,
     reachability Gramian and response are assembled from those of ``g``
     and ``r``, so a fixed ``g`` is factored, and solved at its seeds,
-    only once.  It stores the stacked B and C and D_g - D_r; its stacked
-    A, which no computation of ``sysmor`` reads, is formed on first read.
+    only once.  It stores the stacked B and C and D_g - D_r, each built
+    once and frozen, not copied; its stacked A, which no computation of
+    ``sysmor`` reads, is formed on first read.
     """
     if (g.p, g.q) != (r.p, r.q):
         raise DimensionMismatch(
             f"cannot subtract {r.p}x{r.q} system from {g.p}x{g.q} system"
         )
-    err = object.__new__(StateSpace)
-    stacked = np.vstack([g.B, r.B]), np.hstack([g.C, -r.C]), g.D - r.D
-    for name, M in zip("BCD", stacked):
-        object.__setattr__(err, name, _frozen(_as_matrix(M, name=name))[0])
-    return _derived(err, "difference", g, r)
+    # finite operands stack to finite B and C, but D_g - D_r may overflow
+    D = _as_matrix(g.D - r.D, name="D")
+    return _derived(
+        "difference", g, r, B=np.vstack([g.B, r.B]), C=np.hstack([g.C, -r.C]), D=D
+    )
 
 
 def dual(sys: StateSpace) -> StateSpace:
     """Transpose the transfer matrix: (A, B, C, D) -> (A^T, C^T, B^T, D^T).
 
-    The result reuses the factors, seed responses and Gramians of ``sys``
-    (its two Gramians trade places).
+    The result's arrays are transposed views of the frozen arrays of
+    ``sys``, not copies, and it reuses the factors, seed responses and
+    Gramians of ``sys`` (its two Gramians trade places).
     """
-    return _derived(StateSpace(sys.A.T, sys.C.T, sys.B.T, sys.D.T), "dual", sys)
+    return _derived("dual", sys, A=sys.A.T, B=sys.C.T, C=sys.B.T, D=sys.D.T)
 
 
 def poles(sys: StateSpace) -> np.ndarray:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,21 @@ class TestEigvalsOverwrite:
             np.linalg.eigvals(M).tobytes()
         )
         assert not np.array_equal(H, M)  # dgeev's Schur factor
+
+    def test_finiteness_check_forms_no_mask_of_H(self):
+        # At N = 564, the largest level test of compare-modal270, the
+        # traced peak is dgeev's workspace and the spectrum, about
+        # 0.07 H.nbytes; a boolean mask of H would add 0.125 H.nbytes.
+        if numkernels._dgeev is None:
+            pytest.skip("numpy's LAPACK exports no scipy_dgeev_64_")
+        H = np.asfortranarray(np.random.default_rng(564).standard_normal((564, 564)))
+        tracemalloc.start()
+        try:
+            numkernels._eigvals_overwrite(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * H.nbytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused_as_numpy_refuses(self, bad):

@@ -16,6 +16,8 @@ from sysmor import (
     DimensionMismatch,
     SingularAtFrequency,
     StateSpace,
+    assemble_error_system,
+    balanced_truncate,
     dual,
     eval_freq,
     h2_error_metric,
@@ -28,6 +30,7 @@ from sysmor import (
 from sysmor.statespace import (
     _CHUNK,
     _DIAGONAL_CHUNK,
+    _balanced_truncation,
     _response_slope,
     _same_dynamics,
     _shifted_solve,
@@ -500,6 +503,86 @@ class TestInterconnections:
         for model in (err, g):
             with pytest.raises(AttributeError, match="no_such_name"):
                 model.no_such_name
+
+    def test_dual_shares_its_operands_frozen_arrays(self):
+        rng = np.random.default_rng(19)
+        g = random_stable(rng, n=6, q=2, p=3, feedthrough=True)
+        d = dual(g)
+        for mine, theirs in ((d.A, g.A), (d.B, g.C), (d.C, g.B), (d.D, g.D)):
+            assert np.shares_memory(mine, theirs) and not mine.flags.writeable
+            assert mine.tobytes() == np.ascontiguousarray(theirs.T).tobytes()
+
+    def test_same_dynamics_shares_A_and_B_and_checks_C_and_D(self):
+        rng = np.random.default_rng(20)
+        g = random_stable(rng, n=6, q=2, p=3)
+        C = rng.standard_normal((4, 6))
+        same = _same_dynamics(g, C, np.zeros((4, 2)))
+        for mine, theirs in ((same.A, g.A), (same.B, g.B)):
+            assert np.shares_memory(mine, theirs) and not mine.flags.writeable
+        assert same.C.tobytes() == C.tobytes() and not same.C.flags.writeable
+        assert (same.n, same.q, same.p) == (6, 2, 4)
+        with pytest.raises(DimensionMismatch):
+            _same_dynamics(g, rng.standard_normal((4, 5)), np.zeros((4, 2)))
+        with pytest.raises(DimensionMismatch):
+            _same_dynamics(g, C, np.zeros((3, 2)))
+        bad = C.copy()  # C itself was adopted, and is frozen now
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="C contains non-finite"):
+            _same_dynamics(g, bad, np.zeros((4, 2)))
+
+    def test_surrogate_views_the_balanced_realization(self):
+        # A level test's surrogate G_k is a view of G's cached balanced
+        # realization; balanced_truncate hands its caller the same model
+        # as its own copy, and the public constructor copies too.
+        rng = np.random.default_rng(21)
+        g = random_stable(rng, n=8, q=2, p=3, feedthrough=True)
+        Ab, Bb, Cb, _, _ = g._balancing
+        surrogate = _balanced_truncation(g, 5)
+        kept, _ = balanced_truncate(g, 5)
+        built = StateSpace(g.A, g.B, g.C, g.D)
+        for mine, theirs in zip(
+            (surrogate.A, surrogate.B, surrogate.C, surrogate.D), (Ab, Bb, Cb, g.D)
+        ):
+            assert np.shares_memory(mine, theirs) and not mine.flags.writeable
+        for a, b in zip((kept.A, kept.B, kept.C, kept.D),
+                        (surrogate.A, surrogate.B, surrogate.C, surrogate.D)):
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+            assert not a.flags.writeable
+        for model, operand in ((kept, g._balancing), (built, g)):
+            for mine in (model.A, model.B, model.C, model.D):
+                assert not any(
+                    np.shares_memory(mine, theirs)
+                    for theirs in (operand.A, operand.B, operand.C, g.D)
+                )
+
+    @pytest.mark.parametrize("kind", ["dual", "cancelled"])
+    def test_shared_models_clone_as_a_difference_does(self, kind):
+        # As for the difference in test_difference_forms_its_A_on_first_read:
+        # copy, deepcopy and pickle keep the derivation; a replaced model
+        # is built from copies of its matrices and factors its own A.
+        rng = np.random.default_rng(22)
+        g = random_stable(rng, n=6, q=2, p=3, feedthrough=True)
+        if kind == "dual":
+            model = dual(g)
+        else:
+            model = assemble_error_system([sample_support_point(g, 0.8)], g)
+            assert model._origin.kind == "dynamics" and model.p == 3 + 6
+        omegas = np.array([0.0, 0.7, 3.0])
+        clones = [copy.copy(model), copy.deepcopy(model),
+                  pickle.loads(pickle.dumps(model)), dataclasses.replace(model)]
+        for clone in clones:
+            for name in "ABCD":
+                assert getattr(clone, name).tobytes() == getattr(model, name).tobytes()
+        for clone in clones[:3]:
+            assert clone._origin.kind == model._origin.kind
+            assert eval_freq(clone, omegas).tobytes() == eval_freq(model, omegas).tobytes()
+        replaced = clones[3]
+        assert replaced._origin.kind is None
+        assert not any(np.shares_memory(getattr(replaced, name), getattr(model, name))
+                       for name in "ABCD")
+        np.testing.assert_allclose(
+            eval_freq(replaced, omegas), eval_freq(model, omegas), rtol=1e-12
+        )
 
     def test_dual_transposes_transfer(self):
         rng = np.random.default_rng(15)
