@@ -8,8 +8,6 @@ SVD once; each order then copies the leading block of that realization.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .exceptions import RankOutOfRange, UnstableInput
@@ -43,4 +41,5 @@ def balanced_truncate(
     hsv = sys._balancing.hsv.copy()
     if order == 0:
         return static_gain(sys.D), hsv
-    return replace(_balanced_truncation(sys, order)), hsv
+    kept = _balanced_truncation(sys, order)
+    return StateSpace(kept.A, kept.B, kept.C, kept.D), hsv
