@@ -200,7 +200,7 @@ def _eigvals_overwrite(H: np.ndarray) -> np.ndarray:
         raise ValueError("H must be a writable float64 Fortran-ordered square array")
     if _dgeev is None:
         return np.linalg.eigvals(H)
-    # min and max propagate NaN: no 2n x 2n boolean temporary
+    # min and max propagate NaN: no boolean temporary the size of H
     if H.size and not (np.isfinite(H.min()) and np.isfinite(H.max())):
         raise LinAlgError("Array must not contain infs or NaNs")
     n = H.shape[0]
