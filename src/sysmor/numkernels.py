@@ -15,13 +15,13 @@ The package's three LAPACK routines, the real Schur factorization
 eigensolve ``dgeev``, are bound here, once, through ctypes from the
 OpenBLAS that numpy's linear-algebra extension links: numpy's wheel
 bundles it, so a ``sysmor`` process loads one LAPACK and no scipy module.
-Each ctypes call releases the GIL.  ``dgees`` and ``dtrsyl`` take the
-arguments, and return the tuples, of scipy's ``scipy.linalg.lapack``
-wrappers as the package calls them; ``dgees`` passes scipy's workspace
-size, so its factors are the bits scipy's wrapper computes on this
-LAPACK.  ``dtrsyl`` has no workspace, but its bits depend on the LAPACK
-build, so its solves differ from those of scipy's own OpenBLAS at
-roundoff.
+Each ctypes call releases the GIL.  ``dgees`` and ``dtrsyl`` each have
+the one narrow signature the package calls: (T, Z, eigenvalues) of one
+matrix, and a solve in place into the right side.  ``dgees`` passes
+scipy's workspace size, so its factors are the bits scipy's wrapper
+computes on this LAPACK.  ``dtrsyl`` has no workspace, but its bits
+depend on the LAPACK build, so its solves differ from those of scipy's
+own OpenBLAS at roundoff.
 
 The Hamiltonian eigensolve of every L-infinity level test is the
 ``dgeev`` that ``np.linalg.eigvals`` runs, called by
@@ -33,13 +33,12 @@ the ``numpy.ma`` import that ``np.unique`` makes on its first call.
 
 Where numpy's LAPACK does not export all three routines under these
 names (a build on Accelerate or MKL, say), none is bound:
-``np.linalg.eigvals`` solves each H, and ``dgees`` and ``dtrsyl`` are
-scipy's own, from ``scipy.linalg._flapack``, the compiled module that
-``scipy.linalg.lapack`` re-exports.  It is loaded by its file spec under
-scipy's ``linalg`` directory, which runs neither ``scipy/__init__`` nor
-``scipy/linalg/__init__``, because importing ``scipy.linalg`` takes
-longer than importing numpy; where a scipy build has no such module,
-both come from ``scipy.linalg.lapack``.
+``np.linalg.eigvals`` solves each H, and ``dgees`` and ``dtrsyl`` call,
+behind the same signatures, scipy's compiled ``scipy.linalg._flapack``.
+It is loaded by its file spec under scipy's ``linalg`` directory, which
+runs neither ``scipy/__init__`` nor ``scipy/linalg/__init__``: importing
+``scipy.linalg`` there would cost about 18 MB of peak RSS and 0.25 s of
+import (see the README).
 """
 
 from __future__ import annotations
@@ -71,10 +70,9 @@ _SPECTRUM_PAIR_RTOL = 1e-10
 _PAIR_ROWS = 64
 
 
-def _lapack_routines():
-    """(dgees, dtrsyl) of ``scipy.linalg._flapack``, loaded without
-    importing ``scipy.linalg``; of ``scipy.linalg.lapack`` where no such
-    extension is found.  Without scipy this raises a plain ``ImportError``."""
+def _scipy_flapack():
+    """``scipy.linalg._flapack``, loaded without importing ``scipy.linalg``;
+    ImportError where scipy has no such module."""
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
@@ -82,14 +80,12 @@ def _lapack_routines():
         dirs = (scipy and scipy.submodule_search_locations) or ()
         spec = PathFinder.find_spec(name, [os.path.join(d, "linalg") for d in dirs])
         if spec is None:
-            from scipy.linalg.lapack import dgees, dtrsyl
-
-            return dgees, dtrsyl
+            raise ImportError(f"no scipy_dgees_64_ in numpy's LAPACK, and no {name}")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         # a later ``import scipy.linalg`` re-exports this module, not a copy
         sys.modules[name] = module
-    return module.dgees, module.dtrsyl
+    return module
 
 
 # ctypes types of the LAPACK arguments: a Fortran string, a pointer to an
@@ -138,53 +134,55 @@ def _ints(*values: int) -> list[ctypes.c_int64]:
     return [ctypes.c_int64(v) for v in values]
 
 
-def dgees(select, a: np.ndarray):
-    """``scipy.linalg.lapack.dgees(select, a)``: the real Schur form
-    a = Z T Z^T, unsorted (``select`` is not called), as the tuple
-    (T, sdim, wr, wi, Z, work, info), computed on a Fortran copy of
-    ``a`` with scipy's workspace of max(3n, 1), so its bits are scipy's
-    on the same LAPACK."""
-    t = np.array(a, dtype=np.float64, order="F")
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError("a must be a square matrix")
-    n = t.shape[0]
-    wr, wi = np.empty(n), np.empty(n)
-    z = np.empty((n, n), order="F")
-    work = np.empty(max(3 * n, 1))
-    N, ld, sdim, lwork, info = _ints(n, max(n, 1), 0, work.size, 0)
-    _dgees(b"V", b"N", None, N, t.ctypes.data, ld, sdim, wr.ctypes.data,
-           wi.ctypes.data, z.ctypes.data, ld, work.ctypes.data, lwork, None,
-           info, 1, 1)
-    return t, sdim.value, wr, wi, z, work, info.value
+# scipy's routines, where numpy's LAPACK binds none of the three
+_flapack = _scipy_flapack() if _dgees is None else None
 
 
-def dtrsyl(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray,
-    trana: str = "N", tranb: str = "N", overwrite_c: bool = False,
-):
-    """``scipy.linalg.lapack.dtrsyl(a, b, c, trana, tranb,
-    overwrite_c=overwrite_c)``: X with op(a) X + X op(b) = scale c for
-    quasi-triangular a and b, as (X, scale, info).  X overwrites ``c``
-    only with ``overwrite_c`` and a writable float64 Fortran-ordered
-    ``c``; any other ``c`` is copied, as f2py copies it."""
-    a, b = (np.asfortranarray(m, dtype=np.float64) for m in (a, b))
-    if not (
-        overwrite_c and isinstance(c, np.ndarray) and c.dtype == np.float64
-        and c.flags.f_contiguous and c.flags.writeable
-    ):
-        c = np.array(c, dtype=np.float64, order="F")
+def dgees(a: np.ndarray):
+    """The real Schur form a = Z T Z^T of the square ``a``, unsorted, as
+    (T, Z, eigenvalues); LinAlgError where it does not converge.  A
+    Fortran copy of ``a`` is factored with scipy's workspace of
+    max(3n, 1), so the bits are those of scipy's wrapper on this LAPACK."""
+    if _flapack is not None:
+        t, _, wr, wi, z, _, info = _flapack.dgees(lambda re, im: 0, a)
+    else:
+        t = np.array(a, dtype=np.float64, order="F")
+        n = t.shape[0]
+        if t.shape != (n, n):
+            raise ValueError("a must be a square matrix")
+        wr, wi = np.empty(n), np.empty(n)
+        z = np.empty((n, n), order="F")
+        work = np.empty(max(3 * n, 1))
+        N, ld, sdim, lwork, info = _ints(n, max(n, 1), 0, work.size, 0)
+        _dgees(b"V", b"N", None, N, t.ctypes.data, ld, sdim, wr.ctypes.data,
+               wi.ctypes.data, z.ctypes.data, ld, work.ctypes.data, lwork,
+               None, info, 1, 1)
+        info = info.value
+    if info:
+        raise LinAlgError("Schur factorization did not converge")
+    return t, z, wr + 1j * wi
+
+
+def dtrsyl(a: np.ndarray, b: np.ndarray, c: np.ndarray, trana: str, tranb: str):
+    """Overwrite ``c`` with X, where op(a) X + X op(b) = scale c for the
+    quasi-triangular ``a`` and ``b`` (op transposes where ``trana`` or
+    ``tranb`` is "T"), and return (scale, info).  All three must be float64
+    and Fortran-ordered, and ``c`` writable: other operands are refused,
+    not copied."""
     m, n = c.shape
-    if a.shape != (m, m) or b.shape != (n, n):
-        raise ValueError("a, b and c must be m x m, n x n and m x n")
+    if not (
+        a.shape == (m, m) and b.shape == (n, n) and c.flags.writeable
+        and a.dtype == b.dtype == c.dtype == np.float64
+        and a.flags.f_contiguous and b.flags.f_contiguous and c.flags.f_contiguous
+    ):
+        raise ValueError("dtrsyl needs float64 Fortran-ordered a, b and c, c writable")
+    if _flapack is not None:
+        return _flapack.dtrsyl(a, b, c, trana, tranb, overwrite_c=True)[1:]
     scale = ctypes.c_double()
     isgn, M, N, ldm, ldn, info = _ints(1, m, n, max(m, 1), max(n, 1), 0)
     _dtrsyl(trana.encode(), tranb.encode(), isgn, M, N, a.ctypes.data, ldm,
             b.ctypes.data, ldn, c.ctypes.data, ldm, scale, info, 1, 1)
-    return c, scale.value, info.value
-
-
-if _dgees is None:  # numpy's LAPACK binds none of the three: scipy's own
-    dgees, dtrsyl = _lapack_routines()
+    return scale.value, info.value
 
 
 def _eigvals_overwrite(H: np.ndarray) -> np.ndarray:
@@ -294,9 +292,8 @@ def solve_lyapunov(sys: StateSpace, other: StateSpace | None = None) -> GramianR
 
     # Overflow shows as a non-finite P, refused below, never as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        X, scale, info = dtrsyl(
-            T, To, -(Z.T @ sys.B) @ (Zo.T @ other.B).T, trana="N", tranb="T"
-        )
+        X = np.asfortranarray(-(Z.T @ sys.B) @ (Zo.T @ other.B).T)
+        scale, info = dtrsyl(T, To, X, "N", "T")
         if info:
             raise IllPosedLyapunov("Lyapunov solve met (nearly) mirrored eigenvalues")
         P = Z @ (X / scale) @ Zo.T

@@ -192,11 +192,7 @@ class StateSpace:
         if self.n == 0:
             return _frozen(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, complex))
         if kind is None:
-            # sort_t=0: no eigenvalue reordering, so the select callback is unused
-            T, _, wr, wi, Z, _, info = dgees(lambda re, im: 0, self.A)
-            if info:
-                raise np.linalg.LinAlgError("Schur factorization did not converge")
-            return _frozen(T, Z, wr + 1j * wi)
+            return _frozen(*dgees(self.A))
         if kind == "dynamics":
             return of._schur
         if kind == "dual":
@@ -452,16 +448,13 @@ def _solve_chunk(
     omega = np.repeat(omegas, m)
     rotation[even, even + 1] = -omega
     rotation[even + 1, even] = omega
-    x, scale, info = dtrsyl(
-        T, rotation, c, trana="T" if trans else "N", overwrite_c=True
-    )
+    scale, info = dtrsyl(T, rotation, c, "T" if trans else "N", "N")
     if (info or scale != 1.0) and k > 1:
         return np.concatenate(
             [_solve_chunk(T, omegas[i : i + 1], rhs, trans) for i in range(k)]
         )
     if info:
         raise SingularAtFrequency(_EIGENVALUE_AT.format(omegas[0]))
-    pairs = x.reshape((n, 2, m, k), order="F")
     # C-contiguous per frequency, so a stacked product runs for each
     # frequency the BLAS kernel (dot, gemv or gemm) that a one-frequency
     # chunk runs, and a stack equals its scalar calls bit for bit.

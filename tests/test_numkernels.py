@@ -116,12 +116,6 @@ def _chain_mimo_A() -> np.ndarray:
     return models.chain_mimo(0)[0]
 
 
-def _factor_bytes(schur: tuple) -> list[bytes]:
-    """The bytes of what ``dgees`` returns, but for LAPACK's workspace:
-    T, sdim, wr, wi, Z and info."""
-    return [np.asarray(schur[i]).tobytes() for i in (0, 1, 2, 3, 4, 6)]
-
-
 def _sylvester_residual(a, b, c, x, scale, trana, tranb) -> float:
     """||op(a) x + x op(b) - scale c||_F relative to the terms' sizes."""
     op_a = a.T if trana == "T" else a
@@ -151,19 +145,14 @@ class TestLapackRoutines:
         assert done.returncode == 0, done.stderr
 
     def test_loaded_after_scipy_linalg(self):
-        done = _fresh("""
-            from scipy.linalg import lapack
+        # the fallback calls the very module scipy.linalg has loaded
+        done = _fresh(_HIDE_SYMBOLS.format(prefix="scipy_"), """
+            from scipy.linalg import _flapack
             import sysmor
-            bound = sysmor.numkernels._dgees is not None
-            assert (sysmor.statespace.dgees is lapack.dgees) is not bound
-            assert (sysmor.numkernels.dtrsyl is lapack.dtrsyl) is not bound
+            assert sysmor.numkernels._flapack is _flapack
         """, _REDUCE)
         assert done.returncode == 0, done.stderr
-        # and in this process, which has imported both: numpy's routines,
-        # and a fallback that would hand back scipy's very objects
-        assert (numkernels.dgees is lapack.dgees) is not _BOUND
-        dgees, dtrsyl = numkernels._lapack_routines()
-        assert dgees is lapack.dgees and dtrsyl is lapack.dtrsyl
+        assert numkernels._scipy_flapack() is lapack._flapack
 
     def test_bit_identical_to_scipy_lapack(self):
         # dgees with scipy's workspace size writes scipy's bytes; dtrsyl's
@@ -172,63 +161,49 @@ class TestLapackRoutines:
         rng = np.random.default_rng(0)
         A, B, C = (rng.standard_normal((50, 50)) for _ in range(3))
         for M in (A, _chain_mimo_A()):
-            ours = numkernels.dgees(lambda re, im: 0, M)
-            theirs = lapack.dgees(lambda re, im: 0, M)
-            assert ours[6] == 0
-            assert _factor_bytes(ours) == _factor_bytes(theirs)
-        T, S = (numkernels.dgees(lambda re, im: 0, M)[0] for M in (A, B))
-        x, scale, info = numkernels.dtrsyl(T, S, C, tranb="T")
+            t, _, wr, wi, z, _, info = lapack.dgees(lambda re, im: 0, M)
+            assert info == 0
+            assert [F.tobytes() for F in numkernels.dgees(M)] == [
+                t.tobytes(), z.tobytes(), (wr + 1j * wi).tobytes()
+            ]
+        T, S = (numkernels.dgees(M)[0] for M in (A, B))
+        x = np.asfortranarray(C)
+        scale, info = numkernels.dtrsyl(T, S, x, "N", "T")
         x_s, scale_s, info_s = lapack.dtrsyl(T, S, C, tranb="T")
         assert (scale, info) == (scale_s, info_s) == (1.0, 0)
         assert _sylvester_residual(T, S, C, x, scale, "N", "T") < 1e-14
         assert np.abs(x - x_s).max() <= _DTRSYL_BUILD_RTOL * np.abs(x_s).max()
 
     def test_falls_back_to_scipy_linalg_lapack(self):
-        # numpy's LAPACK without the symbols: np.linalg.eigvals and scipy's
-        # routines, from its compiled module; and where that module is not
-        # where the loader looks, scipy's own import of it, with
-        # scipy.linalg under way, still finds it.
-        path_finder = """
-            from importlib.machinery import PathFinder
-
-            find = PathFinder.find_spec
-
-            def hidden(cls, name, path=None, target=None):
-                if name == "scipy.linalg._flapack" and "scipy.linalg" not in sys.modules:
-                    return None
-                return find(name, path, target)
-
-            PathFinder.find_spec = classmethod(hidden)
-        """
+        # numpy's LAPACK without the symbols: np.linalg.eigvals, and scipy's
+        # routines from its compiled module alone, behind the same signatures
         records = _fresh(_REDUCE, _RECORDS)
         assert records.returncode == 0, records.stderr
-        for finder, linalg in (("", False), (path_finder, True)):
-            done = _fresh(_HIDE_SYMBOLS.format(prefix="scipy_"), "import sys", finder, """
-                import sysmor
-                from sysmor import numkernels
-                assert numkernels._dgeev is numkernels._dgees is numkernels._dtrsyl is None
-            """, f"assert ('scipy.linalg' in sys.modules) is {linalg}", """
-                from scipy.linalg import lapack
-                assert sysmor.statespace.dgees is lapack.dgees
-                assert numkernels.dtrsyl is lapack.dtrsyl
-            """, _REDUCE, _RECORDS)
-            assert done.returncode == 0, done.stderr
-            # the same records, up to scipy's dtrsyl build in the H2 metric
-            ours, theirs = json.loads(records.stdout), json.loads(done.stdout)
-            assert [r.keys() for r in ours] == [r.keys() for r in theirs]
-            for r, t in zip(ours, theirs):
-                for key, value in r.items():
-                    if isinstance(value, float):
-                        assert value == pytest.approx(t[key], rel=1e-12), key
-                    else:
-                        assert value == t[key], key
+        done = _fresh(_HIDE_SYMBOLS.format(prefix="scipy_"), """
+            import sys
+            import sysmor
+            from sysmor import numkernels
+            assert numkernels._dgeev is numkernels._dgees is numkernels._dtrsyl is None
+        """, _REDUCE, """
+            loaded = [k for k in sys.modules if k.split(".")[0] == "scipy"]
+            assert loaded == ["scipy.linalg._flapack"], loaded
+        """, _RECORDS)
+        assert done.returncode == 0, done.stderr
+        # the same records, up to scipy's dtrsyl build in the H2 metric
+        ours, theirs = json.loads(records.stdout), json.loads(done.stdout)
+        assert [r.keys() for r in ours] == [r.keys() for r in theirs]
+        for r, t in zip(ours, theirs):
+            for key, value in r.items():
+                if isinstance(value, float):
+                    assert value == pytest.approx(t[key], rel=1e-12), key
+                else:
+                    assert value == t[key], key
 
     def test_binds_all_three_or_none(self):
         done = _fresh(_HIDE_SYMBOLS.format(prefix="scipy_dtrsyl_64_"), """
-            from scipy.linalg import lapack
-            import sysmor
-            assert sysmor.numkernels._dgeev is None
-            assert sysmor.statespace.dgees is lapack.dgees
+            from sysmor import numkernels
+            assert numkernels._dgeev is numkernels._dgees is None
+            assert numkernels._flapack is not None
         """)
         assert done.returncode == 0, done.stderr
 
@@ -247,7 +222,7 @@ class TestLapackRoutines:
             try:
                 import sysmor
             except ImportError as exc:
-                assert "scipy" in str(exc), exc
+                assert "scipy.linalg._flapack" in str(exc), exc
             else:
                 raise AssertionError("imported without scipy")
         """)
@@ -306,66 +281,50 @@ def _schur_pair(seed: int, m: int = 7, n: int = 4):
     matrices, and an m x n right side."""
     rng = np.random.default_rng(seed)
     A, B, C = (rng.standard_normal(shape) for shape in ((m, m), (n, n), (m, n)))
-    T = numkernels.dgees(lambda re, im: 0, A)[0]
-    S = numkernels.dgees(lambda re, im: 0, B)[0]
-    return T, S, C
+    return numkernels.dgees(A)[0], numkernels.dgees(B)[0], C
 
 
-@needs_numpy_lapack
 class TestLapackWrappers:
-    """``dgees`` and ``dtrsyl`` on numpy's OpenBLAS take and return what
-    scipy's f2py wrappers do, for the calls the package makes."""
+    """``dgees`` and ``dtrsyl`` have the one narrow signature each the
+    package calls, on numpy's OpenBLAS and on scipy's fallback alike."""
 
     def test_overwrite_c_writes_into_a_fortran_float64_c(self):
         T, S, C = _schur_pair(50)
         c = np.asfortranarray(C)
-        x, scale, info = numkernels.dtrsyl(T, S, c, overwrite_c=True)
-        assert x is c and info == 0
-        assert _sylvester_residual(T, S, C, x, scale, "N", "N") < 1e-14
+        scale, info = numkernels.dtrsyl(T, S, c, "N", "N")
+        assert info == 0
+        assert _sylvester_residual(T, S, C, c, scale, "N", "N") < 1e-14
 
     @pytest.mark.parametrize(
-        "make, overwrite_c",
-        [(np.asfortranarray, False)] + [
-            (make, flag)
-            for make in (np.ascontiguousarray, _read_only,
-                         lambda C: C.astype(np.float32, order="F"))
-            for flag in (False, True)
-        ],
+        "make",
+        [np.ascontiguousarray, _read_only, lambda C: C.astype(np.float32, order="F")],
     )
-    def test_any_other_c_is_copied(self, make, overwrite_c):
+    def test_any_other_c_is_refused(self, make):
         T, S, C = _schur_pair(51)
         c = make(C)
         before = c.copy()
-        x, _, info = numkernels.dtrsyl(T, S, c, overwrite_c=overwrite_c)
-        assert x is not c and info == 0
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            numkernels.dtrsyl(T, S, c, "N", "N")
         assert np.array_equal(c, before)
-        assert x.dtype == np.float64 and x.flags.f_contiguous
-        expected = numkernels.dtrsyl(T, S, np.asfortranarray(c, dtype=float))[0]
-        assert x.tobytes() == expected.tobytes()
+
+    def test_c_ordered_operands_are_refused(self):
+        T, S, C = _schur_pair(53)
+        for a, b in ((np.ascontiguousarray(T), S), (T, np.ascontiguousarray(S))):
+            with pytest.raises(ValueError, match="Fortran-ordered"):
+                numkernels.dtrsyl(a, b, np.asfortranarray(C), "N", "N")
 
     @pytest.mark.parametrize("trana, tranb", [("N", "T"), ("N", "N"), ("T", "N")])
     def test_transposes_the_package_uses(self, trana, tranb):
         # N/T: solve_lyapunov; N or T with N: _solve_chunk
         T, S, C = _schur_pair(52, m=30, n=12)
-        x, scale, info = numkernels.dtrsyl(T, S, C, trana=trana, tranb=tranb)
+        x = np.asfortranarray(C)
+        scale, info = numkernels.dtrsyl(T, S, x, trana, tranb)
         x_s, scale_s, info_s = lapack.dtrsyl(T, S, C, trana=trana, tranb=tranb)
         assert (scale, info) == (scale_s, info_s) == (1.0, 0)
         assert _sylvester_residual(T, S, C, x, scale, trana, tranb) < 1e-14
         assert np.abs(x - x_s).max() <= _DTRSYL_BUILD_RTOL * np.abs(x_s).max()
 
-    def test_c_ordered_operands_solve_as_their_fortran_copies(self):
-        T, S, C = _schur_pair(53)
-        fortran = numkernels.dtrsyl(T, S, C, tranb="T")
-        ordered = numkernels.dtrsyl(
-            np.ascontiguousarray(T), np.ascontiguousarray(S), C, tranb="T"
-        )
-        assert ordered[0].tobytes() == fortran[0].tobytes()
-        assert ordered[1:] == fortran[1:]
-        A = np.random.default_rng(53).standard_normal((9, 9))
-        ours = numkernels.dgees(lambda re, im: 0, A)
-        fortran = numkernels.dgees(lambda re, im: 0, np.asfortranarray(A))
-        assert _factor_bytes(ours) == _factor_bytes(fortran)
-
+    @needs_numpy_lapack
     @pytest.mark.parametrize("name", ["_dgees", "_dtrsyl"])
     def test_bindings_release_the_gil(self, name):
         # as _dgeev's (TestEigvalsOverwrite): CDLL functions, not PyDLL ones
@@ -373,6 +332,7 @@ class TestLapackWrappers:
         assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
         assert fn._flags_ & ctypes._FUNCFLAG_CDECL
 
+    @needs_numpy_lapack
     def test_dgees_failure_raises_schur_error(self, monkeypatch):
         bound = numkernels._dgees
 
@@ -405,6 +365,7 @@ class TestEigvalsOverwrite:
         assert ours.dtype == theirs.dtype == kind
         assert ours.tobytes() == theirs.tobytes()
 
+    @needs_numpy_lapack  # np.linalg.eigvals, the fallback, copies H
     def test_overwrites_in_place(self):
         M = np.asfortranarray(np.random.default_rng(41).standard_normal((30, 30)))
         H = M.copy(order="F")
