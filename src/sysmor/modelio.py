@@ -70,19 +70,28 @@ def parse_model(text: str) -> StateSpace:
     for label, rows, cols in (
         ("A", n, n), ("B", n, q), ("C", p, n), ("D", p, q)
     ):
-        M = np.empty((rows, cols))
-        if M.size:
+        if rows and cols:
             if pos + rows > len(lines):
                 raise ParseError(f"file ends inside matrix {label}")
-            for i in range(rows):
-                tokens = lines[pos + i].split()
+            block = lines[pos : pos + rows]
+            # A row of cols values is at least 2 cols - 1 characters long, so
+            # a shorter block has a row of the wrong width, which the loop
+            # reports: M is allocated only for a block that can fill it.
+            fits = sum(map(len, block)) >= rows * (2 * cols - 1)
+            M = np.empty((rows, cols) if fits else (0, cols))
+            for i, line in enumerate(block):
+                tokens = line.split()
                 if len(tokens) != cols:
                     raise ParseError(
                         f"row {i + 1} of {label} has {len(tokens)} entries, "
                         f"expected {cols}"
                     )
-                M[i] = _values(tokens, label)
+                values = _values(tokens, label)
+                if fits:
+                    M[i] = values
             pos += rows
+        else:
+            M = np.empty((rows, cols))
         matrices.append(M)
     if pos != len(lines):
         raise ParseError(f"{len(lines) - pos} unexpected trailing lines")

@@ -904,6 +904,15 @@ class TestExitCodes:
         assert code == 2
         assert "error[ParseError]" in capsys.readouterr().err
 
+    def test_oversized_header_is_malformed_input(self, tmp_path, capsys):
+        # dimensions that would allocate terabytes, in a file of one value
+        path = tmp_path / "big.ss"
+        for text in ("ss 1000000 1 1\n-1\n", "ss 1 1000000000000 1\n-1\n1\n1\n0\n"):
+            path.write_text(text)
+            assert main(["reduce", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "error[ParseError]" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flag", ["--output", "--report-json", "--sigma-csv"])
     def test_unwritable_output_path(self, model_path, tmp_path, capsys, flag):
         target = str(tmp_path / "no" / "such" / "dir" / "out")

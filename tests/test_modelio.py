@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,6 +21,9 @@ from sysmor.statespace import static_gain
 from oracles import mass_chain, random_stable
 
 MAX = np.finfo(float).max
+# Bound on the traced peak of parsing a malformed text: its lines, one
+# line's tokens and values, and a few kB of exception and array headers.
+PEAK_PER_CHAR, PEAK_BASE = 8, 4096
 # Every finite float, with the edges of the text format drawn often.
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, MAX, -MAX]
@@ -35,6 +38,22 @@ def models(draw):
         draw(hnp.arrays(float, shape, elements=FINITE))
         for shape in ((n, n), (n, q), (p, n), (p, q))
     ))
+
+
+@st.composite
+def malformed_texts(draw):
+    """A model's text with one header dimension replaced by another value
+    up to 1e7, or with its trailing lines dropped."""
+    lines = format_model(draw(models())).splitlines()
+    if draw(st.booleans()):
+        header = lines[0].split()
+        at, value = draw(st.integers(1, 3)), draw(st.integers(0, 10**7))
+        assume(int(header[at]) != value)
+        header[at] = str(value)
+        lines[0] = " ".join(header)
+    else:
+        lines = lines[: -draw(st.integers(1, len(lines) - 1))]
+    return "\n".join(lines) + "\n"
 
 
 def _bits(sys):
@@ -203,6 +222,32 @@ class TestParseErrors:
         with pytest.raises(ParseError) as info:
             parse_model(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("ss 1000000 1 1\n-1\n", "file ends inside matrix A"),
+            ("ss 1 1000000000000 1\n-1\n1\n1\n0\n",
+             "row 1 of B has 1 entries, expected 1000000000000"),
+        ],
+    )
+    def test_header_dimension_is_checked_before_it_allocates(self, text, message):
+        # the header's A or B would be terabytes; the text holds one value
+        with pytest.raises(ParseError) as info:
+            parse_model(text)
+        assert str(info.value) == message
+
+    @given(text=malformed_texts())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_malformed_text_raises_parse_error_in_bounded_memory(self, text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError):
+                parse_model(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_PER_CHAR * len(text) + PEAK_BASE
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
