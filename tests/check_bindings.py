@@ -1,4 +1,5 @@
-"""Check that numpy's own LAPACK runs the package, with nothing else loaded.
+"""Check that numpy's own LAPACK runs the package, with nothing else loaded,
+and that scipy's fallback gives the same run.
 
     PYTHONPATH=src python tests/check_bindings.py
 
@@ -6,21 +7,71 @@ numpy's OpenBLAS runs the package's three LAPACK routines (dgeev, dgees,
 dtrsyl) through ctypes.  All three must bind on the installed numpy
 wheel, since a renamed symbol would fall back to np.linalg.eigvals and
 scipy's LAPACK unseen; a small reduction must then load no scipy module
-and leave numpy.ma unimported.  Exits non-zero with the failed assertion.
-pytest does not collect this file (its name does not start with test_),
-so it can run where pytest is not installed.
+and leave numpy.ma unimported.  A child interpreter, in which ctypes
+finds none of numpy's ``scipy_*_64_`` symbols, then runs the same
+reduction through the fallback: it must load no scipy module but
+``scipy.linalg._flapack``, and its records must equal this interpreter's
+to 1e-12 relative.  Exits non-zero with the failed assertion.  pytest
+does not collect this file (its name does not start with test_), so it
+can run where pytest is not installed.
 """
 
+import json
+import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import sysmor.cli
 from oracles import mass_chain
+
+# The fallback's run: ctypes finds no scipy_* symbol, as on a numpy whose
+# LAPACK names its routines otherwise.
+FALLBACK = """
+import ctypes, json, sys
+
+class Hidden(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name.startswith("scipy_"):
+            raise AttributeError(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = Hidden
+import sysmor.cli
+from oracles import mass_chain
+assert sysmor.numkernels._dgees is None
+model = mass_chain(0, 4, [0], [3])
+_, report = sysmor.reduce(model, sysmor.StoppingOptions(max_iterations=3))
+scipy = [k for k in sys.modules if k.split(".")[0] == "scipy"]
+assert scipy == ["scipy.linalg._flapack"], scipy
+print(json.dumps([record.to_dict() for record in report.records]))
+"""
 
 for name in ("_dgeev", "_dgees", "_dtrsyl"):
     assert getattr(sysmor.numkernels, name) is not None, (
         f"{name} not bound on numpy's LAPACK"
     )
-sysmor.reduce(mass_chain(0, 4, [0], [3]), sysmor.StoppingOptions(max_iterations=3))
+_, report = sysmor.reduce(
+    mass_chain(0, 4, [0], [3]), sysmor.StoppingOptions(max_iterations=3)
+)
 scipy = [k for k in sys.modules if k.split(".")[0] == "scipy"]
 assert not scipy, scipy
 assert "numpy.ma" not in sys.modules
+
+here = Path(__file__).resolve().parent
+path = os.pathsep.join([str(here.parent / "src"), str(here)])
+env = dict(os.environ, PYTHONPATH=path)
+child = subprocess.run(
+    [sys.executable, "-c", FALLBACK], env=env, capture_output=True, text=True
+)
+assert child.returncode == 0, child.stderr
+ours = json.loads(json.dumps([record.to_dict() for record in report.records]))
+theirs = json.loads(child.stdout)
+assert ours and [r.keys() for r in ours] == [r.keys() for r in theirs]
+for r, t in zip(ours, theirs):
+    for key, value in r.items():
+        if isinstance(value, float):
+            assert math.isclose(value, t[key], rel_tol=1e-12), (key, value, t[key])
+        else:
+            assert value == t[key], (key, value, t[key])
