@@ -390,7 +390,6 @@ class TestEigvalsOverwrite:
         assert ours.dtype == theirs.dtype == kind
         assert ours.tobytes() == theirs.tobytes()
 
-    @needs_numpy_lapack  # np.linalg.eigvals, the fallback, copies H
     def test_overwrites_in_place(self):
         M = np.asfortranarray(np.random.default_rng(41).standard_normal((30, 30)))
         H = M.copy(order="F")
