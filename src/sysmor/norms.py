@@ -40,10 +40,11 @@ G - R, and a surrogate test whose crossings no probe refutes is
 repeated exactly at the same level, so ``certified`` keeps its meaning.
 The surrogate's test has 2(k + r) states instead of 2(n + r).
 
-The computation is one generator, ``_linf_steps``: it yields the
-arguments of each level test and is sent the test's spectrum, so the
-spectrum may be solved on any thread (``_hamiltonian_spectrum`` reads
-only the models' arrays, writes the A blocks of a difference from its
+The computation is one generator, ``_linf_steps``: it yields each level
+test as (error system, level), the system being G - R or the surrogate's
+G_k - R, and is sent the test's spectrum, so the spectrum may be solved
+on any thread (``_hamiltonian_spectrum`` reads only the models' arrays,
+the stacked B, C and D that ``subtract`` froze and the A blocks of the
 operands, and solves H in place without holding the GIL).
 ``linf_norm`` solves every test in turn; ``linf_sweep``, for compare's
 balanced orders, runs each order's generator to its first test, hands
@@ -140,45 +141,44 @@ class LinfResult:
     slope_evaluations: int = 0
 
 
-def _hamiltonian_spectrum(
-    sys: StateSpace, gamma: float, minus: StateSpace | None = None
-) -> np.ndarray:
-    """Eigenvalues of the gamma-level Hamiltonian of ``sys``, or of the
-    difference ``sys`` - ``minus`` when ``minus`` is given.  Its imaginary
-    ones j omega mark the frequencies where some singular value of
-    G(j omega) equals ``gamma``; with none, gamma is a strict upper bound.
+def _hamiltonian_spectrum(sys: StateSpace, gamma: float) -> np.ndarray:
+    """Eigenvalues of the gamma-level Hamiltonian of ``sys``.  Its
+    imaginary ones j omega mark the frequencies where some singular value
+    of G(j omega) equals ``gamma``; with none, gamma is a strict upper
+    bound.
 
     The four blocks are written into one column-major 2n x 2n array, and
     the D terms are skipped when D = 0, as it is for every error system
-    of a reduction run.  A difference's A blocks are written straight
-    from its operands, so H equals, bit for bit, that of the model
-    ``subtract`` builds, and no stacked n x n A is formed.  Only the
-    models' arrays are read, no cached property.  H lies in an anonymous
-    mapping of its own, so its pages go back to the system with it rather
-    than stay in a thread's malloc arena, and ``_eigvals_overwrite``
-    solves it there: numpy's ``dgeev``, with no copy of H and without the
-    GIL, at every size, for the spectrum ``np.linalg.eigvals`` gives.
+    of a reduction run.  A difference from ``subtract`` gives its own
+    stacked B, C and D, and its A blocks are written straight from its
+    operands, so H equals, bit for bit, that of the stacked model, and
+    the difference forms no stacked n x n A.  Only the models' arrays are
+    read, no cached property.  H lies in an anonymous mapping of its own,
+    so its pages go back to the system with it rather than stay in a
+    thread's malloc arena, and ``_eigvals_overwrite`` solves it there:
+    numpy's ``dgeev``, with no copy of H and without the GIL, at every
+    size, for the spectrum ``np.linalg.eigvals`` gives.
     """
     if not gamma * gamma < math.inf:
         raise SingularAtFrequency(f"the Hamiltonian at level {gamma:g} overflows")
     B, C, D = sys.B, sys.C, sys.D
-    if minus is not None:  # stacked as ``subtract`` stacks them
-        B, C, D = np.vstack([B, minus.B]), np.hstack([C, -minus.C]), D - minus.D
     # States scaled by the power of two s that matches the largest entries
     # of B / s and C s: an exact similarity, so B R^-1 B^T and C^T C stay
     # in range whenever the gain does.
     b, c = (max(float(np.abs(M).max()), np.finfo(float).tiny) for M in (B, C))
     s = 2.0 ** round(0.5 * (math.log2(b) - math.log2(c)))
     B, C = B / s, C * s
-    (p, q), n, k = D.shape, B.shape[0], sys.n
+    (p, q), n = D.shape, sys.n
     # Zero pages of a mapping of its own, unmapped with its last view; not
     # closed here, which raises BufferError while a traceback holds a view.
     H = np.frombuffer(mmap.mmap(-1, 32 * n * n), dtype=float)
     H = H.reshape((2 * n, 2 * n), order="F")
     A = H[:n, :n]  # a view: the A blocks are written in place
-    A[:k, :k] = sys.A
-    if minus is not None:
-        A[k:, k:] = minus.A
+    kind, g, r = sys._origin
+    if kind == "difference":  # block_diag(G.A, R.A), as ``subtract`` stacks A
+        A[: g.n, : g.n], A[g.n :, g.n :] = g.A, r.A
+    else:
+        A[:] = sys.A
     R = gamma**2 * np.eye(q) - D.T @ D
     np.matmul(B, np.linalg.solve(R, B.T), out=H[:n, n:])
     if D.any():
@@ -296,12 +296,12 @@ def _slope_root(
 def _surrogate(
     sys: StateSpace, gamma_lb: float, rel_tol: float
 ) -> tuple[StateSpace, float] | None:
-    """(G_k, delta(k)) for a level test of the error system ``sys`` = G - R
-    on G_k - R at a level near ``gamma_lb``, or None when the exact test
-    must run: ``sys`` is not a difference from ``subtract``, G is not
-    stable or has a Gramian residual above the roundoff allowance, or no
-    order 0 < k < n with a non-negligible sigma_k meets
-    4 delta(k) <= 0.1 rel_tol gamma_lb."""
+    """(G_k - R, delta(k)) for a level test of the error system ``sys`` =
+    G - R on the difference ``subtract(G_k, R)`` at a level near
+    ``gamma_lb``, or None when the exact test must run: ``sys`` is not a
+    difference from ``subtract``, G is not stable or has a Gramian
+    residual above the roundoff allowance, or no order 0 < k < n with a
+    non-negligible sigma_k meets 4 delta(k) <= 0.1 rel_tol gamma_lb."""
     kind, g, r = sys._origin
     if kind != "difference" or g.n < 2 or not gamma_lb > 0.0 or not is_stable(g):
         return None
@@ -316,16 +316,17 @@ def _surrogate(
     k = int(fits[0]) + 1
     if hsv[k - 1] <= _NEGLIGIBLE_HSV_RTOL * hsv[0]:
         return None
-    return _balanced_truncation(g, k), float(shifts[k - 1])
+    return subtract(_balanced_truncation(g, k), r), float(shifts[k - 1])
 
 
 def _linf_steps(
     sys: StateSpace, rel_tol: float
 ) -> Generator[tuple, np.ndarray, LinfResult]:
     """The computation of ``linf_norm`` as a generator: it yields the
-    ``_hamiltonian_spectrum`` arguments of each level test, is sent that
-    test's spectrum, and returns the ``LinfResult``.  A level test on a
-    difference G - R yields (G, level, R), so no stacked A is formed."""
+    ``_hamiltonian_spectrum`` arguments (error system, level) of each
+    level test, is sent that test's spectrum, and returns the
+    ``LinfResult``.  The error system is ``sys`` itself, or for a
+    surrogate test the difference G_k - R."""
     if not 0 < rel_tol < math.inf:
         raise ValueError("rel_tol must be positive and finite")
     d_gain = float(np.linalg.norm(sys.D, 2)) if sys.D.size else 0.0
@@ -380,18 +381,15 @@ def _linf_steps(
     probe(sys._seeds, floor)
     gamma_lb = max(best_gain, d_gain)
 
-    kind, g, r = sys._origin
-    if kind != "difference":
-        g, r = sys, None
     certified = False
     runs = surrogate_tests = 0
     for _ in range(_MAX_LEVEL_ITERATIONS):
         level = max(gamma_lb * (1.0 + rel_tol), floor)
-        tests = [(g, level, r)]
+        tests = [(sys, level)]
         surrogate = _surrogate(sys, gamma_lb, rel_tol)
         if surrogate is not None:
-            g_k, shift = surrogate
-            tests.insert(0, (g_k, level - shift, r))
+            err_k, shift = surrogate
+            tests.insert(0, (err_k, level - shift))
         # The surrogate's test, when there is one, then the exact test, up
         # to the first that finds no crossings or whose probes refute them.
         for test in tests:

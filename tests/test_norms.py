@@ -312,8 +312,10 @@ class TestLinfNorm:
     def test_hamiltonian_of_operands_is_that_of_the_stacked_model(
         self, monkeypatch, case
     ):
-        # H written from the operands of G - R equals, bit for bit, H of
-        # the stacked model ``subtract`` builds, and so do the spectra.
+        # H of the difference G - R from ``subtract``, its A blocks written
+        # from the operands, equals, bit for bit, H of the stacked model,
+        # and so do the spectra; neither the test nor ``linf_norm`` forms
+        # the difference's stacked A.
         rng = np.random.default_rng(80)
         if case == "surrogate":  # G_m - R on a chain, as a surrogate test runs it
             chain = mass_chain(0, 40, inputs=(0,), outputs=(39,))
@@ -325,7 +327,7 @@ class TestLinfNorm:
             r = random_stable(rng, n=5, q=2, p=3, feedthrough=feedthrough)
         err = subtract(g, r)
         assert err.D.any() == (case == "D != 0")
-        stacked = StateSpace(err.A, err.B, err.C, err.D)
+        stacked = _raw_error(g, r)
         gamma = 1.5 * linf_norm(err).gamma
         seen, eigvals = [], sysmor.norms._eigvals_overwrite
 
@@ -335,13 +337,12 @@ class TestLinfNorm:
 
         monkeypatch.setattr(sysmor.norms, "_eigvals_overwrite", captured)
         spectra = [
-            sysmor.norms._hamiltonian_spectrum(*args)
-            for args in [(stacked, gamma), (err, gamma), (g, gamma, r)]
+            sysmor.norms._hamiltonian_spectrum(model, gamma) for model in (stacked, err)
         ]
         assert seen[0].shape == (2 * err.n, 2 * err.n)
-        for H, lam in zip(seen[1:], spectra[1:]):
-            assert H.tobytes() == seen[0].tobytes()
-            assert lam.tobytes() == spectra[0].tobytes()
+        assert seen[1].tobytes() == seen[0].tobytes()
+        assert spectra[1].tobytes() == spectra[0].tobytes()
+        assert "A" not in err.__dict__
 
     @pytest.mark.parametrize("seed, build", [(78, "balanced"), (156, "reduce")])
     def test_crossing_moved_off_axis_is_not_missed(self, seed, build):
@@ -481,9 +482,9 @@ class TestSurrogateLevelTest:
         clean = linf_norm(err)
         spectrum, sizes = sysmor.norms._hamiltonian_spectrum, []
 
-        def spurious(sys, gamma, minus=None):
-            sizes.append(sys.n + (0 if minus is None else minus.n))
-            lam = spectrum(sys, gamma, minus)
+        def spurious(sys, gamma):
+            sizes.append(sys.n)
+            lam = spectrum(sys, gamma)
             return lam if sizes[-1] == err.n else np.append(lam, [1e4j, -1e4j])
 
         monkeypatch.setattr(sysmor.norms, "_hamiltonian_spectrum", spurious)

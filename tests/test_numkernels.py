@@ -307,31 +307,6 @@ class TestLapackWrappers:
             numkernels.dtrsyl(T, S, c, "N", "N")
         assert np.array_equal(c, before)
 
-    @pytest.mark.parametrize(
-        "make, overwrite_c",
-        [
-            (make, flag)
-            for make in (np.ascontiguousarray, _read_only,
-                         lambda C: C.astype(np.float32, order="F"))
-            for flag in (False, True)
-        ],
-    )
-    def test_any_other_c_is_copied(self, make, overwrite_c):
-        # a c that dtrsyl refuses, the caller copies to float64 Fortran
-        # order: that copy solves to what scipy's f2py wrapper gives for c
-        # with either overwrite_c, and c stays as it was.  (scipy 1.17's
-        # f2py, told to overwrite, writes into a read-only c: a reason
-        # dtrsyl refuses c rather than pass it on.)
-        T, S, C = _schur_pair(51)
-        c = make(C)
-        before = c.copy()
-        x = np.array(c, dtype=np.float64, order="F")
-        scale, info = numkernels.dtrsyl(T, S, x, "N", "N")
-        assert not np.shares_memory(x, c) and np.array_equal(c, before)
-        x_s, scale_s, info_s = lapack.dtrsyl(T, S, c, overwrite_c=overwrite_c)
-        assert (scale, info) == (scale_s, info_s) == (1.0, 0)
-        assert np.abs(x - x_s).max() <= _DTRSYL_BUILD_RTOL * np.abs(x_s).max()
-
     def test_c_ordered_operands_are_refused(self):
         T, S, C = _schur_pair(53)
         for a, b in ((np.ascontiguousarray(T), S), (T, np.ascontiguousarray(S))):
