@@ -76,7 +76,6 @@ from .statespace import (
     StateSpace,
     _axis_margin,
     _balanced_truncation,
-    _response,
     _response_slope,
     eval_freq,
     is_stable,
@@ -157,7 +156,8 @@ def _hamiltonian_spectrum(sys: StateSpace, gamma: float) -> np.ndarray:
     so its pages go back to the system with it rather than stay in a
     thread's malloc arena, and ``_eigvals_overwrite`` solves it there:
     numpy's ``dgeev``, with no copy of H and without the GIL, at every
-    size, for the spectrum ``np.linalg.eigvals`` gives.
+    size, for the spectrum ``np.linalg.eigvals`` gives (which solves a
+    copy of H where numpy's ``dgeev`` is not bound).
     """
     if not gamma * gamma < math.inf:
         raise SingularAtFrequency(f"the Hamiltonian at level {gamma:g} overflows")
@@ -219,10 +219,10 @@ def _gain_and_slope(sys: StateSpace, omega: float) -> tuple[float, float | None]
     sigma_max is (nearly) repeated and so has no reliable slope.
 
     With u, v the leading singular vectors of the response, composed by
-    ``_response``, the slope is Re(u^H G_omega v), where G_omega v =
+    ``eval_freq``, the slope is Re(u^H G_omega v), where G_omega v =
     dG(j omega)/d omega v is composed alike by ``_response_slope``.
     """
-    U, s, Vh = np.linalg.svd(_response(sys, np.array([omega]), False)[0])
+    U, s, Vh = np.linalg.svd(eval_freq(sys, omega))
     if s.size > 1 and s[1] >= (1.0 - _REPEATED_RTOL) * s[0]:
         return float(s[0]), None
     slope = U[:, :1].conj().T @ _response_slope(sys, omega, Vh[:1].conj().T)

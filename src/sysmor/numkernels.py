@@ -27,13 +27,15 @@ The Hamiltonian eigensolve of every L-infinity level test is the
 ``dgeev`` that ``np.linalg.eigvals`` runs, called by
 ``_eigvals_overwrite``.  It overwrites the caller's column-major H in
 place, so no copy of H is made, and its spectrum is numpy's, bit for
-bit.  ``_sorted_unique`` is ``np.unique`` of a 1-D float array without
+bit; only where ``dgeev`` is not bound (below) does
+``np.linalg.eigvals`` solve a copy of H, so that each level test holds
+H twice.  ``_sorted_unique`` is ``np.unique`` of a 1-D float array without
 the ``numpy.ma`` import that ``np.unique`` makes on its first call.
 ``block_diag`` writes what ``scipy.linalg.block_diag`` does.
 
 Where numpy's LAPACK does not export all three routines under these
 names (a build on Accelerate or MKL, say), none is bound:
-``np.linalg.eigvals`` solves each H, and ``dgees`` and ``dtrsyl`` call,
+``np.linalg.eigvals`` solves each H on its own copy, and ``dgees`` and ``dtrsyl`` call,
 behind the same signatures, scipy's compiled ``scipy.linalg._flapack``.
 It is loaded by its file spec under scipy's ``linalg`` directory, which
 runs neither ``scipy/__init__`` nor ``scipy/linalg/__init__``: importing
@@ -190,7 +192,8 @@ def _eigvals_overwrite(H: np.ndarray) -> np.ndarray:
     for a writable float64 Fortran-ordered square ``H``, which it
     overwrites: ``dgeev`` factors H where it lies, with the workspace size
     LAPACK's query returns, as numpy queries it.  Any other array is
-    refused rather than copied."""
+    refused rather than copied.  Where numpy's ``dgeev`` is not bound,
+    ``np.linalg.eigvals`` solves a copy of H and leaves H as it was."""
     if not (
         H.dtype == np.float64 and H.ndim == 2 and H.shape[0] == H.shape[1]
         and H.flags.f_contiguous and H.flags.writeable

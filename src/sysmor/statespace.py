@@ -15,13 +15,15 @@ T is diagonal (Laub, IEEE TAC 26(2), 1981) when cond(V) allows, else Schur.
 A model derived from others by ``subtract``, ``dual`` or a new output map
 on the same states carries one private provenance record (``_Origin``),
 and the derivation rules that read it sit together on ``StateSpace``:
-the Schur form, the seed frequencies of the L-infinity search, the
-Gramians and the frequency response of a derived model all come from its
-operands.  Each model also caches its response at its own seeds, once,
-so the error system G - R of a reduction run solves only R and the
-frequencies that are not seeds of G; its reachability Gramian is
-assembled as [[P_G, X], [X^T, P_R]] from G's cached Gramian, R's r x r
-one and the cross block X of one Sylvester solve.
+the reachability Gramian of every derived model comes from its
+operands, and so do the poles, the seed frequencies of the L-infinity
+search and the frequency response of a difference or a dual.  Only a
+dual reuses its operand's Schur form; any other model factors its own A.
+Each model also caches its response at its own seeds, once, so the
+error system G - R of a reduction run solves only R and the frequencies
+that are not seeds of G; its reachability Gramian is assembled as
+[[P_G, X], [X^T, P_R]] from G's cached Gramian, R's r x r one and the
+cross block X of one Sylvester solve.
 
 A stable model also caches its balanced realization, built by the
 square-root method from its two cached Gramians with one SVD: its Hankel
@@ -81,7 +83,9 @@ class _Origin(NamedTuple):
     the states of ``of``, "dual" the dual of ``of``, and "difference" the
     error system ``of`` - ``minus``; None is a model built from matrices.
     A derived model shares its operands' frozen arrays (A and B of the
-    same states, the transposes of a dual) rather than copying them."""
+    same states, the transposes of a dual) rather than copying them.
+    Only a dual reads its operand's Schur form; a difference and a model
+    on the same states factor their own A when it is read."""
 
     kind: str | None = None
     of: StateSpace | None = None
@@ -183,29 +187,19 @@ class StateSpace:
     def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(T, Z, poles) with A = Z T Z^T, T real quasi-triangular.
 
-        A derived model reuses its operands' factors: the same states
-        share them, a dual reads them reversed (with E the reversal
+        A dual reads its operand's factors reversed (with E the reversal
         permutation, A^T = (Z E) (E T^T E) (Z E)^T and E T^T E is again
-        quasi-triangular), and a difference stacks them block-diagonally.
+        quasi-triangular); every other model factors its own A.
         """
-        kind, of, minus = self._origin
+        kind, of, _ = self._origin
         if self.n == 0:
             return _frozen(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, complex))
-        if kind is None:
-            return _frozen(*dgees(self.A))
-        if kind == "dynamics":
-            return of._schur
         if kind == "dual":
             T, Z, lam = of._schur
             return _frozen(
                 np.asfortranarray(T.T[::-1, ::-1]), Z[:, ::-1].copy(), lam[::-1].copy()
             )
-        (Tg, Zg, pg), (Tr, Zr, pr) = of._schur, minus._schur
-        return _frozen(
-            np.asfortranarray(block_diag(Tg, Tr)),
-            block_diag(Zg, Zr),
-            np.concatenate([pg, pr]),
-        )
+        return _frozen(*dgees(self.A))
 
     @cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,8 +322,8 @@ def _derived(
 
 def _same_dynamics(sys: StateSpace, C, D) -> StateSpace:
     """(A, B, C, D) on the states of ``sys``: it shares the frozen A and
-    B of ``sys``, with its Schur form, seeds and reachability Gramian,
-    and checks only the new C and D."""
+    B of ``sys``, with its reachability Gramian, and checks only the new
+    C and D."""
     C = _as_matrix(C, cols=sys.n, name="C")
     D = _as_matrix(D, rows=C.shape[0], cols=sys.q, name="D")
     return _derived("dynamics", sys, A=sys.A, B=sys.B, C=C, D=D)
@@ -562,12 +556,13 @@ def eval_freq(sys: StateSpace, omega) -> np.ndarray:
 def subtract(g: StateSpace, r: StateSpace) -> StateSpace:
     """Realize the error system G(s) - R(s) (block-diagonal states).
 
-    The result remembers its operands: its Schur factors, seeds,
-    reachability Gramian and response are assembled from those of ``g``
-    and ``r``, so a fixed ``g`` is factored, and solved at its seeds,
-    only once.  It stores the stacked B and C and D_g - D_r, each built
-    once and frozen, not copied; its stacked A, which no computation of
-    ``sysmor`` reads, is formed on first read.
+    The result remembers its operands: its poles, seeds, reachability
+    Gramian and response are assembled from those of ``g`` and ``r``, so
+    a fixed ``g`` is factored, and solved at its seeds, only once.  It
+    stores the stacked B and C and D_g - D_r, each built once and frozen,
+    not copied; its stacked A, which no computation of ``sysmor`` reads,
+    is formed on first read, and a public read of its Schur form (its
+    ``solve_lyapunov`` or the poles of its dual) factors that A.
     """
     if (g.p, g.q) != (r.p, r.q):
         raise DimensionMismatch(

@@ -217,21 +217,24 @@ class TestLinfNorm:
         assert capped.iterations == 1 and not capped.certified
 
     def test_tangency_level_probes_once(self, monkeypatch):
-        # Every level test, the accepted tangency level included, evaluates
-        # the response once, after the one evaluation of the seeds.
+        # Every level test, the accepted tangency level included, probes
+        # the response once, as one batch, after the one batch of the
+        # seeds; the peak refinement evaluates one scalar frequency per
+        # gain and slope.
         import sysmor.norms as mod
 
         _force_tangency(monkeypatch)
-        evaluate, calls = mod.eval_freq, []
+        evaluate, batches, scalars = mod.eval_freq, [], []
 
-        def counted(sys, omegas):
-            calls.append(len(omegas))
-            return evaluate(sys, omegas)
+        def counted(sys, omega):
+            (batches if np.ndim(omega) else scalars).append(omega)
+            return evaluate(sys, omega)
 
         monkeypatch.setattr(mod, "eval_freq", counted)
         tangent = linf_norm(RESONANT)
         assert not tangent.certified
-        assert len(calls) == 1 + tangent.iterations
+        assert len(batches) == 1 + tangent.iterations
+        assert len(scalars) == tangent.slope_evaluations > 0
 
     def test_axis_frequencies_classification(self):
         from sysmor.norms import _axis_frequencies

@@ -16,6 +16,7 @@ from sysmor import (
     DimensionMismatch,
     SingularAtFrequency,
     StateSpace,
+    StoppingOptions,
     assemble_error_system,
     balanced_truncate,
     dual,
@@ -24,9 +25,13 @@ from sysmor import (
     is_stable,
     linf_norm,
     poles,
+    reduce,
+    reduce_lowrank,
     sample_support_point,
+    solve_lyapunov,
     subtract,
 )
+from sysmor.cli import compare_methods
 from sysmor.statespace import (
     _CHUNK,
     _DIAGONAL_CHUNK,
@@ -478,16 +483,20 @@ class TestInterconnections:
         A = err.A
         assert A.tobytes() == sla.block_diag(g.A, r.A).tobytes()
         assert not A.flags.writeable and err.A is A
-        # its Schur factors stack its operands' the same way
-        (T, Z, _), (Tg, Zg, _), (Tr, Zr, _) = err._schur, g._schur, r._schur
-        assert T.flags.f_contiguous
-        assert T.tobytes() == sla.block_diag(Tg, Tr).tobytes()
-        assert Z.tobytes() == sla.block_diag(Zg, Zr).tobytes()
+        # A public read of its Schur form factors that A: its Gramian
+        # solved on it is the one assembled from the operands, and its
+        # dual's poles are theirs.
+        P, assembled = solve_lyapunov(err).P, err._reachability.P
+        assert np.linalg.norm(P - assembled) <= 1e-12 * np.linalg.norm(assembled)
+        lam = np.concatenate([poles(g), poles(r)])
+        np.testing.assert_allclose(
+            np.sort(poles(dual(err))), np.sort(lam), rtol=1e-12, atol=1e-12
+        )
         # a 0-state operand adds no rows and no columns
         static = subtract(g, static_gain(np.ones((3, 2))))
         assert static.n == 5 and static.A.tobytes() == sla.block_diag(g.A).tobytes()
-        T0, Z0, _ = static._schur
-        assert T0.tobytes() == Tg.tobytes() and Z0.tobytes() == Zg.tobytes()
+        assert solve_lyapunov(static).P.tobytes() == g._reachability.P.tobytes()
+        assert np.sort(poles(dual(static))).tobytes() == np.sort(poles(g)).tobytes()
         omegas = np.array([0.0, 0.7, 3.0])
         fresh = subtract(g, r)
         clones = [copy.copy(fresh), copy.deepcopy(fresh),
@@ -618,6 +627,34 @@ class TestInterconnections:
         linf_norm(err)
         h2_error_metric(err)
         assert "_schur" not in err.__dict__
+
+    def test_runs_read_no_schur_form_of_a_difference_or_cancelled_system(
+        self, monkeypatch
+    ):
+        # Only a dual reuses its operand's Schur form; a difference or a
+        # cancelled error system factors its own A when its form is read.
+        # No reduction or compare run reads either, nor a difference's A.
+        import sysmor.statespace as mod
+
+        derive, derived = mod._derived, []
+
+        def recorded(kind, *operands, **arrays):
+            model = derive(kind, *operands, **arrays)
+            if kind in ("difference", "dynamics"):
+                derived.append(model)
+            return model
+
+        monkeypatch.setattr(mod, "_derived", recorded)
+        square, tall = mass_chain(0, 6, [0, 5], [0, 5]), mass_chain(1, 6, [0], [2, 5])
+        reduce(square, StoppingOptions(max_iterations=3))
+        reduce_lowrank(tall, StoppingOptions(max_iterations=3))
+        compare_methods(
+            tall, ["balanced", "lowrank-aaa", "sys-aaa"], 4, StoppingOptions()
+        )
+        assert {model._origin.kind for model in derived} == {"difference", "dynamics"}
+        for model in derived:
+            assert "_schur" not in vars(model)
+            assert model._origin.kind == "dynamics" or "A" not in vars(model)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
