@@ -29,18 +29,18 @@ The Hamiltonian eigensolve of every L-infinity level test is the
 place, so no copy of H is made, and its spectrum is numpy's, bit for
 bit; only where ``dgeev`` is not bound (below) does
 ``np.linalg.eigvals`` solve a copy of H, so that each level test holds
-H twice.  ``_sorted_unique`` is ``np.unique`` of a 1-D float array without
-the ``numpy.ma`` import that ``np.unique`` makes on its first call.
-``block_diag`` writes what ``scipy.linalg.block_diag`` does.
+H twice.  ``_sorted_unique`` is ``np.unique`` of a 1-D float array
+without the ``numpy.ma`` import that ``np.unique`` makes on its first
+call.  ``block_diag`` writes what ``scipy.linalg.block_diag`` does.
 
 Where numpy's LAPACK does not export all three routines under these
 names (a build on Accelerate or MKL, say), none is bound:
-``np.linalg.eigvals`` solves each H on its own copy, and ``dgees`` and ``dtrsyl`` call,
-behind the same signatures, scipy's compiled ``scipy.linalg._flapack``.
-It is loaded by its file spec under scipy's ``linalg`` directory, which
-runs neither ``scipy/__init__`` nor ``scipy/linalg/__init__``: importing
-``scipy.linalg`` there would cost about 18 MB of peak RSS and 0.25 s of
-import (see the README).
+``np.linalg.eigvals`` solves a copy of each H, and ``dgees`` and
+``dtrsyl`` call, behind the same signatures, scipy's compiled
+``scipy.linalg._flapack``.  It is loaded by its file spec under scipy's
+``linalg`` directory, which runs neither ``scipy/__init__`` nor
+``scipy/linalg/__init__``: importing ``scipy.linalg`` there would cost
+about 18 MB of peak RSS and 0.25 s of import (see the README).
 """
 
 from __future__ import annotations
