@@ -1,14 +1,16 @@
 """The Lyapunov and Sylvester solve behind every Gramian.
 
-It is Bartels-Stewart back-substitution on the real Schur form each
+It is Bartels-Stewart back-substitution on the real Schur forms each
 ``StateSpace`` caches, so it factors nothing itself; every solve reports
-its relative residual instead of assuming success.  It solves for
-reachability Gramians only: an observability Gramian is the reachability
-Gramian of the dual, whose Schur form is the model's reversed.  The same
-solve, given a second model, returns the cross block of the Gramian of
-the two models' stacked states, a Sylvester equation on the two Schur
-forms: that is how the Gramian of an error system G - R is split into
-G's cached Gramian, R's small one and that block.
+its relative residual instead of assuming success.  It solves
+``solve_lyapunov(sys, other)``: a model's own reachability Gramian when
+``other`` is ``sys``, else the cross block of the Gramian of the two
+models' stacked states, a Sylvester equation on the two Schur forms.
+``StateSpace`` caches each model's two Gramians from these solves (an
+observability Gramian is the reachability Gramian of the dual, whose
+Schur form is the model's reversed), and assembles those of an error
+system G - R from G's cached Gramians, R's small ones and the cross
+blocks; ``solve_lyapunov(sys)`` returns the cached reachability Gramian.
 
 The package's three LAPACK routines, the real Schur factorization
 ``dgees``, the quasi-triangular Sylvester solve ``dtrsyl`` and the
@@ -56,7 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .exceptions import IllPosedLyapunov
+from .exceptions import DimensionMismatch, IllPosedLyapunov
 
 if TYPE_CHECKING:
     from .statespace import StateSpace
@@ -260,23 +262,31 @@ class GramianResult:
 
 
 def solve_lyapunov(sys: StateSpace, other: StateSpace | None = None) -> GramianResult:
-    """Reachability Gramian of ``sys``: A P + P A^T = -B B^T.  The
-    observability Gramian is that of ``dual(sys)``, which shares the
-    Schur form of ``sys``.
+    """Reachability Gramian of ``sys``, P with A P + P A^T = -B B^T: the
+    model's cached ``_reachability`` itself, so every caller reads one
+    Gramian per model.  The observability Gramian is that of
+    ``dual(sys)``.
 
-    With ``other`` (A_o, B_o) it returns instead the off-diagonal block X
-    of the Gramian of the system that stacks the states of both
-    (block-diagonal A, inputs [B; B_o]): the Sylvester equation
-    A X + X A_o^T = -B B_o^T.
+    With ``other`` (A_o, B_o, the same input count) it solves instead for
+    the off-diagonal block X of the Gramian of the system that stacks the
+    states of both (block-diagonal A, inputs [B; B_o]): the Sylvester
+    equation A X + X A_o^T = -B B_o^T.  ``other`` is ``sys`` for a
+    model's own Gramian, which ``StateSpace`` solves this way and caches.
 
     One LAPACK ``dtrsyl`` back-substitution on the cached real Schur forms
     A = Z T Z^T and A_o = Z_o T_o Z_o^T solves for Z^T X Z_o.  Raises
-    ``IllPosedLyapunov`` when some eigenvalue pair of A, or with ``other``
-    of the stacked system, satisfies lambda_i + lambda_j ~ 0 relative to
-    that spectrum's radius (the operator is then singular; upstream this
-    signals an error system with poles mirrored across the imaginary axis).
+    ``DimensionMismatch`` when the input counts differ, and
+    ``IllPosedLyapunov`` when some eigenvalue pair of A, or of the stacked
+    system, satisfies lambda_i + lambda_j ~ 0 relative to that spectrum's
+    radius (the operator is then singular; upstream this signals an error
+    system with poles mirrored across the imaginary axis).
     """
-    other = sys if other is None else other
+    if other is None:
+        return sys._reachability
+    if other.q != sys.q:
+        raise DimensionMismatch(
+            f"cross Gramian block needs equal input counts, got {sys.q} and {other.q}"
+        )
     if sys.n == 0 or other.n == 0:
         return GramianResult(np.zeros((sys.n, other.n)), 0.0)
     T, Z, lam = sys._schur

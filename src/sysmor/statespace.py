@@ -15,15 +15,16 @@ T is diagonal (Laub, IEEE TAC 26(2), 1981) when cond(V) allows, else Schur.
 A model derived from others by ``subtract``, ``dual`` or a new output map
 on the same states carries one private provenance record (``_Origin``),
 and the derivation rules that read it sit together on ``StateSpace``:
-the reachability Gramian of every derived model comes from its
-operands, and so do the poles, the seed frequencies of the L-infinity
-search and the frequency response of a difference or a dual.  Only a
-dual reuses its operand's Schur form; any other model factors its own A.
-Each model also caches its response at its own seeds, once, so the
-error system G - R of a reduction run solves only R and the frequencies
-that are not seeds of G; its reachability Gramian is assembled as
-[[P_G, X], [X^T, P_R]] from G's cached Gramian, R's r x r one and the
-cross block X of one Sylvester solve.
+the reachability Gramian of every derived model, and both Gramians of
+a difference or a dual, come from its operands, and so do the poles,
+the seed frequencies of the L-infinity search and the frequency
+response of a difference or a dual.  Only a dual reuses its operand's
+Schur form; any other model factors its own A.  Each model also caches
+its response at its own seeds, once, so the error system G - R of a
+reduction run solves only R and the frequencies that are not seeds of
+G; each of its Gramians is assembled, as [[P_G, X], [X^T, P_R]] say,
+from G's cached Gramian, R's r x r one and the cross block X of one
+Sylvester solve, so no Gramian of G - R factors its stacked A.
 
 A stable model also caches its balanced realization, built by the
 square-root method from its two cached Gramians with one SVD: its Hankel
@@ -85,7 +86,8 @@ class _Origin(NamedTuple):
     A derived model shares its operands' frozen arrays (A and B of the
     same states, the transposes of a dual) rather than copying them.
     Only a dual reads its operand's Schur form; a difference and a model
-    on the same states factor their own A when it is read."""
+    on the same states factor their own A when it is read, which no
+    Gramian of a difference does."""
 
     kind: str | None = None
     of: StateSpace | None = None
@@ -116,7 +118,8 @@ class StateSpace:
     at least one input and one output (else DimensionMismatch); ``n = 0``
     represents a static gain y = D u.  Instances compare and
     hash by identity, as every array-carrying result of ``sysmor`` does.
-    The error system of ``subtract`` forms its A when it is first read.
+    The error system of ``subtract`` forms its A, and a ``dual`` views
+    its operand's, when it is first read.
     """
 
     A: np.ndarray
@@ -152,13 +155,14 @@ class StateSpace:
 
     def __getattr__(self, name):
         # Reached only for an attribute not yet set: the A of a difference
-        # from ``subtract``, block_diag(G.A, R.A), formed on its first read.
+        # from ``subtract``, block_diag(G.A, R.A), formed on its first read,
+        # and that of a dual, the transposed view of its operand's.
         kind, of, minus = self._origin
-        if name != "A" or kind != "difference":
+        if name != "A" or kind not in ("difference", "dual"):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        A = _frozen(block_diag(of.A, minus.A))[0]
+        A = of.A.T if kind == "dual" else _frozen(block_diag(of.A, minus.A))[0]
         object.__setattr__(self, "A", A)
         return A
 
@@ -242,35 +246,39 @@ class StateSpace:
 
     @cached_property
     def _reachability(self) -> numkernels.GramianResult:
-        """P with A P + P A^T = -B B^T.  A model on the same states shares
-        its operand's, and a dual reads its operand's observability
+        """P with A P + P A^T = -B B^T.  A model built from matrices solves
+        it as ``solve_lyapunov(self, self)``, a model on the same states
+        shares its operand's, and a dual reads its operand's observability
         Gramian.  A difference G - R assembles [[P_G, X], [X^T, P_R]] from
-        its operands' Gramians and the cross block X, which
-        ``solve_lyapunov`` gives for the pair; that solve tests every
+        its operands' Gramians and the cross block X that
+        ``solve_lyapunov(G, other=R)`` gives; that solve tests every
         eigenvalue pair of the stacked spectrum, G - R pairs included."""
         kind, g, r = self._origin
         if kind is None:
-            return numkernels.solve_lyapunov(self)
+            return numkernels.solve_lyapunov(self, self)
         if kind == "dynamics":
             return g._reachability
         if kind == "dual":
             return g._observability
         cross = numkernels.solve_lyapunov(g, other=r)
-        P_g, P_r = g._reachability, r._reachability
-        P = np.block([[P_g.P, cross.P], [cross.P.T, P_r.P]])
-        P.setflags(write=False)
-        residual = max(P_g.residual, cross.residual, P_r.residual)
-        return numkernels.GramianResult(P, residual)
+        return _stacked(g._reachability, cross, r._reachability, 1.0)
 
     @cached_property
     def _observability(self) -> numkernels.GramianResult:
         """Q with A^T Q + Q A = -C^T C, the reachability Gramian of the
-        dual: a ``dual`` reads its operand's, any other model solves it on
-        its own dual, which reuses its Schur form."""
-        kind, of, _ = self._origin
+        dual.  A dual reads its operand's reachability Gramian, and a
+        difference G - R assembles [[Q_G, -X], [-X^T, Q_R]] with X from
+        ``solve_lyapunov(dual(G), other=dual(R))``, as its reachability
+        Gramian is assembled.  Any other model solves it on its own dual,
+        which reuses its Schur form."""
+        kind, g, r = self._origin
         if kind == "dual":
-            return of._reachability
-        return numkernels.solve_lyapunov(dual(self))
+            return g._reachability
+        if kind == "difference":
+            cross = numkernels.solve_lyapunov(dual(g), other=dual(r))
+            return _stacked(g._observability, cross, r._observability, -1.0)
+        d = dual(self)
+        return numkernels.solve_lyapunov(d, d)
 
     @cached_property
     def _balancing(self) -> _Balancing:
@@ -311,13 +319,26 @@ def _derived(
     ``_Origin``) on the named ``arrays`` A, B, C and D, which it freezes
     and adopts as they are: no copy and no check, so a view of an
     operand's frozen array stays a view.  Callers hand it only arrays of
-    validated models, or arrays they have checked; a difference hands no
-    A, which it forms on first read."""
+    validated models, or arrays they have checked; a difference and a
+    dual hand no A, which each forms on first read."""
     model = object.__new__(StateSpace)
     for name, M in arrays.items():
         object.__setattr__(model, name, _frozen(M)[0])
     object.__setattr__(model, "_origin", _Origin(kind, of, minus))
     return model
+
+
+def _stacked(
+    of: numkernels.GramianResult, cross: numkernels.GramianResult,
+    minus: numkernels.GramianResult, sign: float,
+) -> numkernels.GramianResult:
+    """The Gramian [[of, s X], [s X^T, minus]] of a difference's stacked
+    states, with X the ``cross`` block and s its ``sign``, and the
+    largest residual of the three solves."""
+    X = sign * cross.P
+    P = np.block([[of.P, X], [X.T, minus.P]])
+    P.setflags(write=False)
+    return numkernels.GramianResult(P, max(of.residual, cross.residual, minus.residual))
 
 
 def _same_dynamics(sys: StateSpace, C, D) -> StateSpace:
@@ -556,13 +577,13 @@ def eval_freq(sys: StateSpace, omega) -> np.ndarray:
 def subtract(g: StateSpace, r: StateSpace) -> StateSpace:
     """Realize the error system G(s) - R(s) (block-diagonal states).
 
-    The result remembers its operands: its poles, seeds, reachability
-    Gramian and response are assembled from those of ``g`` and ``r``, so
+    The result remembers its operands: its poles, seeds, both Gramians
+    and response are assembled from those of ``g`` and ``r``, so
     a fixed ``g`` is factored, and solved at its seeds, only once.  It
     stores the stacked B and C and D_g - D_r, each built once and frozen,
-    not copied; its stacked A, which no computation of ``sysmor`` reads,
-    is formed on first read, and a public read of its Schur form (its
-    ``solve_lyapunov`` or the poles of its dual) factors that A.
+    not copied.  Its stacked A, which no computation of ``sysmor`` reads,
+    is formed on first read, and a read of its dual's poles or L-infinity
+    norm factors that A.
     """
     if (g.p, g.q) != (r.p, r.q):
         raise DimensionMismatch(
@@ -579,10 +600,12 @@ def dual(sys: StateSpace) -> StateSpace:
     """Transpose the transfer matrix: (A, B, C, D) -> (A^T, C^T, B^T, D^T).
 
     The result's arrays are transposed views of the frozen arrays of
-    ``sys``, not copies, and it reuses the factors, seed responses and
-    Gramians of ``sys`` (its two Gramians trade places).
+    ``sys``, not copies, A taken on its first read, and it reuses the
+    factors, seed responses and Gramians of ``sys`` (its two Gramians
+    trade places), so the dual of a difference forms no stacked A to
+    read its Gramians.
     """
-    return _derived("dual", sys, A=sys.A.T, B=sys.C.T, C=sys.B.T, D=sys.D.T)
+    return _derived("dual", sys, B=sys.C.T, C=sys.B.T, D=sys.D.T)
 
 
 def poles(sys: StateSpace) -> np.ndarray:

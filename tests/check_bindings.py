@@ -8,17 +8,18 @@ dtrsyl) through ctypes.  All three must bind on the installed numpy
 wheel, since a renamed symbol would fall back to np.linalg.eigvals and
 scipy's LAPACK unseen.  ``run`` then makes a small reduction and a small
 ``compare_methods`` of balanced truncation and lowrank-aaa, whose
-balanced orders' first level tests a worker thread solves, and reads the
-Schur form of the reduction's error system G - R, which factors its own
-stacked A: its Gramian by ``solve_lyapunov`` and the L-infinity norm of
-its dual.  These must load no scipy module and leave numpy.ma
-unimported.  A child interpreter, in which ctypes finds none of numpy's
-``scipy_*_64_`` symbols, then runs the same ``run`` through the
-fallback: it must load no scipy module but ``scipy.linalg._flapack``,
-and its records, compare entries, Gramian and norm must equal this
-interpreter's to 1e-12 relative.  Exits non-zero with the failed
-assertion.  pytest does not collect this file (its name does not start
-with test_), so it can run where pytest is not installed.
+balanced orders' first level tests a worker thread solves.  It reads
+both Gramians of the reduction's error system G - R by ``solve_lyapunov``,
+each assembled from the Gramians of G and R and one cross block, and the
+L-infinity norm of its dual, which factors the stacked A.  These must
+load no scipy module and leave numpy.ma unimported.  A child
+interpreter, in which ctypes finds none of numpy's ``scipy_*_64_``
+symbols, then runs the same ``run`` through the fallback: it must load
+no scipy module but ``scipy.linalg._flapack``, and its records, compare
+entries, Gramians and norm must equal this interpreter's to 1e-12
+relative.  Exits non-zero with the failed assertion.  pytest does not
+collect this file (its name does not start with test_), so it can run
+where pytest is not installed.
 """
 
 import json
@@ -57,8 +58,8 @@ print(json.dumps(ran))
 
 def run() -> dict:
     """The records of a small reduction to R, the entries, without their
-    reduced models, of a small compare, and the Gramian of G - R and the
-    L-infinity norm of its dual, as JSON round-trips them."""
+    reduced models, of a small compare, and the two Gramians of G - R and
+    the L-infinity norm of its dual, as JSON round-trips them."""
     model = mass_chain(0, 4, [0], [3])
     interpolant, report = sysmor.reduce(model, sysmor.StoppingOptions(max_iterations=3))
     entries = sysmor.cli.compare_methods(
@@ -70,6 +71,7 @@ def run() -> dict:
         "records": [record.to_dict() for record in report.records],
         "entries": [{k: v for k, v in e.items() if k != "system"} for e in entries],
         "gramian": sysmor.solve_lyapunov(err).P.tolist(),
+        "observability": sysmor.solve_lyapunov(sysmor.dual(err)).P.tolist(),
         "linf": [norm.gamma, norm.omega_peak],
     }))
 
@@ -101,8 +103,9 @@ def main():
                     assert math.isclose(value, t[key], rel_tol=1e-12), (key, value, t[key])
                 else:
                     assert value == t[key], (key, value, t[key])
-    P, P_fallback = (np.array(ran["gramian"]) for ran in (ours, theirs))
-    assert P.size and np.linalg.norm(P - P_fallback) <= 1e-12 * np.linalg.norm(P)
+    for part in ("gramian", "observability"):
+        P, P_fallback = (np.array(ran[part]) for ran in (ours, theirs))
+        assert P.size and np.linalg.norm(P - P_fallback) <= 1e-12 * np.linalg.norm(P), part
     for value, other in zip(ours["linf"], theirs["linf"]):
         assert math.isclose(value, other, rel_tol=1e-12), ("linf", value, other)
 

@@ -19,6 +19,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack, solve_continuous_lyapunov, solve_sylvester
 
 from sysmor import (
+    DimensionMismatch,
     IllPosedLyapunov,
     RankOutOfRange,
     StateSpace,
@@ -542,6 +543,17 @@ class TestSolveLyapunov:
             result.P, ref, rtol=0, atol=1e-10 * np.abs(ref).max()
         )
         assert solve_lyapunov(g, other=static_gain(g.D)).P.shape == (20, 0)
+
+    def test_cross_block_refuses_other_input_counts(self):
+        # The cross block needs equal input counts, and only those: a
+        # different output count is solved, a different input count is
+        # refused before any solve.
+        rng = np.random.default_rng(39)
+        g = random_stable(rng, n=4, q=2, p=2)
+        narrow = random_stable(rng, n=3, q=2, p=1)
+        assert solve_lyapunov(g, other=narrow).P.shape == (4, 3)
+        with pytest.raises(DimensionMismatch, match="input counts"):
+            solve_lyapunov(g, other=random_stable(rng, n=3, q=1, p=2))
 
 
 class TestSymEig:

@@ -483,11 +483,10 @@ class TestInterconnections:
         A = err.A
         assert A.tobytes() == sla.block_diag(g.A, r.A).tobytes()
         assert not A.flags.writeable and err.A is A
-        # A public read of its Schur form factors that A: its Gramian
-        # solved on it is the one assembled from the operands, and its
-        # dual's poles are theirs.
-        P, assembled = solve_lyapunov(err).P, err._reachability.P
-        assert np.linalg.norm(P - assembled) <= 1e-12 * np.linalg.norm(assembled)
+        # Its public Gramian is the one assembled from the operands, and a
+        # public read of its Schur form factors that A: its dual's poles
+        # are theirs.
+        assert solve_lyapunov(err) is err._reachability
         lam = np.concatenate([poles(g), poles(r)])
         np.testing.assert_allclose(
             np.sort(poles(dual(err))), np.sort(lam), rtol=1e-12, atol=1e-12
@@ -627,6 +626,25 @@ class TestInterconnections:
         linf_norm(err)
         h2_error_metric(err)
         assert "_schur" not in err.__dict__
+
+    def test_public_gramians_are_the_cached_ones(self):
+        # solve_lyapunov(sys) is the model's cached Gramian, and both
+        # Gramians of G - R are assembled from its operands', so neither
+        # forms its stacked A or factors it.
+        g = mass_chain(0, 60, [0, 59], [0, 30])
+        options = StoppingOptions(max_iterations=5, keep_best=False)
+        interpolant, report = reduce(g, options)
+        assert interpolant.sys.n == report.records[-1].order == 18
+        err = subtract(g, interpolant.sys)
+        P, Q = solve_lyapunov(err), solve_lyapunov(dual(err))
+        assert P is err._reachability and Q is err._observability
+        assert "_schur" not in vars(err) and "A" not in vars(err)
+        trace = np.trace(err.C @ P.P @ err.C.T)
+        assert h2_error_metric(err) == float(np.sqrt(abs(trace)))
+        ref = sla.solve_continuous_lyapunov(err.A.T, -err.C.T @ err.C)
+        assert np.linalg.norm(Q.P - ref) <= 1e-8 * np.linalg.norm(ref)
+        assert solve_lyapunov(g) is g._reachability
+        assert solve_lyapunov(dual(g)) is g._observability
 
     def test_runs_read_no_schur_form_of_a_difference_or_cancelled_system(
         self, monkeypatch

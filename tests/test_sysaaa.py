@@ -652,9 +652,10 @@ class TestReduceDriver:
             return eigvals_overwrite(H)
 
         def counted_solve(model, other=None):
-            # An observability Gramian is solved on the model's dual.
+            # An observability Gramian is solved on the model's dual, and a
+            # Gramian solve names the model twice (None marks it).
             dualized = model._origin.kind == "dual"
-            solves.append((model.n, dualized, None if other is None else other.n))
+            solves.append((model.n, dualized, None if other is model else other.n))
             return solve(model, other)
 
         def counted_response(model, at):
