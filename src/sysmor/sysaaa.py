@@ -445,10 +445,82 @@ def select_or_grow(candidate_omega: float, points, min_dist: float) -> int | Non
     return None
 
 
-_STOP_REASONS = {
-    DuplicateSupportPoint: "duplicate support point",
-    Saturated: "saturated support point",
-}
+def _advance(
+    work: StateSpace, opts: StoppingOptions, entry_rank: int | None,
+    current: Interpolant, record: IterationRecord, lres: LinfResult | None,
+    floor: float,
+):
+    """One step of the adaptive loop: from the certified iterate
+    ``current`` to the next one, or to the reason the loop stops.
+
+    ``record`` and ``lres`` are what ``certify`` returned for ``current``;
+    an error at or below ``floor`` is at the numerical floor.  Returns
+    ``(termination, warning, next, action, omega)``, where ``warning`` is
+    a report message or None.
+
+    * A stop (a stopping rule, a duplicate or saturated peak, a planned
+      order beyond ``target_order``, failed weights) returns its reason
+      and None for the last three.
+    * Otherwise the termination is None.  The peak, snapped to omega = 0
+      near DC, either grows the rank of the point ``select_or_grow``
+      names (``"grow"``, at that point's omega) or adds a point there
+      sampled with ``entry_rank`` (``"add"``).  ``next`` is the
+      interpolant with re-solved weights on the new support, and the
+      warning flags repeated Gramian eigenvalues.
+
+    Nothing passed in is written, except the factors ``work`` memoizes.
+    """
+    if lres is None:
+        axis = f"iteration {record.iteration}: interpolant poles on the axis"
+        return "interpolant has imaginary-axis poles", axis, None, None, None
+    if opts.target_linf is not None and lres.gamma <= opts.target_linf:
+        return "target_linf reached", None, None, None, None
+    if lres.gamma <= floor:
+        return "error at numerical floor", None, None, None, None
+    if record.iteration >= opts.max_iterations:
+        return "max_iterations reached", None, None, None, None
+    if math.isinf(lres.omega_peak):
+        infinite = (
+            "error peak lies at omega -> inf; feedthrough is already matched, "
+            "nothing to refresh"
+        )
+        return "no finite peak frequency", infinite, None, None, None
+
+    omega = lres.omega_peak
+    if omega < DUPLICATE_ATOL:
+        omega = 0.0
+    points = list(current.support)
+    try:
+        index = select_or_grow(omega, points, opts.min_dist)
+    except DuplicateSupportPoint as exc:
+        duplicate = f"DuplicateSupportPoint: {exc}"
+        return "duplicate support point", duplicate, None, None, None
+    except Saturated as exc:
+        return "saturated support point", f"Saturated: {exc}", None, None, None
+    if index is None:
+        action = "add"
+        points.append(sample_support_point(work, omega, entry_rank))
+    else:
+        action, omega = "grow", points[index].omega
+        points[index] = replace(points[index], rank=points[index].rank + 1)
+    order = sum(pt.order for pt in points)
+    if opts.target_order is not None and order > opts.target_order:
+        return "target_order would be exceeded", None, None, None, None
+
+    X = compute_X(assemble_error_system(points, work))
+    try:
+        weight = solve_weights(X, work.p)
+        reduced = realize_interpolant(points, weight, work.D)
+    except (SingularW0, InsufficientSpectrum) as exc:
+        failed = f"{type(exc).__name__}: {exc}"
+        return "weight computation failed", failed, None, None, None
+    warning = None
+    if weight.degenerate:
+        warning = (
+            f"iteration {record.iteration + 1}: repeated Gramian eigenvalues, "
+            "distinctness relaxed"
+        )
+    return None, warning, Interpolant(reduced, tuple(points), weight), action, omega
 
 
 def _adaptive_loop(
@@ -457,102 +529,50 @@ def _adaptive_loop(
     method: str,
     entry_rank: int | None = None,
 ) -> tuple[Interpolant, ReductionReport]:
-    """The adaptive interpolation loop shared by both drivers.
+    """The adaptive interpolation loop shared by both drivers: ``certify``,
+    then one pure step.
 
-    Each iteration certifies and records the current iterate (first the
-    feedthrough-only one), checks the stopping rules, snaps near-DC peaks
-    to omega = 0 and plans the next support points: ``select_or_grow``
-    either grows a point's rank by one or adds a point at the peak with
-    ``entry_rank`` (None, the full sample, for ``reduce``).  The loop
-    stops before the planned points would exceed ``target_order`` states,
-    then re-solves the weights for the next iterate.
+    Each iteration certifies the current iterate (first the
+    feedthrough-only one), appends its record and the iterate to the
+    report, and hands both to ``_advance``, which returns the termination
+    or the next iterate; its warning goes to the report.  ``entry_rank``
+    is the rank of each new support point (None, the full sample, for
+    ``reduce``).  Once a step terminates, ``keep_best`` picks the iterate
+    returned.  This loop is the only code that writes the report.
     """
     if not is_stable(work):
         raise UnstableInput("adaptive interpolation needs a stable model")
     report = ReductionReport(method=method, options=asdict(opts))
 
-    points: list = []
     current = Interpolant(static_gain(work.D), (), WeightMatrix(np.eye(work.p), ()))
-    action, acted_omega = "init", None
-    while True:
+    termination, action, omega = None, "init", None
+    while termination is None:
         record, lres = certify(
             work, current.sys, opts.bisect_rel_tol,
-            iteration=len(report.records), action=action, omega=acted_omega,
-            w0_condition=current.weights.w0_condition if points else None,
-            ranks=None if entry_rank is None else tuple(pt.rank for pt in points),
+            iteration=len(report.records), action=action, omega=omega,
+            w0_condition=current.weights.w0_condition if current.support else None,
+            ranks=None if entry_rank is None else tuple(
+                pt.rank for pt in current.support
+            ),
         )
         report.records.append(record)
         report.iterates.append(current)
-        if lres is None:
-            report.warn(f"iteration {record.iteration}: interpolant poles on the axis")
-            termination = "interpolant has imaginary-axis poles"
-            break
-        if opts.target_linf is not None and lres.gamma <= opts.target_linf:
-            termination = "target_linf reached"
-            break
-        if lres.gamma <= 1e-13 * (1.0 + report.records[0].linf_error):
-            termination = "error at numerical floor"
-            break
-        if record.iteration >= opts.max_iterations:
-            termination = "max_iterations reached"
-            break
-        if math.isinf(lres.omega_peak):
-            report.warn(
-                "error peak lies at omega -> inf; feedthrough is already "
-                "matched, nothing to refresh"
-            )
-            termination = "no finite peak frequency"
-            break
-
-        omega = lres.omega_peak
-        if omega < DUPLICATE_ATOL:
-            omega = 0.0
-        try:
-            index = select_or_grow(omega, points, opts.min_dist)
-        except (DuplicateSupportPoint, Saturated) as exc:
-            report.warn(f"{type(exc).__name__}: {exc}")
-            termination = _STOP_REASONS[type(exc)]
-            break
-        step = list(points)
-        if index is None:
-            action, acted_omega = "add", omega
-            step.append(sample_support_point(work, omega, entry_rank))
-        else:
-            action, acted_omega = "grow", points[index].omega
-            step[index] = replace(points[index], rank=points[index].rank + 1)
-        if (
-            opts.target_order is not None
-            and sum(pt.order for pt in step) > opts.target_order
-        ):
-            termination = "target_order would be exceeded"
-            break
-
-        points = step
-        X = compute_X(assemble_error_system(points, work))
-        try:
-            weight = solve_weights(X, work.p)
-            reduced = realize_interpolant(points, weight, work.D)
-        except (SingularW0, InsufficientSpectrum) as exc:
-            report.warn(f"{type(exc).__name__}: {exc}")
-            termination = "weight computation failed"
-            break
-        current = Interpolant(reduced, tuple(points), weight)
-        if weight.degenerate:
-            report.warn(
-                f"iteration {len(report.records)}: repeated Gramian "
-                "eigenvalues, distinctness relaxed"
-            )
+        floor = 1e-13 * (1.0 + report.records[0].linf_error)
+        termination, warning, current, action, omega = _advance(
+            work, opts, entry_rank, current, record, lres, floor
+        )
+        if warning is not None:
+            report.warn(warning)
 
     report.termination = termination
+    best = report.records[-1]
     if opts.keep_best:
         pool = [rec for rec in report.records if rec.certified] or report.records
         best = pool[0]
         for rec in pool[1:]:
             if rec.linf_error < best.linf_error * (1.0 - opts.bisect_rel_tol):
                 best = rec
-        report.best_iteration = best.iteration
-    else:
-        report.best_iteration = len(report.records) - 1
+    report.best_iteration = best.iteration
     return report.iterates[report.best_iteration], report
 
 

@@ -14,12 +14,13 @@ each assembled from the Gramians of G and R and one cross block, and the
 L-infinity norm of its dual, which factors the stacked A.  These must
 load no scipy module and leave numpy.ma unimported.  A child
 interpreter, in which ctypes finds none of numpy's ``scipy_*_64_``
-symbols, then runs the same ``run`` through the fallback: it must load
-no scipy module but ``scipy.linalg._flapack``, and its records, compare
-entries, Gramians and norm must equal this interpreter's to 1e-12
-relative.  Exits non-zero with the failed assertion.  pytest does not
-collect this file (its name does not start with test_), so it can run
-where pytest is not installed.
+symbols (``tests/fallback/sitecustomize.py`` hides them), then runs the
+same ``run`` through the fallback: it must load no scipy module but
+``scipy.linalg._flapack``, and its records, compare entries, Gramians
+and norm must equal this interpreter's to 1e-12 relative.  Exits
+non-zero with the failed assertion.  pytest does not collect this file
+(its name does not start with test_), so it can run where pytest is not
+installed.
 """
 
 import json
@@ -34,18 +35,12 @@ import numpy as np
 import sysmor.cli
 from oracles import mass_chain
 
-# The fallback's run: ctypes finds no scipy_* symbol, as on a numpy whose
-# LAPACK names its routines otherwise.
+# The fallback's run: fallback/sitecustomize.py, first on the child's
+# path, hides every scipy_* symbol from ctypes, as on a numpy whose LAPACK
+# names its routines otherwise.
 FALLBACK = """
-import ctypes, json, sys
+import json, sys
 
-class Hidden(ctypes.CDLL):
-    def __getattr__(self, name):
-        if name.startswith("scipy_"):
-            raise AttributeError(name)
-        return super().__getattr__(name)
-
-ctypes.CDLL = Hidden
 import sysmor
 from check_bindings import run
 assert sysmor.numkernels._dgees is None
@@ -87,7 +82,7 @@ def main():
     assert "numpy.ma" not in sys.modules
 
     here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    path = os.pathsep.join(str(p) for p in (here / "fallback", here.parent / "src", here))
     env = dict(os.environ, PYTHONPATH=path)
     child = subprocess.run(
         [sys.executable, "-c", FALLBACK], env=env, capture_output=True, text=True

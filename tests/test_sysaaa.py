@@ -2,6 +2,7 @@
 realization, driver."""
 
 import collections
+import dataclasses
 import itertools
 import math
 
@@ -40,7 +41,7 @@ from sysmor import (
 )
 from sysmor.statespace import static_gain
 from sysmor.sysaaa import WeightMatrix
-from oracles import random_orthogonal, random_stable, tf_eval
+from oracles import mass_chain, random_orthogonal, random_stable, tf_eval
 
 FIRST_ORDER = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
 
@@ -723,3 +724,69 @@ class TestReduceDriver:
         doc = report.to_dict()
         assert doc["method"] == "sys-aaa"
         assert len(doc["records"]) == len(report.records)
+
+
+class TestAdvance:
+    """One driver step on its own, from what a ``reduce`` run certified."""
+
+    @staticmethod
+    def _certified_run(monkeypatch):
+        import sysmor.sysaaa as mod
+
+        model = mass_chain(0, 6, inputs=(0, 2), outputs=(3, 5))
+        opts = StoppingOptions(max_iterations=3, keep_best=False)
+        real, certified = mod.certify, []
+
+        def recording(*args, **kwargs):
+            certified.append(real(*args, **kwargs))
+            return certified[-1]
+
+        monkeypatch.setattr(mod, "certify", recording)
+        _, report = reduce(model, opts)
+        assert [rec for rec, _ in certified] == report.records
+        floor = 1e-13 * (1.0 + report.records[0].linf_error)
+        return mod._advance, model, opts, report, certified, floor
+
+    @staticmethod
+    def _bytes(interp):
+        sys = interp.sys
+        return [m.tobytes() for m in (sys.A, sys.B, sys.C, sys.D)], [
+            pt.omega for pt in interp.support
+        ]
+
+    def test_same_inputs_give_the_same_step_and_stay_untouched(self, monkeypatch):
+        advance, model, opts, report, certified, floor = self._certified_run(
+            monkeypatch
+        )
+        current = report.iterates[2]
+        record, lres = certified[2]
+        support = current.support
+        blocks = [
+            [np.copy(a) for a in (pt.sample, pt.L, pt.A, pt.B1, pt.B2)]
+            for pt in support
+        ]
+        before = dataclasses.replace(record), dataclasses.replace(lres)
+
+        first, second = (
+            advance(model, opts, None, current, record, lres, floor) for _ in range(2)
+        )
+        assert first[0] is None and first[1] is None
+        assert first[3:] == second[3:] == ("add", report.records[3].omega)
+        assert self._bytes(first[2]) == self._bytes(second[2])
+        # the step the loop took from the same iterate
+        assert self._bytes(first[2]) == self._bytes(report.iterates[3])
+
+        assert current.support is support and len(support) == 2
+        for pt, copies in zip(support, blocks):
+            now = (pt.sample, pt.L, pt.A, pt.B1, pt.B2)
+            assert [a.tobytes() for a in now] == [b.tobytes() for b in copies]
+        assert (record, lres) == before
+
+    def test_a_stopping_rule_returns_only_its_reason(self, monkeypatch):
+        advance, model, opts, report, certified, floor = self._certified_run(
+            monkeypatch
+        )
+        record, lres = certified[3]
+        step = advance(model, opts, None, report.iterates[3], record, lres, floor)
+        assert step == ("max_iterations reached", None, None, None, None)
+        assert report.termination == "max_iterations reached"
