@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ImaginaryAxisPoles, NonzeroFeedthrough, SingularAtFrequency
-from .numkernels import _eigvals_overwrite, _sorted_unique
+from .numkernels import _eigvals_overwrite, _pair_minima, _sorted_unique
 from .statespace import (
     _NEGLIGIBLE_HSV_RTOL,
     StateSpace,
@@ -92,9 +92,6 @@ DEFAULT_BISECT_RTOL = 1e-6
 _IMAG_CLASS_RTOL = 1e-6
 
 _MAX_LEVEL_ITERATIONS = 60
-
-# Eigenvalues per block of the mirror-pair search in ``_axis_frequencies``.
-_MIRROR_ROWS = 64
 
 # The peak refinement: its secant search for a root of the slope of
 # sigma_max stops once the bracket is this narrow relative to its upper
@@ -197,15 +194,10 @@ def _axis_frequencies(lam: np.ndarray) -> tuple[np.ndarray, bool]:
     (off the axis eigenvalues come in mirror pairs, so an unpaired one is
     an imaginary eigenvalue that roundoff moved past the margin), and
     whether any eigenvalue lies within the margin.  Each eigenvalue's
-    nearest mirror is found ``_MIRROR_ROWS`` eigenvalues at a time, in
-    O(N _MIRROR_ROWS) memory rather than that of the N x N distances."""
+    nearest mirror other than itself is found by ``_pair_minima``, in
+    blocks of rows rather than all N x N distances at once."""
     on_axis = np.abs(lam.real) <= _IMAG_CLASS_RTOL * np.maximum(1.0, np.abs(lam))
-    nearest = np.empty(lam.size)
-    for start in range(0, lam.size, _MIRROR_ROWS):
-        rows = np.arange(start, min(start + _MIRROR_ROWS, lam.size))
-        dist = np.abs(lam.conj()[rows, None] + lam[None, :])
-        dist[rows - start, rows] = np.inf  # not its own mirror
-        nearest[rows] = dist.min(axis=1, initial=np.inf)
+    nearest = _pair_minima(lam.conj(), lam, skip_self=True)
     lone = nearest > np.abs(lam.real)
     return _sorted_unique(np.abs(lam[on_axis | lone].imag)), bool(on_axis.any())
 

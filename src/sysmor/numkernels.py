@@ -69,8 +69,8 @@ __all__ = ["solve_lyapunov"]
 # the Lyapunov operator numerically singular.
 _SPECTRUM_PAIR_RTOL = 1e-10
 
-# Eigenvalues per block of that pair test: it holds O(n _PAIR_ROWS) sums
-# at a time rather than all n^2.
+# Rows per block of ``_pair_minima``: it holds O(n _PAIR_ROWS) sums at a
+# time rather than all n^2.
 _PAIR_ROWS = 64
 
 
@@ -238,6 +238,19 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
+def _pair_minima(a: np.ndarray, b: np.ndarray, skip_self: bool = False) -> np.ndarray:
+    """min_j |a_i + b_j| for each i, over every j but i when ``skip_self``
+    (inf where no j is left), ``_PAIR_ROWS`` rows of sums at a time: the
+    minima of the dense len(a) x len(b) sums, bit for bit."""
+    minima = np.empty(a.size)
+    for start in range(0, a.size, _PAIR_ROWS):
+        dist = np.abs(a[start : start + _PAIR_ROWS, None] + b)
+        if skip_self:
+            np.fill_diagonal(dist[:, start:], np.inf)
+        minima[start : start + _PAIR_ROWS] = dist.min(axis=1, initial=np.inf)
+    return minima
+
+
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
     """The 2-D blocks (any shape, 0 x 0 included) on the diagonal of one
     C-ordered array, zero elsewhere: the bytes of
@@ -293,12 +306,8 @@ def solve_lyapunov(sys: StateSpace, other: StateSpace | None = None) -> GramianR
     To, Zo, lam_o = other._schur
     if other is not sys:
         lam = np.concatenate([lam, lam_o])
-    closest = min(
-        np.abs(lam[i : i + _PAIR_ROWS, None] + lam[None, :]).min()
-        for i in range(0, lam.size, _PAIR_ROWS)
-    )
     radius = max(1.0, float(np.max(np.abs(lam))))
-    if closest <= _SPECTRUM_PAIR_RTOL * radius:
+    if _pair_minima(lam, lam).min() <= _SPECTRUM_PAIR_RTOL * radius:
         raise IllPosedLyapunov(
             "eigenvalue pair of A sums to ~0; Lyapunov equation has no unique solution"
         )

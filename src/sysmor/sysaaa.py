@@ -240,8 +240,9 @@ class StoppingOptions:
     earlier one only when it is smaller by more than ``bisect_rel_tol``,
     the precision of each bound.  ``min_dist`` is the relative radius
     within which a peak grows a rank-limited point.  ``min_dist`` and
-    ``bisect_rel_tol`` must be positive and finite, and ``target_linf``
-    None or positive and finite (ValueError).
+    ``bisect_rel_tol`` must be positive and finite, ``target_linf`` None
+    or positive and finite, and ``max_iterations`` and ``target_order``
+    (when given) nonnegative (ValueError).
     """
 
     max_iterations: int = 20
@@ -258,6 +259,8 @@ class StoppingOptions:
             raise ValueError("bisect_rel_tol must be positive and finite")
         if self.target_linf is not None and not 0 < self.target_linf < math.inf:
             raise ValueError("target_linf must be positive and finite")
+        if min(self.max_iterations, self.target_order or 0) < 0:
+            raise ValueError("max_iterations and target_order must be nonnegative")
 
 
 def _realify(M: np.ndarray, omega: float) -> np.ndarray:

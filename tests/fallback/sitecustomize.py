@@ -9,15 +9,20 @@ any interpreter on the fallback, before it imports numpy or the package:
 
     PYTHONPATH=tests/fallback:src python -m pytest -q
 
-The child interpreter of ``tests/check_bindings.py`` runs this way too.
+The fresh interpreters of ``tests/test_numkernels.py`` that take the
+fallback start this way too.  One of them hides a single routine: it
+sets ``PREFIX`` below, before it imports numpy, and ctypes then hides
+only the symbols that start with it.
 """
 
 import ctypes
 
+PREFIX = "scipy_"
+
 
 class Hidden(ctypes.CDLL):
     def __getattr__(self, name):
-        if name.startswith("scipy_"):
+        if name.startswith(PREFIX):
             raise AttributeError(name)
         return super().__getattr__(name)
 

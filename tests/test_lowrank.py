@@ -193,6 +193,16 @@ def test_options_reject_bad_tolerance_and_target(field, value):
         StoppingOptions(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value", [("max_iterations", -1), ("target_order", -5)]
+)
+def test_options_reject_negative_counts(field, value):
+    # Either would end a run at iterate 0 under a misleading reason.
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        StoppingOptions(**{field: value})
+    StoppingOptions(**{field: 0})
+
+
 def test_radius_checked_before_the_first_step():
     # Runs that stop before any step still reject the radius.
     with pytest.raises(ValueError, match="min_dist must be positive"):

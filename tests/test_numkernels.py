@@ -6,6 +6,7 @@ stacking and sorted distinct values the package runs on."""
 import ctypes
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,49 +53,55 @@ def _unstable_well_posed(rng, n):
                       rng.standard_normal((3, n)), np.zeros((3, 2)))
 
 
-# A run of the package in a fresh interpreter: a reduction and a balanced
-# truncation of a small model, which factor, solve and stack blocks.
+# A run of the package in a fresh interpreter: a small reduction to R, a
+# small compare of balanced truncation and lowrank-aaa (whose balanced
+# orders' first level tests the worker thread solves), the L-infinity norm
+# of the dual of the error system G - R (which factors the stacked A) and
+# both its Gramians (each assembled from its operands' Gramians and one
+# cross block).
 _REDUCE = """
-import sysmor
+import sysmor, sysmor.cli
 from oracles import mass_chain
 model = mass_chain(0, 4, [0], [3])
 reduced, report = sysmor.reduce(model, sysmor.StoppingOptions(max_iterations=3))
 assert reduced.order > 0 and len(report.records) == 4
-assert sysmor.balanced_truncate(model, 2)[0].n == 2
+entries = sysmor.cli.compare_methods(
+    model, ["balanced", "lowrank-aaa"], 3, sysmor.StoppingOptions()
+)
+assert {e["method"] for e in entries} == {"balanced", "lowrank-aaa"}
+err = sysmor.subtract(model, reduced.sys)
+norm = sysmor.linf_norm(sysmor.dual(err))
+gramians = [sysmor.solve_lyapunov(m).P for m in (err, sysmor.dual(err))]
 """
 
 
-def _fresh(*parts: str) -> subprocess.CompletedProcess:
+def _fresh(*parts: str, fallback: bool = False) -> subprocess.CompletedProcess:
     """The code ``parts``, each dedented, run in turn by a fresh interpreter
     that imports ``sysmor`` from this checkout's ``src`` (and the test
-    oracles)."""
+    oracles); with ``fallback``, ``fallback/sitecustomize.py``, first on
+    its path, hides numpy's ``scipy_*`` symbols from ctypes at startup."""
     here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(here.parent / "src"), str(here)])
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    dirs = ([here / "fallback"] if fallback else []) + [here.parent / "src", here]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, dirs)),
+               OPENBLAS_NUM_THREADS="1")
     return subprocess.run(
         [sys.executable, "-c", "\n".join(map(textwrap.dedent, parts))],
         env=env, capture_output=True, text=True, timeout=120,
     )
 
 
-# Run first in a fresh interpreter: ctypes finds no ``scipy_*_64_`` symbol
-# (the ``prefix`` ones), as on a numpy whose LAPACK names them otherwise.
-_HIDE_SYMBOLS = """
-import ctypes
-
-class _Hidden(ctypes.CDLL):
-    def __getattr__(self, name):
-        if name.startswith({prefix!r}):
-            raise AttributeError(name)
-        return super().__getattr__(name)
-
-ctypes.CDLL = _Hidden
-"""
-
-# The records of ``_REDUCE``'s reduction, as one JSON line.
+# What ``_REDUCE`` ran, as one JSON line: the records of its reduction,
+# the entries of its compare without their reduced models, the two
+# Gramians of G - R and the norm of its dual.
 _RECORDS = """
 import json
-print(json.dumps([record.to_dict() for record in report.records]))
+print(json.dumps({
+    "records": [record.to_dict() for record in report.records],
+    "entries": [{k: v for k, v in e.items() if k != "system"} for e in entries],
+    "gramian": gramians[0].tolist(),
+    "observability": gramians[1].tolist(),
+    "linf": [norm.gamma, norm.omega_peak],
+}))
 """
 
 # Bound on ``dtrsyl`` against scipy's own build, relative to the solution's
@@ -105,6 +112,13 @@ _DTRSYL_BUILD_RTOL = 1e-13
 _BOUND = numkernels._dgees is not None
 needs_numpy_lapack = pytest.mark.skipif(
     not _BOUND, reason="numpy's LAPACK exports no scipy_dgees_64_"
+)
+
+# The scipy-openblas that numpy's wheels bundle from 2.0 on, whose symbols
+# numkernels binds; the wheels of numpy 1.x bundle an OpenBLAS that names
+# its routines otherwise.
+_SHIPS_SCIPY_OPENBLAS = any(
+    (Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("libscipy_openblas64_*")
 )
 
 
@@ -127,13 +141,25 @@ def _sylvester_residual(a, b, c, x, scale, trana, tranb) -> float:
 
 
 class TestLapackRoutines:
+    @pytest.mark.skipif(
+        not _SHIPS_SCIPY_OPENBLAS, reason="numpy ships no libscipy_openblas64_"
+    )
+    def test_binds_all_three_on_numpys_openblas(self):
+        # a renamed symbol would fall back to np.linalg.eigvals and scipy's
+        # LAPACK unseen: every other test passes on either path
+        done = _fresh("""
+            from sysmor import numkernels
+            for name in ("_dgeev", "_dgees", "_dtrsyl"):
+                assert getattr(numkernels, name) is not None, name
+        """)
+        assert done.returncode == 0, done.stderr
+
     def test_import_and_run_load_no_scipy_linalg(self):
         # numpy's OpenBLAS runs all three routines: no scipy module and one
         # OpenBLAS in the process (where numpy binds none of them, only
         # scipy's compiled wrapper module, without scipy.linalg)
         done = _fresh("""
             import sys
-            import sysmor, sysmor.cli
         """, _REDUCE, """
             loaded = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
             bound = sysmor.numkernels._dgees is not None
@@ -147,11 +173,11 @@ class TestLapackRoutines:
 
     def test_loaded_after_scipy_linalg(self):
         # the fallback calls the very module scipy.linalg has loaded
-        done = _fresh(_HIDE_SYMBOLS.format(prefix="scipy_"), """
+        done = _fresh("""
             from scipy.linalg import _flapack
             import sysmor
             assert sysmor.numkernels._flapack is _flapack
-        """, _REDUCE)
+        """, _REDUCE, fallback=True)
         assert done.returncode == 0, done.stderr
         assert numkernels._scipy_flapack() is lapack._flapack
 
@@ -178,9 +204,9 @@ class TestLapackRoutines:
     def test_falls_back_to_scipy_linalg_lapack(self):
         # numpy's LAPACK without the symbols: np.linalg.eigvals, and scipy's
         # routines from its compiled module alone, behind the same signatures
-        records = _fresh(_REDUCE, _RECORDS)
-        assert records.returncode == 0, records.stderr
-        done = _fresh(_HIDE_SYMBOLS.format(prefix="scipy_"), """
+        ran = _fresh(_REDUCE, _RECORDS)
+        assert ran.returncode == 0, ran.stderr
+        done = _fresh("""
             import sys
             import sysmor
             from sysmor import numkernels
@@ -188,24 +214,34 @@ class TestLapackRoutines:
         """, _REDUCE, """
             loaded = [k for k in sys.modules if k.split(".")[0] == "scipy"]
             assert loaded == ["scipy.linalg._flapack"], loaded
-        """, _RECORDS)
+        """, _RECORDS, fallback=True)
         assert done.returncode == 0, done.stderr
-        # the same records, up to scipy's dtrsyl build in the H2 metric
-        ours, theirs = json.loads(records.stdout), json.loads(done.stdout)
-        assert [r.keys() for r in ours] == [r.keys() for r in theirs]
-        for r, t in zip(ours, theirs):
-            for key, value in r.items():
-                if isinstance(value, float):
-                    assert value == pytest.approx(t[key], rel=1e-12), key
-                else:
-                    assert value == t[key], key
+        # the same run, up to scipy's dtrsyl build in the Gramians and the
+        # H2 metric
+        ours, theirs = json.loads(ran.stdout), json.loads(done.stdout)
+        for part in ("records", "entries"):
+            rows, other = ours[part], theirs[part]
+            assert rows and [r.keys() for r in rows] == [t.keys() for t in other], part
+            for r, t in zip(rows, other):
+                for key, value in r.items():
+                    if isinstance(value, float):
+                        assert math.isclose(value, t[key], rel_tol=1e-12), key
+                    else:
+                        assert value == t[key], key
+        for part in ("gramian", "observability"):
+            P, P_fallback = (np.array(run[part]) for run in (ours, theirs))
+            assert P.size and np.linalg.norm(P - P_fallback) <= 1e-12 * np.linalg.norm(P)
+        for value, other in zip(ours["linf"], theirs["linf"]):
+            assert math.isclose(value, other, rel_tol=1e-12)
 
     def test_binds_all_three_or_none(self):
-        done = _fresh(_HIDE_SYMBOLS.format(prefix="scipy_dtrsyl_64_"), """
+        done = _fresh("""
+            import sitecustomize
+            sitecustomize.PREFIX = "scipy_dtrsyl_64_"
             from sysmor import numkernels
             assert numkernels._dgeev is numkernels._dgees is None
             assert numkernels._flapack is not None
-        """)
+        """, fallback=True)
         assert done.returncode == 0, done.stderr
 
     def test_without_scipy_import_fails_plainly(self):
@@ -217,7 +253,7 @@ class TestLapackRoutines:
                 sys.modules["scipy"] = None
             """, _REDUCE)
             assert bound.returncode == 0, bound.stderr
-        done = _fresh(_HIDE_SYMBOLS.format(prefix="scipy_"), """
+        done = _fresh("""
             import sys
             sys.modules["scipy"] = None
             try:
@@ -226,13 +262,18 @@ class TestLapackRoutines:
                 assert "scipy.linalg._flapack" in str(exc), exc
             else:
                 raise AssertionError("imported without scipy")
-        """)
+        """, fallback=True)
         assert done.returncode == 0, done.stderr
 
     def test_run_loads_no_numpy_ma(self):
-        # np.unique imports numpy.ma on its first call; _sorted_unique does not
-        done = _fresh("import sys", _REDUCE, """
-            assert "numpy.ma" not in sys.modules
+        # np.unique imports numpy.ma on its first call; _sorted_unique does
+        # not (numpy 1.x imports numpy.ma itself)
+        done = _fresh("""
+            import sys
+            import numpy
+            preloaded = "numpy.ma" in sys.modules
+        """, _REDUCE, """
+            assert preloaded or "numpy.ma" not in sys.modules
         """)
         assert done.returncode == 0, done.stderr
 
@@ -497,6 +538,21 @@ class TestSolveLyapunov:
         lam[-1] = 1.0
         with pytest.raises(IllPosedLyapunov):
             solve_lyapunov(_with_input(np.diag(lam), np.ones((130, 1))))
+
+    @pytest.mark.parametrize("skip_self", [False, True])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_pair_minima_equal_the_dense_minima(self, n, skip_self):
+        # the blocked scan of this pair test and of the L-infinity mirror
+        # search, against all n x n sums at once (min is exact)
+        rng = np.random.default_rng(n)
+        a, b = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        b[::3] = -a[::3]  # pairs that sum to 0, on and off the diagonal
+        b[1::3] = -a[::-1][1::3]
+        dense = np.abs(a[:, None] + b[None, :])
+        if skip_self:
+            np.fill_diagonal(dense, np.inf)
+        ours = numkernels._pair_minima(a, b, skip_self)
+        assert ours.tobytes() == dense.min(axis=1).tobytes()
 
     def test_imaginary_axis_pole_rejected(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
