@@ -97,8 +97,11 @@ def compare_methods(
     after another on this thread, while its worker thread solves the
     balanced orders' first level tests (each eigensolve releases the GIL,
     so they overlap at every size).  A failed truncation keeps the
-    methods listed after balanced from running.
+    methods listed after balanced from running.  A ``max_order`` below 1
+    raises DimensionMismatch before any method runs.
     """
+    if max_order < 1:
+        raise DimensionMismatch(f"max_order {max_order} is below 1")
     methods = list(dict.fromkeys(methods))  # a method listed twice runs once
     runs = {}  # method -> its entries, or the exception that ended its run
     reduced = []

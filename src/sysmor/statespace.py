@@ -12,13 +12,11 @@ by every pole and cached Gramian, and solves every response and slope on
 one factor G(s) = left (sI - T)^-1 right + D by one shifted-solve kernel:
 T is diagonal (Laub, IEEE TAC 26(2), 1981) when cond(V) allows, else Schur.
 
-A model derived from others by ``subtract``, ``dual`` or a new output map
-on the same states carries one private provenance record (``_Origin``),
-and the derivation rules that read it sit together on ``StateSpace``:
-the reachability Gramian of every derived model, and both Gramians of
-a difference or a dual, come from its operands, and so do the poles,
-the seed frequencies of the L-infinity search and the frequency
-response of a difference or a dual.  Only a dual reuses its operand's
+A model derived from others by ``subtract`` or ``dual`` carries one
+private provenance record (``_Origin``), and the derivation rules that
+read it sit together on ``StateSpace``: its two Gramians, its poles,
+the seed frequencies of the L-infinity search and its frequency
+response come from its operands.  Only a dual reuses its operand's
 Schur form; any other model factors its own A.  Each model also caches
 its response at its own seeds, once, so the error system G - R of a
 reduction run solves only R and the frequencies that are not seeds of
@@ -80,13 +78,12 @@ _NEGLIGIBLE_HSV_RTOL = 1e-14
 
 
 class _Origin(NamedTuple):
-    """How a model was derived: ``kind`` "dynamics" is a new output map on
-    the states of ``of``, "dual" the dual of ``of``, and "difference" the
-    error system ``of`` - ``minus``; None is a model built from matrices.
-    A derived model shares its operands' frozen arrays (A and B of the
-    same states, the transposes of a dual) rather than copying them.
-    Only a dual reads its operand's Schur form; a difference and a model
-    on the same states factor their own A when it is read, which no
+    """How a model was derived: ``kind`` "dual" is the dual of ``of``,
+    and "difference" the error system ``of`` - ``minus``; None is a model
+    built from matrices.  A derived model shares its operands' frozen
+    arrays (the transposes of a dual, the B and C that a difference
+    stacks) rather than copying them.  Only a dual reads its operand's
+    Schur form; a difference factors its own A when it is read, which no
     Gramian of a difference does."""
 
     kind: str | None = None
@@ -247,17 +244,15 @@ class StateSpace:
     @cached_property
     def _reachability(self) -> numkernels.GramianResult:
         """P with A P + P A^T = -B B^T.  A model built from matrices solves
-        it as ``solve_lyapunov(self, self)``, a model on the same states
-        shares its operand's, and a dual reads its operand's observability
-        Gramian.  A difference G - R assembles [[P_G, X], [X^T, P_R]] from
-        its operands' Gramians and the cross block X that
-        ``solve_lyapunov(G, other=R)`` gives; that solve tests every
-        eigenvalue pair of the stacked spectrum, G - R pairs included."""
+        it as ``solve_lyapunov(self, self)``, and a dual reads its
+        operand's observability Gramian.  A difference G - R assembles
+        [[P_G, X], [X^T, P_R]] from its operands' Gramians and the cross
+        block X that ``solve_lyapunov(G, other=R)`` gives; that solve tests
+        every eigenvalue pair of the stacked spectrum, G - R pairs
+        included."""
         kind, g, r = self._origin
         if kind is None:
             return numkernels.solve_lyapunov(self, self)
-        if kind == "dynamics":
-            return g._reachability
         if kind == "dual":
             return g._observability
         cross = numkernels.solve_lyapunov(g, other=r)
@@ -339,15 +334,6 @@ def _stacked(
     P = np.block([[of.P, X], [X.T, minus.P]])
     P.setflags(write=False)
     return numkernels.GramianResult(P, max(of.residual, cross.residual, minus.residual))
-
-
-def _same_dynamics(sys: StateSpace, C, D) -> StateSpace:
-    """(A, B, C, D) on the states of ``sys``: it shares the frozen A and
-    B of ``sys``, with its reachability Gramian, and checks only the new
-    C and D."""
-    C = _as_matrix(C, cols=sys.n, name="C")
-    D = _as_matrix(D, rows=C.shape[0], cols=sys.q, name="D")
-    return _derived("dynamics", sys, A=sys.A, B=sys.B, C=C, D=D)
 
 
 def _psd_factor(M: np.ndarray) -> np.ndarray:

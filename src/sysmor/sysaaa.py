@@ -3,13 +3,14 @@
 One driver iteration: locate the peak frequency of the current error,
 decide where it lands (``select_or_grow``: a new support point, or one
 more rank for a nearby rank-limited point), sample the full model there,
-assemble the cancelled error system H, and re-solve a small symmetric
-eigenvalue problem for the weights that minimise the resulting H2
-objective.  The interpolant is then read off as a closed-form
-state-space realization.  A full support point adds p states at
-omega = 0 and 2p elsewhere; a point that interpolates only the r leading
-left singular directions of its sample adds r or 2r, and the low-rank
-driver is built on those.  Both drivers share one loop and one rule.
+assemble the output map C_H of the cancelled error system H, which
+lives on the states of G, and re-solve a small symmetric eigenvalue
+problem for the weights that minimise the resulting H2 objective.  The
+interpolant is then read off as a closed-form state-space realization.
+A full support point adds p states at omega = 0 and 2p elsewhere; a
+point that interpolates only the r leading left singular directions of
+its sample adds r or 2r, and the low-rank driver is built on those.
+Both drivers share one loop and one rule.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .report import IterationRecord, ReductionReport
 from .statespace import (
     StateSpace,
     _output_resolvent,
-    _same_dynamics,
     eval_freq,
     is_stable,
     static_gain,
@@ -272,8 +272,10 @@ def _realify(M: np.ndarray, omega: float) -> np.ndarray:
     return np.vstack([M.real, M.conj().imag])
 
 
-def assemble_error_system(points, sys: StateSpace) -> StateSpace:
-    """Cancelled realization of H(s) = N(s) - M(s) G(s).
+def assemble_error_system(points, sys: StateSpace) -> np.ndarray:
+    """Output map C_H = [-C; Y_1; ...; Y_K] of the cancelled realization
+    of H(s) = N(s) - M(s) G(s), a (p + sum of the points' orders) x n
+    array.
 
     The first p rows carry D - G(s); the block of point k contributes the
     rows (sI - A_k)^{-1} (B1_k - B2_k G(s)).  Splitting the cross term through
@@ -282,14 +284,10 @@ def assemble_error_system(points, sys: StateSpace) -> StateSpace:
     B1_k - Y_k B - B2_k D, and that weight is zero exactly when the block
     interpolates G at its frequency.  Y_k has a closed form in the rows
     Zc = C (j omega_k I - A)^{-1}: Y_k is L_k Zc realified as B2_k is
-    from L_k.  The cancelled system therefore lives on the
-    state space of G alone, with output map [-C; Y_1; ...; Y_K] and no
-    feedthrough, so its poles stay off the imaginary axis whenever G is
-    stable, and it shares G's Schur form and reachability Gramian.  A
-    weight above 1e-8 of its natural scale means the sample does not
-    match G there and raises ResidualImaginaryPoles.
+    from L_k.  So H(s) = C_H (sI - A)^{-1} B, with the A and B of G (its
+    poles are G's) and no feedthrough.  A weight above 1e-8 of its natural scale means the
+    sample does not match G there and raises ResidualImaginaryPoles.
     """
-    p, q = sys.p, sys.q
     rows = [-sys.C]
     resolvents = _output_resolvent(sys, np.array([pt.omega for pt in points]))
     for pt, Zc in zip(points, resolvents):
@@ -306,14 +304,14 @@ def assemble_error_system(points, sys: StateSpace) -> StateSpace:
                 "match the model at its frequency"
             )
         rows.append(Y)
-    n_out = p + sum(pt.order for pt in points)
-    return _same_dynamics(sys, np.vstack(rows), np.zeros((n_out, q)))
+    return np.vstack(rows)
 
 
-def compute_X(err_sys: StateSpace) -> np.ndarray:
-    """Output-side Gramian X = C P C^T of the cancelled error system, with
-    P the reachability Gramian it shares with G (solved once per model)."""
-    X = err_sys.C @ err_sys._reachability.P @ err_sys.C.T
+def compute_X(rows: np.ndarray, sys: StateSpace) -> np.ndarray:
+    """Output-side Gramian X = C_H P C_H^T, symmetrized, of the output map
+    ``rows`` = C_H on the states of ``sys``, with P the reachability
+    Gramian of ``sys`` (solved once per model)."""
+    X = rows @ sys._reachability.P @ rows.T
     return 0.5 * (X + X.T)
 
 
@@ -510,7 +508,7 @@ def _advance(
     if opts.target_order is not None and order > opts.target_order:
         return "target_order would be exceeded", None, None, None, None
 
-    X = compute_X(assemble_error_system(points, work))
+    X = compute_X(assemble_error_system(points, work), work)
     try:
         weight = solve_weights(X, work.p)
         reduced = realize_interpolant(points, weight, work.D)

@@ -160,7 +160,7 @@ def test_criterion_4_gramian_accuracy():
 
     integral, _ = quad_vec(integrand, 0.0, np.inf)
     oracle = integral.reshape(3, 3) / math.pi
-    got = np.sort(np.linalg.eigvalsh(compute_X(sys)))[::-1]
+    got = np.sort(np.linalg.eigvalsh(compute_X(sys.C, sys)))[::-1]
     ref = np.sort(np.linalg.eigvalsh(oracle))[::-1]
     dominant = ref >= 1e-3 * ref[0]
     np.testing.assert_allclose(got[dominant], ref[dominant], rtol=1e-3)
@@ -194,7 +194,7 @@ def test_criterion_6_weight_rotation_invariance():
     rng = np.random.default_rng(1006)
     sys = random_stable(rng, 12, 2, 2)
     points = [sample_support_point(sys, 0.0), sample_support_point(sys, 1.3)]
-    weight = solve_weights(compute_X(assemble_error_system(points, sys)), sys.p)
+    weight = solve_weights(compute_X(assemble_error_system(points, sys), sys), sys.p)
     base = realize_interpolant(points, weight, sys.D)
     omegas = 10.0 ** rng.uniform(-2, 2, size=10)
     base_vals = [eval_freq(base, w) for w in omegas]

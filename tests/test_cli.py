@@ -13,6 +13,7 @@ import pytest
 
 from sysmor import (
     DegenerateFactors,
+    DimensionMismatch,
     ImaginaryAxisPoles,
     LinfResult,
     NonRealSampleAtZero,
@@ -434,6 +435,24 @@ class TestCompareCommand:
             code = main(["compare", str(model_path), "--max-order", value])
             assert code == 3
             assert "error[DimensionMismatch]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_order", [0, -1])
+    @pytest.mark.parametrize(
+        "methods", [["balanced"], ["lowrank-aaa"], ["balanced", "sys-aaa"]]
+    )
+    def test_compare_methods_refuses_max_order_below_1(
+        self, methods, max_order, monkeypatch
+    ):
+        # Refused before any truncation or adaptive run, whichever
+        # methods are listed.
+        calls = []
+        for name in ("balanced_truncate", "run_method"):
+            monkeypatch.setattr(sysmor.cli, name, lambda *args: calls.append(args))
+        with pytest.raises(DimensionMismatch, match=f"max_order {max_order}"):
+            sysmor.cli.compare_methods(
+                mass_chain(0, 4, [0], [3]), methods, max_order, StoppingOptions()
+            )
+        assert calls == []
 
     def test_dispatch_reads_module_global_reduce_lowrank(
         self, model_path, monkeypatch

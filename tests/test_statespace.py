@@ -17,7 +17,6 @@ from sysmor import (
     SingularAtFrequency,
     StateSpace,
     StoppingOptions,
-    assemble_error_system,
     balanced_truncate,
     dual,
     eval_freq,
@@ -31,13 +30,13 @@ from sysmor import (
     solve_lyapunov,
     subtract,
 )
+import sysmor.statespace as statespace
 from sysmor.cli import compare_methods
 from sysmor.statespace import (
     _CHUNK,
     _DIAGONAL_CHUNK,
     _balanced_truncation,
     _response_slope,
-    _same_dynamics,
     _shifted_solve,
     _solve_chunk,
     _solve_response,
@@ -283,12 +282,14 @@ class TestBatchedSolve:
             assert str(err.value) == f"response overflow at omega={named}"
         assert np.isfinite(eval_freq(edge, 2.0)).all()
 
-    def test_singular_schur_chunk_is_solved_one_frequency_at_a_time(self):
+    def test_singular_schur_chunk_is_solved_one_frequency_at_a_time(
+        self, monkeypatch
+    ):
         # A Schur factor's chunk that dtrsyl reports singular is solved
         # again per frequency: the singular one is named, and a chunk
         # without it keeps the values of one-frequency calls.
-        G = StateSpace([[0.0, 2.0], [-2.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
-        sys = _same_dynamics(G, G.C, G.D)
+        monkeypatch.setattr(statespace, "_MODAL_COND_MAX", 0.0)
+        sys = StateSpace([[0.0, 2.0], [-2.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
         assert sys._factor[0].ndim == 2
         with pytest.raises(SingularAtFrequency, match=r"^j\*2 is an eigenvalue of A"):
             eval_freq(sys, np.array([1.0, 2.0, 3.0]))
@@ -337,9 +338,13 @@ def _near_jordan(rng):
 
 
 def _on_schur_form(sys):
-    """The same model solved on its Schur form: a new output map on the
-    same states has no diagonal factor."""
-    return _same_dynamics(sys, sys.C, sys.D)
+    """The same model solved on its Schur form: no cond(V) passes a zero
+    ``_MODAL_COND_MAX``, so the ``_factor`` read here is not diagonal."""
+    model = StateSpace(sys.A, sys.B, sys.C, sys.D)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statespace, "_MODAL_COND_MAX", 0.0)
+        model._factor
+    return model
 
 
 def _is_diagonal(sys):
@@ -379,10 +384,10 @@ class TestModalFactor:
             expected = tf_eval(sys.A, sys.B, sys.C, sys.D, 1j * omega)
             np.testing.assert_allclose(eval_freq(sys, omega), expected, rtol=1e-12)
 
-    def test_dual_and_dynamics_reuse_the_factor(self, monkeypatch):
-        # A dual transposes its operand's diagonal factor; a model on the
-        # same states and a difference solve on the shared Schur forms.
-        # Only the operand forms a diagonal factor.
+    def test_dual_reuses_the_factor(self, monkeypatch):
+        # A dual transposes its operand's diagonal factor; a difference
+        # solves on its own Schur form.  Only the operand forms a
+        # diagonal factor.
         rng = np.random.default_rng(62)
         sys = random_stable(rng, n=9, q=2, p=3, feedthrough=True)
         factored = []
@@ -395,15 +400,13 @@ class TestModalFactor:
         monkeypatch.setattr(np.linalg, "eig", counted)
         lam, left, right = sys._factor
         flipped = dual(sys)
-        same = _same_dynamics(sys, rng.standard_normal((4, 9)), np.zeros((4, 2)))
         assert lam.ndim == 1 and flipped._factor[0] is lam
         assert flipped._factor[1].base is right and flipped._factor[2].base is left
-        assert not _is_diagonal(same) and not _is_diagonal(subtract(sys, sys))
+        assert not _is_diagonal(subtract(sys, sys))
         omegas = np.array([0.0, 0.4, 7.0])
-        for model in (flipped, same):
-            for w, value in zip(omegas, _solve_response(model, omegas)):
-                expected = tf_eval(model.A, model.B, model.C, model.D, 1j * w)
-                np.testing.assert_allclose(value, expected, rtol=1e-12)
+        for w, value in zip(omegas, _solve_response(flipped, omegas)):
+            expected = tf_eval(flipped.A, flipped.B, flipped.C, flipped.D, 1j * w)
+            np.testing.assert_allclose(value, expected, rtol=1e-12)
         assert factored == [(9, 9)]
 
     @pytest.mark.parametrize("path", ["modal", "schur"])
@@ -520,24 +523,6 @@ class TestInterconnections:
             assert np.shares_memory(mine, theirs) and not mine.flags.writeable
             assert mine.tobytes() == np.ascontiguousarray(theirs.T).tobytes()
 
-    def test_same_dynamics_shares_A_and_B_and_checks_C_and_D(self):
-        rng = np.random.default_rng(20)
-        g = random_stable(rng, n=6, q=2, p=3)
-        C = rng.standard_normal((4, 6))
-        same = _same_dynamics(g, C, np.zeros((4, 2)))
-        for mine, theirs in ((same.A, g.A), (same.B, g.B)):
-            assert np.shares_memory(mine, theirs) and not mine.flags.writeable
-        assert same.C.tobytes() == C.tobytes() and not same.C.flags.writeable
-        assert (same.n, same.q, same.p) == (6, 2, 4)
-        with pytest.raises(DimensionMismatch):
-            _same_dynamics(g, rng.standard_normal((4, 5)), np.zeros((4, 2)))
-        with pytest.raises(DimensionMismatch):
-            _same_dynamics(g, C, np.zeros((3, 2)))
-        bad = C.copy()  # C itself was adopted, and is frozen now
-        bad[1, 2] = np.nan
-        with pytest.raises(ValueError, match="C contains non-finite"):
-            _same_dynamics(g, bad, np.zeros((4, 2)))
-
     def test_surrogate_views_the_balanced_realization(self):
         # A level test's surrogate G_k is a view of G's cached balanced
         # realization; balanced_truncate hands its caller the same model
@@ -563,18 +548,13 @@ class TestInterconnections:
                     for theirs in (operand.A, operand.B, operand.C, g.D)
                 )
 
-    @pytest.mark.parametrize("kind", ["dual", "cancelled"])
-    def test_shared_models_clone_as_a_difference_does(self, kind):
+    def test_dual_clones_as_a_difference_does(self):
         # As for the difference in test_difference_forms_its_A_on_first_read:
         # copy, deepcopy and pickle keep the derivation; a replaced model
         # is built from copies of its matrices and factors its own A.
         rng = np.random.default_rng(22)
         g = random_stable(rng, n=6, q=2, p=3, feedthrough=True)
-        if kind == "dual":
-            model = dual(g)
-        else:
-            model = assemble_error_system([sample_support_point(g, 0.8)], g)
-            assert model._origin.kind == "dynamics" and model.p == 3 + 6
+        model = dual(g)
         omegas = np.array([0.0, 0.7, 3.0])
         clones = [copy.copy(model), copy.deepcopy(model),
                   pickle.loads(pickle.dumps(model)), dataclasses.replace(model)]
@@ -649,30 +629,28 @@ class TestInterconnections:
     def test_runs_read_no_schur_form_of_a_difference_or_cancelled_system(
         self, monkeypatch
     ):
-        # Only a dual reuses its operand's Schur form; a difference or a
-        # cancelled error system factors its own A when its form is read.
-        # No reduction or compare run reads either, nor a difference's A.
-        import sysmor.statespace as mod
-
-        derive, derived = mod._derived, []
+        # Only a dual reuses its operand's Schur form; a difference factors
+        # its own A when its form is read.  No reduction or compare run
+        # reads it, nor a difference's A, and none derives a model for a
+        # step's cancelled error system, whose output map is an array.
+        derive, derived = statespace._derived, []
 
         def recorded(kind, *operands, **arrays):
             model = derive(kind, *operands, **arrays)
-            if kind in ("difference", "dynamics"):
+            if kind not in ("dual", None):
                 derived.append(model)
             return model
 
-        monkeypatch.setattr(mod, "_derived", recorded)
+        monkeypatch.setattr(statespace, "_derived", recorded)
         square, tall = mass_chain(0, 6, [0, 5], [0, 5]), mass_chain(1, 6, [0], [2, 5])
         reduce(square, StoppingOptions(max_iterations=3))
         reduce_lowrank(tall, StoppingOptions(max_iterations=3))
         compare_methods(
             tall, ["balanced", "lowrank-aaa", "sys-aaa"], 4, StoppingOptions()
         )
-        assert {model._origin.kind for model in derived} == {"difference", "dynamics"}
+        assert {model._origin.kind for model in derived} == {"difference"}
         for model in derived:
-            assert "_schur" not in vars(model)
-            assert model._origin.kind == "dynamics" or "A" not in vars(model)
+            assert "_schur" not in vars(model) and "A" not in vars(model)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
