@@ -14,7 +14,6 @@ __all__ = [
     "SingularW0",
     "DuplicateSupportPoint",
     "Saturated",
-    "DegenerateFactors",
     "UnstableInput",
     "ParseError",
 ]
@@ -69,11 +68,7 @@ class DuplicateSupportPoint(SysmorError):
 
 
 class Saturated(SysmorError):
-    """Nearest support point already at full rank; no rank growth possible."""
-
-
-class DegenerateFactors(SysmorError):
-    """Truncated SVD factors contain singular values below tolerance."""
+    """Nearest support point already at rank min(p, q); no rank growth possible."""
 
 
 class UnstableInput(SysmorError):

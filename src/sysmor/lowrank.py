@@ -6,7 +6,8 @@ sample (a ``SupportPoint`` with a rank): a rank-r point costs r states at
 omega = 0 and 2r states otherwise.  New points enter at rank 1, and the
 shared loop's ``select_or_grow`` rule grows a nearby point's rank by one
 (refactoring the exact sample the point keeps) rather than spending a
-whole new block.
+whole new block, up to rank min(p, q).  A zero sample, or a direction
+with a zero singular value, is an ordinary interpolation condition.
 
 Models with more outputs than inputs are reduced through their dual so
 the per-state cost tracks min(p, q).

@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import (
-    DegenerateFactors,
     DuplicateSupportPoint,
     IllPosedLyapunov,
     ImaginaryAxisPoles,
@@ -68,10 +67,6 @@ DUPLICATE_ATOL = 1e-9
 # Residual |Re(pole)| / spectral radius allowed after cancellation.
 _AXIS_RESIDUAL_RTOL = 1e-8
 
-# Singular values at or below this fraction of the largest (and of 1) are
-# numerically zero.
-_FACTOR_RTOL = 1e-12
-
 # Weight selection: an eigenvalue of X at or below this fraction of the
 # largest is zero, and two ascending ones are distinct when their gap
 # exceeds this fraction of it.
@@ -88,23 +83,21 @@ class SupportPoint:
     """A frequency on the imaginary axis, the exact sample G(j*omega)
     taken there, and how much of the sample is interpolated.
 
-    One SVD of the sample gives everything else.  ``numerical_rank``
-    counts its singular values above 1e-12 of the largest (and of 1),
-    the most directions the sample carries.  ``rank`` None interpolates
-    the whole sample.  A rank r in 1..min(p, q) (else RankOutOfRange)
-    interpolates the projection U^H G(j*omega) of the sample onto its r
-    leading left singular directions, the orthonormal columns of ``U``
-    (p x r).  At omega = 0 the sample and ``U`` are real; a sample there
-    with a non-negligible imaginary part raises NonRealSampleAtZero (a
-    real system cannot have one).  ``omega`` must be finite and
-    nonnegative (ValueError).
+    ``rank`` None interpolates the whole sample.  A rank r in
+    1..min(p, q) (else RankOutOfRange) interpolates the projection
+    U^H G(j*omega) of the sample onto its r leading left singular
+    directions, the orthonormal columns of ``U`` (p x r), which one SVD
+    of the sample gives.  A direction whose singular value is zero still
+    carries an interpolation condition, that u^H R(j*omega) be zero.
+    At omega = 0 the sample and ``U`` are real; a sample there with a
+    non-negligible imaginary part raises NonRealSampleAtZero (a real
+    system cannot have one).  ``omega`` must be finite and nonnegative
+    (ValueError).
 
     The point is also its real interpolation block, built on first read.
     The r rows of ``L`` are the interpolated directions: I_p for a full
-    point, U^H for a rank-r one; reading ``L`` (or any block matrix)
-    raises DegenerateFactors when the rank exceeds ``numerical_rank`` (a
-    retained direction carries nothing to interpolate).  For omega = 0
-    the block is (0_r, [L G(0), L]) with r states; for omega > 0 it pairs
+    point, U^H for a rank-r one.  For omega = 0 the block is
+    (0_r, [L G(0), L]) with r states; for omega > 0 it pairs
     +/- j*omega through the skew rotation A = [[0, omega I], [-omega I, 0]]
     with 2r states, and B1 = [Re L G; -Im L G], B2 = [Re L; -Im L].
     ``B1`` carries the data, ``B2`` the channel L used for reweighting.
@@ -114,7 +107,6 @@ class SupportPoint:
     sample: np.ndarray
     rank: int | None = None
     U: np.ndarray | None = field(default=None, init=False, repr=False)
-    numerical_rank: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not 0 <= self.omega < math.inf:
@@ -130,11 +122,9 @@ class SupportPoint:
         r, rmax = self.rank, min(value.shape)
         if r is not None and not 1 <= r <= rmax:
             raise RankOutOfRange(f"rank {r} outside 1..{rmax} for shape {value.shape}")
-        U, s, _ = np.linalg.svd(value, full_matrices=False)
-        floor = _FACTOR_RTOL * max(1.0, s.max(initial=0.0))
         object.__setattr__(self, "sample", value)
-        object.__setattr__(self, "numerical_rank", int(np.count_nonzero(s > floor)))
         if r is not None:
+            U = np.linalg.svd(value, full_matrices=False)[0]
             object.__setattr__(self, "U", U[:, :r])
 
     @property
@@ -151,10 +141,6 @@ class SupportPoint:
     def L(self) -> np.ndarray:
         if self.rank is None:
             return np.eye(self.sample.shape[0])
-        if self.rank > self.numerical_rank:
-            raise DegenerateFactors(
-                "retained singular values include a numerically zero entry"
-            )
         return self.U.conj().T
 
     @cached_property
@@ -418,11 +404,11 @@ def select_or_grow(candidate_omega: float, points, min_dist: float) -> int | Non
     grows, or None when it funds a new point.
 
     A peak within ``min_dist * max(1, omega_i)`` of the nearest point
-    grows that point when it is rank-limited and its rank is below the
-    ``numerical_rank`` of its sample, the limit its ``L`` enforces;
-    Saturated is raised when it is not (nothing left to refine there).
-    Full points never grow.  Otherwise a peak that coincides with any
-    point raises DuplicateSupportPoint.
+    grows that point when it is rank-limited and its rank is below
+    min(p, q) of its sample; Saturated is raised when it is at that
+    bound (the whole sample is interpolated there).  Full points never
+    grow.  Otherwise a peak that coincides with any point raises
+    DuplicateSupportPoint.
     """
     if min_dist <= 0:
         raise ValueError("min_dist must be positive")
@@ -432,7 +418,7 @@ def select_or_grow(candidate_omega: float, points, min_dist: float) -> int | Non
         i = dists.index(min(dists))
         pt = points[i]
         if pt.rank is not None and dists[i] < min_dist * max(1.0, pt.omega):
-            if pt.rank < pt.numerical_rank:
+            if pt.rank < min(pt.sample.shape):
                 return i
             raise Saturated(
                 f"support point at {pt.omega:.6g} rad/s already has full rank {pt.rank}"

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from sysmor import (
-    DegenerateFactors,
     DimensionMismatch,
     ImaginaryAxisPoles,
     LinfResult,
     NonRealSampleAtZero,
     ResidualImaginaryPoles,
+    SingularAtFrequency,
     SingularW0,
     StateSpace,
     StoppingOptions,
@@ -221,10 +221,10 @@ class TestReduceCommand:
         assert "transposed internally" in out
         assert read_model(str(path) + ".reduced").p == 3
 
-    def test_lowrank_saturates_at_numerical_rank(self, tmp_path, capsys):
-        # Parallel input columns make every sample G(jw) rank 1, so a peak
-        # back at a rank-1 point has nothing left to grow: the run ends as
-        # saturated and keeps its best iterate instead of failing.
+    def test_lowrank_grows_rank_one_samples_to_min_pq(self, tmp_path, capsys):
+        # Parallel input columns make every sample G(jw) rank 1, yet a peak
+        # back at a rank-1 point grows it to rank min(p, q) = 2; only then
+        # does the run end as saturated, keeping its best iterate.
         rng = np.random.default_rng(5)
         base = random_stable(rng, n=8, q=1, p=2)
         b = base.B
@@ -247,7 +247,8 @@ class TestReduceCommand:
         assert doc["termination"] == "saturated support point"
         errors = [rec["linf_error"] for rec in doc["records"]]
         assert doc["best_iteration"] == int(np.argmin(errors))
-        assert all(max(rec["ranks"], default=1) == 1 for rec in doc["records"])
+        assert [rec["action"] for rec in doc["records"]] == ["init", "add", "grow"]
+        assert doc["records"][-1]["ranks"] == [2]
 
     def test_axis_pole_iterate_reports_strict_json(
         self, tmp_path, capsys, monkeypatch
@@ -453,6 +454,21 @@ class TestCompareCommand:
                 mass_chain(0, 4, [0], [3]), methods, max_order, StoppingOptions()
             )
         assert calls == []
+
+    def test_compare_methods_runs_every_method_at_zero_dc_gain(self):
+        # D = C A^-1 B makes G(0) = 0, and with p > q the low-rank run is
+        # dualized; its zero samples are interpolation conditions like
+        # any other, so every method contributes entries.
+        base = random_stable(np.random.default_rng(3), 10, 2, 4)
+        model = StateSpace(
+            base.A, base.B, base.C, base.C @ np.linalg.solve(base.A, base.B)
+        )
+        entries = sysmor.cli.compare_methods(
+            model, ["sys-aaa", "lowrank-aaa", "balanced"], 8,
+            StoppingOptions(max_iterations=4),
+        )
+        assert {e["method"] for e in entries} == {"sys-aaa", "lowrank-aaa", "balanced"}
+        assert all(1 <= e["order"] <= 8 for e in entries)
 
     def test_dispatch_reads_module_global_reduce_lowrank(
         self, model_path, monkeypatch
@@ -989,7 +1005,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "name, error",
         [
-            ("realize_interpolant", DegenerateFactors),
+            ("realize_interpolant", SingularAtFrequency),
             ("assemble_error_system", ResidualImaginaryPoles),
             ("sample_support_point", NonRealSampleAtZero),
         ],
@@ -1018,11 +1034,14 @@ class TestExitCodes:
         assert list(model_path.parent.iterdir()) == [model_path]
 
     def test_solver_failure_category(self, tmp_path, capsys):
-        # 1/(s+1) - 1 vanishes at omega = 0, where the first error peak
-        # lies: a rank-1 point there retains a numerically zero singular
-        # value, which the block builder rejects.
+        # -s/(s+1) vanishes at omega = 0, where the first error peak lies.
+        # Its zero sample there is an ordinary interpolation condition, so
+        # lowrank-aaa is no solver failure: it ends as sys-aaa does.
         path = tmp_path / "zero_dc.ss"
         write_model(StateSpace([[-1.0]], [[1.0]], [[1.0]], [[-1.0]]), path)
-        code = main(["reduce", str(path), "--method", "lowrank-aaa"])
-        assert code == 4
-        assert "error[SolverFailure]" in capsys.readouterr().err
+        finals = []
+        for method in ("lowrank-aaa", "sys-aaa"):
+            assert main(["reduce", str(path), "--method", method]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            finals.append([line for line in lines if line.startswith("final:")])
+        assert len(finals[0]) == 1 and finals[0] == finals[1]

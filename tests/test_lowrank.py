@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from sysmor import (
-    DegenerateFactors,
     DuplicateSupportPoint,
     NonRealSampleAtZero,
     Saturated,
@@ -61,9 +60,9 @@ class TestTruncateSample:
         assert SupportPoint(1.0, sample, 2).order == 4
 
     def test_one_svd_per_point(self, monkeypatch):
-        # U and numerical_rank come from one SVD of the sample, and the
-        # block takes none; a rank growth makes a new point, which factors
-        # the sample once.
+        # U of a rank-limited point comes from one SVD of the sample, and
+        # the block takes none; a full point takes none at all.  A rank
+        # growth makes a new point, which factors the sample once.
         real, calls = np.linalg.svd, []
 
         def counted(*args, **kwargs):
@@ -73,9 +72,13 @@ class TestTruncateSample:
         monkeypatch.setattr(np.linalg, "svd", counted)
         rng = np.random.default_rng(70)
         sample = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        full = make_point(1.0, sample, None)
+        assert full.U is None and full.B1.shape == (6, 2)
+        assert calls == []
         pt = make_point(1.0, sample, 1)
-        assert pt.numerical_rank == 2 and pt.U.shape == (3, 1)
+        assert pt.U.shape == (3, 1)
         assert (pt.A.shape, pt.B1.shape, pt.B2.shape) == ((2, 2), (2, 2), (2, 3))
+        assert calls == [(3, 2)]
         assert select_or_grow(1.001, [pt], min_dist=0.01) == 0
         grown = replace(pt, rank=2)
         assert (grown.A.shape, grown.B1.shape, grown.B2.shape) == (
@@ -104,12 +107,6 @@ class TestBuildLowRankBlock:
         np.testing.assert_allclose(pt.U @ pt.B1, sample, atol=1e-12)
         np.testing.assert_allclose(pt.U @ pt.B2, np.eye(2), atol=1e-12)
 
-    def test_degenerate_rank_rejected(self):
-        rank_one = np.outer([1.0, 2.0], [3.0, 4.0]).astype(complex)
-        pt = make_point(1.0, rank_one, 2)
-        with pytest.raises(DegenerateFactors):
-            pt.L
-
 
 class TestSelectOrGrow:
     def test_empty_support_adds(self):
@@ -132,13 +129,17 @@ class TestSelectOrGrow:
         with pytest.raises(Saturated):
             select_or_grow(1.001, pts, min_dist=0.01)
 
-    def test_rank_deficient_sample_saturates_at_numerical_rank(self):
-        # A rank-1 sample has nothing to grow past rank 1, although
-        # min(p, q) = 2.
+    def test_rank_deficient_sample_grows_to_min_pq(self):
+        # A rank-1 sample in a 2 x 2 model still grows to rank 2: the
+        # direction of its zero singular value is an interpolation
+        # condition too.  Only rank min(p, q) saturates.
         rank_one = np.outer([1.0, 2.0], [3.0, 4.0]).astype(complex)
-        pts = [make_point(1.0, rank_one, 1)]
+        pt = make_point(1.0, rank_one, 1)
+        assert select_or_grow(1.001, [pt], min_dist=0.01) == 0
+        grown = replace(pt, rank=2)
+        np.testing.assert_allclose(grown.U @ grown.L @ rank_one, rank_one, atol=1e-12)
         with pytest.raises(Saturated):
-            select_or_grow(1.001, pts, min_dist=0.01)
+            select_or_grow(1.001, [grown], min_dist=0.01)
 
     def test_full_point_at_peak_is_duplicate(self):
         pts = [make_point(1.0, np.eye(2), None)]
@@ -258,6 +259,28 @@ class TestReduceLowRank:
         assert pt.rank == 2
         gap = np.linalg.norm(eval_freq(chosen.sys, pt.omega) - pt.sample, 2)
         assert gap <= 1e-8 * (1.0 + np.linalg.norm(pt.sample, 2))
+
+    def test_zero_dc_gain_runs_to_max_iterations(self):
+        # D = C A^-1 B makes G(0) = 0, so the samples near DC are
+        # numerically zero.  u^H G(j*omega) = 0 is an ordinary tangential
+        # condition: the run grows ranks, reaches max_iterations with every
+        # bound certified, and each iterate interpolates each point's
+        # retained directions.
+        base = random_stable(np.random.default_rng(0), 8, 2, 2)
+        sys = StateSpace(
+            base.A, base.B, base.C, base.C @ np.linalg.solve(base.A, base.B)
+        )
+        assert np.abs(eval_freq(sys, 0.0)).max() < 1e-12
+        opts = StoppingOptions(max_iterations=8, keep_best=False)
+        chosen, report = reduce_lowrank(sys, opts)
+        assert report.termination == "max_iterations reached"
+        assert len(report.records) == 9
+        assert all(rec.certified for rec in report.records)
+        assert "grow" in [rec.action for rec in report.records]
+        assert 0.0 in [pt.omega for pt in chosen.support]
+        for pt in chosen.support:
+            gap = pt.L @ (eval_freq(chosen.sys, pt.omega) - pt.sample)
+            assert np.abs(gap).max() <= 1e-8 * (1.0 + np.abs(pt.sample).max())
 
     def test_wide_models_reduced_through_dual(self):
         rng = np.random.default_rng(77)

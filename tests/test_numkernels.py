@@ -682,6 +682,5 @@ class TestSvdTruncate:
             SupportPoint(1.0, M, 0)
         with pytest.raises(RankOutOfRange):
             SupportPoint(1.0, M, 3)
-        # the one SVD also gives the numerical rank, for any rank
-        assert SupportPoint(1.0, M).numerical_rank == 1
-        assert SupportPoint(1.0, M, 2).numerical_rank == 1
+        # min(p, q) bounds the rank, not the rank of the sample (here 1)
+        assert SupportPoint(1.0, M, 2).L.shape == (2, 3)
